@@ -8,7 +8,6 @@ restrictions.
 from .acyclic import ModelCount, count_models, satisfying_assignment
 from .backdoors import (
     BackdoorVerdict,
-    KillMode,
     is_deletion_backdoor,
     is_strong_backdoor,
     weak_backdoor_witness,
@@ -57,7 +56,6 @@ __all__ = [
     "FeedbackSet",
     "Formula",
     "ForestBDError",
-    "KillMode",
     "Literal",
     "ModelCount",
     "OracleReport",

@@ -1,4 +1,5 @@
-"""Verification predicates for the three backdoor notions.
+"""Verification predicates for the three backdoor notions, and the cycle
+branching search shared by the exact detectors.
 
 A variable set is a deletion backdoor when removing its occurrences
 leaves the incidence graph acyclic, a strong backdoor when every
@@ -14,29 +15,28 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from enum import Enum
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional, TypeVar, Union
 
 from .acyclic import satisfying_assignment
 from .errors import ContractError, ResourceLimitError
 from .formula import Assignment, Formula
 from .graphs import (
-    CLAUSE,
     Cycle,
     IncidenceGraph,
+    PackingOrFeedback,
     clause_literal_graph,
     incidence_graph,
     is_acyclic,
+    shortest_cycle,
 )
 from .workers import all_true, first_hit
 
 MAX_VERIFY_VARIABLES = 30
 
-
-class KillMode(Enum):
-    INTERNAL = "internal"
-    WEAK_EXTERNAL = "weak-external"
-    STRONG_EXTERNAL = "strong-external"
+S = TypeVar("S")
+# A backdoor found below a search state, with its witness assignment
+# (empty unless the search assigns values).
+Found = tuple[frozenset[int], Assignment]
 
 
 @dataclass(frozen=True)
@@ -52,6 +52,8 @@ class BackdoorVerdict:
     variables: frozenset[int]
     budget: int
     witness: Optional[Assignment] = field(default=None, compare=False)
+    # The packing-or-feedback split the detector routed on, if it made one.
+    split: Optional[PackingOrFeedback] = field(default=None, compare=False)
 
     @classmethod
     def yes(
@@ -59,12 +61,13 @@ class BackdoorVerdict:
         variables: Iterable[int],
         budget: int,
         witness: Optional[Assignment] = None,
+        split: Optional[PackingOrFeedback] = None,
     ) -> BackdoorVerdict:
-        return cls(True, frozenset(variables), budget, witness)
+        return cls(True, frozenset(variables), budget, witness, split)
 
     @classmethod
-    def no(cls, budget: int) -> BackdoorVerdict:
-        return cls(False, frozenset(), budget, None)
+    def no(cls, budget: int, split: Optional[PackingOrFeedback] = None) -> BackdoorVerdict:
+        return cls(False, frozenset(), budget, None, split)
 
     def sorted_variables(self) -> tuple[int, ...]:
         return tuple(sorted(self.variables))
@@ -98,20 +101,16 @@ def is_deletion_backdoor(formula: Formula, variables: Iterable[int]) -> bool:
     return is_acyclic(incidence_graph(residual).graph)
 
 
-def is_strong_backdoor(
-    formula: Formula, variables: Iterable[int], threads: int = 1
-) -> bool:
+def is_strong_backdoor(formula: Formula, variables: Iterable[int]) -> bool:
     candidate = frozenset(variables)
     _check_candidate(formula, candidate)
     _guard_size(candidate)
     literal_graph = clause_literal_graph(formula)
-    return all_true(
-        literal_graph.residual_acyclic, assignments_over(candidate), threads
-    )
+    return all_true(literal_graph.residual_acyclic, assignments_over(candidate))
 
 
 def weak_backdoor_witness(
-    formula: Formula, variables: Iterable[int], threads: int = 1
+    formula: Formula, variables: Iterable[int]
 ) -> Optional[Assignment]:
     """The lexicographically first assignment of the set whose restriction
     is acyclic and satisfiable, or None."""
@@ -127,7 +126,7 @@ def weak_backdoor_witness(
             return None
         return tau
 
-    return first_hit(probe, assignments_over(candidate), threads)
+    return first_hit(probe, assignments_over(candidate))
 
 
 def external_killers(
@@ -162,15 +161,41 @@ def opposite_sign_clauses(
     return None
 
 
-def kill_modes(inc: IncidenceGraph, variable: int, cycle: Cycle) -> frozenset[KillMode]:
-    if variable in cycle.variables:
-        return frozenset({KillMode.INTERNAL})
-    modes: set[KillMode] = set()
-    clause_nodes = frozenset(
-        n for n in cycle.node_set if isinstance(n, tuple) and n[0] == CLAUSE
-    )
-    if inc.clause_neighbor_count(variable, clause_nodes) > 0:
-        modes.add(KillMode.WEAK_EXTERNAL)
-        if opposite_sign_clauses(inc, variable, cycle) is not None:
-            modes.add(KillMode.STRONG_EXTERNAL)
-    return frozenset(modes)
+def branch_on_cycles(
+    root: S,
+    settle: Callable[[S], Union[Found, None, IncidenceGraph]],
+    moves: Callable[[S, IncidenceGraph, Cycle], Iterable[tuple[S, int, Optional[bool]]]],
+) -> Optional[Found]:
+    """Memoized search that branches on the canonical shortest cycle.
+
+    `settle(state)` ends a branch with a found pair or None, or returns
+    the incidence graph of a residual formula that still has a cycle.
+    `moves(state, inc, cycle)` then lists, in search order, the branches
+    (child, variable, value) that can remove that cycle. The first child
+    that finds a backdoor adds its variable to it, and the value to the
+    witness unless the value is None. States are memoized, so they must
+    be hashable.
+    """
+    memo: dict[S, Optional[Found]] = {}
+
+    def search(state: S) -> Optional[Found]:
+        if state not in memo:
+            memo[state] = expand(state)
+        return memo[state]
+
+    def expand(state: S) -> Optional[Found]:
+        settled = settle(state)
+        if not isinstance(settled, IncidenceGraph):
+            return settled
+        cycle = shortest_cycle(settled.graph)
+        assert cycle is not None
+        for child, variable, value in moves(state, settled, cycle):
+            found = search(child)
+            if found is not None:
+                variables, witness = found
+                if value is not None:
+                    witness = {**witness, variable: value}
+                return variables | {variable}, witness
+        return None
+
+    return search(root)

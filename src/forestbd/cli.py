@@ -9,25 +9,20 @@ or input error, 3 resource guard tripped.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 import time
-from typing import Any, Optional
+from typing import Any, Iterator, Optional
 
 from .errors import ContractError, DimacsError, ForestBDError, ResourceLimitError
 from .formula import Formula, emit_dimacs, parse_dimacs
 from .generators import grid_formula, hitting_set_formula, random_rcnf
-from .graphs import disjoint_cycles_or_feedback, CyclePacking, incidence_graph, is_acyclic, shortest_cycle
+from .graphs import CyclePacking, FeedbackSet, incidence_graph, is_acyclic, shortest_cycle
 from .backdoors import is_deletion_backdoor, is_strong_backdoor, weak_backdoor_witness
 from .oracle import brute_count, brute_min_backdoor
 from .report import RunReport, base_stats, formula_digest
-from .strong import (
-    MAX_STRONG_BUDGET,
-    StrongParameters,
-    count_with_backdoor,
-    detect_deletion,
-    detect_strong,
-)
-from .weak import WeakParameters, detect_weak
+from .strong import MAX_STRONG_BUDGET, count_with_backdoor, detect_deletion, detect_strong
+from .weak import detect_weak
 from .workers import resolve_threads
 
 _KINDS = ("weak", "strong", "deletion")
@@ -48,7 +43,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--threads",
             type=int,
             default=None,
-            help="worker threads (default: FB_THREADS or 1); results never depend on it",
+            help="accepted for compatibility (default: FB_THREADS or 1); has no effect",
         )
         p.add_argument(
             "--no-timing",
@@ -190,27 +185,25 @@ def _emit(args: argparse.Namespace, report: RunReport, lines: list[str]) -> None
             print(line)
 
 
-def _dichotomy_stats(formula: Formula, kind: str, budget: int) -> dict[str, Any]:
-    if kind == "deletion" or budget < 1:
-        return {"packing_size": None, "fvs_size": None}
-    if kind == "weak":
-        target = WeakParameters.derive(budget, max(3, formula.max_clause_width())).cycles
-    else:
-        target = StrongParameters.derive(budget).cycles
-    split = disjoint_cycles_or_feedback(incidence_graph(formula).graph, target)
-    if isinstance(split, CyclePacking):
-        return {"packing_size": len(split.cycles), "fvs_size": None}
-    return {"packing_size": None, "fvs_size": len(split.nodes)}
+@contextlib.contextmanager
+def _long_ints() -> Iterator[None]:
+    """Lift Python's int-to-str digit limit while a model count is written."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _cmd_detect(args: argparse.Namespace) -> int:
     formula, path = _load(args)
-    threads = resolve_threads(args.threads)
+    resolve_threads(args.threads)
     start = time.perf_counter()
     if args.kind == "weak":
-        verdict = detect_weak(formula, args.budget, args.width, threads)
+        verdict = detect_weak(formula, args.budget, args.width)
     elif args.kind == "strong":
-        verdict = detect_strong(formula, args.budget, threads)
+        verdict = detect_strong(formula, args.budget)
     else:
         verdict = detect_deletion(formula, args.budget)
     wall = _wall(start, args)
@@ -221,7 +214,9 @@ def _cmd_detect(args: argparse.Namespace) -> int:
             args.width if args.width is not None else max(3, formula.max_clause_width())
         )
     stats = base_stats(formula)
-    stats.update(_dichotomy_stats(formula, args.kind, args.budget))
+    split = verdict.split
+    stats["packing_size"] = len(split.cycles) if isinstance(split, CyclePacking) else None
+    stats["fvs_size"] = len(split.nodes) if isinstance(split, FeedbackSet) else None
     report = RunReport(
         command=f"detect-{args.kind}",
         digest=formula_digest(formula),
@@ -247,14 +242,14 @@ def _cmd_detect(args: argparse.Namespace) -> int:
 
 def _cmd_count(args: argparse.Namespace) -> int:
     formula, path = _load(args)
-    threads = resolve_threads(args.threads)
+    resolve_threads(args.threads)
     start = time.perf_counter()
     if args.backdoor is not None:
         backdoor = _parse_variables(args.backdoor)
     else:
         backdoor = None
         for budget in range(MAX_STRONG_BUDGET + 1):
-            verdict = detect_strong(formula, budget, threads)
+            verdict = detect_strong(formula, budget)
             if verdict.found:
                 backdoor = sorted(verdict.variables)
                 break
@@ -262,7 +257,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
             raise ResourceLimitError(
                 f"no strong backdoor found within budget {MAX_STRONG_BUDGET}"
             )
-    result = count_with_backdoor(formula, backdoor, formula.universe, threads)
+    result = count_with_backdoor(formula, backdoor, formula.universe)
     wall = _wall(start, args)
     report = RunReport(
         command="count",
@@ -273,21 +268,22 @@ def _cmd_count(args: argparse.Namespace) -> int:
         stats=base_stats(formula),
         wall_ms=wall,
     )
-    _emit(args, report, [f"count: {result.count}"])
+    with _long_ints():
+        _emit(args, report, [f"count: {result.count}"])
     return 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     formula, path = _load(args)
-    threads = resolve_threads(args.threads)
+    resolve_threads(args.threads)
     candidate = _parse_variables(args.variables)
     start = time.perf_counter()
     witness = None
     if args.kind == "weak":
-        witness = weak_backdoor_witness(formula, candidate, threads)
+        witness = weak_backdoor_witness(formula, candidate)
         valid = witness is not None
     elif args.kind == "strong":
-        valid = is_strong_backdoor(formula, candidate, threads)
+        valid = is_strong_backdoor(formula, candidate)
     else:
         valid = is_deletion_backdoor(formula, candidate)
     wall = _wall(start, args)

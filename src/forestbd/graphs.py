@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Hashable, Iterable, Iterator, Mapping, Sequence, Union
+from typing import Hashable, Iterator, Mapping, Sequence, Union
 
 from .errors import ContractError
 from .formula import Formula
@@ -86,18 +86,6 @@ class Graph:
 
     def sorted_nodes(self) -> list[Node]:
         return sorted(self._adj)
-
-    def without(self, removed: Iterable[Node]) -> Graph:
-        gone = set(removed)
-        out = Graph()
-        for v, adj in self._adj.items():
-            if v in gone:
-                continue
-            out.add_node(v)
-            for u in adj:
-                if u not in gone and u > v:
-                    out.add_edge(v, u)
-        return out
 
 
 @dataclass(frozen=True)

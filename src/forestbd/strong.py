@@ -13,13 +13,14 @@ counts of all its restrictions yields the exact model count.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Optional, Sequence
 
 from .acyclic import ModelCount, count_models
 from .backdoors import (
     BackdoorVerdict,
     assignments_over,
+    branch_on_cycles,
     is_strong_backdoor,
     opposite_sign_clauses,
 )
@@ -35,10 +36,9 @@ from .graphs import (
     disjoint_cycles_or_feedback,
     incidence_graph,
     is_acyclic,
-    shortest_cycle,
     var_node,
 )
-from .weak import KillChoice, RuleOutcome
+from .weak import KillChoice, RuleOutcome, candidate_pool
 from .workers import first_hit, ordered_map
 
 MAX_STRONG_BUDGET = 6
@@ -47,20 +47,16 @@ MAX_COUNT_BACKDOOR = 30
 
 @dataclass(frozen=True)
 class StrongParameters:
-    """Derived packing size and feedback bound for a budget."""
+    """Derived packing size for a budget."""
 
     budget: int
     cycles: int
-    external_cycles: int
-    feedback_bound: int
 
     @classmethod
     def derive(cls, budget: int) -> StrongParameters:
         if budget < 1:
             raise ContractError(f"budget must be >= 1, got {budget}")
-        cycles = budget**2 * 2 ** (budget - 1) + budget + 1
-        feedback = 12 * cycles**2 - 27 * cycles + 15
-        return cls(budget, cycles, cycles - budget, feedback)
+        return cls(budget, budget**2 * 2 ** (budget - 1) + budget + 1)
 
 
 @dataclass(frozen=True)
@@ -185,39 +181,7 @@ def strong_rule_outcome(
     return RuleOutcome("saturated", frozenset())
 
 
-def iter_strong_outcomes(
-    formula: Formula,
-    inc: IncidenceGraph,
-    packing: Sequence[Cycle],
-    params: StrongParameters,
-) -> Iterator[tuple[KillChoice, RuleOutcome]]:
-    if len(packing) < params.cycles:
-        raise ContractError(
-            f"need {params.cycles} disjoint cycles, got {len(packing)}"
-        )
-    base = tuple(packing[: params.cycles])
-    for indices in itertools.combinations(range(params.cycles), params.budget):
-        choice = KillChoice.split(formula, base, indices)
-        yield choice, strong_rule_outcome(formula, inc, choice, params)
-
-
-def strong_candidate_pool(
-    formula: Formula,
-    inc: IncidenceGraph,
-    packing: Sequence[Cycle],
-    params: StrongParameters,
-) -> frozenset[int]:
-    if params.budget > MAX_STRONG_BUDGET:
-        raise ResourceLimitError(
-            f"designation enumeration explodes beyond budget {MAX_STRONG_BUDGET}"
-        )
-    pool: set[int] = set()
-    for _, outcome in iter_strong_outcomes(formula, inc, packing, params):
-        pool |= outcome.selected
-    return frozenset(pool)
-
-
-def detect_strong(formula: Formula, budget: int, threads: int = 1) -> BackdoorVerdict:
+def detect_strong(formula: Formula, budget: int) -> BackdoorVerdict:
     """Budgeted strong backdoor detection.
 
     A found verdict carries a strong backdoor of size at most
@@ -232,34 +196,33 @@ def detect_strong(formula: Formula, budget: int, threads: int = 1) -> BackdoorVe
         )
     inc = incidence_graph(formula)
     if is_acyclic(inc.graph):
-        return BackdoorVerdict.yes((), budget)
+        # On a forest the dichotomy returns the empty feedback set.
+        split = FeedbackSet(frozenset()) if budget else None
+        return BackdoorVerdict.yes((), budget, split=split)
     if budget == 0:
         return BackdoorVerdict.no(0)
     params = StrongParameters.derive(budget)
     split = disjoint_cycles_or_feedback(inc.graph, params.cycles)
     if isinstance(split, FeedbackSet):
-        return strong_exact_search(formula, budget, threads)
-    pool = strong_candidate_pool(formula, inc, split.cycles, params)
+        return replace(strong_exact_search(formula, budget), split=split)
+    pool = candidate_pool(strong_rule_outcome, formula, inc, split.cycles, params)
 
     def explore(candidate: int) -> Optional[BackdoorVerdict]:
-        # Nested levels run sequentially; only this level fans out.
-        high = detect_strong(formula.restrict({candidate: True}), budget - 1, 1)
+        high = detect_strong(formula.restrict({candidate: True}), budget - 1)
         if not high.found:
             return None
-        low = detect_strong(formula.restrict({candidate: False}), budget - 1, 1)
+        low = detect_strong(formula.restrict({candidate: False}), budget - 1)
         if not low.found:
             return None
         return BackdoorVerdict.yes(
-            high.variables | low.variables | {candidate}, budget
+            high.variables | low.variables | {candidate}, budget, split=split
         )
 
-    hit = first_hit(explore, sorted(pool), threads)
-    return hit if hit is not None else BackdoorVerdict.no(budget)
+    hit = first_hit(explore, sorted(pool))
+    return hit if hit is not None else BackdoorVerdict.no(budget, split)
 
 
-def strong_exact_search(
-    formula: Formula, budget: int, threads: int = 1
-) -> BackdoorVerdict:
+def strong_exact_search(formula: Formula, budget: int) -> BackdoorVerdict:
     """Exact strong backdoor search, memoized on the candidate set.
 
     A candidate set is grown until no assignment of it leaves a cycle.
@@ -271,98 +234,64 @@ def strong_exact_search(
     if budget < 0:
         raise ContractError(f"budget must be >= 0, got {budget}")
     literal_graph = clause_literal_graph(formula)
-    memo: dict[frozenset[int], Optional[frozenset[int]]] = {}
 
-    def counterexample(candidate: frozenset[int]) -> Optional[Assignment]:
-        def probe(tau: Assignment) -> Optional[Assignment]:
-            return None if literal_graph.residual_acyclic(tau) else tau
+    def probe(tau: Assignment) -> Optional[Assignment]:
+        return None if literal_graph.residual_acyclic(tau) else tau
 
-        return first_hit(probe, assignments_over(candidate), threads)
-
-    def search(candidate: frozenset[int]) -> Optional[frozenset[int]]:
-        if candidate in memo:
-            return memo[candidate]
-        result = _expand(candidate)
-        memo[candidate] = result
-        return result
-
-    def _expand(candidate: frozenset[int]) -> Optional[frozenset[int]]:
-        tau = counterexample(candidate)
+    def settle(candidate: frozenset[int]):
+        tau = first_hit(probe, assignments_over(candidate))
         if tau is None:
-            return candidate
+            return candidate, {}
         if len(candidate) == budget:
             return None
-        survivor = formula.restrict(tau)
-        inc = incidence_graph(survivor)
-        cycle = shortest_cycle(inc.graph)
-        assert cycle is not None
-        cycle_vars = frozenset(cycle.variables)
-        extenders = set(cycle_vars)
-        for variable in survivor.universe - cycle_vars:
-            if opposite_sign_clauses(inc, variable, cycle) is not None:
-                extenders.add(variable)
-        for variable in sorted(extenders):
-            grown = search(candidate | {variable})
-            if grown is not None:
-                return grown
-        return None
+        return incidence_graph(formula.restrict(tau))
 
-    result = search(frozenset())
+    def moves(candidate: frozenset[int], inc: IncidenceGraph, cycle: Cycle):
+        cycle_vars = frozenset(cycle.variables)
+        # The survivor's universe is the formula's minus the candidate set.
+        outside = formula.universe - candidate - cycle_vars
+        extenders = cycle_vars | {
+            v for v in outside if opposite_sign_clauses(inc, v, cycle) is not None
+        }
+        for variable in sorted(extenders):
+            yield candidate | {variable}, variable, None
+
+    result = branch_on_cycles(frozenset(), settle, moves)
     if result is None:
         return BackdoorVerdict.no(budget)
-    return BackdoorVerdict.yes(result, budget)
+    return BackdoorVerdict.yes(result[0], budget)
 
 
 def detect_deletion(formula: Formula, budget: int) -> BackdoorVerdict:
-    """Exact deletion backdoor detection by shortest-cycle branching.
+    """Exact deletion backdoor detection by shortest-cycle branching,
+    memoized on the removed set.
 
     Deleting a variable off a cycle leaves the cycle intact, so a deletion
     backdoor must contain one of the cycle's variables.
     """
     if budget < 0:
         raise ContractError(f"budget must be >= 0, got {budget}")
-    memo: dict[frozenset[int], Optional[frozenset[int]]] = {}
 
-    def search(
-        current: Formula, removed: frozenset[int], remaining: int
-    ) -> Optional[frozenset[int]]:
-        if removed in memo:
-            return memo[removed]
-        result = _expand(current, removed, remaining)
-        memo[removed] = result
-        return result
+    def settle(removed: frozenset[int]):
+        inc = incidence_graph(formula.without_variables(removed) if removed else formula)
+        if is_acyclic(inc.graph):
+            return frozenset(), {}
+        return inc if len(removed) < budget else None
 
-    def _expand(
-        current: Formula, removed: frozenset[int], remaining: int
-    ) -> Optional[frozenset[int]]:
-        graph = incidence_graph(current).graph
-        if is_acyclic(graph):
-            return frozenset()
-        if remaining == 0:
-            return None
-        cycle = shortest_cycle(graph)
-        assert cycle is not None
+    def moves(removed: frozenset[int], inc: IncidenceGraph, cycle: Cycle):
         for variable in sorted(cycle.variables):
-            sub = search(
-                current.without_variables({variable}),
-                removed | {variable},
-                remaining - 1,
-            )
-            if sub is not None:
-                return sub | {variable}
-        return None
+            yield removed | {variable}, variable, None
 
-    result = search(formula, frozenset(), budget)
+    result = branch_on_cycles(frozenset(), settle, moves)
     if result is None:
         return BackdoorVerdict.no(budget)
-    return BackdoorVerdict.yes(result, budget)
+    return BackdoorVerdict.yes(result[0], budget)
 
 
 def count_with_backdoor(
     formula: Formula,
     backdoor: Sequence[int] | frozenset[int],
     universe: Sequence[int] | frozenset[int],
-    threads: int = 1,
 ) -> ModelCount:
     """Exact model count over `universe` by summing the acyclic counts of
     every restriction of a verified strong backdoor."""
@@ -378,12 +307,12 @@ def count_with_backdoor(
         raise ResourceLimitError(
             f"refusing to sum over 2^{len(cutset)} restrictions"
         )
-    if not is_strong_backdoor(formula, cutset, threads):
+    if not is_strong_backdoor(formula, cutset):
         raise ContractError("the given set is not a strong backdoor")
     remainder = target - cutset
 
     def piece(tau: Assignment) -> int:
         return count_models(formula.restrict(tau), remainder).count
 
-    total = sum(ordered_map(piece, assignments_over(cutset), threads))
+    total = sum(ordered_map(piece, assignments_over(cutset)))
     return ModelCount(total, len(target))

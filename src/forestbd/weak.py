@@ -26,13 +26,13 @@ Rule identifiers (in application order):
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
 
 from .acyclic import satisfying_assignment
-from .backdoors import BackdoorVerdict, external_killers
+from .backdoors import BackdoorVerdict, branch_on_cycles, external_killers
 from .errors import ContractError
-from .formula import Assignment, Formula
+from .formula import Formula
 from .graphs import (
     CLAUSE,
     Cycle,
@@ -41,9 +41,11 @@ from .graphs import (
     disjoint_cycles_or_feedback,
     incidence_graph,
     is_acyclic,
-    shortest_cycle,
 )
 from .workers import first_hit
+
+if TYPE_CHECKING:
+    from .strong import StrongParameters
 
 
 @dataclass(frozen=True)
@@ -53,7 +55,6 @@ class WeakParameters:
     budget: int
     width: int
     cycles: int
-    external_cycles: int
     multi: int
     support: int
     overlap: int
@@ -68,7 +69,7 @@ class WeakParameters:
         multi = 4 * k
         support = (r - 3) * (k**3 + 9) + 4 * k**2 + k
         overlap = (r - 2) * (k * multi) ** 2 + k
-        return cls(k, r, cycles, cycles - k, multi, support, overlap)
+        return cls(k, r, cycles, multi, support, overlap)
 
 
 @dataclass(frozen=True)
@@ -153,12 +154,16 @@ def weak_rule_outcome(
     return RuleOutcome("shared-killers", frozenset(shared))
 
 
-def iter_weak_outcomes(
+def designations(
+    rule: Callable[..., RuleOutcome],
     formula: Formula,
     inc: IncidenceGraph,
     packing: Sequence[Cycle],
-    params: WeakParameters,
+    params: WeakParameters | StrongParameters,
 ) -> Iterator[tuple[KillChoice, RuleOutcome]]:
+    """Every way of designating `params.budget` of the first
+    `params.cycles` packed cycles as internal, with the outcome of the
+    selection `rule` (weak or strong) on it."""
     if len(packing) < params.cycles:
         raise ContractError(
             f"need {params.cycles} disjoint cycles, got {len(packing)}"
@@ -166,19 +171,20 @@ def iter_weak_outcomes(
     base = tuple(packing[: params.cycles])
     for indices in itertools.combinations(range(params.cycles), params.budget):
         choice = KillChoice.split(formula, base, indices)
-        yield choice, weak_rule_outcome(formula, inc, choice, params)
+        yield choice, rule(formula, inc, choice, params)
 
 
-def weak_candidate_pool(
+def candidate_pool(
+    rule: Callable[..., RuleOutcome],
     formula: Formula,
     inc: IncidenceGraph,
     packing: Sequence[Cycle],
-    params: WeakParameters,
+    params: WeakParameters | StrongParameters,
 ) -> frozenset[int]:
-    """Union of rule selections over every designation; every weak backdoor
+    """Union of rule selections over every designation; every backdoor
     within budget intersects it, and an empty union certifies none exists."""
     pool: set[int] = set()
-    for _, outcome in iter_weak_outcomes(formula, inc, packing, params):
+    for _, outcome in designations(rule, formula, inc, packing, params):
         pool |= outcome.selected
     return frozenset(pool)
 
@@ -187,7 +193,6 @@ def detect_weak(
     formula: Formula,
     budget: int,
     width: int | None = None,
-    threads: int = 1,
 ) -> BackdoorVerdict:
     """Exact weak backdoor detection for formulas of bounded clause width.
 
@@ -204,38 +209,37 @@ def detect_weak(
         raise ContractError(
             f"clause width {actual} exceeds declared bound {width}"
         )
-    return _detect_weak(formula, budget, max(3, width), threads)
+    return _detect_weak(formula, budget, max(3, width))
 
 
-def _detect_weak(
-    formula: Formula, budget: int, width: int, threads: int
-) -> BackdoorVerdict:
+def _detect_weak(formula: Formula, budget: int, width: int) -> BackdoorVerdict:
     inc = incidence_graph(formula)
     if is_acyclic(inc.graph):
+        # On a forest the dichotomy returns the empty feedback set.
+        split = FeedbackSet(frozenset()) if budget else None
         if satisfying_assignment(formula) is not None:
-            return BackdoorVerdict.yes((), budget, {})
-        return BackdoorVerdict.no(budget)
+            return BackdoorVerdict.yes((), budget, {}, split)
+        return BackdoorVerdict.no(budget, split)
     if budget == 0:
         return BackdoorVerdict.no(0)
     params = WeakParameters.derive(budget, width)
     split = disjoint_cycles_or_feedback(inc.graph, params.cycles)
     if isinstance(split, FeedbackSet):
-        return weak_exact_search(formula, budget)
-    pool = weak_candidate_pool(formula, inc, split.cycles, params)
+        return replace(weak_exact_search(formula, budget), split=split)
+    pool = candidate_pool(weak_rule_outcome, formula, inc, split.cycles, params)
     branches = [(s, value) for s in sorted(pool) for value in (False, True)]
 
     def explore(branch: tuple[int, bool]) -> Optional[BackdoorVerdict]:
         candidate, value = branch
-        # Nested levels run sequentially; only this level fans out.
-        sub = _detect_weak(formula.restrict({candidate: value}), budget - 1, width, 1)
+        sub = _detect_weak(formula.restrict({candidate: value}), budget - 1, width)
         if not sub.found:
             return None
         witness = dict(sub.witness or {})
         witness[candidate] = value
-        return BackdoorVerdict.yes(sub.variables | {candidate}, budget, witness)
+        return BackdoorVerdict.yes(sub.variables | {candidate}, budget, witness, split)
 
-    hit = first_hit(explore, branches, threads)
-    return hit if hit is not None else BackdoorVerdict.no(budget)
+    hit = first_hit(explore, branches)
+    return hit if hit is not None else BackdoorVerdict.no(budget, split)
 
 
 def weak_exact_search(formula: Formula, budget: int) -> BackdoorVerdict:
@@ -249,21 +253,9 @@ def weak_exact_search(formula: Formula, budget: int) -> BackdoorVerdict:
     """
     if budget < 0:
         raise ContractError(f"budget must be >= 0, got {budget}")
-    memo: dict[tuple[Formula, int], Optional[tuple[frozenset[int], Assignment]]] = {}
 
-    def search(
-        current: Formula, remaining: int
-    ) -> Optional[tuple[frozenset[int], Assignment]]:
-        key = (current, remaining)
-        if key in memo:
-            return memo[key]
-        result = _expand(current, remaining)
-        memo[key] = result
-        return result
-
-    def _expand(
-        current: Formula, remaining: int
-    ) -> Optional[tuple[frozenset[int], Assignment]]:
+    def settle(state: tuple[Formula, int]):
+        current, remaining = state
         if current.has_empty_clause():
             # Restriction never removes an empty clause, so no witness can
             # make any deeper restriction satisfiable.
@@ -272,27 +264,18 @@ def weak_exact_search(formula: Formula, budget: int) -> BackdoorVerdict:
         if is_acyclic(inc.graph):
             if satisfying_assignment(current) is None:
                 return None
-            return (frozenset(), {})
-        if remaining == 0:
-            return None
-        cycle = shortest_cycle(inc.graph)
-        assert cycle is not None
-        cycle_vars = frozenset(cycle.variables)
-        candidates = sorted(
-            cycle_vars | external_killers(inc, cycle, current.universe - cycle_vars)
-        )
-        for candidate in candidates:
-            for value in (False, True):
-                sub = search(current.restrict({candidate: value}), remaining - 1)
-                if sub is not None:
-                    variables, witness = sub
-                    return (
-                        variables | {candidate},
-                        {**witness, candidate: value},
-                    )
-        return None
+            return frozenset(), {}
+        return inc if remaining else None
 
-    result = search(formula, budget)
+    def moves(state: tuple[Formula, int], inc: IncidenceGraph, cycle: Cycle):
+        current, remaining = state
+        cycle_vars = frozenset(cycle.variables)
+        candidates = cycle_vars | external_killers(inc, cycle, current.universe - cycle_vars)
+        for candidate in sorted(candidates):
+            for value in (False, True):
+                yield (current.restrict({candidate: value}), remaining - 1), candidate, value
+
+    result = branch_on_cycles((formula, budget), settle, moves)
     if result is None:
         return BackdoorVerdict.no(budget)
     variables, witness = result

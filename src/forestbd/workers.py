@@ -1,14 +1,12 @@
-"""Deterministic worker-pool helpers.
+"""Sequential evaluation helpers for the exponential verification loops.
 
-Parallelism must never change a result: items are evaluated in fixed-size
-blocks and combined strictly in input order, so any thread count produces
-the same value as a sequential run.
+Items are consumed lazily, in input order, up to the first decisive one,
+so no loop holds all `2^|B|` assignments in memory.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Optional, TypeVar
 
 from .errors import ContractError
@@ -20,7 +18,9 @@ THREADS_ENV = "FB_THREADS"
 
 
 def resolve_threads(threads: int | None = None) -> int:
-    """Explicit value, else the FB_THREADS environment variable, else 1."""
+    """Explicit value, else the FB_THREADS environment variable, else 1.
+
+    Validated for compatibility only; nothing runs differently for it."""
     if threads is None:
         raw = os.environ.get(THREADS_ENV, "").strip()
         if not raw:
@@ -34,42 +34,19 @@ def resolve_threads(threads: int | None = None) -> int:
     return threads
 
 
-def ordered_map(fn: Callable[[T], R], items: Iterable[T], threads: int = 1) -> list[R]:
-    work = list(items)
-    if threads <= 1 or len(work) <= 1:
-        return [fn(x) for x in work]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, work))
+def ordered_map(fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
+    return [fn(item) for item in items]
 
 
-def first_hit(
-    fn: Callable[[T], Optional[R]], items: Iterable[T], threads: int = 1
-) -> Optional[R]:
-    """First non-None fn(item) in input order, evaluating blockwise."""
-    work = list(items)
-    if threads <= 1 or len(work) <= 1:
-        for item in work:
-            result = fn(item)
-            if result is not None:
-                return result
-        return None
-    block = threads * 8
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for start in range(0, len(work), block):
-            for result in pool.map(fn, work[start : start + block]):
-                if result is not None:
-                    return result
+def first_hit(fn: Callable[[T], Optional[R]], items: Iterable[T]) -> Optional[R]:
+    """First non-None fn(item) in input order."""
+    for item in items:
+        result = fn(item)
+        if result is not None:
+            return result
     return None
 
 
-def all_true(fn: Callable[[T], bool], items: Iterable[T], threads: int = 1) -> bool:
-    """Whether fn holds everywhere, evaluating blockwise with early exit."""
-    work = list(items)
-    if threads <= 1 or len(work) <= 1:
-        return all(fn(item) for item in work)
-    block = threads * 8
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for start in range(0, len(work), block):
-            if not all(pool.map(fn, work[start : start + block])):
-                return False
-    return True
+def all_true(fn: Callable[[T], bool], items: Iterable[T]) -> bool:
+    """Whether fn holds everywhere, stopping at the first failure."""
+    return all(fn(item) for item in items)

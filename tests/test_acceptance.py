@@ -33,8 +33,8 @@ from forestbd import (
     weak_backdoor_witness,
 )
 from forestbd.graphs import Graph
-from forestbd.strong import StrongParameters, iter_strong_outcomes
-from forestbd.weak import WeakParameters, iter_weak_outcomes
+from forestbd.strong import StrongParameters, strong_rule_outcome
+from forestbd.weak import WeakParameters, designations, weak_rule_outcome
 from instances import (
     contradiction_path,
     heavy_dense_ring,
@@ -329,7 +329,7 @@ def test_criterion_8_rule_soundness_audit():
         split = disjoint_cycles_or_feedback(inc.graph, params.cycles)
         if not isinstance(split, CyclePacking):
             continue
-        for choice, outcome in iter_weak_outcomes(f, inc, split.cycles, params):
+        for choice, outcome in designations(weak_rule_outcome, f, inc, split.cycles, params):
             assert rule_selection_sound(
                 f, choice, outcome.selected, budget, "weak"
             ), (outcome.rule, sorted(outcome.selected))
@@ -350,7 +350,7 @@ def test_criterion_8_rule_soundness_audit():
         split = disjoint_cycles_or_feedback(inc.graph, params.cycles)
         if not isinstance(split, CyclePacking):
             continue
-        for choice, outcome in iter_strong_outcomes(f, inc, split.cycles, params):
+        for choice, outcome in designations(strong_rule_outcome, f, inc, split.cycles, params):
             assert rule_selection_sound(
                 f, choice, outcome.selected, budget, "strong"
             ), (outcome.rule, sorted(outcome.selected))

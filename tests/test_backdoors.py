@@ -20,12 +20,7 @@ from forestbd import (
     shortest_cycle,
     weak_backdoor_witness,
 )
-from forestbd.backdoors import (
-    KillMode,
-    external_killers,
-    kill_modes,
-    opposite_sign_clauses,
-)
+from forestbd.backdoors import external_killers, opposite_sign_clauses
 from instances import direct_strong, direct_weak_witness, triangle, two_triangles
 
 
@@ -67,13 +62,6 @@ class TestStrong:
         f = Formula((), frozenset(range(1, 40)))
         with pytest.raises(ResourceLimitError):
             is_strong_backdoor(f, f.universe)
-
-    def test_thread_count_does_not_change_result(self):
-        f = random_rcnf(8, 12, 3, 23)
-        for candidate in ({1, 2}, {3, 4, 5}, set(range(1, 7))):
-            assert is_strong_backdoor(f, candidate, threads=1) == is_strong_backdoor(
-                f, candidate, threads=4
-            )
 
     @given(st.integers(0, 50_000))
     @settings(max_examples=80, deadline=None)
@@ -209,19 +197,3 @@ class TestKillRelations:
                 if not clause.satisfied_by({5: value})
             }
             assert not set(cycle.clause_indices) <= survivors
-
-    def test_kill_modes(self):
-        f = Formula.from_ints([[1, 2, 5], [1, 2, -5], [1, 2, 3]], num_vars=6)
-        inc = incidence_graph(f)
-        opposite = shortest_cycle(inc.graph, forbidden={("var", 5), ("var", 3)})
-        assert opposite.clause_indices == (0, 1)
-        assert kill_modes(inc, 1, opposite) == frozenset({KillMode.INTERNAL})
-        assert kill_modes(inc, 5, opposite) == frozenset(
-            {KillMode.WEAK_EXTERNAL, KillMode.STRONG_EXTERNAL}
-        )
-        assert kill_modes(inc, 3, opposite) == frozenset()
-        same_sign = shortest_cycle(inc.graph, forbidden={("var", 5), ("clause", 1)})
-        assert same_sign.clause_indices == (0, 2)
-        assert kill_modes(inc, 3, same_sign) == frozenset({KillMode.WEAK_EXTERNAL})
-        assert kill_modes(inc, 5, same_sign) == frozenset({KillMode.WEAK_EXTERNAL})
-        assert kill_modes(inc, 6, same_sign) == frozenset()

@@ -5,12 +5,23 @@ from __future__ import annotations
 import io
 import json
 import os
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+from forestbd import (
+    CyclePacking,
+    Formula,
+    disjoint_cycles_or_feedback,
+    emit_dimacs,
+    grid_formula,
+    incidence_graph,
+)
 from forestbd.cli import main
 from forestbd.report import validate_report
+from forestbd.strong import StrongParameters
+from forestbd.weak import WeakParameters
 
 
 def run(argv, env=None):
@@ -145,6 +156,39 @@ class TestReports:
         stats = json.loads(out)["stats"]
         assert (stats["packing_size"] is None) != (stats["fvs_size"] is None)
 
+    @pytest.mark.parametrize("name", ["forest", "grid4", "triangles"])
+    def test_dichotomy_statistic_matches_packing(self, tmp_path, name):
+        formula = {
+            "forest": Formula.from_ints([[1, 2], [-2, 3, 4], [4, -5], [3, 6, 7]], num_vars=7),
+            "grid4": grid_formula(4),
+            "triangles": Formula.from_ints(
+                [c for i in range(0, 20, 2) for c in ([i + 1, i + 2], [-i - 1, i + 2], [i + 1, -i - 2])],
+                num_vars=20,
+            ),
+        }[name]
+        path = tmp_path / f"{name}.cnf"
+        path.write_text(emit_dimacs(formula), encoding="ascii")
+        graph = incidence_graph(formula).graph
+        for kind in ("weak", "strong"):
+            for budget in (0, 1, 2):
+                code, out, _ = run(["detect", kind, "--cnf", str(path), "-k", str(budget), "--json"])
+                assert code in (0, 1)
+                stats = json.loads(out)["stats"]
+                expected = (None, None)
+                if budget > 0:
+                    if kind == "weak":
+                        params = WeakParameters.derive(budget, max(3, formula.max_clause_width()))
+                    else:
+                        params = StrongParameters.derive(budget)
+                    split = disjoint_cycles_or_feedback(graph, params.cycles)
+                    if isinstance(split, CyclePacking):
+                        expected = (len(split.cycles), None)
+                    else:
+                        expected = (None, len(split.nodes))
+                if name == "forest" and budget > 0:
+                    assert expected == (None, 0)
+                assert (stats["packing_size"], stats["fvs_size"]) == expected, (kind, budget)
+
     def test_stats_shortest_cycle_serialization(self, grid3):
         _, out, _ = run(["stats", "--cnf", grid3, "--json"])
         stats = json.loads(out)["stats"]
@@ -161,6 +205,23 @@ class TestHumanOutput:
         assert out.splitlines()[0] == "verdict: found"
         assert "backdoor: 10" in out
         assert "witness: 10=" in out
+
+    def test_count_beyond_int_str_digit_limit(self, tmp_path):
+        # 3 * 2**14998 has 4,516 digits, past Python's default limit of 4,300.
+        wide = tmp_path / "wide.cnf"
+        wide.write_text("p cnf 15000 1\n1 2 0\n", encoding="ascii")
+        limit = sys.get_int_max_str_digits()
+        json_code, json_out, _ = run(["count", "--cnf", str(wide), "--json", "--no-timing"])
+        text_code, text_out, _ = run(["count", "--cnf", str(wide)])
+        assert sys.get_int_max_str_digits() == limit
+        assert json_code == text_code == 0
+        sys.set_int_max_str_digits(0)
+        try:
+            expected = 3 * 2**14998
+            assert json.loads(json_out)["count"] == expected
+            assert text_out == f"count: {expected}\n"
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_count_line(self, triangle_file):
         _, out, _ = run(["count", "--cnf", triangle_file, "--backdoor", "1"])

@@ -32,9 +32,9 @@ from forestbd.strong import (
     StrongParameters,
     apex_cycle_killers,
     build_apex_cycle,
-    iter_strong_outcomes,
-    strong_candidate_pool,
+    strong_rule_outcome,
 )
+from forestbd.weak import candidate_pool, designations
 from instances import (
     ring_cycle,
     rule_selection_sound,
@@ -50,11 +50,11 @@ from instances import (
 class TestParameters:
     def test_budget_one(self):
         p = StrongParameters.derive(1)
-        assert (p.cycles, p.external_cycles, p.feedback_bound) == (3, 2, 42)
+        assert p.cycles == 3
 
     def test_budget_two(self):
         p = StrongParameters.derive(2)
-        assert (p.cycles, p.external_cycles, p.feedback_bound) == (11, 9, 1170)
+        assert p.cycles == 11
 
     def test_budget_three(self):
         assert StrongParameters.derive(3).cycles == 40
@@ -176,8 +176,8 @@ class TestRules:
         assert isinstance(split, CyclePacking)
         fired = dict(
             (outcome.rule, (choice, outcome))
-            for choice, outcome in iter_strong_outcomes(
-                f, inc, split.cycles, StrongParameters.derive(1)
+            for choice, outcome in designations(
+                strong_rule_outcome, f, inc, split.cycles, StrongParameters.derive(1)
             )
         )
         assert "lone-killer" in fired
@@ -190,7 +190,7 @@ class TestRules:
         inc = incidence_graph(f)
         split = disjoint_cycles_or_feedback(inc.graph, 3)
         outcomes = list(
-            iter_strong_outcomes(f, inc, split.cycles, StrongParameters.derive(1))
+            designations(strong_rule_outcome, f, inc, split.cycles, StrongParameters.derive(1))
         )
         pair_hits = [
             (choice, outcome)
@@ -207,7 +207,7 @@ class TestRules:
         inc = incidence_graph(f)
         split = disjoint_cycles_or_feedback(inc.graph, 3)
         outcomes = list(
-            iter_strong_outcomes(f, inc, split.cycles, StrongParameters.derive(1))
+            designations(strong_rule_outcome, f, inc, split.cycles, StrongParameters.derive(1))
         )
         saturated = [
             (choice, outcome)
@@ -223,8 +223,8 @@ class TestRules:
         f = three_islands()
         inc = incidence_graph(f)
         split = disjoint_cycles_or_feedback(inc.graph, 3)
-        for choice, outcome in iter_strong_outcomes(
-            f, inc, split.cycles, StrongParameters.derive(1)
+        for choice, outcome in designations(
+            strong_rule_outcome, f, inc, split.cycles, StrongParameters.derive(1)
         ):
             assert outcome.rule == "unkillable-cycle"
             assert outcome.selected == frozenset()
@@ -236,8 +236,8 @@ class TestRules:
             split = disjoint_cycles_or_feedback(inc.graph, 3)
             if not isinstance(split, CyclePacking):
                 continue
-            for _, outcome in iter_strong_outcomes(
-                f, inc, split.cycles, StrongParameters.derive(1)
+            for _, outcome in designations(
+                strong_rule_outcome, f, inc, split.cycles, StrongParameters.derive(1)
             ):
                 assert len(outcome.selected) <= 2
 
@@ -248,21 +248,15 @@ class TestCandidatePool:
         inc = incidence_graph(f)
         split = disjoint_cycles_or_feedback(inc.graph, 3)
         assert isinstance(split, CyclePacking)
-        pool = strong_candidate_pool(f, inc, split.cycles, StrongParameters.derive(1))
+        pool = candidate_pool(strong_rule_outcome, f, inc, split.cycles, StrongParameters.derive(1))
         assert 17 in pool
 
     def test_islands_certify_no(self):
         f = three_islands()
         inc = incidence_graph(f)
         split = disjoint_cycles_or_feedback(inc.graph, 3)
-        pool = strong_candidate_pool(f, inc, split.cycles, StrongParameters.derive(1))
+        pool = candidate_pool(strong_rule_outcome, f, inc, split.cycles, StrongParameters.derive(1))
         assert pool == frozenset()
-
-    def test_budget_guard(self):
-        f = three_islands()
-        inc = incidence_graph(f)
-        with pytest.raises(ResourceLimitError):
-            strong_candidate_pool(f, inc, (), StrongParameters.derive(7))
 
 
 class TestDetect:
@@ -324,10 +318,6 @@ class TestDetect:
     def test_deterministic(self):
         f = random_rcnf(8, 12, 3, 41)
         assert detect_strong(f, 2).variables == detect_strong(f, 2).variables
-
-    def test_thread_independence(self):
-        f = random_rcnf(8, 12, 3, 57)
-        assert detect_strong(f, 2, threads=1) == detect_strong(f, 2, threads=4)
 
     def test_budget_two_packing_route(self):
         # Eleven disjoint cycles all killed by one shared variable: enough
@@ -436,12 +426,6 @@ class TestCounting:
     def test_larger_universe_doubles(self):
         f = triangle()
         assert count_with_backdoor(f, {1}, {1, 2, 7, 8}).count == 4
-
-    def test_thread_independence(self):
-        f = grid_formula(3)
-        seq = count_with_backdoor(f, {10}, f.universe, threads=1)
-        par = count_with_backdoor(f, {10}, f.universe, threads=4)
-        assert seq == par
 
     @given(st.integers(0, 100_000))
     @settings(max_examples=30, deadline=None)

@@ -25,8 +25,8 @@ from forestbd import (
 from forestbd.weak import (
     KillChoice,
     WeakParameters,
-    iter_weak_outcomes,
-    weak_candidate_pool,
+    candidate_pool,
+    designations,
     weak_rule_outcome,
 )
 from instances import (
@@ -50,13 +50,7 @@ from instances import (
 class TestParameters:
     def test_budget_one_width_three(self):
         p = WeakParameters.derive(1, 3)
-        assert (p.cycles, p.external_cycles, p.multi, p.support, p.overlap) == (
-            3,
-            2,
-            4,
-            5,
-            17,
-        )
+        assert (p.cycles, p.multi, p.support, p.overlap) == (3, 4, 5, 17)
 
     def test_budget_two_width_three(self):
         p = WeakParameters.derive(2, 3)
@@ -126,7 +120,7 @@ class TestCandidatePool:
         f = three_islands()
         inc = incidence_graph(f)
         split = disjoint_cycles_or_feedback(inc.graph, 3)
-        pool = weak_candidate_pool(f, inc, split.cycles, WeakParameters.derive(1, 3))
+        pool = candidate_pool(weak_rule_outcome, f, inc, split.cycles, WeakParameters.derive(1, 3))
         assert pool == frozenset()
         assert brute_min_backdoor(f, "weak", 1).optimum is None
 
@@ -135,15 +129,15 @@ class TestCandidatePool:
         inc = incidence_graph(f)
         split = disjoint_cycles_or_feedback(inc.graph, 3)
         assert isinstance(split, CyclePacking)
-        pool = weak_candidate_pool(f, inc, split.cycles, WeakParameters.derive(1, 3))
+        pool = candidate_pool(weak_rule_outcome, f, inc, split.cycles, WeakParameters.derive(1, 3))
         assert 17 in pool
 
     def test_every_outcome_is_sound(self):
         f = grid_formula(4)
         inc = incidence_graph(f)
         split = disjoint_cycles_or_feedback(inc.graph, 3)
-        for choice, outcome in iter_weak_outcomes(
-            f, inc, split.cycles, WeakParameters.derive(1, 3)
+        for choice, outcome in designations(
+            weak_rule_outcome, f, inc, split.cycles, WeakParameters.derive(1, 3)
         ):
             assert rule_selection_sound(f, choice, outcome.selected, 1, "weak")
 
@@ -151,7 +145,7 @@ class TestCandidatePool:
         f = triangle()
         inc = incidence_graph(f)
         with pytest.raises(ContractError):
-            weak_candidate_pool(f, inc, (), WeakParameters.derive(1, 3))
+            candidate_pool(weak_rule_outcome, f, inc, (), WeakParameters.derive(1, 3))
 
 
 class TestDetect:
