@@ -15,7 +15,7 @@ from typing import Iterable
 
 from .errors import ContractError, CyclicInputError
 from .formula import Assignment, Formula
-from .graphs import VAR, Graph, incidence_graph, is_acyclic
+from .graphs import VAR, incidence_graph
 
 
 @dataclass(frozen=True)
@@ -33,60 +33,48 @@ class ModelCount:
 
 
 class _TreeTables:
-    """DP tables for one incidence forest."""
+    """DP tables for one incidence forest, folded in the traversal that
+    orients it; a cycle raises CyclicInputError."""
 
     def __init__(self, formula: Formula) -> None:
-        inc = incidence_graph(formula)
-        if not is_acyclic(inc.graph):
-            raise CyclicInputError("incidence graph is not a forest")
-        self.formula = formula
-        self.inc = inc
-        self.graph: Graph = inc.graph
+        self.inc = incidence_graph(formula)
+        graph = self.inc.graph
         # Per variable node: (ways with value False, ways with value True).
         self.var_ways: dict[tuple, tuple[int, int]] = {}
         # Per clause node: (ways when the parent satisfies it, ways when not).
         self.clause_ways: dict[tuple, tuple[int, int]] = {}
-        self.parent: dict[tuple, tuple | None] = {}
         self.children: dict[tuple, list[tuple]] = {}
         self.roots: list[tuple] = []
-        self.dead = formula.has_empty_clause()
-        if not self.dead:
-            self._fold()
-
-    def _fold(self) -> None:
         seen: set[tuple] = set()
-        for node in self.graph.sorted_nodes():
-            if node in seen or node[0] != VAR:
+        for root in graph.sorted_nodes():
+            if root in seen or root[0] != VAR:
                 continue
-            order = self._orient(node, seen)
-            self.roots.append(node)
-            for n in reversed(order):
-                if n[0] == VAR:
-                    self.var_ways[n] = (
-                        self._var_value_ways(n, False),
-                        self._var_value_ways(n, True),
+            self.roots.append(root)
+            seen.add(root)
+            order: list[tuple] = []
+            stack: list[tuple[tuple, tuple | None]] = [(root, None)]
+            while stack:
+                node, parent = stack.pop()
+                order.append(node)
+                children = self.children[node] = []
+                for nb in sorted(graph.neighbors(node)):
+                    if nb == parent:
+                        continue
+                    if nb in seen:
+                        raise CyclicInputError("incidence graph is not a forest")
+                    seen.add(nb)
+                    children.append(nb)
+                    stack.append((nb, node))
+            # Every node comes after its parent in `order`.
+            for node in reversed(order):
+                if node[0] == VAR:
+                    self.var_ways[node] = (
+                        self._var_value_ways(node, False),
+                        self._var_value_ways(node, True),
                     )
                 else:
-                    self.clause_ways[n] = self._clause_parent_ways(n)
-
-    def _orient(self, root: tuple, seen: set) -> list[tuple]:
-        order = [root]
-        self.parent[root] = None
-        self.children[root] = []
-        seen.add(root)
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            for nb in sorted(self.graph.neighbors(node)):
-                if nb in seen:
-                    continue
-                seen.add(nb)
-                self.parent[nb] = node
-                self.children[nb] = []
-                self.children[node].append(nb)
-                order.append(nb)
-                stack.append(nb)
-        return order
+                    self.clause_ways[node] = self._clause_parent_ways(node)
+        self.dead = formula.has_empty_clause()
 
     def _var_value_ways(self, node: tuple, value: bool) -> int:
         ways = 1
@@ -106,10 +94,6 @@ class _TreeTables:
             sign = self.inc.sign(child[1], index)
             falsifying *= w0 if sign else w1
         return total, total - falsifying
-
-    def root_total(self, root: tuple) -> int:
-        w0, w1 = self.var_ways[root]
-        return w0 + w1
 
 
 def count_models(formula: Formula, universe: Iterable[int]) -> ModelCount:
@@ -131,8 +115,8 @@ def count_models(formula: Formula, universe: Iterable[int]) -> ModelCount:
     for root in tables.roots:
         # Trees with edges hold all occurring variables and all clauses;
         # isolated variable nodes are priced by the free factor instead.
-        if tables.graph.degree(root) > 0:
-            count *= tables.root_total(root)
+        if tables.children[root]:
+            count *= sum(tables.var_ways[root])
     count *= 2 ** (size - len(formula.variables))
     return ModelCount(count, size)
 
@@ -147,7 +131,7 @@ def satisfying_assignment(formula: Formula) -> Assignment | None:
     if tables.dead:
         return None
     for root in tables.roots:
-        if tables.root_total(root) == 0:
+        if sum(tables.var_ways[root]) == 0:
             return None
     assignment: Assignment = {}
     for root in tables.roots:
@@ -173,36 +157,18 @@ def _descend_var(
 def _pick_clause_children(
     tables: _TreeTables, clause_n: tuple, parent_sat: bool
 ) -> list[tuple[tuple, bool]]:
+    """Every child takes False unless only True is viable. When the parent
+    leaves the clause unsatisfied and no child's default satisfies it, the
+    last child able to satisfy it takes its satisfying value."""
     children = tables.children[clause_n]
-    index = clause_n[1]
-    picks: list[tuple[tuple, bool]] = []
+    picks = [(child, tables.var_ways[child][0] == 0) for child in children]
     if parent_sat:
-        for child in children:
-            w0, w1 = tables.var_ways[child]
-            picks.append((child, w0 == 0))
         return picks
-    # The clause still needs a satisfying child: track whether the suffix can
-    # still provide one and force the satisfying value when it cannot.
-    sat_value = [tables.inc.sign(c[1], index) for c in children]
-    viable_sat = [
-        tables.var_ways[c][1 if sv else 0] > 0 for c, sv in zip(children, sat_value)
-    ]
-    suffix_can = [False] * (len(children) + 1)
-    for i in range(len(children) - 1, -1, -1):
-        suffix_can[i] = viable_sat[i] or suffix_can[i + 1]
-    satisfied = False
-    for i, child in enumerate(children):
-        w0, w1 = tables.var_ways[child]
-        chosen: bool | None = None
-        for candidate in (False, True):
-            ways = w1 if candidate else w0
-            if ways == 0:
-                continue
-            if satisfied or candidate == sat_value[i] or suffix_can[i + 1]:
-                chosen = candidate
-                break
-        if chosen is None:
-            raise ContractError("inconsistent DP tables")  # unreachable on valid input
-        satisfied = satisfied or chosen == sat_value[i]
-        picks.append((child, chosen))
+    sat_values = [tables.inc.sign(child[1], clause_n[1]) for child in children]
+    if any(value == sat for (_, value), sat in zip(picks, sat_values)):
+        return picks
+    for i in reversed(range(len(children))):
+        if tables.var_ways[children[i]][sat_values[i]]:
+            picks[i] = (children[i], sat_values[i])
+            break
     return picks

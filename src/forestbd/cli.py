@@ -144,8 +144,11 @@ def _dispatch(args: argparse.Namespace) -> int:
 
 
 def _load(args: argparse.Namespace) -> tuple[Formula, str]:
+    """Parse `--cnf` and validate `--threads`/FB_THREADS."""
     with open(args.cnf, "r", encoding="ascii") as handle:
-        return parse_dimacs(handle.read()), args.cnf
+        formula = parse_dimacs(handle.read())
+    resolve_threads(args.threads)
+    return formula, args.cnf
 
 
 def _parse_variables(text: str) -> list[int]:
@@ -198,7 +201,6 @@ def _long_ints() -> Iterator[None]:
 
 def _cmd_detect(args: argparse.Namespace) -> int:
     formula, path = _load(args)
-    resolve_threads(args.threads)
     start = time.perf_counter()
     if args.kind == "weak":
         verdict = detect_weak(formula, args.budget, args.width)
@@ -242,7 +244,6 @@ def _cmd_detect(args: argparse.Namespace) -> int:
 
 def _cmd_count(args: argparse.Namespace) -> int:
     formula, path = _load(args)
-    resolve_threads(args.threads)
     start = time.perf_counter()
     if args.backdoor is not None:
         backdoor = _parse_variables(args.backdoor)
@@ -275,7 +276,6 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     formula, path = _load(args)
-    resolve_threads(args.threads)
     candidate = _parse_variables(args.variables)
     start = time.perf_counter()
     witness = None
@@ -342,7 +342,6 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 def _cmd_stats(args: argparse.Namespace) -> int:
     formula, path = _load(args)
-    resolve_threads(args.threads)
     start = time.perf_counter()
     inc = incidence_graph(formula)
     acyclic = is_acyclic(inc.graph)

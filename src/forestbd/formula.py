@@ -13,10 +13,13 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, Iterable, Mapping
 
-from .errors import ContractError, DimacsError
+from .errors import ContractError, DimacsError, ResourceLimitError
 
 # Partial truth assignment: variable id -> value.
 Assignment = Dict[int, bool]
+
+# The universe {1..n} is built from the header alone, so n is capped.
+MAX_DIMACS_VARIABLES = 1_000_000
 
 
 @dataclass(frozen=True, order=True)
@@ -217,6 +220,11 @@ def parse_dimacs(text: str) -> Formula:
                 raise DimacsError(f"line {line_no}: malformed header {stripped!r}") from exc
             if n < 0 or m < 0:
                 raise DimacsError(f"line {line_no}: negative counts in header")
+            if n > MAX_DIMACS_VARIABLES:
+                raise ResourceLimitError(
+                    f"line {line_no}: header declares {n} variables "
+                    f"(limit {MAX_DIMACS_VARIABLES})"
+                )
             header = (n, m)
             continue
         if header is None:

@@ -19,12 +19,12 @@ from typing import Optional, Sequence
 from .acyclic import ModelCount, count_models
 from .backdoors import (
     BackdoorVerdict,
+    _guard_size,
     assignments_over,
     branch_on_cycles,
-    is_strong_backdoor,
     opposite_sign_clauses,
 )
-from .errors import ContractError, ResourceLimitError
+from .errors import ContractError, CyclicInputError, ResourceLimitError
 from .formula import Assignment, Formula
 from .graphs import (
     Cycle,
@@ -42,7 +42,6 @@ from .weak import KillChoice, RuleOutcome, candidate_pool
 from .workers import first_hit, ordered_map
 
 MAX_STRONG_BUDGET = 6
-MAX_COUNT_BACKDOOR = 30
 
 
 @dataclass(frozen=True)
@@ -294,7 +293,8 @@ def count_with_backdoor(
     universe: Sequence[int] | frozenset[int],
 ) -> ModelCount:
     """Exact model count over `universe` by summing the acyclic counts of
-    every restriction of a verified strong backdoor."""
+    every restriction of a strong backdoor; a restriction that leaves a
+    cycle shows the set is not one."""
     cutset = frozenset(backdoor)
     target = frozenset(universe)
     if not cutset <= target:
@@ -303,16 +303,14 @@ def count_with_backdoor(
         raise ContractError("universe must cover every occurring variable")
     if not cutset <= formula.universe:
         raise ContractError("backdoor must be a subset of the formula universe")
-    if len(cutset) > MAX_COUNT_BACKDOOR:
-        raise ResourceLimitError(
-            f"refusing to sum over 2^{len(cutset)} restrictions"
-        )
-    if not is_strong_backdoor(formula, cutset):
-        raise ContractError("the given set is not a strong backdoor")
+    _guard_size(cutset)
     remainder = target - cutset
 
     def piece(tau: Assignment) -> int:
         return count_models(formula.restrict(tau), remainder).count
 
-    total = sum(ordered_map(piece, assignments_over(cutset)))
+    try:
+        total = sum(ordered_map(piece, assignments_over(cutset)))
+    except CyclicInputError as exc:
+        raise ContractError("the given set is not a strong backdoor") from exc
     return ModelCount(total, len(target))

@@ -26,12 +26,13 @@ Rule identifiers (in application order):
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
 
 from .acyclic import satisfying_assignment
 from .backdoors import BackdoorVerdict, branch_on_cycles, external_killers
-from .errors import ContractError
+from .errors import ContractError, ResourceLimitError
 from .formula import Formula
 from .graphs import (
     CLAUSE,
@@ -46,6 +47,9 @@ from .workers import first_hit
 
 if TYPE_CHECKING:
     from .strong import StrongParameters
+
+# Strong detection at budget 4 already has C(133, 4), about 1.2e7.
+MAX_DESIGNATIONS = 100_000
 
 
 @dataclass(frozen=True)
@@ -163,10 +167,16 @@ def designations(
 ) -> Iterator[tuple[KillChoice, RuleOutcome]]:
     """Every way of designating `params.budget` of the first
     `params.cycles` packed cycles as internal, with the outcome of the
-    selection `rule` (weak or strong) on it."""
+    selection `rule` (weak or strong) on it. Raises ResourceLimitError,
+    before the first one, when there are more than MAX_DESIGNATIONS."""
     if len(packing) < params.cycles:
         raise ContractError(
             f"need {params.cycles} disjoint cycles, got {len(packing)}"
+        )
+    total = math.comb(params.cycles, params.budget)
+    if total > MAX_DESIGNATIONS:
+        raise ResourceLimitError(
+            f"refusing to enumerate {total} designations (limit {MAX_DESIGNATIONS})"
         )
     base = tuple(packing[: params.cycles])
     for indices in itertools.combinations(range(params.cycles), params.budget):

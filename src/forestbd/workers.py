@@ -7,7 +7,7 @@ so no loop holds all `2^|B|` assignments in memory.
 from __future__ import annotations
 
 import os
-from typing import Callable, Iterable, Optional, TypeVar
+from typing import Callable, Iterable, Iterator, Optional, TypeVar
 
 from .errors import ContractError
 
@@ -34,8 +34,9 @@ def resolve_threads(threads: int | None = None) -> int:
     return threads
 
 
-def ordered_map(fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
-    return [fn(item) for item in items]
+def ordered_map(fn: Callable[[T], R], items: Iterable[T]) -> Iterator[R]:
+    """fn(item) for each item in input order, computed as it is read."""
+    return (fn(item) for item in items)
 
 
 def first_hit(fn: Callable[[T], Optional[R]], items: Iterable[T]) -> Optional[R]:

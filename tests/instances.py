@@ -31,12 +31,18 @@ def triangle() -> Formula:
     return Formula.from_ints([[1, 2], [-1, 2], [1, -2]], num_vars=2)
 
 
+def disjoint_triangles(count: int) -> Formula:
+    """`count` variable-disjoint copies of the triangle."""
+    clauses: list[list[int]] = []
+    for a in range(1, 2 * count + 1, 2):
+        clauses += [[a, a + 1], [-a, a + 1], [a, -(a + 1)]]
+    return Formula.from_ints(clauses, num_vars=2 * count)
+
+
 def two_triangles() -> Formula:
     """Two variable-disjoint copies of the triangle; no single variable
     touches both, so every size-one detection must answer no."""
-    return Formula.from_ints(
-        [[1, 2], [-1, 2], [1, -2], [3, 4], [-3, 4], [3, -4]], num_vars=4
-    )
+    return disjoint_triangles(2)
 
 
 def three_islands() -> Formula:

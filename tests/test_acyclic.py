@@ -63,6 +63,10 @@ class TestCount:
         with pytest.raises(CyclicInputError):
             count_models(triangle(), {1, 2})
 
+    def test_cyclic_input_with_empty_clause_rejected(self):
+        with pytest.raises(CyclicInputError):
+            count_models(Formula.from_ints([[1, 2], [1, 2], []]), {1, 2})
+
     def test_component_multiplicativity(self):
         left = Formula.from_ints([[1, 2]], num_vars=2)
         right = Formula.from_ints([[3, 4], [-4, 5]], num_vars=5)
@@ -114,6 +118,19 @@ class TestSolve:
     def test_cyclic_input_rejected(self):
         with pytest.raises(CyclicInputError):
             satisfying_assignment(triangle())
+
+    def test_cyclic_input_with_empty_clause_rejected(self):
+        with pytest.raises(CyclicInputError):
+            satisfying_assignment(Formula.from_ints([[1, 2], [1, 2], []]))
+
+    def test_last_viable_child_satisfies(self):
+        # Children default to False; the last one able to satisfy the clause
+        # the False root leaves open takes True.
+        assert satisfying_assignment(Formula.from_ints([[1, 2, 3]])) == {
+            1: False,
+            2: False,
+            3: True,
+        }
 
     @given(st.integers(0, 100_000))
     @settings(max_examples=150, deadline=None)

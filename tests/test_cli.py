@@ -22,6 +22,7 @@ from forestbd.cli import main
 from forestbd.report import validate_report
 from forestbd.strong import StrongParameters
 from forestbd.weak import WeakParameters
+from instances import disjoint_triangles
 
 
 def run(argv, env=None):
@@ -91,6 +92,27 @@ class TestExitCodes:
     def test_resource_guard(self, triangle_file):
         code, _, err = run(["detect", "strong", "--cnf", triangle_file, "-k", "9"])
         assert code == 3
+
+    def test_header_variable_cap(self, tmp_path):
+        huge = tmp_path / "huge.cnf"
+        huge.write_text("p cnf 2000000 0\n", encoding="ascii")
+        code, _, err = run(["stats", "--cnf", str(huge)])
+        assert code == 3
+        assert "2000000" in err
+
+    def test_designation_guard(self, tmp_path):
+        # 133 disjoint triangles reach the packing route of strong detection
+        # at k=4, which has C(133, 4) designations.
+        path = tmp_path / "triangles.cnf"
+        path.write_text(emit_dimacs(disjoint_triangles(133)), encoding="ascii")
+        code, _, err = run(["detect", "strong", "--cnf", str(path), "-k", "4"])
+        assert code == 3
+        assert "designations" in err
+
+    def test_count_rejects_non_backdoor(self, triangle_file):
+        code, _, err = run(["count", "--cnf", triangle_file, "--backdoor", ""])
+        assert code == 2
+        assert "not a strong backdoor" in err
 
     def test_usage_error(self):
         code, _, _ = run(["detect", "strong"])
@@ -278,8 +300,14 @@ class TestDeterminism:
         assert via_env == explicit == plain
 
     def test_bad_fb_threads_is_usage_error(self, grid3):
-        code, _, _ = run(
+        for argv in (
             ["detect", "strong", "--cnf", grid3, "-k", "1"],
-            env={"FB_THREADS": "zebra"},
-        )
-        assert code == 2
+            ["oracle", "count", "--cnf", grid3],
+        ):
+            code, _, _ = run(argv, env={"FB_THREADS": "zebra"})
+            assert code == 2
+
+    def test_zero_threads_is_usage_error(self, grid3):
+        for argv in (["oracle", "count", "--cnf", grid3], ["stats", "--cnf", grid3]):
+            code, _, _ = run(argv + ["--threads", "0"])
+            assert code == 2

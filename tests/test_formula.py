@@ -11,6 +11,7 @@ from forestbd import (
     ContractError,
     DimacsError,
     Formula,
+    ResourceLimitError,
     Literal,
     emit_dimacs,
     parse_dimacs,
@@ -37,6 +38,10 @@ class TestParse:
         f = parse_dimacs("p cnf 0 0\n")
         assert f.universe == frozenset() and f.clauses == ()
         assert emit_dimacs(f) == "p cnf 0 0\n"
+
+    def test_header_variable_cap(self):
+        with pytest.raises(ResourceLimitError):
+            parse_dimacs("p cnf 2000000 0\n")
 
     def test_from_ints_defaults_to_occurring_universe(self):
         f = Formula.from_ints([[2, -5]])

@@ -36,6 +36,7 @@ from forestbd.strong import (
 )
 from forestbd.weak import candidate_pool, designations
 from instances import (
+    disjoint_triangles,
     ring_cycle,
     rule_selection_sound,
     strong_lone_killer,
@@ -242,6 +243,17 @@ class TestRules:
                 assert len(outcome.selected) <= 2
 
 
+class TestDesignationGuard:
+    def test_refuses_before_first_designation(self):
+        # C(133, 4) = 12,457,445 designations at budget 4.
+        f = disjoint_triangles(133)
+        inc = incidence_graph(f)
+        split = disjoint_cycles_or_feedback(inc.graph, 133)
+        assert isinstance(split, CyclePacking)
+        with pytest.raises(ResourceLimitError):
+            next(designations(strong_rule_outcome, f, inc, split.cycles, StrongParameters.derive(4)))
+
+
 class TestCandidatePool:
     def test_grid_pool_contains_extra_variable(self):
         f = grid_formula(4)
@@ -415,8 +427,10 @@ class TestCounting:
         )
 
     def test_rejects_non_backdoor(self):
-        with pytest.raises(ContractError):
+        with pytest.raises(ContractError) as info:
             count_with_backdoor(two_triangles(), {1}, two_triangles().universe)
+        assert type(info.value) is ContractError
+        assert str(info.value) == "the given set is not a strong backdoor"
 
     def test_rejects_backdoor_outside_universe(self):
         f = triangle()

@@ -38,7 +38,20 @@ def test_all_true_stops_at_first_failure():
     assert seen == [0, 1, 2, 3]
 
 
+def test_ordered_map_reads_only_what_is_consumed():
+    seen: list[int] = []
+
+    def square(item: int) -> int:
+        seen.append(item)
+        return item * item
+
+    results = ordered_map(square, endless(3))
+    assert seen == []
+    assert list(itertools.islice(results, 4)) == [0, 1, 4, 9]
+    assert seen == [0, 1, 2, 3]
+
+
 def test_exhausted_inputs():
     assert first_hit(lambda item: None, range(5)) is None
     assert all_true(lambda item: item < 5, range(5)) is True
-    assert ordered_map(lambda item: item * item, range(4)) == [0, 1, 4, 9]
+    assert list(ordered_map(lambda item: item * item, range(4))) == [0, 1, 4, 9]
