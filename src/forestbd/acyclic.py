@@ -46,7 +46,7 @@ class _TreeTables:
         self.children: dict[tuple, list[tuple]] = {}
         self.roots: list[tuple] = []
         seen: set[tuple] = set()
-        for root in graph.sorted_nodes():
+        for root in graph.nodes:
             if root in seen or root[0] != VAR:
                 continue
             self.roots.append(root)
@@ -57,7 +57,7 @@ class _TreeTables:
                 node, parent = stack.pop()
                 order.append(node)
                 children = self.children[node] = []
-                for nb in sorted(graph.neighbors(node)):
+                for nb in graph.neighbors(node):
                     if nb == parent:
                         continue
                     if nb in seen:

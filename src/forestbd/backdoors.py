@@ -28,6 +28,7 @@ from .graphs import (
     incidence_graph,
     is_acyclic,
     shortest_cycle,
+    var_node,
 )
 from .workers import all_true, first_hit
 
@@ -97,8 +98,10 @@ def _guard_size(variables: frozenset[int]) -> None:
 def is_deletion_backdoor(formula: Formula, variables: Iterable[int]) -> bool:
     candidate = frozenset(variables)
     _check_candidate(formula, candidate)
-    residual = formula.without_variables(candidate)
-    return is_acyclic(incidence_graph(residual).graph)
+    # Deletion keeps every clause at its index, so the residual's incidence
+    # graph is this one without the set's variable nodes.
+    removed = frozenset(var_node(v) for v in candidate)
+    return is_acyclic(incidence_graph(formula).graph, forbidden=removed)
 
 
 def is_strong_backdoor(formula: Formula, variables: Iterable[int]) -> bool:

@@ -145,8 +145,13 @@ def _dispatch(args: argparse.Namespace) -> int:
 
 def _load(args: argparse.Namespace) -> tuple[Formula, str]:
     """Parse `--cnf` and validate `--threads`/FB_THREADS."""
-    with open(args.cnf, "r", encoding="ascii") as handle:
-        formula = parse_dimacs(handle.read())
+    with open(args.cnf, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise DimacsError(f"byte {exc.start} of {args.cnf} is not ASCII") from exc
+    formula = parse_dimacs(text)
     resolve_threads(args.threads)
     return formula, args.cnf
 
@@ -175,6 +180,9 @@ def _parse_sets(text: str) -> list[list[int]]:
 
 
 def _wall(start: float, args: argparse.Namespace) -> float:
+    """Milliseconds since `start`. Commands start the clock before loading
+    their input and read it last when building the report, after the
+    digest and the statistics."""
     if getattr(args, "no_timing", False):
         return 0.0
     return (time.perf_counter() - start) * 1000.0
@@ -200,15 +208,14 @@ def _long_ints() -> Iterator[None]:
 
 
 def _cmd_detect(args: argparse.Namespace) -> int:
-    formula, path = _load(args)
     start = time.perf_counter()
+    formula, path = _load(args)
     if args.kind == "weak":
         verdict = detect_weak(formula, args.budget, args.width)
     elif args.kind == "strong":
         verdict = detect_strong(formula, args.budget)
     else:
         verdict = detect_deletion(formula, args.budget)
-    wall = _wall(start, args)
 
     parameters: dict[str, Any] = {"k": args.budget}
     if args.kind == "weak":
@@ -228,7 +235,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
         backdoor=sorted(verdict.variables) if verdict.found else None,
         witness=verdict.witness if (verdict.found and args.kind == "weak") else None,
         stats=stats,
-        wall_ms=wall,
+        wall_ms=_wall(start, args),
     )
     lines = [f"verdict: {'found' if verdict.found else 'no'}"]
     if verdict.found:
@@ -243,8 +250,8 @@ def _cmd_detect(args: argparse.Namespace) -> int:
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
-    formula, path = _load(args)
     start = time.perf_counter()
+    formula, path = _load(args)
     if args.backdoor is not None:
         backdoor = _parse_variables(args.backdoor)
     else:
@@ -259,7 +266,6 @@ def _cmd_count(args: argparse.Namespace) -> int:
                 f"no strong backdoor found within budget {MAX_STRONG_BUDGET}"
             )
     result = count_with_backdoor(formula, backdoor, formula.universe)
-    wall = _wall(start, args)
     report = RunReport(
         command="count",
         digest=formula_digest(formula),
@@ -267,7 +273,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
         path=path,
         count=result.count,
         stats=base_stats(formula),
-        wall_ms=wall,
+        wall_ms=_wall(start, args),
     )
     with _long_ints():
         _emit(args, report, [f"count: {result.count}"])
@@ -275,9 +281,9 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    start = time.perf_counter()
     formula, path = _load(args)
     candidate = _parse_variables(args.variables)
-    start = time.perf_counter()
     witness = None
     if args.kind == "weak":
         witness = weak_backdoor_witness(formula, candidate)
@@ -286,7 +292,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         valid = is_strong_backdoor(formula, candidate)
     else:
         valid = is_deletion_backdoor(formula, candidate)
-    wall = _wall(start, args)
     report = RunReport(
         command="verify",
         digest=formula_digest(formula),
@@ -295,18 +300,17 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         verdict="valid" if valid else "invalid",
         witness=witness if valid else None,
         stats=base_stats(formula),
-        wall_ms=wall,
+        wall_ms=_wall(start, args),
     )
     _emit(args, report, [f"verdict: {'valid' if valid else 'invalid'}"])
     return 0 if valid else 1
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    formula, path = _load(args)
     start = time.perf_counter()
+    formula, path = _load(args)
     if args.kind == "count":
         value = brute_count(formula, formula.universe)
-        wall = _wall(start, args)
         report = RunReport(
             command="oracle-count",
             digest=formula_digest(formula),
@@ -314,13 +318,12 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
             path=path,
             count=value,
             stats=base_stats(formula),
-            wall_ms=wall,
+            wall_ms=_wall(start, args),
         )
         _emit(args, report, [f"count: {value}"])
         return 0
     k_max = args.k_max if args.k_max is not None else 2
     result = brute_min_backdoor(formula, args.kind, k_max)
-    wall = _wall(start, args)
     found = result.optimum is not None
     stats = base_stats(formula)
     stats["witnesses"] = len(result.witness_sets)
@@ -333,7 +336,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         verdict="found" if found else "no",
         backdoor=sorted(result.witness_sets[0]) if found else None,
         stats=stats,
-        wall_ms=wall,
+        wall_ms=_wall(start, args),
     )
     lines = [f"optimum: {result.optimum}", f"witnesses: {len(result.witness_sets)}"]
     _emit(args, report, lines)
@@ -341,12 +344,11 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    formula, path = _load(args)
     start = time.perf_counter()
+    formula, path = _load(args)
     inc = incidence_graph(formula)
     acyclic = is_acyclic(inc.graph)
     cycle = None if acyclic else shortest_cycle(inc.graph)
-    wall = _wall(start, args)
     stats = base_stats(formula)
     stats["acyclic"] = acyclic
     stats["shortest_cycle"] = cycle.to_json() if cycle is not None else None
@@ -356,7 +358,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         parameters={},
         path=path,
         stats=stats,
-        wall_ms=wall,
+        wall_ms=_wall(start, args),
     )
     lines = [
         f"variables: {stats['variables']}",
@@ -389,7 +391,6 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         raise ContractError("--json needs -o so the report does not mix with DIMACS")
     else:
         sys.stdout.write(text)
-    wall = _wall(start, args)
     if args.json:
         report = RunReport(
             command=f"gen-{args.generator}",
@@ -397,7 +398,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
             parameters=parameters,
             path=args.output,
             stats=base_stats(formula),
-            wall_ms=wall,
+            wall_ms=_wall(start, args),
         )
         sys.stdout.write(report.to_json())
     return 0

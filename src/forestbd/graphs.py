@@ -44,48 +44,27 @@ def lit_node(variable: int, positive: bool) -> tuple:
 
 
 class Graph:
-    """Simple undirected graph over totally ordered, hashable node ids.
+    """Read-only undirected graph over totally ordered, hashable node ids.
 
-    Built once, then treated as read-only; all iteration orders are
-    sorted so queries are deterministic.
+    `nodes` and every neighbour list are sorted tuples, decided once at
+    construction, so queries that walk them in order are deterministic
+    without sorting again.
     """
 
-    def __init__(self) -> None:
-        self._adj: dict[Node, set[Node]] = {}
-
-    def add_node(self, v: Node) -> None:
-        self._adj.setdefault(v, set())
-
-    def add_edge(self, u: Node, v: Node) -> None:
-        if u == v:
-            raise ContractError(f"self-loop at {u!r}")
-        self.add_node(u)
-        self.add_node(v)
-        self._adj[u].add(v)
-        self._adj[v].add(u)
-
-    def has_node(self, v: Node) -> bool:
-        return v in self._adj
+    def __init__(self, adjacency: dict[Node, list[Node]]) -> None:
+        """Take over `adjacency`, a symmetric mapping from every node to its
+        neighbours, replacing each list in place by its sorted tuple."""
+        for v, around in adjacency.items():
+            around.sort()
+            adjacency[v] = tuple(around)
+        self._adj: dict[Node, tuple] = adjacency
+        self.nodes = tuple(sorted(adjacency))
 
     def has_edge(self, u: Node, v: Node) -> bool:
-        return u in self._adj and v in self._adj[u]
+        return v in self._adj.get(u, ())
 
-    def neighbors(self, v: Node) -> set[Node]:
+    def neighbors(self, v: Node) -> tuple:
         return self._adj[v]
-
-    def degree(self, v: Node) -> int:
-        return len(self._adj[v])
-
-    @property
-    def node_count(self) -> int:
-        return len(self._adj)
-
-    @property
-    def edge_count(self) -> int:
-        return sum(len(s) for s in self._adj.values()) // 2
-
-    def sorted_nodes(self) -> list[Node]:
-        return sorted(self._adj)
 
 
 @dataclass(frozen=True)
@@ -128,7 +107,7 @@ def canonical_cycle(nodes: Sequence[Node]) -> Cycle:
 
 def is_acyclic(graph: Graph, forbidden: frozenset | set = frozenset()) -> bool:
     """A graph is acyclic iff every component is a tree: edges = nodes - components."""
-    allowed = [v for v in graph.sorted_nodes() if v not in forbidden]
+    allowed = [v for v in graph.nodes if v not in forbidden]
     allowed_set = set(allowed)
     seen: set[Node] = set()
     components = 0
@@ -173,7 +152,7 @@ def _girth(graph: Graph, allowed: list[Node], allowed_set: set[Node]) -> int | N
             a = queue.popleft()
             if best is not None and 2 * dist[a] >= best:
                 break
-            for b in sorted(graph.neighbors(a)):
+            for b in graph.neighbors(a):
                 if b not in allowed_set:
                     continue
                 if b not in dist:
@@ -195,7 +174,8 @@ def _lexmin_shortest_path(
     path = [start]
     current = start
     while current != goal:
-        current = min(
+        # Neighbours are sorted, so the first match is the least.
+        current = next(
             u
             for u in graph.neighbors(current)
             if u in allowed and dist_to_goal.get(u) == dist_to_goal[current] - 1
@@ -212,21 +192,20 @@ def shortest_cycle(
     Shortest means fewest nodes; ties break toward the lexicographically
     smallest canonical node sequence.
     """
-    allowed = [v for v in graph.sorted_nodes() if v not in forbidden]
+    allowed = [v for v in graph.nodes if v not in forbidden]
     allowed_set = set(allowed)
     girth = _girth(graph, allowed, allowed_set)
     if girth is None:
         return None
     for anchor in allowed:
         # The canonical sequence starts at the cycle's minimum node, so only
-        # nodes >= anchor may participate.
-        sub = {v for v in allowed_set if v >= anchor}
-        sub_minus = sub - {anchor}
-        ring = sorted(u for u in graph.neighbors(anchor) if u in sub)
+        # nodes after the anchor may join it: drop each anchor once passed.
+        allowed_set.discard(anchor)
+        ring = [u for u in graph.neighbors(anchor) if u in allowed_set]
         if len(ring) < 2:
             continue
         dist_from: dict[Node, dict[Node, int]] = {
-            b: _bfs_distances(graph, b, sub_minus) for b in ring
+            b: _bfs_distances(graph, b, allowed_set) for b in ring
         }
         for second in ring:
             candidates = []
@@ -236,7 +215,7 @@ def shortest_cycle(
                 goal_dist = dist_from[last]
                 if goal_dist.get(second) == girth - 2:
                     interior = _lexmin_shortest_path(
-                        graph, second, last, goal_dist, sub_minus
+                        graph, second, last, goal_dist, allowed_set
                     )
                     candidates.append((anchor,) + interior)
             if candidates:
@@ -308,16 +287,17 @@ class IncidenceGraph:
 
 
 def incidence_graph(formula: Formula) -> IncidenceGraph:
-    g = Graph()
+    adjacency: dict[Node, list[Node]] = {var_node(v): [] for v in formula.universe}
     signs: dict[tuple[int, int], bool] = {}
-    for v in formula.universe:
-        g.add_node(var_node(v))
     for idx, clause in enumerate(formula.clauses):
-        g.add_node(clause_node(idx))
+        node = clause_node(idx)
+        around = adjacency[node] = []
         for lit in clause.literals:
-            g.add_edge(var_node(lit.variable), clause_node(idx))
+            variable = var_node(lit.variable)
+            around.append(variable)
+            adjacency[variable].append(node)
             signs[(lit.variable, idx)] = lit.positive
-    return IncidenceGraph(g, signs)
+    return IncidenceGraph(Graph(adjacency), signs)
 
 
 class ClauseLiteralGraph:
@@ -349,14 +329,18 @@ class ClauseLiteralGraph:
 
 
 def clause_literal_graph(formula: Formula) -> ClauseLiteralGraph:
-    g = Graph()
+    adjacency: dict[Node, list[Node]] = {}
     for v in formula.universe:
-        g.add_edge(lit_node(v, True), lit_node(v, False))
+        adjacency[lit_node(v, True)] = [lit_node(v, False)]
+        adjacency[lit_node(v, False)] = [lit_node(v, True)]
     for idx, clause in enumerate(formula.clauses):
-        g.add_node(clause_node(idx))
+        node = clause_node(idx)
+        around = adjacency[node] = []
         for lit in clause.literals:
-            g.add_edge(lit_node(lit.variable, lit.positive), clause_node(idx))
-    return ClauseLiteralGraph(g, formula.universe)
+            literal = lit_node(lit.variable, lit.positive)
+            around.append(literal)
+            adjacency[literal].append(node)
+    return ClauseLiteralGraph(Graph(adjacency), formula.universe)
 
 
 def restriction_is_acyclic(formula: Formula, assignment: Mapping[int, bool]) -> bool:

@@ -11,8 +11,6 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
-import numpy as np
-
 from .backdoors import (
     is_deletion_backdoor,
     is_strong_backdoor,
@@ -40,6 +38,9 @@ class OracleReport:
 
 def brute_count(formula: Formula, universe: Iterable[int]) -> int:
     """Exact model count by enumerating every assignment of the universe."""
+    # Imported here so the command line starts without numpy.
+    import numpy as np
+
     ordered = sorted(set(universe))
     n = len(ordered)
     if n > MAX_COUNT_UNIVERSE:

@@ -13,8 +13,6 @@ from dataclasses import dataclass, field
 from importlib import resources
 from typing import Any, Optional
 
-import jsonschema
-
 from .formula import Assignment, Formula, emit_dimacs
 
 SCHEMA_VERSION = 1
@@ -76,4 +74,7 @@ def report_schema() -> dict[str, Any]:
 
 def validate_report(payload: dict[str, Any]) -> None:
     """Raises jsonschema.ValidationError when the payload deviates."""
+    # Imported here so the command line starts without jsonschema.
+    import jsonschema
+
     jsonschema.validate(payload, report_schema())

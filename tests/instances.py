@@ -10,6 +10,7 @@ graph.
 from __future__ import annotations
 
 import itertools
+import random
 
 from forestbd import Formula
 from forestbd.backdoors import assignments_over
@@ -199,16 +200,29 @@ def manufactured_choice(formula: Formula, external: tuple[Cycle, ...]) -> KillCh
     return KillChoice(internal=(), external=external, pool=formula.universe - barred)
 
 
+def random_graph(seed: int, nodes: tuple[int, int], edges: tuple[int, int]) -> Graph:
+    """A simple graph on 0..n-1 with n drawn from the `nodes` range and a
+    count drawn from the `edges` range of random node pairs joined;
+    repeated pairs collapse."""
+    rng = random.Random(seed)
+    adjacency: dict[int, set[int]] = {v: set() for v in range(rng.randint(*nodes))}
+    for _ in range(rng.randint(*edges)):
+        u, v = rng.sample(range(len(adjacency)), 2)
+        adjacency[u].add(v)
+        adjacency[v].add(u)
+    return Graph({v: list(around) for v, around in adjacency.items()})
+
+
 def enumerate_simple_cycles(graph: Graph) -> list[tuple]:
     """All simple cycles by DFS over ascending paths; exponential, for
     small graphs only."""
     found: set[tuple] = set()
-    for start in graph.sorted_nodes():
+    for start in graph.nodes:
         stack: list[tuple] = [(start,)]
         while stack:
             path = stack.pop()
             node = path[-1]
-            for nb in sorted(graph.neighbors(node)):
+            for nb in graph.neighbors(node):
                 if nb == start and len(path) >= 3:
                     found.add(canonical_cycle(path).nodes)
                 elif nb > start and nb not in path:

@@ -32,13 +32,13 @@ from forestbd import (
     satisfying_assignment,
     weak_backdoor_witness,
 )
-from forestbd.graphs import Graph
 from forestbd.strong import StrongParameters, strong_rule_outcome
 from forestbd.weak import WeakParameters, designations, weak_rule_outcome
 from instances import (
     contradiction_path,
     heavy_dense_ring,
     heavy_sparse_ring,
+    random_graph,
     rule_selection_sound,
     shared_killer_square,
     strong_lone_killer,
@@ -206,21 +206,9 @@ def test_criterion_5_counting_correctness():
     report("criterion-05 counting", elapsed, 60, "100/100 big-integer equal")
 
 
-def random_graph(seed: int) -> Graph:
-    rng = random.Random(seed)
-    g = Graph()
-    n = rng.randint(4, 16)
-    for v in range(n):
-        g.add_node(v)
-    for _ in range(rng.randint(3, 30)):
-        u, v = rng.sample(range(n), 2)
-        g.add_edge(u, v)
-    return g
-
-
 def test_criterion_6_dichotomy_validity():
     start = time.perf_counter()
-    graphs = [random_graph(seed) for seed in range(100)]
+    graphs = [random_graph(seed, nodes=(4, 16), edges=(3, 30)) for seed in range(100)]
     graphs += [
         incidence_graph(random_instance(seed + 40_000)).graph for seed in range(100)
     ]

@@ -5,10 +5,15 @@ from __future__ import annotations
 import io
 import json
 import os
+import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from forestbd import (
     CyclePacking,
@@ -18,6 +23,7 @@ from forestbd import (
     grid_formula,
     incidence_graph,
 )
+from forestbd import cli
 from forestbd.cli import main
 from forestbd.report import validate_report
 from forestbd.strong import StrongParameters
@@ -89,6 +95,13 @@ class TestExitCodes:
         code, _, err = run(["stats", "--cnf", str(bad)])
         assert code == 2
 
+    def test_non_ascii_dimacs(self, tmp_path):
+        bad = tmp_path / "accent.cnf"
+        bad.write_bytes("c café\np cnf 2 1\n1 2 0\n".encode("utf-8"))
+        code, _, err = run(["stats", "--cnf", str(bad)])
+        assert code == 2
+        assert "not ASCII" in err
+
     def test_resource_guard(self, triangle_file):
         code, _, err = run(["detect", "strong", "--cnf", triangle_file, "-k", "9"])
         assert code == 3
@@ -130,6 +143,50 @@ class TestExitCodes:
         with open(path, "w", encoding="ascii") as fh:
             fh.write(two)
         assert run(["oracle", "strong", "--cnf", path, "--k-max", "1"])[0] == 1
+
+
+_TOKENS = st.one_of(
+    st.integers(-6, 6).map(str),
+    st.sampled_from(["0", "-", "+1", "x", "p", "cnf", "1.5", "--2", "c", "99999999999"]),
+)
+# Header counts stay small, or above the variable cap, so every example runs
+# in milliseconds.
+_HEADERS = st.builds(
+    "p cnf {} {}".format,
+    st.one_of(st.integers(-1, 6), st.integers(1_000_001, 10**12)),
+    st.integers(-1, 6),
+)
+_LINES = st.one_of(
+    _HEADERS.map(str.encode),
+    st.lists(_TOKENS, max_size=6).map(lambda tokens: " ".join(tokens).encode()),
+    st.text(max_size=8).map(lambda text: ("c " + text).encode("utf-8")),
+    st.sampled_from([b"p cnf", b"p dnf 1 1", b"p cnf 2", b""]),
+    st.binary(max_size=4),
+)
+_WELL_FORMED = st.lists(
+    st.lists(st.integers(1, 5).flatmap(lambda v: st.sampled_from([v, -v])), max_size=3),
+    max_size=6,
+).map(
+    lambda clauses: (
+        f"p cnf 5 {len(clauses)}\n" + "".join(" ".join(map(str, c)) + " 0\n" for c in clauses)
+    ).encode()
+)
+_DIMACS = st.builds(
+    lambda body, cut: body[:cut],
+    st.one_of(_WELL_FORMED, st.lists(_LINES, max_size=8).map(b"\n".join)),
+    st.one_of(st.none(), st.integers(0, 80)),
+)
+
+
+class TestExitCodeFuzz:
+    @given(_DIMACS)
+    @settings(max_examples=150, deadline=None)
+    def test_malformed_dimacs_never_escapes(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("fuzz") / "input.cnf"
+        path.write_bytes(data)
+        for argv in (["stats"], ["count"], ["detect", "weak", "-k", "1"]):
+            code, _, _ = run(argv + ["--cnf", str(path)])
+            assert code in (0, 1, 2, 3), (argv, data)
 
 
 class TestReports:
@@ -218,6 +275,42 @@ class TestReports:
         cycle = stats["shortest_cycle"]
         assert cycle is not None and len(cycle) >= 4
         assert {entry["kind"] for entry in cycle} == {"var", "clause"}
+
+
+class TestWallTime:
+    def test_wall_ms_covers_loading(self, grid3, monkeypatch):
+        parse = cli.parse_dimacs
+
+        def slow_parse(text):
+            time.sleep(0.05)
+            return parse(text)
+
+        monkeypatch.setattr(cli, "parse_dimacs", slow_parse)
+        for argv in (
+            ["detect", "strong", "--cnf", grid3, "-k", "1"],
+            ["count", "--cnf", grid3, "--backdoor", "10"],
+            ["verify", "--cnf", grid3, "--kind", "strong", "--set", "10"],
+            ["oracle", "count", "--cnf", grid3],
+            ["stats", "--cnf", grid3],
+        ):
+            _, out, _ = run(argv + ["--json"])
+            assert json.loads(out)["wall_ms"] >= 50, argv
+            _, out, _ = run(argv + ["--json", "--no-timing"])
+            assert json.loads(out)["wall_ms"] == 0, argv
+
+
+def test_cli_import_leaves_out_numpy_and_jsonschema():
+    src = Path(cli.__file__).resolve().parents[1]
+    probe = "import sys, forestbd.cli; print(sorted({'numpy', 'jsonschema'} & set(sys.modules)))"
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert result.stdout.strip() == "[]"
 
 
 class TestHumanOutput:

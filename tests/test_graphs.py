@@ -29,7 +29,11 @@ from forestbd.graphs import (
     lit_node,
     var_node,
 )
-from instances import enumerate_simple_cycles, three_islands, triangle
+from instances import enumerate_simple_cycles, random_graph, three_islands, triangle
+
+
+def edge_count(graph: Graph) -> int:
+    return sum(len(graph.neighbors(v)) for v in graph.nodes) // 2
 
 
 def random_partial(rng: random.Random, formula: Formula) -> dict[int, bool]:
@@ -48,27 +52,34 @@ class TestIncidence:
 
     def test_empty_formula(self):
         inc = incidence_graph(Formula((), frozenset()))
-        assert inc.graph.node_count == 0
+        assert inc.graph.nodes == ()
 
     def test_grid_counts(self):
         f = grid_formula(2)
         inc = incidence_graph(f)
-        assert inc.graph.node_count == 5 + 4
-        assert inc.graph.edge_count == 12
-        assert inc.graph.degree(var_node(5)) == 4
+        assert len(inc.graph.nodes) == 5 + 4
+        assert edge_count(inc.graph) == 12
+        assert len(inc.graph.neighbors(var_node(5))) == 4
 
     def test_includes_non_occurring_universe_variables(self):
         f = Formula.from_ints([[1]], num_vars=3)
         inc = incidence_graph(f)
-        assert inc.graph.has_node(var_node(3))
-        assert inc.graph.degree(var_node(3)) == 0
+        assert var_node(3) in inc.graph.nodes
+        assert inc.graph.neighbors(var_node(3)) == ()
+
+    def test_nodes_and_neighbors_are_sorted_tuples(self):
+        g = incidence_graph(random_rcnf(12, 20, 3, 7)).graph
+        assert isinstance(g.nodes, tuple) and list(g.nodes) == sorted(g.nodes)
+        for v in g.nodes:
+            around = g.neighbors(v)
+            assert isinstance(around, tuple) and list(around) == sorted(around)
 
 
 class TestClauseLiteral:
     def test_single_positive_clause(self):
         f = Formula.from_ints([[1]], num_vars=1)
         g = clause_literal_graph(f).graph
-        assert set(g.sorted_nodes()) == {
+        assert set(g.nodes) == {
             clause_node(0),
             lit_node(1, False),
             lit_node(1, True),
@@ -80,7 +91,7 @@ class TestClauseLiteral:
     def test_empty_formula_keeps_both_polarities(self):
         f = Formula((), frozenset({1}))
         g = clause_literal_graph(f).graph
-        assert g.node_count == 2 and g.edge_count == 1
+        assert len(g.nodes) == 2 and edge_count(g) == 1
 
     def test_two_clause_shape(self):
         f = Formula.from_ints([[1, 2], [-1, 2]], num_vars=2)
@@ -89,7 +100,7 @@ class TestClauseLiteral:
         assert g.has_edge(lit_node(2, True), clause_node(0))
         assert g.has_edge(lit_node(1, False), clause_node(1))
         assert g.has_edge(lit_node(2, True), clause_node(1))
-        assert g.edge_count == 4 + 2
+        assert edge_count(g) == 4 + 2
 
 
 class TestAcyclicity:
@@ -102,7 +113,7 @@ class TestAcyclicity:
         assert not is_acyclic(incidence_graph(f).graph)
 
     def test_empty_graph(self):
-        assert is_acyclic(Graph())
+        assert is_acyclic(Graph({}))
 
     def test_forbidden_removes_cycle(self):
         f = Formula.from_ints([[1, 2], [1, 2]], num_vars=2)
@@ -135,14 +146,7 @@ class TestShortestCycle:
     @given(st.integers(0, 10_000))
     @settings(max_examples=120, deadline=None)
     def test_matches_exhaustive_enumeration(self, seed):
-        rng = random.Random(seed)
-        g = Graph()
-        n = rng.randint(3, 10)
-        for v in range(n):
-            g.add_node(v)
-        for _ in range(rng.randint(2, 18)):
-            u, v = rng.sample(range(n), 2)
-            g.add_edge(u, v)
+        g = random_graph(seed, nodes=(3, 10), edges=(2, 18))
         everything = enumerate_simple_cycles(g)
         found = shortest_cycle(g)
         if not everything:
@@ -189,19 +193,12 @@ class TestDichotomy:
 
     def test_requires_positive_count(self):
         with pytest.raises(ContractError):
-            disjoint_cycles_or_feedback(Graph(), 0)
+            disjoint_cycles_or_feedback(Graph({}), 0)
 
     @given(st.integers(0, 10_000), st.sampled_from([2, 3, 5]))
     @settings(max_examples=100, deadline=None)
     def test_always_valid(self, seed, count):
-        rng = random.Random(seed)
-        g = Graph()
-        n = rng.randint(4, 14)
-        for v in range(n):
-            g.add_node(v)
-        for _ in range(rng.randint(3, 26)):
-            u, v = rng.sample(range(n), 2)
-            g.add_edge(u, v)
+        g = random_graph(seed, nodes=(4, 14), edges=(3, 26))
         out = disjoint_cycles_or_feedback(g, count)
         if isinstance(out, CyclePacking):
             assert len(out.cycles) >= count
