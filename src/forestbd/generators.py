@@ -9,8 +9,17 @@ from __future__ import annotations
 import random
 from typing import Sequence
 
-from .errors import ContractError
-from .formula import Clause, Formula, Literal
+from .errors import ContractError, ResourceLimitError
+from .formula import MAX_DIMACS_VARIABLES, Clause, Formula, Literal
+
+
+def _guard_universe(size: int) -> None:
+    """Refuse, before anything is built, a universe that `parse_dimacs`
+    would refuse to read back."""
+    if size > MAX_DIMACS_VARIABLES:
+        raise ResourceLimitError(
+            f"refusing to generate {size} variables (limit {MAX_DIMACS_VARIABLES})"
+        )
 
 
 def grid_formula(size: int) -> Formula:
@@ -26,6 +35,7 @@ def grid_formula(size: int) -> Formula:
     """
     if size < 2:
         raise ContractError(f"grid size must be >= 2, got {size}")
+    _guard_universe(size * size + 1)
 
     def cell(row: int, col: int) -> int:
         return row * size + col + 1
@@ -80,6 +90,7 @@ def hitting_set_formula(sets: Sequence[Sequence[int]]) -> Formula:
                 raise ContractError(f"universe elements must be positive ints, got {e!r}")
             elements.add(e)
     base = max(elements)
+    _guard_universe(base + 2 * len(sets))
     clauses: list[Clause] = []
     for i, group in enumerate(sets):
         z = base + 2 * i + 1
@@ -101,6 +112,7 @@ def random_rcnf(n: int, m: int, width: int, seed: int) -> Formula:
     uniform polarities; deterministic in the seed."""
     if n < 0 or m < 0:
         raise ContractError("variable and clause counts must be nonnegative")
+    _guard_universe(n)
     if width < 1 or width > n:
         raise ContractError(
             f"clause width {width} is infeasible for {n} variables"

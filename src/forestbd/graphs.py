@@ -48,10 +48,11 @@ class Graph:
 
     `nodes` and every neighbour list are sorted tuples, decided once at
     construction, so queries that walk them in order are deterministic
-    without sorting again.
+    without sorting again. `girth_floor` is a length no cycle of the graph
+    undercuts: 3 for any simple graph, 4 for a bipartite one.
     """
 
-    def __init__(self, adjacency: dict[Node, list[Node]]) -> None:
+    def __init__(self, adjacency: dict[Node, list[Node]], girth_floor: int = 3) -> None:
         """Take over `adjacency`, a symmetric mapping from every node to its
         neighbours, replacing each list in place by its sorted tuple."""
         for v, around in adjacency.items():
@@ -59,6 +60,7 @@ class Graph:
             adjacency[v] = tuple(around)
         self._adj: dict[Node, tuple] = adjacency
         self.nodes = tuple(sorted(adjacency))
+        self.girth_floor = girth_floor
 
     def has_edge(self, u: Node, v: Node) -> bool:
         return v in self._adj.get(u, ())
@@ -130,11 +132,16 @@ def is_acyclic(graph: Graph, forbidden: frozenset | set = frozenset()) -> bool:
     return edges // 2 == len(allowed) - components
 
 
-def _bfs_distances(graph: Graph, source: Node, allowed: set[Node]) -> dict[Node, int]:
+def _bfs_distances(
+    graph: Graph, source: Node, allowed: set[Node], depth: int
+) -> dict[Node, int]:
+    """Distances from `source` within `allowed`, up to `depth`."""
     dist = {source: 0}
     queue = deque([source])
     while queue:
         v = queue.popleft()
+        if dist[v] == depth:
+            break
         for u in graph.neighbors(v):
             if u in allowed and u not in dist:
                 dist[u] = dist[v] + 1
@@ -142,9 +149,16 @@ def _bfs_distances(graph: Graph, source: Node, allowed: set[Node]) -> dict[Node,
     return dist
 
 
-def _girth(graph: Graph, allowed: list[Node], allowed_set: set[Node]) -> int | None:
+def _girth(graph: Graph, allowed: list[Node], allowed_set: set[Node], floor: int) -> int | None:
+    """Length of a shortest cycle within `allowed`, given that none is
+    shorter than `floor`: the first cycle of that length ends the search.
+
+    Each root searches only the nodes not yet used as roots: a shortest
+    cycle is still found from its smallest node."""
     best: int | None = None
+    allowed_set = set(allowed_set)
     for root in allowed:
+        allowed_set.discard(root)
         dist: dict[Node, int] = {root: 0}
         parent: dict[Node, Node | None] = {root: None}
         queue = deque([root])
@@ -164,6 +178,8 @@ def _girth(graph: Graph, allowed: list[Node], allowed_set: set[Node]) -> int | N
                     # edge contains a cycle no longer than this bound.
                     candidate = dist[a] + dist[b] + 1
                     if best is None or candidate < best:
+                        if candidate == floor:
+                            return floor
                         best = candidate
     return best
 
@@ -185,16 +201,18 @@ def _lexmin_shortest_path(
 
 
 def shortest_cycle(
-    graph: Graph, forbidden: frozenset | set = frozenset()
+    graph: Graph, forbidden: frozenset | set = frozenset(), girth_floor: int = 0
 ) -> Cycle | None:
     """Canonically smallest among the shortest cycles avoiding `forbidden`.
 
     Shortest means fewest nodes; ties break toward the lexicographically
-    smallest canonical node sequence.
+    smallest canonical node sequence. `girth_floor` may raise the graph's
+    own `girth_floor` when the caller knows that no cycle avoiding
+    `forbidden` is shorter; the search stops at the first cycle that long.
     """
     allowed = [v for v in graph.nodes if v not in forbidden]
     allowed_set = set(allowed)
-    girth = _girth(graph, allowed, allowed_set)
+    girth = _girth(graph, allowed, allowed_set, max(graph.girth_floor, girth_floor))
     if girth is None:
         return None
     for anchor in allowed:
@@ -204,8 +222,10 @@ def shortest_cycle(
         ring = [u for u in graph.neighbors(anchor) if u in allowed_set]
         if len(ring) < 2:
             continue
+        # Two ring nodes close a girth-length cycle through the anchor only
+        # at distance girth - 2, so no BFS needs to look further.
         dist_from: dict[Node, dict[Node, int]] = {
-            b: _bfs_distances(graph, b, allowed_set) for b in ring
+            b: _bfs_distances(graph, b, allowed_set, girth - 2) for b in ring
         }
         for second in ring:
             candidates = []
@@ -247,13 +267,19 @@ def disjoint_cycles_or_feedback(graph: Graph, count: int) -> PackingOrFeedback:
     A maximal packing's vertex union is a feedback vertex set: any cycle
     avoiding it would extend the packing. No size bound is promised for
     the feedback set, only validity.
+
+    Each packed cycle is a shortest one of the graph minus the cycles
+    packed before it, and removing nodes never shortens the girth, so the
+    packed lengths never decrease: the last one is a floor for the next
+    search, which stops at the first cycle that long.
     """
     if count < 1:
         raise ContractError(f"requested cycle count must be >= 1, got {count}")
     used: set[Node] = set()
     packed: list[Cycle] = []
     while True:
-        cycle = shortest_cycle(graph, forbidden=used)
+        floor = len(packed[-1]) if packed else 0
+        cycle = shortest_cycle(graph, forbidden=used, girth_floor=floor)
         if cycle is None:
             return FeedbackSet(frozenset(used))
         packed.append(cycle)
@@ -297,7 +323,8 @@ def incidence_graph(formula: Formula) -> IncidenceGraph:
             around.append(variable)
             adjacency[variable].append(node)
             signs[(lit.variable, idx)] = lit.positive
-    return IncidenceGraph(Graph(adjacency), signs)
+    # Every edge joins a variable and a clause, so no cycle is shorter than 4.
+    return IncidenceGraph(Graph(adjacency, girth_floor=4), signs)
 
 
 class ClauseLiteralGraph:

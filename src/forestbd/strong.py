@@ -22,6 +22,7 @@ from .backdoors import (
     _guard_size,
     assignments_over,
     branch_on_cycles,
+    external_killers,
     opposite_sign_clauses,
 )
 from .errors import ContractError, CyclicInputError, ResourceLimitError
@@ -91,9 +92,9 @@ def build_apex_cycle(
     """The minimum-length killing arc over all pool killers of the cycle,
     ties by (positive clause, negative clause, killer, arc nodes); None when
     no pool variable holds opposite signs in two of the cycle's clauses."""
-    cycle_vars = frozenset(cycle.variables)
     best: Optional[tuple] = None
-    for variable in sorted(pool - cycle_vars):
+    # A variable with no occurrence in the cycle's clauses has no sign there.
+    for variable in sorted(external_killers(inc, cycle, pool)):
         positive = [i for i in cycle.clause_indices if inc.sign(variable, i) is True]
         negative = [i for i in cycle.clause_indices if inc.sign(variable, i) is False]
         if not positive or not negative:

@@ -86,16 +86,6 @@ class KillChoice:
     external: tuple[Cycle, ...]
     pool: frozenset[int]
 
-    @classmethod
-    def split(
-        cls, formula: Formula, packing: Sequence[Cycle], internal_indices: Sequence[int]
-    ) -> KillChoice:
-        chosen = frozenset(internal_indices)
-        internal = tuple(c for i, c in enumerate(packing) if i in chosen)
-        external = tuple(c for i, c in enumerate(packing) if i not in chosen)
-        barred = frozenset(v for c in external for v in c.variables)
-        return cls(internal, external, formula.universe - barred)
-
 
 @dataclass(frozen=True)
 class RuleOutcome:
@@ -179,8 +169,14 @@ def designations(
             f"refusing to enumerate {total} designations (limit {MAX_DESIGNATIONS})"
         )
     base = tuple(packing[: params.cycles])
+    # The packed cycles are disjoint, so the universe minus the external
+    # cycles' variables is the free variables plus the internal ones.
+    free = formula.universe.difference(v for c in base for v in c.variables)
     for indices in itertools.combinations(range(params.cycles), params.budget):
-        choice = KillChoice.split(formula, base, indices)
+        internal = tuple(base[i] for i in indices)
+        external = tuple(c for i, c in enumerate(base) if i not in indices)
+        pool = free.union(v for c in internal for v in c.variables)
+        choice = KillChoice(internal, external, pool)
         yield choice, rule(formula, inc, choice, params)
 
 

@@ -2,22 +2,29 @@
 
 The checks here deliberately avoid the code paths they validate: cycle
 enumeration is a DFS over all simple paths, satisfiability is a truth
-table, and the weak/strong checks rebuild every restriction and test its
+table, the weak/strong checks rebuild every restriction and test its
 incidence graph directly instead of going through the clause-literal
-graph.
+graph, and the reference cycle search and packing run every BFS to the
+end, with no girth bound.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from collections import deque
+from typing import Mapping
 
-from forestbd import Formula
+from forestbd import Formula, random_rcnf
 from forestbd.backdoors import assignments_over
 from forestbd.formula import Assignment
 from forestbd.graphs import (
     Cycle,
+    CyclePacking,
+    FeedbackSet,
     Graph,
+    Node,
+    PackingOrFeedback,
     canonical_cycle,
     clause_node,
     incidence_graph,
@@ -200,6 +207,13 @@ def manufactured_choice(formula: Formula, external: tuple[Cycle, ...]) -> KillCh
     return KillChoice(internal=(), external=external, pool=formula.universe - barred)
 
 
+def random_instance(seed: int, max_n: int = 10, max_m: int = 15) -> Formula:
+    """A random 3-CNF on 3 to `max_n` variables and 2 to `max_m` clauses."""
+    rng = random.Random(seed)
+    n = rng.randint(3, max_n)
+    return random_rcnf(n, rng.randint(2, max_m), 3, rng.randint(0, 10**6))
+
+
 def random_graph(seed: int, nodes: tuple[int, int], edges: tuple[int, int]) -> Graph:
     """A simple graph on 0..n-1 with n drawn from the `nodes` range and a
     count drawn from the `edges` range of random node pairs joined;
@@ -280,3 +294,104 @@ def rule_selection_sound(
     budget, avoids the selection."""
     avoiders = backdoors_within(formula, choice.pool - selected, budget, kind)
     return not avoiders
+
+
+# --- reference cycle search ----------------------------------------------------
+
+def _reference_bfs_distances(graph: Graph, source: Node, allowed: set[Node]) -> dict[Node, int]:
+    dist = {source: 0}
+    queue = deque([source])
+    while queue:
+        v = queue.popleft()
+        for u in graph.neighbors(v):
+            if u in allowed and u not in dist:
+                dist[u] = dist[v] + 1
+                queue.append(u)
+    return dist
+
+
+def _reference_girth(graph: Graph, allowed: list[Node], allowed_set: set[Node]) -> int | None:
+    best: int | None = None
+    for root in allowed:
+        dist: dict[Node, int] = {root: 0}
+        parent: dict[Node, Node | None] = {root: None}
+        queue = deque([root])
+        while queue:
+            a = queue.popleft()
+            if best is not None and 2 * dist[a] >= best:
+                break
+            for b in graph.neighbors(a):
+                if b not in allowed_set:
+                    continue
+                if b not in dist:
+                    dist[b] = dist[a] + 1
+                    parent[b] = a
+                    queue.append(b)
+                elif parent[a] != b and parent[b] != a:
+                    candidate = dist[a] + dist[b] + 1
+                    if best is None or candidate < best:
+                        best = candidate
+    return best
+
+
+def _reference_lexmin_shortest_path(
+    graph: Graph, start: Node, goal: Node, dist_to_goal: Mapping[Node, int], allowed: set[Node]
+) -> tuple:
+    path = [start]
+    current = start
+    while current != goal:
+        current = next(
+            u
+            for u in graph.neighbors(current)
+            if u in allowed and dist_to_goal.get(u) == dist_to_goal[current] - 1
+        )
+        path.append(current)
+    return tuple(path)
+
+
+def reference_shortest_cycle(
+    graph: Graph, forbidden: frozenset | set = frozenset()
+) -> Cycle | None:
+    """`graphs.shortest_cycle` without a girth floor: the girth search runs
+    from every root over every allowed node, and each ring-neighbour BFS
+    walks the whole allowed graph."""
+    allowed = [v for v in graph.nodes if v not in forbidden]
+    allowed_set = set(allowed)
+    girth = _reference_girth(graph, allowed, allowed_set)
+    if girth is None:
+        return None
+    for anchor in allowed:
+        allowed_set.discard(anchor)
+        ring = [u for u in graph.neighbors(anchor) if u in allowed_set]
+        if len(ring) < 2:
+            continue
+        dist_from = {b: _reference_bfs_distances(graph, b, allowed_set) for b in ring}
+        for second in ring:
+            candidates = []
+            for last in ring:
+                if last == second:
+                    continue
+                goal_dist = dist_from[last]
+                if goal_dist.get(second) == girth - 2:
+                    interior = _reference_lexmin_shortest_path(
+                        graph, second, last, goal_dist, allowed_set
+                    )
+                    candidates.append((anchor,) + interior)
+            if candidates:
+                return Cycle(min(candidates))
+    return None
+
+
+def reference_packing(graph: Graph, count: int) -> PackingOrFeedback:
+    """`graphs.disjoint_cycles_or_feedback` on `reference_shortest_cycle`,
+    with no floor carried from one packed cycle to the next."""
+    used: set[Node] = set()
+    packed: list[Cycle] = []
+    while True:
+        cycle = reference_shortest_cycle(graph, forbidden=used)
+        if cycle is None:
+            return FeedbackSet(frozenset(used))
+        packed.append(cycle)
+        used |= cycle.node_set
+        if len(packed) == count:
+            return CyclePacking(tuple(packed))

@@ -39,6 +39,7 @@ from instances import (
     heavy_dense_ring,
     heavy_sparse_ring,
     random_graph,
+    random_instance,
     rule_selection_sound,
     shared_killer_square,
     strong_lone_killer,
@@ -53,12 +54,6 @@ from instances import (
 def report(name: str, elapsed: float, budget: float | None, detail: str) -> None:
     bound = f" / budget {budget:.0f}s" if budget is not None else ""
     print(f"[PASS] {name}: {detail} ({elapsed:.2f}s{bound})")
-
-
-def random_instance(seed: int, max_n: int = 10, max_m: int = 15) -> Formula:
-    rng = random.Random(seed)
-    n = rng.randint(3, max_n)
-    return random_rcnf(n, rng.randint(2, max_m), 3, rng.randint(0, 10**6))
 
 
 def random_partial(seed: int, formula: Formula) -> dict[int, bool]:

@@ -113,6 +113,23 @@ class TestExitCodes:
         assert code == 3
         assert "2000000" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["grid", "--size", "1000"],
+            ["random", "-n", "1000001", "-m", "0", "-r", "1", "--seed", "0"],
+            ["hitting", "--sets", "1000000"],
+        ],
+        ids=["grid", "random", "hitting"],
+    )
+    def test_generator_variable_cap(self, argv):
+        # Each universe exceeds the DIMACS header cap by a little, so the
+        # guard must trip before the formula is built.
+        code, out, err = run(["gen", *argv])
+        assert code == 3
+        assert out == ""
+        assert "1000000" in err
+
     def test_designation_guard(self, tmp_path):
         # 133 disjoint triangles reach the packing route of strong detection
         # at k=4, which has C(133, 4) designations.

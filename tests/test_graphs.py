@@ -29,7 +29,38 @@ from forestbd.graphs import (
     lit_node,
     var_node,
 )
-from instances import enumerate_simple_cycles, random_graph, three_islands, triangle
+from instances import (
+    disjoint_triangles,
+    enumerate_simple_cycles,
+    random_graph,
+    random_instance,
+    reference_packing,
+    reference_shortest_cycle,
+    three_islands,
+    triangle,
+)
+
+# Graph families for the differential tests against the reference search:
+# criterion 6's two halves (random graphs, which are not bipartite, and
+# incidence graphs of small random 3-CNF), then larger 3-CNF, grids and
+# disjoint triangles.
+FAMILIES = {
+    "random-graphs": lambda: [
+        random_graph(seed, nodes=(4, 16), edges=(3, 30)) for seed in range(100)
+    ],
+    "random-3cnf": lambda: [
+        incidence_graph(random_instance(seed + 40_000)).graph for seed in range(100)
+    ],
+    "larger-3cnf": lambda: [
+        incidence_graph(random_rcnf(40, 60, 3, seed)).graph for seed in range(8)
+    ],
+    "grids": lambda: [incidence_graph(grid_formula(size)).graph for size in range(2, 9)],
+    "triangles": lambda: [
+        incidence_graph(disjoint_triangles(count)).graph for count in (1, 2, 5, 12)
+    ],
+}
+# Packing until maximal: no graph here holds this many disjoint cycles.
+MAXIMAL = 10**6
 
 
 def edge_count(graph: Graph) -> int:
@@ -167,6 +198,49 @@ class TestShortestCycle:
         assert len(found) == 4
         assert grid_formula(2).universe.issuperset(set(found.variables))
         assert 5 in found.variables
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_shortest_cycle(self, family):
+        rng = random.Random(family)
+        for g in FAMILIES[family]():
+            assert shortest_cycle(g) == reference_shortest_cycle(g)
+            forbidden = set(rng.sample(g.nodes, rng.randint(0, len(g.nodes) // 3)))
+            assert shortest_cycle(g, forbidden) == reference_shortest_cycle(g, forbidden)
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_packing(self, family):
+        for g in FAMILIES[family]():
+            for count in (1, 2, 3, 5, MAXIMAL):
+                assert disjoint_cycles_or_feedback(g, count) == reference_packing(g, count)
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_packed_lengths_never_decrease(self, family):
+        # The packing carries the last packed length as the next search's
+        # girth floor, which is sound only while this holds.
+        for g in FAMILIES[family]():
+            used: set = set()
+            lengths = []
+            while (cycle := shortest_cycle(g, used)) is not None:
+                lengths.append(len(cycle))
+                used |= cycle.node_set
+            assert lengths == sorted(lengths)
+
+    def test_bipartite_floor_stays_on_incidence_graphs(self):
+        # A 4-cycle on the smallest nodes and a triangle on larger ones: a
+        # floor of 4 would stop the girth search at the 4-cycle.
+        edges = [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 4)]
+        adjacency: dict[int, list[int]] = {v: [] for v in range(7)}
+        for u, v in edges:
+            adjacency[u].append(v)
+            adjacency[v].append(u)
+        g = Graph(adjacency)
+        assert g.girth_floor == 3
+        assert incidence_graph(triangle()).graph.girth_floor == 4
+        assert shortest_cycle(g).nodes == (4, 5, 6)
+        packing = disjoint_cycles_or_feedback(g, 2)
+        assert [c.nodes for c in packing.cycles] == [(4, 5, 6), (0, 1, 2, 3)]
 
 
 class TestDichotomy:

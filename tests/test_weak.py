@@ -22,8 +22,9 @@ from forestbd import (
     weak_backdoor_witness,
     weak_exact_search,
 )
+from forestbd.strong import StrongParameters
 from forestbd.weak import (
-    KillChoice,
+    RuleOutcome,
     WeakParameters,
     candidate_pool,
     designations,
@@ -31,6 +32,7 @@ from forestbd.weak import (
 )
 from instances import (
     contradiction_path,
+    disjoint_triangles,
     heavy_dense_cycles,
     heavy_dense_ring,
     heavy_sparse_cycles,
@@ -76,8 +78,11 @@ class TestRules:
         inc = incidence_graph(f)
         split = disjoint_cycles_or_feedback(inc.graph, 3)
         assert isinstance(split, CyclePacking)
-        choice = KillChoice.split(f, split.cycles, (0,))
-        outcome = weak_rule_outcome(f, inc, choice, self.params())
+        # The first designation makes cycle 0 internal.
+        choice, outcome = next(
+            designations(weak_rule_outcome, f, inc, split.cycles, self.params())
+        )
+        assert choice.internal == split.cycles[:1]
         assert outcome.rule == "unkillable-cycle"
         assert outcome.selected == frozenset()
         assert rule_selection_sound(f, choice, outcome.selected, 1, "weak")
@@ -146,6 +151,36 @@ class TestCandidatePool:
         inc = incidence_graph(f)
         with pytest.raises(ContractError):
             candidate_pool(weak_rule_outcome, f, inc, (), WeakParameters.derive(1, 3))
+
+
+class TestDesignations:
+    FORMULAS = {
+        "triangles40": lambda: disjoint_triangles(40),
+        **{f"grid{size}": (lambda size=size: grid_formula(size)) for size in range(4, 9)},
+        **{f"3cnf{seed}": (lambda seed=seed: random_rcnf(40, 60, 3, seed)) for seed in range(4)},
+    }
+
+    @pytest.mark.parametrize("name", list(FORMULAS))
+    def test_pool_is_universe_minus_external_variables(self, name):
+        formula = self.FORMULAS[name]()
+        inc = incidence_graph(formula)
+
+        def no_rule(*_):
+            return RuleOutcome("none", frozenset())
+
+        checked = 0
+        for budget in (1, 2, 3):
+            for params in (WeakParameters.derive(budget, 3), StrongParameters.derive(budget)):
+                split = disjoint_cycles_or_feedback(inc.graph, params.cycles)
+                if not isinstance(split, CyclePacking):
+                    continue
+                for choice, _ in designations(no_rule, formula, inc, split.cycles, params):
+                    barred = {v for c in choice.external for v in c.variables}
+                    assert choice.pool == formula.universe - barred
+                    assert len(choice.internal) == budget
+                    assert set(choice.internal) | set(choice.external) == set(split.cycles)
+                    checked += 1
+        assert checked
 
 
 class TestDetect:
