@@ -19,7 +19,7 @@ from .errors import (
     ForestBDError,
     ResourceLimitError,
 )
-from .formula import Assignment, Clause, Formula, Literal, emit_dimacs, parse_dimacs
+from .formula import Assignment, Clause, Formula, emit_dimacs, parse_dimacs
 from .generators import grid_formula, hitting_set_formula, random_rcnf
 from .graphs import (
     Cycle,
@@ -56,7 +56,6 @@ __all__ = [
     "FeedbackSet",
     "Formula",
     "ForestBDError",
-    "Literal",
     "ModelCount",
     "OracleReport",
     "ResourceLimitError",

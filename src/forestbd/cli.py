@@ -120,13 +120,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (DimacsError, ContractError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ForestBDError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ForestBDError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,10 +1,12 @@
 """CNF data model and DIMACS round-tripping.
 
-All values are immutable; every transformation returns a new formula.
-Clause positions act as stable identifiers: restriction and variable
-deletion keep surviving clauses in their original relative order, and
-variable deletion keeps even emptied clauses, so downstream graph code
-can name clauses by index.
+A literal is a nonzero DIMACS int and a clause keeps its literals sorted
+by variable, so every formula has one canonical form. All values are
+immutable; every transformation returns a new formula. Clause positions
+act as stable identifiers: restriction and variable deletion keep
+surviving clauses in their original relative order, and variable deletion
+keeps even emptied clauses, so downstream graph code can name clauses by
+index.
 """
 
 from __future__ import annotations
@@ -22,81 +24,62 @@ Assignment = Dict[int, bool]
 MAX_DIMACS_VARIABLES = 1_000_000
 
 
-@dataclass(frozen=True, order=True)
-class Literal:
-    """A variable occurrence with a polarity."""
-
-    variable: int
-    positive: bool = True
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.variable, int) or self.variable < 1:
-            raise ContractError(f"variable ids start at 1, got {self.variable!r}")
-
-    def negated(self) -> Literal:
-        return Literal(self.variable, not self.positive)
-
-    def to_int(self) -> int:
-        return self.variable if self.positive else -self.variable
-
-    @classmethod
-    def from_int(cls, value: int) -> Literal:
-        if value == 0:
-            raise ContractError("0 is not a literal")
-        return cls(abs(value), value > 0)
-
-    def __repr__(self) -> str:
-        return str(self.to_int())
-
-
 @dataclass(frozen=True)
 class Clause:
-    """A disjunction of literals over pairwise distinct variables.
+    """A disjunction of DIMACS literals over pairwise distinct variables.
 
-    A clause never contains a complementary pair; duplicate literals
-    collapse because the underlying container is a set.
+    `literals` holds nonzero ints strictly increasing by variable: the sign
+    is the polarity and `abs(l)` the variable. So a clause never contains a
+    complementary pair, and equal clauses have equal tuples.
     """
 
-    literals: frozenset[Literal]
+    literals: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        seen: set[int] = set()
+        previous = 0
         for lit in self.literals:
-            if lit.variable in seen:
+            if not isinstance(lit, int) or lit == 0:
+                raise ContractError(f"{lit!r} is not a literal")
+            if abs(lit) <= abs(previous):
+                if lit == -previous:
+                    raise ContractError(
+                        f"clause contains variable {abs(lit)} with both polarities"
+                    )
                 raise ContractError(
-                    f"clause contains variable {lit.variable} with both polarities"
+                    f"literals {self.literals!r} do not strictly increase by variable"
                 )
-            seen.add(lit.variable)
+            previous = lit
 
     @classmethod
     def from_ints(cls, values: Iterable[int]) -> Clause:
-        return cls(frozenset(Literal.from_int(v) for v in values))
+        """The clause of `values`, deduplicated and sorted by variable."""
+        return cls(tuple(sorted(set(values), key=abs)))
 
     @cached_property
     def variables(self) -> frozenset[int]:
-        return frozenset(lit.variable for lit in self.literals)
+        return frozenset(abs(lit) for lit in self.literals)
 
     def polarity(self, variable: int) -> bool | None:
         """Polarity of `variable` in this clause, or None if absent."""
         for lit in self.literals:
-            if lit.variable == variable:
-                return lit.positive
+            if abs(lit) == variable:
+                return lit > 0
         return None
 
     def satisfied_by(self, assignment: Mapping[int, bool]) -> bool:
         return any(
-            lit.variable in assignment and assignment[lit.variable] == lit.positive
+            abs(lit) in assignment and assignment[abs(lit)] == (lit > 0)
             for lit in self.literals
         )
 
     def sorted_ints(self) -> tuple[int, ...]:
-        return tuple(lit.to_int() for lit in sorted(self.literals))
+        return self.literals
 
     def __len__(self) -> int:
         return len(self.literals)
 
     def __repr__(self) -> str:
-        return "Clause(" + " ".join(str(v) for v in self.sorted_ints()) + ")"
+        return "Clause(" + " ".join(str(v) for v in self.literals) + ")"
 
 
 @dataclass(frozen=True)
@@ -160,17 +143,15 @@ class Formula:
             )
         kept: list[Clause] = []
         for clause in self.clauses:
-            satisfied = False
-            remaining: list[Literal] = []
+            remaining: list[int] = []
             for lit in clause.literals:
-                if lit.variable in assignment:
-                    if assignment[lit.variable] == lit.positive:
-                        satisfied = True
-                        break
-                else:
+                variable = abs(lit)
+                if variable not in assignment:
                     remaining.append(lit)
-            if not satisfied:
-                kept.append(Clause(frozenset(remaining)))
+                elif assignment[variable] == (lit > 0):
+                    break
+            else:
+                kept.append(Clause(tuple(remaining)))
         return Formula(tuple(kept), self.universe - set(assignment))
 
     def without_variables(self, variables: Iterable[int]) -> Formula:
@@ -183,7 +164,7 @@ class Formula:
                 f"deletion set outside universe: {sorted(extra)}"
             )
         stripped = tuple(
-            Clause(frozenset(l for l in c.literals if l.variable not in removed))
+            Clause(tuple(l for l in c.literals if abs(l) not in removed))
             for c in self.clauses
         )
         return Formula(stripped, self.universe - removed)
@@ -270,6 +251,5 @@ def emit_dimacs(formula: Formula) -> str:
     n = max(formula.universe, default=0)
     lines = [f"p cnf {n} {formula.num_clauses}"]
     for clause in formula.clauses:
-        ints = clause.sorted_ints()
-        lines.append(" ".join(str(v) for v in ints) + (" 0" if ints else "0"))
+        lines.append(" ".join(map(str, (*clause.literals, 0))))
     return "\n".join(lines) + "\n"

@@ -10,7 +10,7 @@ import random
 from typing import Sequence
 
 from .errors import ContractError, ResourceLimitError
-from .formula import MAX_DIMACS_VARIABLES, Clause, Formula, Literal
+from .formula import MAX_DIMACS_VARIABLES, Clause, Formula
 
 
 def _guard_universe(size: int) -> None:
@@ -41,33 +41,16 @@ def grid_formula(size: int) -> Formula:
         return row * size + col + 1
 
     extra = size * size + 1
-    clauses: list[Clause] = []
-    for row in range(size):
-        for col in range(size - 1):
-            clauses.append(
-                Clause(
-                    frozenset(
-                        {
-                            Literal(cell(row, col)),
-                            Literal(cell(row, col + 1)),
-                            Literal(extra, True),
-                        }
-                    )
-                )
-            )
-    for row in range(size - 1):
-        for col in range(size):
-            clauses.append(
-                Clause(
-                    frozenset(
-                        {
-                            Literal(cell(row, col)),
-                            Literal(cell(row + 1, col)),
-                            Literal(extra, False),
-                        }
-                    )
-                )
-            )
+    clauses = [
+        Clause((cell(row, col), cell(row, col + 1), extra))
+        for row in range(size)
+        for col in range(size - 1)
+    ]
+    clauses += [
+        Clause((cell(row, col), cell(row + 1, col), -extra))
+        for row in range(size - 1)
+        for col in range(size)
+    ]
     return Formula(tuple(clauses), frozenset(range(1, extra + 1)))
 
 
@@ -95,15 +78,8 @@ def hitting_set_formula(sets: Sequence[Sequence[int]]) -> Formula:
     for i, group in enumerate(sets):
         z = base + 2 * i + 1
         z_prime = base + 2 * i + 2
-        clauses.append(Clause(frozenset({Literal(z), Literal(z_prime)})))
-        clauses.append(
-            Clause(
-                frozenset(
-                    {Literal(e) for e in group}
-                    | {Literal(z, False), Literal(z_prime, False)}
-                )
-            )
-        )
+        clauses.append(Clause((z, z_prime)))
+        clauses.append(Clause((*sorted(set(group)), -z, -z_prime)))
     return Formula(tuple(clauses), frozenset(range(1, base + 2 * len(sets) + 1)))
 
 
@@ -121,7 +97,6 @@ def random_rcnf(n: int, m: int, width: int, seed: int) -> Formula:
     clauses: list[Clause] = []
     for _ in range(m):
         chosen = rng.sample(range(1, n + 1), width)
-        clauses.append(
-            Clause(frozenset(Literal(v, rng.random() < 0.5) for v in chosen))
-        )
+        signed = [v if rng.random() < 0.5 else -v for v in chosen]
+        clauses.append(Clause(tuple(sorted(signed, key=abs))))
     return Formula(tuple(clauses), frozenset(range(1, n + 1)))

@@ -319,10 +319,11 @@ def incidence_graph(formula: Formula) -> IncidenceGraph:
         node = clause_node(idx)
         around = adjacency[node] = []
         for lit in clause.literals:
-            variable = var_node(lit.variable)
+            v = abs(lit)
+            variable = var_node(v)
             around.append(variable)
             adjacency[variable].append(node)
-            signs[(lit.variable, idx)] = lit.positive
+            signs[(v, idx)] = lit > 0
     # Every edge joins a variable and a clause, so no cycle is shorter than 4.
     return IncidenceGraph(Graph(adjacency, girth_floor=4), signs)
 
@@ -364,7 +365,7 @@ def clause_literal_graph(formula: Formula) -> ClauseLiteralGraph:
         node = clause_node(idx)
         around = adjacency[node] = []
         for lit in clause.literals:
-            literal = lit_node(lit.variable, lit.positive)
+            literal = lit_node(abs(lit), lit > 0)
             around.append(literal)
             adjacency[literal].append(node)
     return ClauseLiteralGraph(Graph(adjacency), formula.universe)

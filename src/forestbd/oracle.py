@@ -37,10 +37,12 @@ class OracleReport:
 
 
 def brute_count(formula: Formula, universe: Iterable[int]) -> int:
-    """Exact model count by enumerating every assignment of the universe."""
-    # Imported here so the command line starts without numpy.
-    import numpy as np
+    """Exact model count by enumerating every assignment of the universe.
 
+    Assignment `a` in 0..2^n-1 gives the i-th smallest variable the value
+    of bit i of `a`, and bit `a` of a big-int mask tells whether `a` makes
+    a literal, a clause or the formula true.
+    """
     ordered = sorted(set(universe))
     n = len(ordered)
     if n > MAX_COUNT_UNIVERSE:
@@ -51,16 +53,30 @@ def brute_count(formula: Formula, universe: Iterable[int]) -> int:
     if not formula.variables <= set(ordered):
         missing = sorted(formula.variables - set(ordered))
         raise ContractError(f"universe is missing occurring variables: {missing}")
-    position = {v: i for i, v in enumerate(ordered)}
-    codes = np.arange(1 << n, dtype=np.uint32)
-    satisfied = np.ones(1 << n, dtype=bool)
+    size = 1 << n
+    everything = (1 << size) - 1
+    true_where = {
+        v: _bit_mask(i, size) for i, v in enumerate(ordered) if v in formula.variables
+    }
+    satisfied = everything
     for clause in formula.clauses:
-        holds = np.zeros(1 << n, dtype=bool)
-        for lit in sorted(clause.literals):
-            bit = (codes >> np.uint32(position[lit.variable])) & np.uint32(1)
-            holds |= bit.astype(bool) if lit.positive else bit == 0
+        holds = 0
+        for lit in clause.literals:
+            mask = true_where[abs(lit)]
+            holds |= mask if lit > 0 else everything ^ mask
         satisfied &= holds
-    return int(np.count_nonzero(satisfied))
+    return satisfied.bit_count()
+
+
+def _bit_mask(i: int, size: int) -> int:
+    """The `size`-bit mask whose bit `a` is bit i of `a`."""
+    half = 1 << i
+    mask = ((1 << half) - 1) << half
+    width = 2 * half
+    while width < size:
+        mask |= mask << width
+        width *= 2
+    return mask
 
 
 def brute_min_backdoor(formula: Formula, kind: str, k_max: int) -> OracleReport:
@@ -68,7 +84,9 @@ def brute_min_backdoor(formula: Formula, kind: str, k_max: int) -> OracleReport:
     witness set, by enumerating variable subsets in size-then-lex order."""
     if kind not in KINDS:
         raise ContractError(f"unknown backdoor kind {kind!r}")
-    if k_max < 0 or k_max > MAX_SEARCH_BUDGET:
+    if k_max < 0:
+        raise ContractError(f"search budget must be >= 0, got {k_max}")
+    if k_max > MAX_SEARCH_BUDGET:
         raise ResourceLimitError(
             f"search budget must lie in 0..{MAX_SEARCH_BUDGET}, got {k_max}"
         )

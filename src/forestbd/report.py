@@ -74,7 +74,7 @@ def report_schema() -> dict[str, Any]:
 
 def validate_report(payload: dict[str, Any]) -> None:
     """Raises jsonschema.ValidationError when the payload deviates."""
-    # Imported here so the command line starts without jsonschema.
+    # jsonschema is a test dependency only, so it is imported on use.
     import jsonschema
 
     jsonschema.validate(payload, report_schema())

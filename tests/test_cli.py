@@ -106,6 +106,16 @@ class TestExitCodes:
         code, _, err = run(["detect", "strong", "--cnf", triangle_file, "-k", "9"])
         assert code == 3
 
+    def test_oracle_negative_budget_is_usage_error(self, triangle_file):
+        code, out, err = run(["oracle", "weak", "--cnf", triangle_file, "--k-max", "-1"])
+        assert code == 2 and out == ""
+        assert "must be >= 0" in err
+
+    def test_oracle_budget_guard(self, triangle_file):
+        code, out, err = run(["oracle", "weak", "--cnf", triangle_file, "--k-max", "5"])
+        assert code == 3 and out == ""
+        assert "search budget" in err
+
     def test_header_variable_cap(self, tmp_path):
         huge = tmp_path / "huge.cnf"
         huge.write_text("p cnf 2000000 0\n", encoding="ascii")
@@ -318,7 +328,11 @@ class TestWallTime:
 
 def test_cli_import_leaves_out_numpy_and_jsonschema():
     src = Path(cli.__file__).resolve().parents[1]
-    probe = "import sys, forestbd.cli; print(sorted({'numpy', 'jsonschema'} & set(sys.modules)))"
+    probe = (
+        "import sys, forestbd.cli; from forestbd import brute_count, grid_formula; "
+        "f = grid_formula(2); assert brute_count(f, f.universe) == 18; "
+        "print(sorted({'numpy', 'jsonschema'} & set(sys.modules)))"
+    )
     result = subprocess.run(
         [sys.executable, "-c", probe],
         env={**os.environ, "PYTHONPATH": str(src)},

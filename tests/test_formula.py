@@ -12,11 +12,13 @@ from forestbd import (
     DimacsError,
     Formula,
     ResourceLimitError,
-    Literal,
     emit_dimacs,
+    grid_formula,
+    hitting_set_formula,
     parse_dimacs,
     random_rcnf,
 )
+from forestbd.report import formula_digest
 
 
 class TestParse:
@@ -99,19 +101,68 @@ class TestEmit:
 
 
 class TestTypes:
-    def test_literal_validation(self):
+    @given(st.lists(st.integers(-6, 6), max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_from_ints_normalises_or_rejects(self, values):
+        invalid = 0 in values or any(-v in values for v in values)
+        if invalid:
+            with pytest.raises(ContractError):
+                Clause.from_ints(values)
+        else:
+            clause = Clause.from_ints(values)
+            assert set(clause.literals) == set(values)
+            assert [abs(lit) for lit in clause.literals] == sorted({abs(v) for v in values})
+            assert clause.sorted_ints() == clause.literals
+
+    @pytest.mark.parametrize(
+        "literals",
+        [(0,), (1, -1), (2, 1), (1, 1), (-3, 2), (1, 2.0)],
+    )
+    def test_clause_rejects_non_canonical_literals(self, literals):
         with pytest.raises(ContractError):
-            Literal(0)
-        assert Literal(3, False).negated() == Literal(3, True)
-        assert Literal.from_int(-4).to_int() == -4
+            Clause(literals)
 
     def test_clause_rejects_shared_variable(self):
-        with pytest.raises(ContractError):
-            Clause(frozenset({Literal(1, True), Literal(1, False)}))
+        with pytest.raises(ContractError, match="variable 1 with both polarities"):
+            Clause((-1, 1))
 
     def test_universe_must_cover_occurrences(self):
         with pytest.raises(ContractError):
             Formula((Clause.from_ints([3]),), frozenset({1, 2}))
+
+
+class TestCanonicalForm:
+    """Digests of the canonical DIMACS text, pinned so that a change of
+    representation cannot silently change report `input.sha256` values."""
+
+    @pytest.mark.parametrize(
+        "build, digest",
+        [
+            (
+                lambda: grid_formula(4),
+                "cc032e18ba18c0acf893317ae948b027907236901b1c5b6d5057e990505e8eba",
+            ),
+            (
+                lambda: hitting_set_formula([[1, 2], [2, 3]]),
+                "8243c2a03a5f7d32063ed489c938228e39d809ba3863f2a9b8890dfbd9f54908",
+            ),
+            (
+                lambda: random_rcnf(8, 12, 3, 5),
+                "8f7d3dd65a64b098bd32b025ae3501b0f3d2110b30ccd1ae6b093286e83c2177",
+            ),
+            (
+                # Unsorted, with a duplicate literal.
+                lambda: parse_dimacs("p cnf 3 2\n3 -1 3 0\n2 -3 0\n"),
+                "6695e4c7b9a758ce7b99ec83c569f06849388db862821151017b5e65194740e6",
+            ),
+        ],
+    )
+    def test_formula_digest_is_pinned(self, build, digest):
+        assert formula_digest(build()) == digest
+
+    def test_parse_sorts_and_deduplicates(self):
+        f = parse_dimacs("p cnf 3 2\n3 -1 3 0\n2 -3 0\n")
+        assert [c.literals for c in f.clauses] == [(-1, 3), (2, -3)]
 
 
 class TestRestrict:

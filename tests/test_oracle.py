@@ -52,11 +52,19 @@ class TestBruteCount:
         with pytest.raises(ContractError):
             brute_count(f, {1})
 
-    @given(st.integers(0, 100_000))
+    @given(
+        st.integers(1, 12),
+        st.integers(0, 16),
+        st.integers(1, 3),
+        st.integers(0, 100_000),
+        st.integers(0, 2),
+    )
     @settings(max_examples=60, deadline=None)
-    def test_matches_pure_python(self, seed):
-        f = random_rcnf(6, 8, 3, seed)
-        assert brute_count(f, f.universe) == python_recount(f, f.universe)
+    def test_matches_pure_python(self, n, m, width, seed, unused):
+        # Up to `unused` extra universe variables, occurring in no clause.
+        f = random_rcnf(n, m, min(width, n), seed)
+        universe = f.universe | set(range(n + 1, min(n + unused, 12) + 1))
+        assert brute_count(f, universe) == python_recount(f, universe)
 
 
 class TestBruteMinBackdoor:
@@ -81,6 +89,8 @@ class TestBruteMinBackdoor:
             brute_min_backdoor(big, "weak", 1)
         with pytest.raises(ResourceLimitError):
             brute_min_backdoor(triangle(), "weak", 5)
+        with pytest.raises(ContractError):
+            brute_min_backdoor(triangle(), "weak", -1)
         with pytest.raises(ContractError):
             brute_min_backdoor(triangle(), "horn", 1)
 
