@@ -25,7 +25,6 @@ from .graphs import (
     Cycle,
     CyclePacking,
     FeedbackSet,
-    clause_literal_graph,
     disjoint_cycles_or_feedback,
     incidence_graph,
     is_acyclic,
@@ -63,7 +62,6 @@ __all__ = [
     "WeakParameters",
     "brute_count",
     "brute_min_backdoor",
-    "clause_literal_graph",
     "count_models",
     "count_with_backdoor",
     "detect_deletion",

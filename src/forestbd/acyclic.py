@@ -5,17 +5,18 @@ Each variable node carries one count per truth value; each clause node
 carries two counts, one for a parent occurrence that already satisfies
 the clause and one for a parent that does not (the latter subtracts the
 single child combination that leaves the clause falsified). Counts are
-Python ints, so they never overflow.
+Python ints, so they never overflow. The forest may be a view: a
+formula's incidence graph minus the nodes a restriction removes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import AbstractSet, Iterable
 
 from .errors import ContractError, CyclicInputError
 from .formula import Assignment, Formula
-from .graphs import VAR, incidence_graph
+from .graphs import VAR, IncidenceGraph, Node, incidence_graph
 
 
 @dataclass(frozen=True)
@@ -33,23 +34,28 @@ class ModelCount:
 
 
 class _TreeTables:
-    """DP tables for one incidence forest, folded in the traversal that
-    orients it; a cycle raises CyclicInputError."""
+    """DP tables for the incidence forest `inc` minus `removed`, folded in
+    the traversal that orients it; a cycle raises CyclicInputError."""
 
-    def __init__(self, formula: Formula) -> None:
-        self.inc = incidence_graph(formula)
-        graph = self.inc.graph
+    def __init__(self, inc: IncidenceGraph, removed: AbstractSet[Node]) -> None:
+        self.inc = inc
+        graph = inc.graph
         # Per variable node: (ways with value False, ways with value True).
         self.var_ways: dict[tuple, tuple[int, int]] = {}
         # Per clause node: (ways when the parent satisfies it, ways when not).
         self.clause_ways: dict[tuple, tuple[int, int]] = {}
         self.children: dict[tuple, list[tuple]] = {}
         self.roots: list[tuple] = []
+        clauses = 0
         seen: set[tuple] = set()
         for root in graph.nodes:
-            if root in seen or root[0] != VAR:
+            if root in removed:
                 continue
-            self.roots.append(root)
+            if root[0] != VAR:
+                clauses += 1
+                continue
+            if root in seen:
+                continue
             seen.add(root)
             order: list[tuple] = []
             stack: list[tuple[tuple, tuple | None]] = [(root, None)]
@@ -58,13 +64,17 @@ class _TreeTables:
                 order.append(node)
                 children = self.children[node] = []
                 for nb in graph.neighbors(node):
-                    if nb == parent:
+                    if nb == parent or nb in removed:
                         continue
                     if nb in seen:
                         raise CyclicInputError("incidence graph is not a forest")
                     seen.add(nb)
                     children.append(nb)
                     stack.append((nb, node))
+            if len(order) == 1:
+                # A variable without clauses is priced by the free factor.
+                continue
+            self.roots.append(root)
             # Every node comes after its parent in `order`.
             for node in reversed(order):
                 if node[0] == VAR:
@@ -74,7 +84,8 @@ class _TreeTables:
                     )
                 else:
                     self.clause_ways[node] = self._clause_parent_ways(node)
-        self.dead = formula.has_empty_clause()
+        # A residual clause no traversal reached has lost every variable.
+        self.dead = len(self.clause_ways) < clauses
 
     def _var_value_ways(self, node: tuple, value: bool) -> int:
         ways = 1
@@ -95,6 +106,26 @@ class _TreeTables:
             falsifying *= w0 if sign else w1
         return total, total - falsifying
 
+    def satisfiable(self) -> bool:
+        return not self.dead and all(sum(self.var_ways[root]) for root in self.roots)
+
+
+def residual_count(inc: IncidenceGraph, removed: AbstractSet[Node], universe_size: int) -> int:
+    """Models of the residual `inc` minus `removed` over `universe_size` variables."""
+    tables = _TreeTables(inc, removed)
+    if tables.dead:
+        return 0
+    # The trees hold every occurring variable: the rest are free.
+    count = 2 ** (universe_size - len(tables.var_ways))
+    for root in tables.roots:
+        count *= sum(tables.var_ways[root])
+    return count
+
+
+def residual_satisfiable(inc: IncidenceGraph, removed: AbstractSet[Node]) -> bool:
+    """Whether the residual formula `inc` minus `removed` is satisfiable."""
+    return _TreeTables(inc, removed).satisfiable()
+
 
 def count_models(formula: Formula, universe: Iterable[int]) -> ModelCount:
     """Exact number of assignments of `universe` satisfying the formula.
@@ -107,18 +138,8 @@ def count_models(formula: Formula, universe: Iterable[int]) -> ModelCount:
     if not formula.variables <= target:
         missing = sorted(formula.variables - target)
         raise ContractError(f"universe is missing occurring variables: {missing}")
-    tables = _TreeTables(formula)
     size = len(target)
-    if tables.dead:
-        return ModelCount(0, size)
-    count = 1
-    for root in tables.roots:
-        # Trees with edges hold all occurring variables and all clauses;
-        # isolated variable nodes are priced by the free factor instead.
-        if tables.children[root]:
-            count *= sum(tables.var_ways[root])
-    count *= 2 ** (size - len(formula.variables))
-    return ModelCount(count, size)
+    return ModelCount(residual_count(incidence_graph(formula), frozenset(), size), size)
 
 
 def satisfying_assignment(formula: Formula) -> Assignment | None:
@@ -127,12 +148,9 @@ def satisfying_assignment(formula: Formula) -> Assignment | None:
     Free variables default to False. Raises CyclicInputError when the
     incidence graph has a cycle.
     """
-    tables = _TreeTables(formula)
-    if tables.dead:
+    tables = _TreeTables(incidence_graph(formula), frozenset())
+    if not tables.satisfiable():
         return None
-    for root in tables.roots:
-        if sum(tables.var_ways[root]) == 0:
-            return None
     assignment: Assignment = {}
     for root in tables.roots:
         w0, _ = tables.var_ways[root]

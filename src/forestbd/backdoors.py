@@ -7,24 +7,24 @@ assignment of it yields an acyclic restriction, and a weak backdoor when
 some assignment yields an acyclic and satisfiable restriction.
 
 The exponential verification loops walk assignments in lexicographic
-order (variables ascending, False before True) and evaluate acyclicity on
-a single clause-literal graph instead of rebuilding each restriction.
+order (variables ascending, False before True) on views of the formula's
+one incidence graph, never rebuilding a restriction.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Optional, TypeVar, Union
+from typing import AbstractSet, Callable, Iterable, Iterator, NamedTuple, Optional, TypeVar, Union
 
-from .acyclic import satisfying_assignment
+from .acyclic import residual_satisfiable
 from .errors import ContractError, ResourceLimitError
 from .formula import Assignment, Formula
 from .graphs import (
     Cycle,
     IncidenceGraph,
+    Node,
     PackingOrFeedback,
-    clause_literal_graph,
     incidence_graph,
     is_acyclic,
     shortest_cycle,
@@ -38,6 +38,13 @@ S = TypeVar("S")
 # A backdoor found below a search state, with its witness assignment
 # (empty unless the search assigns values).
 Found = tuple[frozenset[int], Assignment]
+
+
+class Residual(NamedTuple):
+    """A residual formula with a cycle left, as the view `inc` minus `removed`."""
+
+    inc: IncidenceGraph
+    removed: AbstractSet[Node]
 
 
 @dataclass(frozen=True)
@@ -108,8 +115,8 @@ def is_strong_backdoor(formula: Formula, variables: Iterable[int]) -> bool:
     candidate = frozenset(variables)
     _check_candidate(formula, candidate)
     _guard_size(candidate)
-    literal_graph = clause_literal_graph(formula)
-    return all_true(literal_graph.residual_acyclic, assignments_over(candidate))
+    inc = incidence_graph(formula)
+    return all_true(inc.residual_acyclic, assignments_over(candidate))
 
 
 def weak_backdoor_witness(
@@ -120,14 +127,12 @@ def weak_backdoor_witness(
     candidate = frozenset(variables)
     _check_candidate(formula, candidate)
     _guard_size(candidate)
-    literal_graph = clause_literal_graph(formula)
+    inc = incidence_graph(formula)
 
     def probe(tau: Assignment) -> Optional[Assignment]:
-        if not literal_graph.residual_acyclic(tau):
-            return None
-        if satisfying_assignment(formula.restrict(tau)) is None:
-            return None
-        return tau
+        if inc.residual_acyclic(tau) and residual_satisfiable(inc, inc.removed(tau)):
+            return tau
+        return None
 
     return first_hit(probe, assignments_over(candidate))
 
@@ -166,18 +171,18 @@ def opposite_sign_clauses(
 
 def branch_on_cycles(
     root: S,
-    settle: Callable[[S], Union[Found, None, IncidenceGraph]],
+    settle: Callable[[S], Union[Found, None, Residual]],
     moves: Callable[[S, IncidenceGraph, Cycle], Iterable[tuple[S, int, Optional[bool]]]],
 ) -> Optional[Found]:
     """Memoized search that branches on the canonical shortest cycle.
 
     `settle(state)` ends a branch with a found pair or None, or returns
-    the incidence graph of a residual formula that still has a cycle.
+    the `Residual` view of a formula that still has a cycle.
     `moves(state, inc, cycle)` then lists, in search order, the branches
-    (child, variable, value) that can remove that cycle. The first child
-    that finds a backdoor adds its variable to it, and the value to the
-    witness unless the value is None. States are memoized, so they must
-    be hashable.
+    (child, variable, value) that can remove the view's canonical
+    shortest cycle. The first child that finds a backdoor adds its
+    variable to it, and the value to the witness unless the value is
+    None. States are memoized, so they must be hashable.
     """
     memo: dict[S, Optional[Found]] = {}
 
@@ -188,11 +193,11 @@ def branch_on_cycles(
 
     def expand(state: S) -> Optional[Found]:
         settled = settle(state)
-        if not isinstance(settled, IncidenceGraph):
+        if not isinstance(settled, Residual):
             return settled
-        cycle = shortest_cycle(settled.graph)
+        cycle = shortest_cycle(settled.inc.graph, forbidden=settled.removed)
         assert cycle is not None
-        for child, variable, value in moves(state, settled, cycle):
+        for child, variable, value in moves(state, settled.inc, cycle):
             found = search(child)
             if found is not None:
                 variables, witness = found

@@ -160,7 +160,7 @@ def _parse_variables(text: str) -> list[int]:
         raise ContractError(f"bad variable list {text!r}") from exc
     if any(v < 1 for v in values):
         raise ContractError(f"variable ids must be positive: {text!r}")
-    return values
+    return sorted(set(values))  # repeated ids name one variable
 
 
 def _parse_sets(text: str) -> list[list[int]]:
@@ -263,7 +263,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
     report = RunReport(
         command="count",
         digest=formula_digest(formula),
-        parameters={"backdoor": sorted(backdoor)},
+        parameters={"backdoor": backdoor},
         path=path,
         count=result.count,
         stats=base_stats(formula),
@@ -289,7 +289,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     report = RunReport(
         command="verify",
         digest=formula_digest(formula),
-        parameters={"kind": args.kind, "set": sorted(candidate)},
+        parameters={"kind": args.kind, "set": candidate},
         path=path,
         verdict="valid" if valid else "invalid",
         witness=witness if valid else None,

@@ -16,9 +16,10 @@ import itertools
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
-from .acyclic import ModelCount, count_models
+from .acyclic import ModelCount, residual_count
 from .backdoors import (
     BackdoorVerdict,
+    Residual,
     _guard_size,
     assignments_over,
     branch_on_cycles,
@@ -32,7 +33,6 @@ from .graphs import (
     FeedbackSet,
     IncidenceGraph,
     canonical_cycle,
-    clause_literal_graph,
     clause_node,
     disjoint_cycles_or_feedback,
     incidence_graph,
@@ -233,10 +233,10 @@ def strong_exact_search(formula: Formula, budget: int) -> BackdoorVerdict:
     """
     if budget < 0:
         raise ContractError(f"budget must be >= 0, got {budget}")
-    literal_graph = clause_literal_graph(formula)
+    inc = incidence_graph(formula)
 
     def probe(tau: Assignment) -> Optional[Assignment]:
-        return None if literal_graph.residual_acyclic(tau) else tau
+        return None if inc.residual_acyclic(tau) else tau
 
     def settle(candidate: frozenset[int]):
         tau = first_hit(probe, assignments_over(candidate))
@@ -244,7 +244,7 @@ def strong_exact_search(formula: Formula, budget: int) -> BackdoorVerdict:
             return candidate, {}
         if len(candidate) == budget:
             return None
-        return incidence_graph(formula.restrict(tau))
+        return Residual(inc, inc.removed(tau))
 
     def moves(candidate: frozenset[int], inc: IncidenceGraph, cycle: Cycle):
         cycle_vars = frozenset(cycle.variables)
@@ -271,12 +271,14 @@ def detect_deletion(formula: Formula, budget: int) -> BackdoorVerdict:
     """
     if budget < 0:
         raise ContractError(f"budget must be >= 0, got {budget}")
+    inc = incidence_graph(formula)
 
     def settle(removed: frozenset[int]):
-        inc = incidence_graph(formula.without_variables(removed) if removed else formula)
-        if is_acyclic(inc.graph):
+        # Deletion keeps every clause, so only the variable nodes go.
+        nodes = frozenset(var_node(v) for v in removed)
+        if is_acyclic(inc.graph, forbidden=nodes):
             return frozenset(), {}
-        return inc if len(removed) < budget else None
+        return Residual(inc, nodes) if len(removed) < budget else None
 
     def moves(removed: frozenset[int], inc: IncidenceGraph, cycle: Cycle):
         for variable in sorted(cycle.variables):
@@ -305,10 +307,11 @@ def count_with_backdoor(
     if not cutset <= formula.universe:
         raise ContractError("backdoor must be a subset of the formula universe")
     _guard_size(cutset)
-    remainder = target - cutset
+    size = len(target - cutset)
+    inc = incidence_graph(formula)
 
     def piece(tau: Assignment) -> int:
-        return count_models(formula.restrict(tau), remainder).count
+        return residual_count(inc, inc.removed(tau), size)
 
     try:
         total = sum(ordered_map(piece, assignments_over(cutset)))

@@ -30,12 +30,11 @@ import math
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
 
-from .acyclic import satisfying_assignment
-from .backdoors import BackdoorVerdict, branch_on_cycles, external_killers
+from .acyclic import residual_satisfiable
+from .backdoors import BackdoorVerdict, Residual, branch_on_cycles, external_killers
 from .errors import ContractError, ResourceLimitError
 from .formula import Formula
 from .graphs import (
-    CLAUSE,
     Cycle,
     FeedbackSet,
     IncidenceGraph,
@@ -93,13 +92,6 @@ class RuleOutcome:
     selected: frozenset[int]
 
 
-def _killer_weights(
-    inc: IncidenceGraph, cycle: Cycle, killers: frozenset[int]
-) -> dict[int, int]:
-    clause_nodes = frozenset(n for n in cycle.node_set if n[0] == CLAUSE)
-    return {v: inc.clause_neighbor_count(v, clause_nodes) for v in killers}
-
-
 def weak_rule_outcome(
     formula: Formula,
     inc: IncidenceGraph,
@@ -115,8 +107,9 @@ def weak_rule_outcome(
     if any(not ks for ks in killer_sets):
         return RuleOutcome("unkillable-cycle", frozenset())
 
+    # A killer's weight: the number of the cycle's clauses it occurs in.
     weights = [
-        _killer_weights(inc, cycle, ks)
+        {v: sum(inc.sign(v, i) is not None for i in cycle.clause_indices) for v in ks}
         for cycle, ks in zip(choice.external, killer_sets)
     ]
     champions: list[tuple[int, int]] = []
@@ -223,7 +216,7 @@ def _detect_weak(formula: Formula, budget: int, width: int) -> BackdoorVerdict:
     if is_acyclic(inc.graph):
         # On a forest the dichotomy returns the empty feedback set.
         split = FeedbackSet(frozenset()) if budget else None
-        if satisfying_assignment(formula) is not None:
+        if residual_satisfiable(inc, frozenset()):
             return BackdoorVerdict.yes((), budget, {}, split)
         return BackdoorVerdict.no(budget, split)
     if budget == 0:
@@ -268,10 +261,10 @@ def weak_exact_search(formula: Formula, budget: int) -> BackdoorVerdict:
             return None
         inc = incidence_graph(current)
         if is_acyclic(inc.graph):
-            if satisfying_assignment(current) is None:
+            if not residual_satisfiable(inc, frozenset()):
                 return None
             return frozenset(), {}
-        return inc if remaining else None
+        return Residual(inc, frozenset()) if remaining else None
 
     def moves(state: tuple[Formula, int], inc: IncidenceGraph, cycle: Cycle):
         current, remaining = state

@@ -2,10 +2,10 @@
 
 The checks here deliberately avoid the code paths they validate: cycle
 enumeration is a DFS over all simple paths, satisfiability is a truth
-table, the weak/strong checks rebuild every restriction and test its
-incidence graph directly instead of going through the clause-literal
-graph, and the reference cycle search and packing run every BFS to the
-end, with no girth bound.
+table, the weak/strong checks and the reference searches and count
+rebuild every restriction or deletion and its incidence graph instead of
+taking a removed-node view of the formula's one graph, and the reference
+cycle search and packing run every BFS to the end, with no girth bound.
 """
 
 from __future__ import annotations
@@ -15,8 +15,23 @@ import random
 from collections import deque
 from typing import Mapping
 
-from forestbd import Formula, random_rcnf
-from forestbd.backdoors import assignments_over
+from forestbd import (
+    ContractError,
+    CyclicInputError,
+    Formula,
+    ModelCount,
+    count_models,
+    random_rcnf,
+    satisfying_assignment,
+)
+from forestbd.backdoors import (
+    BackdoorVerdict,
+    Residual,
+    _guard_size,
+    assignments_over,
+    branch_on_cycles,
+    opposite_sign_clauses,
+)
 from forestbd.formula import Assignment
 from forestbd.graphs import (
     Cycle,
@@ -395,3 +410,92 @@ def reference_packing(graph: Graph, count: int) -> PackingOrFeedback:
         used |= cycle.node_set
         if len(packed) == count:
             return CyclePacking(tuple(packed))
+
+
+# --- reference searches and count on rebuilt restrictions -----------------------
+
+def reference_weak_witness(formula: Formula, candidate) -> Assignment | None:
+    """`backdoors.weak_backdoor_witness` with every restriction rebuilt and
+    solved by the tree DP; unlike `direct_weak_witness`, fit for grids."""
+    for tau in assignments_over(frozenset(candidate)):
+        rest = formula.restrict(tau)
+        if is_acyclic(incidence_graph(rest).graph) and satisfying_assignment(rest) is not None:
+            return tau
+    return None
+
+
+def reference_strong_exact_search(formula: Formula, budget: int) -> BackdoorVerdict:
+    """`strong.strong_exact_search` with each state's failing restriction
+    and its incidence graph rebuilt."""
+    if budget < 0:
+        raise ContractError(f"budget must be >= 0, got {budget}")
+
+    def settle(candidate: frozenset[int]):
+        for tau in assignments_over(candidate):
+            inc = incidence_graph(formula.restrict(tau))
+            if not is_acyclic(inc.graph):
+                break
+        else:
+            return candidate, {}
+        if len(candidate) == budget:
+            return None
+        return Residual(inc, frozenset())
+
+    def moves(candidate: frozenset[int], inc, cycle: Cycle):
+        cycle_vars = frozenset(cycle.variables)
+        outside = formula.universe - candidate - cycle_vars
+        extenders = cycle_vars | {
+            v for v in outside if opposite_sign_clauses(inc, v, cycle) is not None
+        }
+        for variable in sorted(extenders):
+            yield candidate | {variable}, variable, None
+
+    result = branch_on_cycles(frozenset(), settle, moves)
+    if result is None:
+        return BackdoorVerdict.no(budget)
+    return BackdoorVerdict.yes(result[0], budget)
+
+
+def reference_detect_deletion(formula: Formula, budget: int) -> BackdoorVerdict:
+    """`strong.detect_deletion` with each state's deletion and its incidence
+    graph rebuilt."""
+    if budget < 0:
+        raise ContractError(f"budget must be >= 0, got {budget}")
+
+    def settle(removed: frozenset[int]):
+        inc = incidence_graph(formula.without_variables(removed))
+        if is_acyclic(inc.graph):
+            return frozenset(), {}
+        return Residual(inc, frozenset()) if len(removed) < budget else None
+
+    def moves(removed: frozenset[int], inc, cycle: Cycle):
+        for variable in sorted(cycle.variables):
+            yield removed | {variable}, variable, None
+
+    result = branch_on_cycles(frozenset(), settle, moves)
+    if result is None:
+        return BackdoorVerdict.no(budget)
+    return BackdoorVerdict.yes(result[0], budget)
+
+
+def reference_count_with_backdoor(formula: Formula, backdoor, universe) -> ModelCount:
+    """`strong.count_with_backdoor` through `count_models` on every rebuilt
+    restriction."""
+    cutset = frozenset(backdoor)
+    target = frozenset(universe)
+    if not cutset <= target:
+        raise ContractError("backdoor must be a subset of the counting universe")
+    if not formula.variables <= target:
+        raise ContractError("universe must cover every occurring variable")
+    if not cutset <= formula.universe:
+        raise ContractError("backdoor must be a subset of the formula universe")
+    _guard_size(cutset)
+    remainder = target - cutset
+    try:
+        total = sum(
+            count_models(formula.restrict(tau), remainder).count
+            for tau in assignments_over(cutset)
+        )
+    except CyclicInputError as exc:
+        raise ContractError("the given set is not a strong backdoor") from exc
+    return ModelCount(total, len(target))

@@ -252,6 +252,16 @@ class TestReports:
         assert json.loads(count_out)["count"] == 1
         assert json.loads(detect_out)["count"] is None
 
+    def test_reported_sets_are_the_checked_sets(self, grid3):
+        # Repeated ids name one variable: the report gives each id once.
+        verify = ["verify", "--cnf", grid3, "--kind", "strong", "--json"]
+        code, out, _ = run(verify + ["--set", "10,10"])
+        assert code == 0 and json.loads(out)["parameters"]["set"] == [10]
+        code, out, _ = run(verify + ["--set", "10,1,10"])
+        assert code == 0 and json.loads(out)["parameters"]["set"] == [1, 10]
+        code, out, _ = run(["count", "--cnf", grid3, "--backdoor", "10,10", "--json"])
+        assert code == 0 and json.loads(out)["parameters"]["backdoor"] == [10]
+
     def test_count_matches_oracle(self, grid3):
         _, count_out, _ = run(["count", "--cnf", grid3, "--json"])
         _, oracle_out, _ = run(["oracle", "count", "--cnf", grid3, "--json"])

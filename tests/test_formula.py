@@ -130,6 +130,17 @@ class TestTypes:
         with pytest.raises(ContractError):
             Formula((Clause.from_ints([3]),), frozenset({1, 2}))
 
+    @pytest.mark.parametrize(
+        "bad, shown", [(0, "0"), (-2, "-2"), (1.0, "1.0"), ("1", "'1'"), (False, "False")]
+    )
+    def test_universe_rejects_invalid_ids(self, bad, shown):
+        with pytest.raises(ContractError) as caught:
+            Formula((), frozenset({bad}))
+        assert str(caught.value) == f"universe contains invalid variable id {shown}"
+
+    def test_universe_accepts_int_subclasses(self):
+        assert Formula((), frozenset({True, 2})).universe == {1, 2}
+
 
 class TestCanonicalForm:
     """Digests of the canonical DIMACS text, pinned so that a change of

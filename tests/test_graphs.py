@@ -1,4 +1,5 @@
-"""Incidence and clause-literal graphs, cycles, and the packing dichotomy."""
+"""Incidence graphs and their restriction views, cycles, and the packing
+dichotomy."""
 
 from __future__ import annotations
 
@@ -22,11 +23,10 @@ from forestbd import (
     shortest_cycle,
 )
 from forestbd.graphs import (
+    Cycle,
     Graph,
     canonical_cycle,
-    clause_literal_graph,
     clause_node,
-    lit_node,
     var_node,
 )
 from instances import (
@@ -106,32 +106,41 @@ class TestIncidence:
             assert isinstance(around, tuple) and list(around) == sorted(around)
 
 
-class TestClauseLiteral:
-    def test_single_positive_clause(self):
-        f = Formula.from_ints([[1]], num_vars=1)
-        g = clause_literal_graph(f).graph
-        assert set(g.nodes) == {
-            clause_node(0),
-            lit_node(1, False),
-            lit_node(1, True),
-        }
-        assert g.has_edge(lit_node(1, True), clause_node(0))
-        assert g.has_edge(lit_node(1, True), lit_node(1, False))
-        assert not g.has_edge(lit_node(1, False), clause_node(0))
-
-    def test_empty_formula_keeps_both_polarities(self):
-        f = Formula((), frozenset({1}))
-        g = clause_literal_graph(f).graph
-        assert len(g.nodes) == 2 and edge_count(g) == 1
-
-    def test_two_clause_shape(self):
+class TestRestrictionView:
+    def test_true_value_removes_satisfied_clause(self):
         f = Formula.from_ints([[1, 2], [-1, 2]], num_vars=2)
-        g = clause_literal_graph(f).graph
-        assert g.has_edge(lit_node(1, True), clause_node(0))
-        assert g.has_edge(lit_node(2, True), clause_node(0))
-        assert g.has_edge(lit_node(1, False), clause_node(1))
-        assert g.has_edge(lit_node(2, True), clause_node(1))
-        assert edge_count(g) == 4 + 2
+        assert incidence_graph(f).removed({1: True}) == {var_node(1), clause_node(0)}
+
+    def test_false_value_removes_the_other_clause(self):
+        f = Formula.from_ints([[1, 2], [-1, 2]], num_vars=2)
+        assert incidence_graph(f).removed({1: False}) == {var_node(1), clause_node(1)}
+
+    def test_unused_variable_removes_only_itself(self):
+        inc = incidence_graph(Formula((), frozenset({1})))
+        assert inc.removed({1: True}) == {var_node(1)}
+        assert inc.removed({}) == set()
+
+    @given(st.integers(0, 100_000))
+    @settings(max_examples=200, deadline=None)
+    def test_view_cycle_is_rebuilt_cycle(self, seed):
+        # Restriction keeps the surviving clauses in order, so the view's
+        # canonical cycle is the rebuilt graph's with clause ids mapped back.
+        rng = random.Random(seed)
+        f = random_rcnf(rng.randint(3, 10), rng.randint(1, 15), 3, seed)
+        tau = random_partial(rng, f)
+        inc = incidence_graph(f)
+        removed = inc.removed(tau)
+        kept = [i for i, c in enumerate(f.clauses) if not c.satisfied_by(tau)]
+        assert {clause_node(i) for i in range(f.num_clauses)} - removed == {
+            clause_node(i) for i in kept
+        }
+        assert {var_node(v) for v in tau} <= removed
+        rebuilt = shortest_cycle(incidence_graph(f.restrict(tau)).graph)
+        if rebuilt is not None:
+            rebuilt = Cycle(
+                tuple(clause_node(kept[n[1]]) if n[0] == "clause" else n for n in rebuilt.nodes)
+            )
+        assert shortest_cycle(inc.graph, forbidden=removed) == rebuilt
 
 
 class TestAcyclicity:

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from forestbd import (
+    BackdoorVerdict,
     ContractError,
     CyclePacking,
     Formula,
@@ -22,11 +23,14 @@ from forestbd import (
     disjoint_cycles_or_feedback,
     grid_formula,
     incidence_graph,
+    is_deletion_backdoor,
     is_strong_backdoor,
     random_rcnf,
     shortest_cycle,
     strong_exact_search,
+    weak_backdoor_witness,
 )
+from forestbd import acyclic, backdoors, graphs, strong
 from forestbd.graphs import clause_node, var_node
 from forestbd.strong import (
     StrongParameters,
@@ -36,7 +40,13 @@ from forestbd.strong import (
 )
 from forestbd.weak import candidate_pool, designations
 from instances import (
+    direct_strong,
     disjoint_triangles,
+    random_instance,
+    reference_count_with_backdoor,
+    reference_detect_deletion,
+    reference_strong_exact_search,
+    reference_weak_witness,
     ring_cycle,
     rule_selection_sound,
     strong_lone_killer,
@@ -453,3 +463,109 @@ class TestCounting:
             count_with_backdoor(f, verdict.variables, f.universe).count
             == brute_count(f, f.universe)
         )
+
+
+# Formulas for the differential tests against the rebuilding references:
+# criterion 6's random 3-CNF, grids, and disjoint triangles.
+VIEW_FAMILIES = {
+    "random-3cnf": lambda: [random_instance(seed + 40_000) for seed in range(100)],
+    "grids": lambda: [grid_formula(size) for size in range(2, 7)],
+    "triangles": lambda: [disjoint_triangles(count) for count in (1, 2, 5)],
+}
+
+
+def outcome(call, *args):
+    """A call's result, or its error's type and message."""
+    try:
+        return call(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def candidate_sets(formula: Formula, rng: random.Random) -> list[list[int]]:
+    """The empty set, the largest variable (a grid's extra one), random
+    small sets, a set outside the universe and one past the verification
+    guard."""
+    universe = sorted(formula.universe)
+    sets = [[], [len(universe)]]
+    sets += [rng.sample(universe, rng.randint(1, min(4, len(universe)))) for _ in range(4)]
+    sets += [[max(universe) + 1], list(range(1, 32))]
+    return sets
+
+
+class TestViewsAgainstRebuild:
+    """The views give what rebuilding every restriction or deletion gave."""
+
+    @pytest.mark.parametrize("family", sorted(VIEW_FAMILIES))
+    def test_strong_exact_search(self, family):
+        for f in VIEW_FAMILIES[family]():
+            for budget in (-1, 0, 1, 2):
+                mine = outcome(strong_exact_search, f, budget)
+                reference = outcome(reference_strong_exact_search, f, budget)
+                assert mine == reference
+                if isinstance(mine, BackdoorVerdict):
+                    assert mine.witness == reference.witness
+
+    @pytest.mark.parametrize("family", sorted(VIEW_FAMILIES))
+    def test_detect_deletion(self, family):
+        for f in VIEW_FAMILIES[family]():
+            for budget in (-1, 0, 1, 2, 3):
+                mine = outcome(detect_deletion, f, budget)
+                reference = outcome(reference_detect_deletion, f, budget)
+                assert mine == reference
+                if isinstance(mine, BackdoorVerdict):
+                    assert mine.witness == reference.witness
+
+    @pytest.mark.parametrize("family", sorted(VIEW_FAMILIES))
+    def test_count_with_backdoor(self, family):
+        rng = random.Random(family)
+        for f in VIEW_FAMILIES[family]():
+            found = strong_exact_search(f, 2)
+            sets = candidate_sets(f, rng) + ([sorted(found.variables)] if found.found else [])
+            for cutset in sets:
+                for universe in (f.universe, f.universe | {max(f.universe) + 1}, {1}):
+                    mine = outcome(count_with_backdoor, f, cutset, universe)
+                    assert mine == outcome(reference_count_with_backdoor, f, cutset, universe)
+
+    @pytest.mark.parametrize("family", sorted(VIEW_FAMILIES))
+    def test_verification(self, family):
+        rng = random.Random(family)
+        for f in VIEW_FAMILIES[family]():
+            for cutset in candidate_sets(f, rng)[:-2]:
+                assert is_strong_backdoor(f, cutset) == direct_strong(f, cutset)
+                assert weak_backdoor_witness(f, cutset) == reference_weak_witness(f, cutset)
+
+
+def test_verification_and_exact_searches_never_rebuild(monkeypatch):
+    """Each call builds its formula's incidence graph once and no residual
+    formula at all."""
+
+    def refuse(*args):
+        raise AssertionError("a residual formula was rebuilt")
+
+    f = grid_formula(3)
+    models = brute_count(f, f.universe)
+    monkeypatch.setattr(Formula, "restrict", refuse)
+    monkeypatch.setattr(Formula, "without_variables", refuse)
+    builds = []
+    build = graphs.incidence_graph
+
+    def counted(formula):
+        builds.append(formula)
+        return build(formula)
+
+    for module in (graphs, acyclic, backdoors, strong):
+        monkeypatch.setattr(module, "incidence_graph", counted)
+    calls = [
+        (is_strong_backdoor, (f, {10}), True),
+        (is_deletion_backdoor, (f, {5}), False),
+        (weak_backdoor_witness, (f, {10}), {10: False}),
+        (strong_exact_search, (f, 1), BackdoorVerdict.yes({10}, 1)),
+        (detect_deletion, (f, 2), BackdoorVerdict.no(2)),
+        (count_with_backdoor, (f, {10}, f.universe), models),
+    ]
+    for call, args, expected in calls:
+        builds.clear()
+        result = call(*args)
+        assert (result.count if call is count_with_backdoor else result) == expected
+        assert builds == [f], call.__name__
