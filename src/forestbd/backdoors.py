@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import AbstractSet, Callable, Iterable, Iterator, NamedTuple, Optional, TypeVar, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, TypeVar, Union
 
 from .acyclic import residual_satisfiable
 from .errors import ContractError, ResourceLimitError
 from .formula import Assignment, Formula
 from .graphs import (
+    CLAUSE,
     Cycle,
     IncidenceGraph,
     Node,
@@ -41,10 +42,28 @@ Found = tuple[frozenset[int], Assignment]
 
 
 class Residual(NamedTuple):
-    """A residual formula with a cycle left, as the view `inc` minus `removed`."""
+    """A formula restricted by an assignment, as the view `inc` minus
+    `removed`; `universe` holds the variables left unassigned."""
 
     inc: IncidenceGraph
-    removed: AbstractSet[Node]
+    removed: frozenset[Node]
+    universe: frozenset[int]
+
+    @classmethod
+    def of(cls, formula: Formula) -> Residual:
+        return cls(incidence_graph(formula), frozenset(), formula.universe)
+
+    def assign(self, variable: int, value: bool) -> Residual:
+        removed = self.removed | self.inc.removed({variable: value})
+        return Residual(self.inc, removed, self.universe - {variable})
+
+    def has_empty_clause(self, variable: Optional[int] = None) -> bool:
+        """Whether a surviving clause (of `variable`, if given) lost every variable."""
+        graph, gone = self.inc.graph, self.removed
+        nodes = graph.nodes if variable is None else graph.neighbors(var_node(variable))
+        return any(
+            n[0] == CLAUSE and n not in gone and gone.issuperset(graph.neighbors(n)) for n in nodes
+        )
 
 
 @dataclass(frozen=True)
@@ -172,14 +191,14 @@ def opposite_sign_clauses(
 def branch_on_cycles(
     root: S,
     settle: Callable[[S], Union[Found, None, Residual]],
-    moves: Callable[[S, IncidenceGraph, Cycle], Iterable[tuple[S, int, Optional[bool]]]],
+    moves: Callable[[S, Residual, Cycle], Iterable[tuple[S, int, Optional[bool]]]],
 ) -> Optional[Found]:
     """Memoized search that branches on the canonical shortest cycle.
 
     `settle(state)` ends a branch with a found pair or None, or returns
     the `Residual` view of a formula that still has a cycle.
-    `moves(state, inc, cycle)` then lists, in search order, the branches
-    (child, variable, value) that can remove the view's canonical
+    `moves(state, residual, cycle)` then lists, in search order, the
+    branches (child, variable, value) that can remove the view's canonical
     shortest cycle. The first child that finds a backdoor adds its
     variable to it, and the value to the witness unless the value is
     None. States are memoized, so they must be hashable.
@@ -197,7 +216,7 @@ def branch_on_cycles(
             return settled
         cycle = shortest_cycle(settled.inc.graph, forbidden=settled.removed)
         assert cycle is not None
-        for child, variable, value in moves(state, settled.inc, cycle):
+        for child, variable, value in moves(state, settled, cycle):
             found = search(child)
             if found is not None:
                 variables, witness = found

@@ -155,6 +155,8 @@ def _parse_variables(text: str) -> list[int]:
     if not cleaned:
         return []
     try:
+        if "_" in cleaned or not cleaned.isascii():  # int() reads `1_0` too
+            raise ValueError(cleaned)
         values = [int(tok) for tok in cleaned.split(",")]
     except ValueError as exc:
         raise ContractError(f"bad variable list {text!r}") from exc

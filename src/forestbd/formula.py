@@ -130,9 +130,6 @@ class Formula:
     def max_clause_width(self) -> int:
         return max((len(c) for c in self.clauses), default=0)
 
-    def has_empty_clause(self) -> bool:
-        return any(len(c) == 0 for c in self.clauses)
-
     def restrict(self, assignment: Mapping[int, bool]) -> Formula:
         """Apply a partial assignment: drop satisfied clauses, strip false
         literals, shrink the universe by the assigned variables."""
@@ -189,6 +186,9 @@ def parse_dimacs(text: str) -> Formula:
         stripped = line.strip()
         if not stripped or stripped.startswith("c"):
             continue
+        # int() would also read Python's `1_0`, `+1` and non-ASCII digits.
+        if "_" in stripped or "+" in stripped or not stripped.isascii():
+            raise DimacsError(f"line {line_no}: not plain decimal integers: {stripped!r}")
         if stripped.startswith("p"):
             if header is not None:
                 raise DimacsError(f"line {line_no}: duplicate header")

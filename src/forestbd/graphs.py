@@ -257,9 +257,11 @@ class FeedbackSet:
 PackingOrFeedback = Union[CyclePacking, FeedbackSet]
 
 
-def disjoint_cycles_or_feedback(graph: Graph, count: int) -> PackingOrFeedback:
-    """Greedily pack shortest cycles until `count` are found or the packing
-    is maximal.
+def disjoint_cycles_or_feedback(
+    graph: Graph, count: int, forbidden: frozenset | set = frozenset()
+) -> PackingOrFeedback:
+    """Greedily pack shortest cycles avoiding `forbidden` until `count` are
+    found or the packing is maximal.
 
     A maximal packing's vertex union is a feedback vertex set: any cycle
     avoiding it would extend the packing. No size bound is promised for
@@ -272,13 +274,13 @@ def disjoint_cycles_or_feedback(graph: Graph, count: int) -> PackingOrFeedback:
     """
     if count < 1:
         raise ContractError(f"requested cycle count must be >= 1, got {count}")
-    used: set[Node] = set()
+    used = set(forbidden)
     packed: list[Cycle] = []
     while True:
         floor = len(packed[-1]) if packed else 0
         cycle = shortest_cycle(graph, forbidden=used, girth_floor=floor)
         if cycle is None:
-            return FeedbackSet(frozenset(used))
+            return FeedbackSet(frozenset(used.difference(forbidden)))
         packed.append(cycle)
         used |= cycle.node_set
         if len(packed) == count:

@@ -87,7 +87,7 @@ def _arcs_between(cycle: Cycle, start: tuple, end: tuple) -> tuple[tuple, tuple]
 
 
 def build_apex_cycle(
-    formula: Formula, inc: IncidenceGraph, cycle: Cycle, pool: frozenset[int]
+    inc: IncidenceGraph, cycle: Cycle, pool: frozenset[int]
 ) -> Optional[ApexCycle]:
     """The minimum-length killing arc over all pool killers of the cycle,
     ties by (positive clause, negative clause, killer, arc nodes); None when
@@ -132,10 +132,7 @@ def apex_cycle_killers(
 
 
 def strong_rule_outcome(
-    formula: Formula,
-    inc: IncidenceGraph,
-    choice: KillChoice,
-    params: StrongParameters,
+    inc: IncidenceGraph, choice: KillChoice, params: StrongParameters
 ) -> RuleOutcome:
     """Apply the first matching selection rule to one designation.
 
@@ -145,7 +142,7 @@ def strong_rule_outcome(
     """
     apexes: list[ApexCycle] = []
     for cycle in choice.external:
-        apex = build_apex_cycle(formula, inc, cycle, choice.pool)
+        apex = build_apex_cycle(inc, cycle, choice.pool)
         if apex is None:
             # No pool variable can remove this cycle under every assignment.
             return RuleOutcome("unkillable-cycle", frozenset())
@@ -194,24 +191,27 @@ def detect_strong(formula: Formula, budget: int) -> BackdoorVerdict:
         raise ResourceLimitError(
             f"strong detection is limited to budget {MAX_STRONG_BUDGET}"
         )
-    inc = incidence_graph(formula)
-    if is_acyclic(inc.graph):
+    return _detect_strong(Residual.of(formula), budget)
+
+
+def _detect_strong(residual: Residual, budget: int) -> BackdoorVerdict:
+    if is_acyclic(residual.inc.graph, forbidden=residual.removed):
         # On a forest the dichotomy returns the empty feedback set.
         split = FeedbackSet(frozenset()) if budget else None
         return BackdoorVerdict.yes((), budget, split=split)
     if budget == 0:
         return BackdoorVerdict.no(0)
     params = StrongParameters.derive(budget)
-    split = disjoint_cycles_or_feedback(inc.graph, params.cycles)
+    split = disjoint_cycles_or_feedback(residual.inc.graph, params.cycles, residual.removed)
     if isinstance(split, FeedbackSet):
-        return replace(strong_exact_search(formula, budget), split=split)
-    pool = candidate_pool(strong_rule_outcome, formula, inc, split.cycles, params)
+        return replace(_strong_exact_search(residual, budget), split=split)
+    pool = candidate_pool(strong_rule_outcome, residual, split.cycles, params)
 
     def explore(candidate: int) -> Optional[BackdoorVerdict]:
-        high = detect_strong(formula.restrict({candidate: True}), budget - 1)
+        high = _detect_strong(residual.assign(candidate, True), budget - 1)
         if not high.found:
             return None
-        low = detect_strong(formula.restrict({candidate: False}), budget - 1)
+        low = _detect_strong(residual.assign(candidate, False), budget - 1)
         if not low.found:
             return None
         return BackdoorVerdict.yes(
@@ -233,25 +233,28 @@ def strong_exact_search(formula: Formula, budget: int) -> BackdoorVerdict:
     """
     if budget < 0:
         raise ContractError(f"budget must be >= 0, got {budget}")
-    inc = incidence_graph(formula)
+    return _strong_exact_search(Residual.of(formula), budget)
 
-    def probe(tau: Assignment) -> Optional[Assignment]:
-        return None if inc.residual_acyclic(tau) else tau
+
+def _strong_exact_search(root: Residual, budget: int) -> BackdoorVerdict:
+    # The nodes the root and `tau` remove, if they leave a cycle.
+    def probe(tau: Assignment) -> Optional[set]:
+        removed = root.inc.removed(tau) | root.removed
+        return None if is_acyclic(root.inc.graph, forbidden=removed) else removed
 
     def settle(candidate: frozenset[int]):
-        tau = first_hit(probe, assignments_over(candidate))
-        if tau is None:
+        removed = first_hit(probe, assignments_over(candidate))
+        if removed is None:
             return candidate, {}
         if len(candidate) == budget:
             return None
-        return Residual(inc, inc.removed(tau))
+        return Residual(root.inc, frozenset(removed), root.universe - candidate)
 
-    def moves(candidate: frozenset[int], inc: IncidenceGraph, cycle: Cycle):
+    def moves(candidate: frozenset[int], survivor: Residual, cycle: Cycle):
         cycle_vars = frozenset(cycle.variables)
-        # The survivor's universe is the formula's minus the candidate set.
-        outside = formula.universe - candidate - cycle_vars
+        outside = survivor.universe - cycle_vars
         extenders = cycle_vars | {
-            v for v in outside if opposite_sign_clauses(inc, v, cycle) is not None
+            v for v in outside if opposite_sign_clauses(survivor.inc, v, cycle) is not None
         }
         for variable in sorted(extenders):
             yield candidate | {variable}, variable, None
@@ -278,9 +281,9 @@ def detect_deletion(formula: Formula, budget: int) -> BackdoorVerdict:
         nodes = frozenset(var_node(v) for v in removed)
         if is_acyclic(inc.graph, forbidden=nodes):
             return frozenset(), {}
-        return Residual(inc, nodes) if len(removed) < budget else None
+        return Residual(inc, nodes, formula.universe - removed) if len(removed) < budget else None
 
-    def moves(removed: frozenset[int], inc: IncidenceGraph, cycle: Cycle):
+    def moves(removed: frozenset[int], survivor: Residual, cycle: Cycle):
         for variable in sorted(cycle.variables):
             yield removed | {variable}, variable, None
 

@@ -8,7 +8,8 @@ backdoor may touch directly is examined; the remaining cycles must be
 removed from outside, and selection rules either produce a small variable
 set that every conforming backdoor intersects or certify that none
 exists. Branching on that set with a reduced budget keeps the search
-fixed-parameter sized.
+fixed-parameter sized. Every branch assigns a variable on a
+`backdoors.Residual`, a view of the formula's one incidence graph.
 
 Rule identifiers (in application order):
   unkillable-cycle       some designated-external cycle has no outside
@@ -39,7 +40,6 @@ from .graphs import (
     FeedbackSet,
     IncidenceGraph,
     disjoint_cycles_or_feedback,
-    incidence_graph,
     is_acyclic,
 )
 from .workers import first_hit
@@ -93,10 +93,7 @@ class RuleOutcome:
 
 
 def weak_rule_outcome(
-    formula: Formula,
-    inc: IncidenceGraph,
-    choice: KillChoice,
-    params: WeakParameters,
+    inc: IncidenceGraph, choice: KillChoice, params: WeakParameters
 ) -> RuleOutcome:
     """Apply the first matching selection rule to one designation.
 
@@ -143,8 +140,7 @@ def weak_rule_outcome(
 
 def designations(
     rule: Callable[..., RuleOutcome],
-    formula: Formula,
-    inc: IncidenceGraph,
+    residual: Residual,
     packing: Sequence[Cycle],
     params: WeakParameters | StrongParameters,
 ) -> Iterator[tuple[KillChoice, RuleOutcome]]:
@@ -164,26 +160,25 @@ def designations(
     base = tuple(packing[: params.cycles])
     # The packed cycles are disjoint, so the universe minus the external
     # cycles' variables is the free variables plus the internal ones.
-    free = formula.universe.difference(v for c in base for v in c.variables)
+    free = residual.universe.difference(v for c in base for v in c.variables)
     for indices in itertools.combinations(range(params.cycles), params.budget):
         internal = tuple(base[i] for i in indices)
         external = tuple(c for i, c in enumerate(base) if i not in indices)
         pool = free.union(v for c in internal for v in c.variables)
         choice = KillChoice(internal, external, pool)
-        yield choice, rule(formula, inc, choice, params)
+        yield choice, rule(residual.inc, choice, params)
 
 
 def candidate_pool(
     rule: Callable[..., RuleOutcome],
-    formula: Formula,
-    inc: IncidenceGraph,
+    residual: Residual,
     packing: Sequence[Cycle],
     params: WeakParameters | StrongParameters,
 ) -> frozenset[int]:
     """Union of rule selections over every designation; every backdoor
     within budget intersects it, and an empty union certifies none exists."""
     pool: set[int] = set()
-    for _, outcome in designations(rule, formula, inc, packing, params):
+    for _, outcome in designations(rule, residual, packing, params):
         pool |= outcome.selected
     return frozenset(pool)
 
@@ -208,29 +203,28 @@ def detect_weak(
         raise ContractError(
             f"clause width {actual} exceeds declared bound {width}"
         )
-    return _detect_weak(formula, budget, max(3, width))
+    return _detect_weak(Residual.of(formula), budget, max(3, width))
 
 
-def _detect_weak(formula: Formula, budget: int, width: int) -> BackdoorVerdict:
-    inc = incidence_graph(formula)
-    if is_acyclic(inc.graph):
+def _detect_weak(residual: Residual, budget: int, width: int) -> BackdoorVerdict:
+    if is_acyclic(residual.inc.graph, forbidden=residual.removed):
         # On a forest the dichotomy returns the empty feedback set.
         split = FeedbackSet(frozenset()) if budget else None
-        if residual_satisfiable(inc, frozenset()):
+        if residual_satisfiable(residual.inc, residual.removed):
             return BackdoorVerdict.yes((), budget, {}, split)
         return BackdoorVerdict.no(budget, split)
     if budget == 0:
         return BackdoorVerdict.no(0)
     params = WeakParameters.derive(budget, width)
-    split = disjoint_cycles_or_feedback(inc.graph, params.cycles)
+    split = disjoint_cycles_or_feedback(residual.inc.graph, params.cycles, residual.removed)
     if isinstance(split, FeedbackSet):
-        return replace(weak_exact_search(formula, budget), split=split)
-    pool = candidate_pool(weak_rule_outcome, formula, inc, split.cycles, params)
+        return replace(_weak_exact_search(residual, budget), split=split)
+    pool = candidate_pool(weak_rule_outcome, residual, split.cycles, params)
     branches = [(s, value) for s in sorted(pool) for value in (False, True)]
 
     def explore(branch: tuple[int, bool]) -> Optional[BackdoorVerdict]:
         candidate, value = branch
-        sub = _detect_weak(formula.restrict({candidate: value}), budget - 1, width)
+        sub = _detect_weak(residual.assign(candidate, value), budget - 1, width)
         if not sub.found:
             return None
         witness = dict(sub.witness or {})
@@ -243,7 +237,7 @@ def _detect_weak(formula: Formula, budget: int, width: int) -> BackdoorVerdict:
 
 def weak_exact_search(formula: Formula, budget: int) -> BackdoorVerdict:
     """Exact weak backdoor search by cycle branching, memoized on the
-    restricted formula.
+    residual view of the formula's one incidence graph.
 
     Any weak backdoor must remove the chosen cycle: either it assigns one
     of the cycle's variables, or it satisfies one of the cycle's clauses
@@ -252,29 +246,33 @@ def weak_exact_search(formula: Formula, budget: int) -> BackdoorVerdict:
     """
     if budget < 0:
         raise ContractError(f"budget must be >= 0, got {budget}")
+    return _weak_exact_search(Residual.of(formula), budget)
 
-    def settle(state: tuple[Formula, int]):
-        current, remaining = state
-        if current.has_empty_clause():
-            # Restriction never removes an empty clause, so no witness can
-            # make any deeper restriction satisfiable.
-            return None
-        inc = incidence_graph(current)
-        if is_acyclic(inc.graph):
-            if not residual_satisfiable(inc, frozenset()):
+
+def _weak_exact_search(root: Residual, budget: int) -> BackdoorVerdict:
+    # Restriction never removes an empty clause, so no witness can satisfy it.
+    if root.has_empty_clause():
+        return BackdoorVerdict.no(budget)
+
+    def settle(state: tuple[Residual, int]):
+        residual, remaining = state
+        if is_acyclic(residual.inc.graph, forbidden=residual.removed):
+            if not residual_satisfiable(residual.inc, residual.removed):
                 return None
             return frozenset(), {}
-        return Residual(inc, frozenset()) if remaining else None
+        return residual if remaining else None
 
-    def moves(state: tuple[Formula, int], inc: IncidenceGraph, cycle: Cycle):
-        current, remaining = state
+    def moves(state: tuple[Residual, int], residual: Residual, cycle: Cycle):
         cycle_vars = frozenset(cycle.variables)
-        candidates = cycle_vars | external_killers(inc, cycle, current.universe - cycle_vars)
+        outside = residual.universe - cycle_vars
+        candidates = cycle_vars | external_killers(residual.inc, cycle, outside)
         for candidate in sorted(candidates):
             for value in (False, True):
-                yield (current.restrict({candidate: value}), remaining - 1), candidate, value
+                child = residual.assign(candidate, value)
+                if not child.has_empty_clause(candidate):  # only its clauses can empty
+                    yield (child, state[1] - 1), candidate, value
 
-    result = branch_on_cycles((formula, budget), settle, moves)
+    result = branch_on_cycles((root, budget), settle, moves)
     if result is None:
         return BackdoorVerdict.no(budget)
     variables, witness = result

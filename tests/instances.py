@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import random
 from collections import deque
+from dataclasses import replace
 from typing import Mapping
 
 from forestbd import (
@@ -20,7 +21,10 @@ from forestbd import (
     CyclicInputError,
     Formula,
     ModelCount,
+    ResourceLimitError,
     count_models,
+    disjoint_cycles_or_feedback,
+    hitting_set_formula,
     random_rcnf,
     satisfying_assignment,
 )
@@ -30,6 +34,7 @@ from forestbd.backdoors import (
     _guard_size,
     assignments_over,
     branch_on_cycles,
+    external_killers,
     opposite_sign_clauses,
 )
 from forestbd.formula import Assignment
@@ -46,7 +51,8 @@ from forestbd.graphs import (
     is_acyclic,
     var_node,
 )
-from forestbd.weak import KillChoice
+from forestbd.strong import MAX_STRONG_BUDGET, StrongParameters, strong_rule_outcome
+from forestbd.weak import KillChoice, WeakParameters, candidate_pool, weak_rule_outcome
 
 
 def triangle() -> Formula:
@@ -227,6 +233,37 @@ def random_instance(seed: int, max_n: int = 10, max_m: int = 15) -> Formula:
     rng = random.Random(seed)
     n = rng.randint(3, max_n)
     return random_rcnf(n, rng.randint(2, max_m), 3, rng.randint(0, 10**6))
+
+
+def random_hitting_formula(seed: int) -> Formula:
+    """The hitting-set reduction of one to four random sets over a universe
+    of two to five elements."""
+    rng = random.Random(seed)
+    universe = list(range(1, rng.randint(2, 5) + 1))
+    family = [rng.sample(universe, rng.randint(1, len(universe))) for _ in range(rng.randint(1, 4))]
+    return hitting_set_formula(family)
+
+
+def killer_gadgets(seed: int) -> Formula:
+    """Disjoint two-clause cycles (a b x) (a b -x), a few with x twice,
+    whose outside killers x are one to three shared variables, sometimes
+    with a unit clause on a killer. At budget 2 the detectors pack, branch
+    on a killer and recurse on residuals holding few cycles, so they pack
+    again or search exactly from a restricted root, at times with an
+    emptied clause."""
+    rng = random.Random(seed)
+    counts = [rng.randint(1, 12) for _ in range(rng.randint(1, 3))]
+    base = 2 * sum(counts)
+    killers = [base + 1 + j for j, count in enumerate(counts) for _ in range(count)]
+    rng.shuffle(killers)
+    clauses = []
+    for i, x in enumerate(killers):
+        a, b = 2 * i + 1, 2 * i + 2
+        clauses += [[a, b, x], [a, b, x if rng.random() < 0.2 else -x]]
+    for j in range(len(counts)):
+        if rng.random() < 0.3:
+            clauses.append([rng.choice((-1, 1)) * (base + 1 + j)])
+    return Formula.from_ints(clauses, num_vars=base + len(counts))
 
 
 def random_graph(seed: int, nodes: tuple[int, int], edges: tuple[int, int]) -> Graph:
@@ -439,13 +476,13 @@ def reference_strong_exact_search(formula: Formula, budget: int) -> BackdoorVerd
             return candidate, {}
         if len(candidate) == budget:
             return None
-        return Residual(inc, frozenset())
+        return Residual(inc, frozenset(), formula.universe - candidate)
 
-    def moves(candidate: frozenset[int], inc, cycle: Cycle):
+    def moves(candidate: frozenset[int], residual: Residual, cycle: Cycle):
         cycle_vars = frozenset(cycle.variables)
-        outside = formula.universe - candidate - cycle_vars
+        outside = residual.universe - cycle_vars
         extenders = cycle_vars | {
-            v for v in outside if opposite_sign_clauses(inc, v, cycle) is not None
+            v for v in outside if opposite_sign_clauses(residual.inc, v, cycle) is not None
         }
         for variable in sorted(extenders):
             yield candidate | {variable}, variable, None
@@ -456,6 +493,103 @@ def reference_strong_exact_search(formula: Formula, budget: int) -> BackdoorVerd
     return BackdoorVerdict.yes(result[0], budget)
 
 
+def reference_weak_exact_search(formula: Formula, budget: int) -> BackdoorVerdict:
+    """`weak.weak_exact_search` memoized on rebuilt restricted formulas."""
+    if budget < 0:
+        raise ContractError(f"budget must be >= 0, got {budget}")
+
+    def settle(state: tuple[Formula, int]):
+        current, remaining = state
+        if any(len(c) == 0 for c in current.clauses):
+            return None
+        inc = incidence_graph(current)
+        if is_acyclic(inc.graph):
+            return (frozenset(), {}) if satisfying_assignment(current) is not None else None
+        return Residual(inc, frozenset(), current.universe) if remaining else None
+
+    def moves(state: tuple[Formula, int], residual: Residual, cycle: Cycle):
+        current, remaining = state
+        cycle_vars = frozenset(cycle.variables)
+        candidates = cycle_vars | external_killers(
+            residual.inc, cycle, current.universe - cycle_vars
+        )
+        for candidate in sorted(candidates):
+            for value in (False, True):
+                yield (current.restrict({candidate: value}), remaining - 1), candidate, value
+
+    result = branch_on_cycles((formula, budget), settle, moves)
+    if result is None:
+        return BackdoorVerdict.no(budget)
+    variables, witness = result
+    return BackdoorVerdict.yes(variables, budget, witness)
+
+
+def reference_detect_weak(
+    formula: Formula, budget: int, width: int | None = None
+) -> BackdoorVerdict:
+    """`weak.detect_weak` recursing on rebuilt restrictions."""
+    if budget < 0:
+        raise ContractError(f"budget must be >= 0, got {budget}")
+    actual = formula.max_clause_width()
+    if width is None:
+        width = max(3, actual)
+    if actual > width:
+        raise ContractError(f"clause width {actual} exceeds declared bound {width}")
+    return _reference_detect_weak(formula, budget, max(3, width))
+
+
+def _reference_detect_weak(formula: Formula, budget: int, width: int) -> BackdoorVerdict:
+    whole = Residual.of(formula)
+    if is_acyclic(whole.inc.graph):
+        split = FeedbackSet(frozenset()) if budget else None
+        if satisfying_assignment(formula) is not None:
+            return BackdoorVerdict.yes((), budget, {}, split)
+        return BackdoorVerdict.no(budget, split)
+    if budget == 0:
+        return BackdoorVerdict.no(0)
+    params = WeakParameters.derive(budget, width)
+    split = disjoint_cycles_or_feedback(whole.inc.graph, params.cycles)
+    if isinstance(split, FeedbackSet):
+        return replace(reference_weak_exact_search(formula, budget), split=split)
+    pool = candidate_pool(weak_rule_outcome, whole, split.cycles, params)
+    for candidate in sorted(pool):
+        for value in (False, True):
+            rest = formula.restrict({candidate: value})
+            sub = _reference_detect_weak(rest, budget - 1, width)
+            if sub.found:
+                witness = {**sub.witness, candidate: value}
+                return BackdoorVerdict.yes(sub.variables | {candidate}, budget, witness, split)
+    return BackdoorVerdict.no(budget, split)
+
+
+def reference_detect_strong(formula: Formula, budget: int) -> BackdoorVerdict:
+    """`strong.detect_strong` recursing on rebuilt restrictions."""
+    if budget < 0:
+        raise ContractError(f"budget must be >= 0, got {budget}")
+    if budget > MAX_STRONG_BUDGET:
+        raise ResourceLimitError(f"strong detection is limited to budget {MAX_STRONG_BUDGET}")
+    whole = Residual.of(formula)
+    if is_acyclic(whole.inc.graph):
+        split = FeedbackSet(frozenset()) if budget else None
+        return BackdoorVerdict.yes((), budget, split=split)
+    if budget == 0:
+        return BackdoorVerdict.no(0)
+    params = StrongParameters.derive(budget)
+    split = disjoint_cycles_or_feedback(whole.inc.graph, params.cycles)
+    if isinstance(split, FeedbackSet):
+        return replace(reference_strong_exact_search(formula, budget), split=split)
+    pool = candidate_pool(strong_rule_outcome, whole, split.cycles, params)
+    for candidate in sorted(pool):
+        high = reference_detect_strong(formula.restrict({candidate: True}), budget - 1)
+        if not high.found:
+            continue
+        low = reference_detect_strong(formula.restrict({candidate: False}), budget - 1)
+        if low.found:
+            variables = high.variables | low.variables | {candidate}
+            return BackdoorVerdict.yes(variables, budget, split=split)
+    return BackdoorVerdict.no(budget, split)
+
+
 def reference_detect_deletion(formula: Formula, budget: int) -> BackdoorVerdict:
     """`strong.detect_deletion` with each state's deletion and its incidence
     graph rebuilt."""
@@ -463,12 +597,13 @@ def reference_detect_deletion(formula: Formula, budget: int) -> BackdoorVerdict:
         raise ContractError(f"budget must be >= 0, got {budget}")
 
     def settle(removed: frozenset[int]):
-        inc = incidence_graph(formula.without_variables(removed))
+        rest = formula.without_variables(removed)
+        inc = incidence_graph(rest)
         if is_acyclic(inc.graph):
             return frozenset(), {}
-        return Residual(inc, frozenset()) if len(removed) < budget else None
+        return Residual(inc, frozenset(), rest.universe) if len(removed) < budget else None
 
-    def moves(removed: frozenset[int], inc, cycle: Cycle):
+    def moves(removed: frozenset[int], residual: Residual, cycle: Cycle):
         for variable in sorted(cycle.variables):
             yield removed | {variable}, variable, None
 

@@ -32,6 +32,7 @@ from forestbd import (
     satisfying_assignment,
     weak_backdoor_witness,
 )
+from forestbd.backdoors import Residual
 from forestbd.strong import StrongParameters, strong_rule_outcome
 from forestbd.weak import WeakParameters, designations, weak_rule_outcome
 from instances import (
@@ -307,12 +308,12 @@ def test_criterion_8_rule_soundness_audit():
         if len(weak_targets) >= 29:
             break
     for f, budget in weak_targets:
-        inc = incidence_graph(f)
+        residual = Residual.of(f)
         params = WeakParameters.derive(budget, max(3, f.max_clause_width()))
-        split = disjoint_cycles_or_feedback(inc.graph, params.cycles)
+        split = disjoint_cycles_or_feedback(residual.inc.graph, params.cycles)
         if not isinstance(split, CyclePacking):
             continue
-        for choice, outcome in designations(weak_rule_outcome, f, inc, split.cycles, params):
+        for choice, outcome in designations(weak_rule_outcome, residual, split.cycles, params):
             assert rule_selection_sound(
                 f, choice, outcome.selected, budget, "weak"
             ), (outcome.rule, sorted(outcome.selected))
@@ -328,12 +329,12 @@ def test_criterion_8_rule_soundness_audit():
         (eleven_islands(), 2),
     ]
     for f, budget in strong_targets:
-        inc = incidence_graph(f)
+        residual = Residual.of(f)
         params = StrongParameters.derive(budget)
-        split = disjoint_cycles_or_feedback(inc.graph, params.cycles)
+        split = disjoint_cycles_or_feedback(residual.inc.graph, params.cycles)
         if not isinstance(split, CyclePacking):
             continue
-        for choice, outcome in designations(strong_rule_outcome, f, inc, split.cycles, params):
+        for choice, outcome in designations(strong_rule_outcome, residual, split.cycles, params):
             assert rule_selection_sound(
                 f, choice, outcome.selected, budget, "strong"
             ), (outcome.rule, sorted(outcome.selected))

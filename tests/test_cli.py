@@ -102,6 +102,31 @@ class TestExitCodes:
         assert code == 2
         assert "not ASCII" in err
 
+    @pytest.mark.parametrize(
+        "text",
+        ["p cnf 1_0 2\n1_0 -2 0\n1 0\n", "p cnf 2 1\n+1 -2 0\n", "p cnf +2 1\n1 0\n"],
+        ids=["underscore", "plus-literal", "plus-header"],
+    )
+    def test_python_only_integers_in_dimacs(self, tmp_path, text):
+        path = tmp_path / "spelled.cnf"
+        path.write_text(text, encoding="ascii")
+        code, out, err = run(["stats", "--cnf", str(path), "--json"])
+        assert (code, out) == (2, "")
+        assert "not plain decimal integers" in err
+
+    @pytest.mark.parametrize(
+        "ids", ["1_0", "1,\u0662", "\uff11"], ids=["underscore", "arabic-indic", "fullwidth"]
+    )
+    def test_python_only_integers_in_variable_lists(self, grid3, ids):
+        for argv in (
+            ["verify", "--cnf", grid3, "--kind", "strong", "--set", ids],
+            ["count", "--cnf", grid3, "--backdoor", ids],
+            ["gen", "hitting", "--sets", f"1;{ids}"],
+        ):
+            code, out, err = run(argv)
+            assert (code, out) == (2, ""), argv
+            assert "bad variable list" in err
+
     def test_resource_guard(self, triangle_file):
         code, _, err = run(["detect", "strong", "--cnf", triangle_file, "-k", "9"])
         assert code == 3

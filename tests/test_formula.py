@@ -50,7 +50,8 @@ class TestParse:
         assert f.universe == frozenset({2, 5})
 
     def test_comments_and_multiline_clauses(self):
-        f = parse_dimacs("c header comment\np cnf 3 2\n1 2\n3 0 -1\n-3 0\n")
+        # Comments may hold what clause data may not.
+        f = parse_dimacs("c header comment\nc a_b +1 caf\u00e9\np cnf 3 2\n1 2\n3 0 -1\n-3 0\n")
         assert f.num_clauses == 2
         assert f.clauses[0].sorted_ints() == (1, 2, 3)
 
@@ -73,6 +74,21 @@ class TestParse:
     )
     def test_malformed(self, text):
         with pytest.raises(DimacsError):
+            parse_dimacs(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "p cnf 1_0 2\n1 -2 0\n1 0\n",  # header count
+            "p cnf 10 2\n1_0 -2 0\n1 0\n",  # literal
+            "p cnf 2 1\n+1 -2 0\n",
+            "p cnf +2 1\n1 0\n",
+            "p cnf 2 1\n\u0661 0\n",  # ARABIC-INDIC DIGIT ONE
+        ],
+    )
+    def test_python_only_integer_spellings(self, text):
+        # int() reads every one of these; DIMACS has none of them.
+        with pytest.raises(DimacsError, match="not plain decimal integers"):
             parse_dimacs(text)
 
 

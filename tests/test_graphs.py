@@ -142,6 +142,29 @@ class TestRestrictionView:
             )
         assert shortest_cycle(inc.graph, forbidden=removed) == rebuilt
 
+    @given(st.integers(0, 100_000), st.integers(1, 4))
+    @settings(max_examples=200, deadline=None)
+    def test_view_packing_is_rebuilt_packing(self, seed, count):
+        rng = random.Random(seed)
+        f = random_rcnf(rng.randint(3, 12), rng.randint(1, 24), 3, seed)
+        tau = random_partial(rng, f)
+        inc = incidence_graph(f)
+        removed = inc.removed(tau)
+        kept = [i for i, c in enumerate(f.clauses) if not c.satisfied_by(tau)]
+
+        def mapped_back(nodes):
+            return tuple(clause_node(kept[n[1]]) if n[0] == "clause" else n for n in nodes)
+
+        rebuilt = disjoint_cycles_or_feedback(incidence_graph(f.restrict(tau)).graph, count)
+        if isinstance(rebuilt, CyclePacking):
+            rebuilt = CyclePacking(tuple(Cycle(mapped_back(c.nodes)) for c in rebuilt.cycles))
+        else:
+            rebuilt = FeedbackSet(frozenset(mapped_back(rebuilt.nodes)))
+        view = disjoint_cycles_or_feedback(inc.graph, count, forbidden=removed)
+        assert view == rebuilt
+        if isinstance(view, FeedbackSet):
+            assert not view.nodes & removed
+
 
 class TestAcyclicity:
     def test_star_is_acyclic(self):

@@ -20,6 +20,7 @@ from forestbd import (
     count_with_backdoor,
     detect_deletion,
     detect_strong,
+    detect_weak,
     disjoint_cycles_or_feedback,
     grid_formula,
     incidence_graph,
@@ -29,8 +30,10 @@ from forestbd import (
     shortest_cycle,
     strong_exact_search,
     weak_backdoor_witness,
+    weak_exact_search,
 )
-from forestbd import acyclic, backdoors, graphs, strong
+from forestbd import acyclic, backdoors, graphs, strong, weak
+from forestbd.backdoors import Residual
 from forestbd.graphs import clause_node, var_node
 from forestbd.strong import (
     StrongParameters,
@@ -39,13 +42,19 @@ from forestbd.strong import (
     strong_rule_outcome,
 )
 from forestbd.weak import candidate_pool, designations
+import instances
 from instances import (
     direct_strong,
     disjoint_triangles,
+    killer_gadgets,
+    random_hitting_formula,
     random_instance,
     reference_count_with_backdoor,
     reference_detect_deletion,
+    reference_detect_strong,
+    reference_detect_weak,
     reference_strong_exact_search,
+    reference_weak_exact_search,
     reference_weak_witness,
     ring_cycle,
     rule_selection_sound,
@@ -93,7 +102,7 @@ class TestApexCycle:
         f = Formula.from_ints([[1, 2, 3], [1, 2, -3]], num_vars=3)
         inc = incidence_graph(f)
         cycle = shortest_cycle(inc.graph, forbidden={var_node(3)})
-        apex = build_apex_cycle(f, inc, cycle, frozenset({3}))
+        apex = build_apex_cycle(inc, cycle, frozenset({3}))
         assert apex is not None
         assert apex.apex == 3
         assert (apex.pos_clause, apex.neg_clause) == (0, 1)
@@ -105,7 +114,7 @@ class TestApexCycle:
         f = Formula.from_ints([[1, 2, 3], [1, 2, 3]], num_vars=3)
         inc = incidence_graph(f)
         cycle = shortest_cycle(inc.graph, forbidden={var_node(3)})
-        assert build_apex_cycle(f, inc, cycle, frozenset({3})) is None
+        assert build_apex_cycle(inc, cycle, frozenset({3})) is None
 
     def test_inner_pair_wins_minimality(self):
         # Ring of six clauses; w kills at the distant pair (0, 3), z at the
@@ -126,7 +135,7 @@ class TestApexCycle:
         f = Formula.from_ints(clauses, num_vars=8)
         inc = incidence_graph(f)
         base = ring_cycle([2, 3, 4, 5, 6, 1], [1, 2, 3, 4, 5, 0])
-        apex = build_apex_cycle(f, inc, base, frozenset({7, 8}))
+        apex = build_apex_cycle(inc, base, frozenset({7, 8}))
         assert apex.apex == 8
         assert (apex.pos_clause, apex.neg_clause) == (1, 2)
         assert arc_killing_pairs(f, inc, apex, frozenset({7, 8})) == {
@@ -151,7 +160,7 @@ class TestApexCycle:
                 list(range(1, ring)) + [0],
             )
             pool = frozenset(range(ring + 1, ring + extras + 1))
-            apex = build_apex_cycle(f, inc, base, pool)
+            apex = build_apex_cycle(inc, base, pool)
             assert apex is not None
             endpoint_pair = frozenset({apex.pos_clause, apex.neg_clause})
             assert arc_killing_pairs(f, inc, apex, pool) <= {endpoint_pair}
@@ -166,7 +175,7 @@ class TestApexKillers:
         cycle = shortest_cycle(
             inc.graph, forbidden={var_node(v) for v in (3, 4, 5, 6, 7)} | {clause_node(2)}
         )
-        apex = build_apex_cycle(f, inc, cycle, frozenset({3, 4, 5, 6, 7}))
+        apex = build_apex_cycle(inc, cycle, frozenset({3, 4, 5, 6, 7}))
         return f, inc, apex
 
     def test_opposite_pair_included_same_sign_excluded(self):
@@ -182,13 +191,13 @@ class TestApexKillers:
 class TestRules:
     def test_lone_killer(self):
         f = strong_lone_killer()
-        inc = incidence_graph(f)
-        split = disjoint_cycles_or_feedback(inc.graph, 3)
+        residual = Residual.of(f)
+        split = disjoint_cycles_or_feedback(residual.inc.graph, 3)
         assert isinstance(split, CyclePacking)
         fired = dict(
             (outcome.rule, (choice, outcome))
             for choice, outcome in designations(
-                strong_rule_outcome, f, inc, split.cycles, StrongParameters.derive(1)
+                strong_rule_outcome, residual, split.cycles, StrongParameters.derive(1)
             )
         )
         assert "lone-killer" in fired
@@ -198,10 +207,10 @@ class TestRules:
 
     def test_killer_pair(self):
         f = strong_pair()
-        inc = incidence_graph(f)
-        split = disjoint_cycles_or_feedback(inc.graph, 3)
+        residual = Residual.of(f)
+        split = disjoint_cycles_or_feedback(residual.inc.graph, 3)
         outcomes = list(
-            designations(strong_rule_outcome, f, inc, split.cycles, StrongParameters.derive(1))
+            designations(strong_rule_outcome, residual, split.cycles, StrongParameters.derive(1))
         )
         pair_hits = [
             (choice, outcome)
@@ -215,10 +224,10 @@ class TestRules:
 
     def test_saturated(self):
         f = strong_saturated()
-        inc = incidence_graph(f)
-        split = disjoint_cycles_or_feedback(inc.graph, 3)
+        residual = Residual.of(f)
+        split = disjoint_cycles_or_feedback(residual.inc.graph, 3)
         outcomes = list(
-            designations(strong_rule_outcome, f, inc, split.cycles, StrongParameters.derive(1))
+            designations(strong_rule_outcome, residual, split.cycles, StrongParameters.derive(1))
         )
         saturated = [
             (choice, outcome)
@@ -232,10 +241,10 @@ class TestRules:
 
     def test_unkillable(self):
         f = three_islands()
-        inc = incidence_graph(f)
-        split = disjoint_cycles_or_feedback(inc.graph, 3)
+        residual = Residual.of(f)
+        split = disjoint_cycles_or_feedback(residual.inc.graph, 3)
         for choice, outcome in designations(
-            strong_rule_outcome, f, inc, split.cycles, StrongParameters.derive(1)
+            strong_rule_outcome, residual, split.cycles, StrongParameters.derive(1)
         ):
             assert outcome.rule == "unkillable-cycle"
             assert outcome.selected == frozenset()
@@ -243,12 +252,12 @@ class TestRules:
 
     def test_selection_never_exceeds_two(self):
         for f in (strong_pair(), strong_saturated(), strong_lone_killer(), grid_formula(4)):
-            inc = incidence_graph(f)
-            split = disjoint_cycles_or_feedback(inc.graph, 3)
+            residual = Residual.of(f)
+            split = disjoint_cycles_or_feedback(residual.inc.graph, 3)
             if not isinstance(split, CyclePacking):
                 continue
             for _, outcome in designations(
-                strong_rule_outcome, f, inc, split.cycles, StrongParameters.derive(1)
+                strong_rule_outcome, residual, split.cycles, StrongParameters.derive(1)
             ):
                 assert len(outcome.selected) <= 2
 
@@ -257,27 +266,27 @@ class TestDesignationGuard:
     def test_refuses_before_first_designation(self):
         # C(133, 4) = 12,457,445 designations at budget 4.
         f = disjoint_triangles(133)
-        inc = incidence_graph(f)
-        split = disjoint_cycles_or_feedback(inc.graph, 133)
+        residual = Residual.of(f)
+        split = disjoint_cycles_or_feedback(residual.inc.graph, 133)
         assert isinstance(split, CyclePacking)
         with pytest.raises(ResourceLimitError):
-            next(designations(strong_rule_outcome, f, inc, split.cycles, StrongParameters.derive(4)))
+            next(designations(strong_rule_outcome, residual, split.cycles, StrongParameters.derive(4)))
 
 
 class TestCandidatePool:
     def test_grid_pool_contains_extra_variable(self):
         f = grid_formula(4)
-        inc = incidence_graph(f)
-        split = disjoint_cycles_or_feedback(inc.graph, 3)
+        residual = Residual.of(f)
+        split = disjoint_cycles_or_feedback(residual.inc.graph, 3)
         assert isinstance(split, CyclePacking)
-        pool = candidate_pool(strong_rule_outcome, f, inc, split.cycles, StrongParameters.derive(1))
+        pool = candidate_pool(strong_rule_outcome, residual, split.cycles, StrongParameters.derive(1))
         assert 17 in pool
 
     def test_islands_certify_no(self):
         f = three_islands()
-        inc = incidence_graph(f)
-        split = disjoint_cycles_or_feedback(inc.graph, 3)
-        pool = candidate_pool(strong_rule_outcome, f, inc, split.cycles, StrongParameters.derive(1))
+        residual = Residual.of(f)
+        split = disjoint_cycles_or_feedback(residual.inc.graph, 3)
+        pool = candidate_pool(strong_rule_outcome, residual, split.cycles, StrongParameters.derive(1))
         assert pool == frozenset()
 
 
@@ -471,6 +480,8 @@ VIEW_FAMILIES = {
     "random-3cnf": lambda: [random_instance(seed + 40_000) for seed in range(100)],
     "grids": lambda: [grid_formula(size) for size in range(2, 7)],
     "triangles": lambda: [disjoint_triangles(count) for count in (1, 2, 5)],
+    "hitting-sets": lambda: [random_hitting_formula(seed + 70_000) for seed in range(20)],
+    "killer-gadgets": lambda: [killer_gadgets(seed + 95_000) for seed in range(60)],
 }
 
 
@@ -493,28 +504,46 @@ def candidate_sets(formula: Formula, rng: random.Random) -> list[list[int]]:
     return sets
 
 
+def same_outcome(mine, reference) -> None:
+    """Equal verdicts, sets, witnesses and splits, or equal error types and
+    messages."""
+    assert mine == reference
+    if isinstance(mine, BackdoorVerdict):
+        assert mine.witness == reference.witness
+        assert mine.split == reference.split
+
+
 class TestViewsAgainstRebuild:
     """The views give what rebuilding every restriction or deletion gave."""
+
+    @pytest.mark.parametrize("family", sorted(VIEW_FAMILIES))
+    @pytest.mark.parametrize(
+        "search, reference",
+        [
+            (detect_weak, reference_detect_weak),
+            (detect_strong, reference_detect_strong),
+            (weak_exact_search, reference_weak_exact_search),
+        ],
+        ids=["detect_weak", "detect_strong", "weak_exact_search"],
+    )
+    def test_detectors(self, family, search, reference):
+        for f in VIEW_FAMILIES[family]():
+            for budget in (-1, 0, 1, 2):
+                same_outcome(outcome(search, f, budget), outcome(reference, f, budget))
 
     @pytest.mark.parametrize("family", sorted(VIEW_FAMILIES))
     def test_strong_exact_search(self, family):
         for f in VIEW_FAMILIES[family]():
             for budget in (-1, 0, 1, 2):
                 mine = outcome(strong_exact_search, f, budget)
-                reference = outcome(reference_strong_exact_search, f, budget)
-                assert mine == reference
-                if isinstance(mine, BackdoorVerdict):
-                    assert mine.witness == reference.witness
+                same_outcome(mine, outcome(reference_strong_exact_search, f, budget))
 
     @pytest.mark.parametrize("family", sorted(VIEW_FAMILIES))
     def test_detect_deletion(self, family):
         for f in VIEW_FAMILIES[family]():
             for budget in (-1, 0, 1, 2, 3):
                 mine = outcome(detect_deletion, f, budget)
-                reference = outcome(reference_detect_deletion, f, budget)
-                assert mine == reference
-                if isinstance(mine, BackdoorVerdict):
-                    assert mine.witness == reference.witness
+                same_outcome(mine, outcome(reference_detect_deletion, f, budget))
 
     @pytest.mark.parametrize("family", sorted(VIEW_FAMILIES))
     def test_count_with_backdoor(self, family):
@@ -536,6 +565,69 @@ class TestViewsAgainstRebuild:
                 assert weak_backdoor_witness(f, cutset) == reference_weak_witness(f, cutset)
 
 
+def count_settles(monkeypatch, check=None) -> list[int]:
+    """Patch the weak module's and the references' `branch_on_cycles` so
+    that every `settle` call is counted in the returned one-item list, and
+    passed to `check(state)` first if given."""
+    count = [0]
+    branch = backdoors.branch_on_cycles
+
+    def counted_branch(root, settle, moves):
+        def counted(state):
+            count[0] += 1
+            if check is not None:
+                check(state)
+            return settle(state)
+
+        return branch(root, counted, moves)
+
+    monkeypatch.setattr(weak, "branch_on_cycles", counted_branch)
+    monkeypatch.setattr(instances, "branch_on_cycles", counted_branch)
+    return count
+
+
+@pytest.mark.parametrize("family", sorted(VIEW_FAMILIES))
+def test_view_memo_settles_no_more_states(monkeypatch, family):
+    """Memoizing the weak search on the view instead of the rebuilt formula
+    gives up only merges of assignments that leave equal clause lists: none
+    here but on random 3-CNF, and under 1% there."""
+    count = count_settles(monkeypatch)
+    settled = []
+    for calls in (
+        (detect_weak, weak_exact_search),
+        (reference_detect_weak, reference_weak_exact_search),
+    ):
+        count[0] = 0
+        for f in VIEW_FAMILIES[family]():
+            for budget in (1, 2):
+                for call in calls:
+                    outcome(call, f, budget)
+        settled.append(count[0])
+    mine, reference = settled
+    slack = 0.01 if family == "random-3cnf" else 0
+    assert 0 < mine <= reference * (1 + slack)
+
+
+def test_weak_search_never_settles_an_emptied_residual(monkeypatch):
+    """Restriction never removes an empty clause, so the weak search prunes
+    every residual holding one before settling it."""
+
+    def check(state):
+        if isinstance(state[0], Residual):
+            assert not state[0].has_empty_clause()
+
+    count_settles(monkeypatch, check)
+    formulas = VIEW_FAMILIES["killer-gadgets"]()
+    for seed in range(60):
+        rng = random.Random(seed + 80_000)
+        n = rng.randint(4, 9)
+        formulas.append(random_rcnf(n, rng.randint(n, 3 * n), rng.choice((2, 3)), seed))
+    for f in formulas:
+        for budget in (1, 2):
+            assert weak_exact_search(f, budget) == reference_weak_exact_search(f, budget)
+            assert detect_weak(f, budget) == reference_detect_weak(f, budget)
+
+
 def test_verification_and_exact_searches_never_rebuild(monkeypatch):
     """Each call builds its formula's incidence graph once and no residual
     formula at all."""
@@ -544,6 +636,8 @@ def test_verification_and_exact_searches_never_rebuild(monkeypatch):
         raise AssertionError("a residual formula was rebuilt")
 
     f = grid_formula(3)
+    # Grid 4 packs enough cycles to take the designation route.
+    g = grid_formula(4)
     models = brute_count(f, f.universe)
     monkeypatch.setattr(Formula, "restrict", refuse)
     monkeypatch.setattr(Formula, "without_variables", refuse)
@@ -554,9 +648,14 @@ def test_verification_and_exact_searches_never_rebuild(monkeypatch):
         builds.append(formula)
         return build(formula)
 
-    for module in (graphs, acyclic, backdoors, strong):
-        monkeypatch.setattr(module, "incidence_graph", counted)
+    for module in (graphs, acyclic, backdoors, strong, weak):
+        monkeypatch.setattr(module, "incidence_graph", counted, raising=False)
     calls = [
+        (detect_weak, (f, 1), BackdoorVerdict.yes({10}, 1)),
+        (detect_weak, (g, 1), BackdoorVerdict.yes({17}, 1)),
+        (detect_strong, (f, 1), BackdoorVerdict.yes({10}, 1)),
+        (detect_strong, (g, 1), BackdoorVerdict.yes({17}, 1)),
+        (weak_exact_search, (f, 1), BackdoorVerdict.yes({10}, 1)),
         (is_strong_backdoor, (f, {10}), True),
         (is_deletion_backdoor, (f, {5}), False),
         (weak_backdoor_witness, (f, {10}), {10: False}),
@@ -568,4 +667,4 @@ def test_verification_and_exact_searches_never_rebuild(monkeypatch):
         builds.clear()
         result = call(*args)
         assert (result.count if call is count_with_backdoor else result) == expected
-        assert builds == [f], call.__name__
+        assert builds == [args[0]], call.__name__

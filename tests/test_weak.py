@@ -22,6 +22,7 @@ from forestbd import (
     weak_backdoor_witness,
     weak_exact_search,
 )
+from forestbd.backdoors import Residual
 from forestbd.strong import StrongParameters
 from forestbd.weak import (
     RuleOutcome,
@@ -75,12 +76,12 @@ class TestRules:
 
     def test_unkillable_cycle(self):
         f = three_islands()
-        inc = incidence_graph(f)
-        split = disjoint_cycles_or_feedback(inc.graph, 3)
+        residual = Residual.of(f)
+        split = disjoint_cycles_or_feedback(residual.inc.graph, 3)
         assert isinstance(split, CyclePacking)
         # The first designation makes cycle 0 internal.
         choice, outcome = next(
-            designations(weak_rule_outcome, f, inc, split.cycles, self.params())
+            designations(weak_rule_outcome, residual, split.cycles, self.params())
         )
         assert choice.internal == split.cycles[:1]
         assert outcome.rule == "unkillable-cycle"
@@ -90,7 +91,7 @@ class TestRules:
     def test_concentrated_killers(self):
         f = heavy_sparse_ring()
         choice = manufactured_choice(f, heavy_sparse_cycles())
-        outcome = weak_rule_outcome(f, incidence_graph(f), choice, self.params())
+        outcome = weak_rule_outcome(incidence_graph(f), choice, self.params())
         assert outcome.rule == "concentrated-killers"
         assert outcome.selected == frozenset({9})
         assert rule_selection_sound(f, choice, outcome.selected, 1, "weak")
@@ -98,7 +99,7 @@ class TestRules:
     def test_dominant_killer(self):
         f = heavy_dense_ring()
         choice = manufactured_choice(f, heavy_dense_cycles())
-        outcome = weak_rule_outcome(f, incidence_graph(f), choice, self.params())
+        outcome = weak_rule_outcome(incidence_graph(f), choice, self.params())
         assert outcome.rule == "dominant-killer"
         assert outcome.selected == frozenset({17})
         assert rule_selection_sound(f, choice, outcome.selected, 1, "weak")
@@ -106,7 +107,7 @@ class TestRules:
     def test_killer_overlap_excess(self):
         f = overlap_rings()
         choice = manufactured_choice(f, overlap_ring_cycles())
-        outcome = weak_rule_outcome(f, incidence_graph(f), choice, self.params())
+        outcome = weak_rule_outcome(incidence_graph(f), choice, self.params())
         assert outcome.rule == "killer-overlap-excess"
         assert outcome.selected == frozenset()
         assert rule_selection_sound(f, choice, outcome.selected, 1, "weak")
@@ -114,7 +115,7 @@ class TestRules:
     def test_shared_killers(self):
         f = shared_killer_square()
         choice = manufactured_choice(f, shared_killer_cycles())
-        outcome = weak_rule_outcome(f, incidence_graph(f), choice, self.params())
+        outcome = weak_rule_outcome(incidence_graph(f), choice, self.params())
         assert outcome.rule == "shared-killers"
         assert outcome.selected == frozenset({5})
         assert rule_selection_sound(f, choice, outcome.selected, 1, "weak")
@@ -123,34 +124,34 @@ class TestRules:
 class TestCandidatePool:
     def test_islands_certify_no(self):
         f = three_islands()
-        inc = incidence_graph(f)
-        split = disjoint_cycles_or_feedback(inc.graph, 3)
-        pool = candidate_pool(weak_rule_outcome, f, inc, split.cycles, WeakParameters.derive(1, 3))
+        residual = Residual.of(f)
+        split = disjoint_cycles_or_feedback(residual.inc.graph, 3)
+        pool = candidate_pool(weak_rule_outcome, residual, split.cycles, WeakParameters.derive(1, 3))
         assert pool == frozenset()
         assert brute_min_backdoor(f, "weak", 1).optimum is None
 
     def test_grid_pool_contains_extra_variable(self):
         f = grid_formula(4)
-        inc = incidence_graph(f)
-        split = disjoint_cycles_or_feedback(inc.graph, 3)
+        residual = Residual.of(f)
+        split = disjoint_cycles_or_feedback(residual.inc.graph, 3)
         assert isinstance(split, CyclePacking)
-        pool = candidate_pool(weak_rule_outcome, f, inc, split.cycles, WeakParameters.derive(1, 3))
+        pool = candidate_pool(weak_rule_outcome, residual, split.cycles, WeakParameters.derive(1, 3))
         assert 17 in pool
 
     def test_every_outcome_is_sound(self):
         f = grid_formula(4)
-        inc = incidence_graph(f)
-        split = disjoint_cycles_or_feedback(inc.graph, 3)
+        residual = Residual.of(f)
+        split = disjoint_cycles_or_feedback(residual.inc.graph, 3)
         for choice, outcome in designations(
-            weak_rule_outcome, f, inc, split.cycles, WeakParameters.derive(1, 3)
+            weak_rule_outcome, residual, split.cycles, WeakParameters.derive(1, 3)
         ):
             assert rule_selection_sound(f, choice, outcome.selected, 1, "weak")
 
     def test_requires_enough_cycles(self):
         f = triangle()
-        inc = incidence_graph(f)
+        residual = Residual.of(f)
         with pytest.raises(ContractError):
-            candidate_pool(weak_rule_outcome, f, inc, (), WeakParameters.derive(1, 3))
+            candidate_pool(weak_rule_outcome, residual, (), WeakParameters.derive(1, 3))
 
 
 class TestDesignations:
@@ -163,7 +164,7 @@ class TestDesignations:
     @pytest.mark.parametrize("name", list(FORMULAS))
     def test_pool_is_universe_minus_external_variables(self, name):
         formula = self.FORMULAS[name]()
-        inc = incidence_graph(formula)
+        residual = Residual.of(formula)
 
         def no_rule(*_):
             return RuleOutcome("none", frozenset())
@@ -171,10 +172,10 @@ class TestDesignations:
         checked = 0
         for budget in (1, 2, 3):
             for params in (WeakParameters.derive(budget, 3), StrongParameters.derive(budget)):
-                split = disjoint_cycles_or_feedback(inc.graph, params.cycles)
+                split = disjoint_cycles_or_feedback(residual.inc.graph, params.cycles)
                 if not isinstance(split, CyclePacking):
                     continue
-                for choice, _ in designations(no_rule, formula, inc, split.cycles, params):
+                for choice, _ in designations(no_rule, residual, split.cycles, params):
                     barred = {v for c in choice.external for v in c.variables}
                     assert choice.pool == formula.universe - barred
                     assert len(choice.internal) == budget
