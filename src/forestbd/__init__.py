@@ -10,6 +10,7 @@ from .backdoors import (
     BackdoorVerdict,
     is_deletion_backdoor,
     is_strong_backdoor,
+    restriction_is_acyclic,
     weak_backdoor_witness,
 )
 from .errors import (
@@ -28,7 +29,6 @@ from .graphs import (
     disjoint_cycles_or_feedback,
     incidence_graph,
     is_acyclic,
-    restriction_is_acyclic,
     shortest_cycle,
 )
 from .oracle import OracleReport, brute_count, brute_min_backdoor

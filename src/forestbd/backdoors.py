@@ -6,16 +6,16 @@ leaves the incidence graph acyclic, a strong backdoor when every
 assignment of it yields an acyclic restriction, and a weak backdoor when
 some assignment yields an acyclic and satisfiable restriction.
 
-The exponential verification loops walk assignments in lexicographic
-order (variables ascending, False before True) on views of the formula's
-one incidence graph, never rebuilding a restriction.
+A restriction or deletion is a `Residual`, a view of the formula's one
+incidence graph. The exponential loops walk `Residual.completions`:
+assignments in lexicographic order (variables ascending, False before
+True), each step assigning one variable on its prefix's view.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, TypeVar, Union
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, TypeVar, Union
 
 from .acyclic import residual_satisfiable
 from .errors import ContractError, ResourceLimitError
@@ -27,7 +27,6 @@ from .graphs import (
     Node,
     PackingOrFeedback,
     incidence_graph,
-    is_acyclic,
     shortest_cycle,
     var_node,
 )
@@ -42,8 +41,8 @@ Found = tuple[frozenset[int], Assignment]
 
 
 class Residual(NamedTuple):
-    """A formula restricted by an assignment, as the view `inc` minus
-    `removed`; `universe` holds the variables left unassigned."""
+    """A restriction or deletion of a formula, as the view `inc` minus
+    `removed`; `universe` holds the variables not assigned or deleted."""
 
     inc: IncidenceGraph
     removed: frozenset[Node]
@@ -54,8 +53,34 @@ class Residual(NamedTuple):
         return cls(incidence_graph(formula), frozenset(), formula.universe)
 
     def assign(self, variable: int, value: bool) -> Residual:
-        removed = self.removed | self.inc.removed({variable: value})
-        return Residual(self.inc, removed, self.universe - {variable})
+        """The view with `variable` set: its node and the clauses the value satisfies go."""
+        node, sign = var_node(variable), self.inc.sign
+        satisfied = [c for c in self.inc.graph.neighbors(node) if sign(variable, c[1]) == value]
+        return Residual(self.inc, self.removed.union(satisfied, (node,)), self.universe - {variable})
+
+    def completions(self, variables: Iterable[int]) -> Iterator[tuple[Assignment, Residual]]:
+        """Every assignment of `variables` with its view, lexicographic with
+        False first. Each step assigns one variable on its prefix's view, so
+        `k` variables take 2^(k+1) - 2 `assign` calls."""
+        ordered = sorted(variables)
+
+        def walk(view: Residual, values: tuple[bool, ...]) -> Iterator:
+            if len(values) == len(ordered):
+                yield dict(zip(ordered, values)), view
+                return
+            variable = ordered[len(values)]
+            for value in (False, True):
+                yield from walk(view.assign(variable, value), values + (value,))
+
+        return walk(self, ())
+
+    def without(self, variables: Iterable[int]) -> Residual:
+        """The deletion view: the variables' nodes go, every clause stays."""
+        gone = frozenset(variables)
+        return Residual(self.inc, self.removed.union(map(var_node, gone)), self.universe - gone)
+
+    def acyclic(self) -> bool:
+        return self.inc.residual_acyclic(self.removed)
 
     def has_empty_clause(self, variable: Optional[int] = None) -> bool:
         """Whether a surviving clause (of `variable`, if given) lost every variable."""
@@ -100,13 +125,6 @@ class BackdoorVerdict:
         return tuple(sorted(self.variables))
 
 
-def assignments_over(variables: Iterable[int]) -> Iterator[Assignment]:
-    """All assignments of the variables, lexicographic with False first."""
-    ordered = sorted(variables)
-    for bits in itertools.product((False, True), repeat=len(ordered)):
-        yield dict(zip(ordered, bits))
-
-
 def _check_candidate(formula: Formula, variables: frozenset[int]) -> None:
     extra = variables - formula.universe
     if extra:
@@ -124,18 +142,14 @@ def _guard_size(variables: frozenset[int]) -> None:
 def is_deletion_backdoor(formula: Formula, variables: Iterable[int]) -> bool:
     candidate = frozenset(variables)
     _check_candidate(formula, candidate)
-    # Deletion keeps every clause at its index, so the residual's incidence
-    # graph is this one without the set's variable nodes.
-    removed = frozenset(var_node(v) for v in candidate)
-    return is_acyclic(incidence_graph(formula).graph, forbidden=removed)
+    return Residual.of(formula).without(candidate).acyclic()
 
 
 def is_strong_backdoor(formula: Formula, variables: Iterable[int]) -> bool:
     candidate = frozenset(variables)
     _check_candidate(formula, candidate)
     _guard_size(candidate)
-    inc = incidence_graph(formula)
-    return all_true(inc.residual_acyclic, assignments_over(candidate))
+    return all_true(lambda c: c[1].acyclic(), Residual.of(formula).completions(candidate))
 
 
 def weak_backdoor_witness(
@@ -146,14 +160,26 @@ def weak_backdoor_witness(
     candidate = frozenset(variables)
     _check_candidate(formula, candidate)
     _guard_size(candidate)
-    inc = incidence_graph(formula)
 
-    def probe(tau: Assignment) -> Optional[Assignment]:
-        if inc.residual_acyclic(tau) and residual_satisfiable(inc, inc.removed(tau)):
+    def probe(completion: tuple[Assignment, Residual]) -> Optional[Assignment]:
+        tau, residual = completion
+        if residual.acyclic() and residual_satisfiable(residual.inc, residual.removed):
             return tau
         return None
 
-    return first_hit(probe, assignments_over(candidate))
+    return first_hit(probe, Residual.of(formula).completions(candidate))
+
+
+def restriction_is_acyclic(formula: Formula, assignment: Mapping[int, bool]) -> bool:
+    """Whether the formula restricted by `assignment` is acyclic, decided on
+    its incidence graph without rebuilding the restriction."""
+    extra = sorted(v for v in assignment if v not in formula.universe)
+    if extra:
+        raise ContractError(f"assignment mentions variables outside universe: {extra}")
+    residual = Residual.of(formula)
+    for variable, value in assignment.items():
+        residual = residual.assign(variable, value)
+    return residual.acyclic()
 
 
 def external_killers(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import sys
 import time
 from typing import Any, Iterator, Optional
@@ -23,9 +24,36 @@ from .oracle import brute_count, brute_min_backdoor
 from .report import RunReport, base_stats, formula_digest
 from .strong import MAX_STRONG_BUDGET, count_with_backdoor, detect_deletion, detect_strong
 from .weak import detect_weak
-from .workers import resolve_threads
 
 _KINDS = ("weak", "strong", "deletion")
+THREADS_ENV = "FB_THREADS"
+
+
+def integer(text: str) -> int:
+    """ASCII digits after an optional `-`, with surrounding whitespace.
+    Raises ValueError on what only `int` reads: `1_0`, `+1`, non-ASCII digits."""
+    cleaned = text.strip()
+    digits = cleaned[1:] if cleaned.startswith("-") else cleaned
+    if not (text.isascii() and digits.isdigit()):
+        raise ValueError(f"not a plain integer: {text!r}")
+    return int(cleaned)
+
+
+def resolve_threads(threads: int | None = None) -> int:
+    """Explicit value, else the FB_THREADS environment variable, else 1.
+
+    Validated for compatibility only; nothing runs differently for it."""
+    if threads is None:
+        raw = os.environ.get(THREADS_ENV, "").strip()
+        if not raw:
+            return 1
+        try:
+            threads = integer(raw)
+        except ValueError as exc:
+            raise ContractError(f"{THREADS_ENV} must be an integer, got {raw!r}") from exc
+    if threads < 1:
+        raise ContractError(f"thread count must be >= 1, got {threads}")
+    return threads
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -35,13 +63,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_io(p: argparse.ArgumentParser, cnf: bool = True) -> None:
-        if cnf:
-            p.add_argument("--cnf", required=True, metavar="FILE", help="DIMACS CNF input")
+    def add_io(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--cnf", required=True, metavar="FILE", help="DIMACS CNF input")
         p.add_argument("--json", action="store_true", help="emit a RunReport as JSON")
         p.add_argument(
             "--threads",
-            type=int,
+            type=integer,
             default=None,
             help="accepted for compatibility (default: FB_THREADS or 1); has no effect",
         )
@@ -53,11 +80,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     detect = sub.add_parser("detect", help="search for a backdoor set")
     detect.add_argument("kind", choices=_KINDS)
-    detect.add_argument("-k", dest="budget", type=int, required=True, help="size budget")
+    detect.add_argument("-k", dest="budget", type=integer, required=True, help="size budget")
     detect.add_argument(
         "-r",
         dest="width",
-        type=int,
+        type=integer,
         default=None,
         help="declared clause width bound (weak detection only)",
     )
@@ -82,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     oracle = sub.add_parser("oracle", help="brute-force ground truth")
     oracle.add_argument("kind", choices=_KINDS + ("count",))
-    oracle.add_argument("--k-max", dest="k_max", type=int, default=None)
+    oracle.add_argument("--k-max", dest="k_max", type=integer, default=None)
     add_io(oracle)
 
     stats = sub.add_parser("stats", help="formula and incidence-graph statistics")
@@ -91,17 +118,17 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen", help="write a generated instance as DIMACS")
     gsub = gen.add_subparsers(dest="generator", required=True)
     grid = gsub.add_parser("grid")
-    grid.add_argument("--size", type=int, required=True, help="grid side length, >= 2")
+    grid.add_argument("--size", type=integer, required=True, help="grid side length, >= 2")
     hitting = gsub.add_parser("hitting")
     hitting.add_argument(
         "--sets", required=True, metavar="A1,A2;B1,...",
         help="semicolon-separated sets of positive integers",
     )
     rnd = gsub.add_parser("random")
-    rnd.add_argument("-n", type=int, required=True, help="variable count")
-    rnd.add_argument("-m", type=int, required=True, help="clause count")
-    rnd.add_argument("-r", type=int, required=True, help="clause width")
-    rnd.add_argument("--seed", type=int, required=True)
+    rnd.add_argument("-n", type=integer, required=True, help="variable count")
+    rnd.add_argument("-m", type=integer, required=True, help="clause count")
+    rnd.add_argument("-r", type=integer, required=True, help="clause width")
+    rnd.add_argument("--seed", type=integer, required=True)
     for p in (grid, hitting, rnd):
         p.add_argument("-o", "--output", default=None, metavar="FILE")
         p.add_argument("--json", action="store_true", help="emit a RunReport as JSON")
@@ -155,9 +182,7 @@ def _parse_variables(text: str) -> list[int]:
     if not cleaned:
         return []
     try:
-        if "_" in cleaned or not cleaned.isascii():  # int() reads `1_0` too
-            raise ValueError(cleaned)
-        values = [int(tok) for tok in cleaned.split(",")]
+        values = [integer(tok) for tok in cleaned.split(",")]
     except ValueError as exc:
         raise ContractError(f"bad variable list {text!r}") from exc
     if any(v < 1 for v in values):

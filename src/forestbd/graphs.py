@@ -4,6 +4,7 @@ The signed incidence graph joins each variable to the clauses it occurs
 in. Restrictions and deletions are views of it, never rebuilt: `F`
 restricted by `tau` has this graph minus tau's variable nodes and the
 clause nodes tau satisfies; deletion removes variable nodes alone.
+`backdoors.Residual` is the one type that builds these views.
 `restrict` keeps the surviving clauses in order and clause nodes sort
 first, so a view's canonical cycles are the rebuilt graph's.
 
@@ -18,7 +19,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Hashable, Iterator, Mapping, Sequence, Union
+from typing import AbstractSet, Hashable, Iterator, Mapping, Sequence, Union
 
 from .errors import ContractError
 from .formula import Formula
@@ -55,9 +56,6 @@ class Graph:
         self._adj: dict[Node, tuple] = adjacency
         self.nodes = tuple(sorted(adjacency))
         self.girth_floor = girth_floor
-
-    def __contains__(self, v: Node) -> bool:
-        return v in self._adj
 
     def has_edge(self, u: Node, v: Node) -> bool:
         return v in self._adj.get(u, ())
@@ -307,23 +305,9 @@ class IncidenceGraph:
         for n in self.graph.neighbors(clause_node(clause_index)):
             yield n[1]
 
-    def removed(self, assignment: Mapping[int, bool]) -> set[Node]:
-        """The nodes of `assignment`'s variables and of the clauses it satisfies."""
-        extra = sorted(v for v in assignment if var_node(v) not in self.graph)
-        if extra:
-            raise ContractError(f"assignment mentions variables outside universe: {extra}")
-        removed: set[Node] = set()
-        for variable, value in assignment.items():
-            node = var_node(variable)
-            removed.add(node)
-            for clause in self.graph.neighbors(node):
-                if self._signs[(variable, clause[1])] == value:
-                    removed.add(clause)
-        return removed
-
-    def residual_acyclic(self, assignment: Mapping[int, bool]) -> bool:
-        """Whether the formula restricted by `assignment` is acyclic."""
-        return is_acyclic(self.graph, forbidden=self.removed(assignment))
+    def residual_acyclic(self, removed: AbstractSet[Node]) -> bool:
+        """Whether the view of this graph minus `removed` is acyclic."""
+        return is_acyclic(self.graph, forbidden=removed)
 
 
 def incidence_graph(formula: Formula) -> IncidenceGraph:
@@ -349,9 +333,3 @@ ClauseLiteralGraph = IncidenceGraph
 
 def clause_literal_graph(formula: Formula) -> IncidenceGraph:
     return incidence_graph(formula)
-
-
-def restriction_is_acyclic(formula: Formula, assignment: Mapping[int, bool]) -> bool:
-    """Whether the formula restricted by `assignment` is acyclic, decided on
-    its incidence graph without rebuilding the restriction."""
-    return incidence_graph(formula).residual_acyclic(assignment)

@@ -21,7 +21,6 @@ from .backdoors import (
     BackdoorVerdict,
     Residual,
     _guard_size,
-    assignments_over,
     branch_on_cycles,
     external_killers,
     opposite_sign_clauses,
@@ -35,8 +34,6 @@ from .graphs import (
     canonical_cycle,
     clause_node,
     disjoint_cycles_or_feedback,
-    incidence_graph,
-    is_acyclic,
     var_node,
 )
 from .weak import KillChoice, RuleOutcome, candidate_pool
@@ -195,7 +192,7 @@ def detect_strong(formula: Formula, budget: int) -> BackdoorVerdict:
 
 
 def _detect_strong(residual: Residual, budget: int) -> BackdoorVerdict:
-    if is_acyclic(residual.inc.graph, forbidden=residual.removed):
+    if residual.acyclic():
         # On a forest the dichotomy returns the empty feedback set.
         split = FeedbackSet(frozenset()) if budget else None
         return BackdoorVerdict.yes((), budget, split=split)
@@ -237,18 +234,16 @@ def strong_exact_search(formula: Formula, budget: int) -> BackdoorVerdict:
 
 
 def _strong_exact_search(root: Residual, budget: int) -> BackdoorVerdict:
-    # The nodes the root and `tau` remove, if they leave a cycle.
-    def probe(tau: Assignment) -> Optional[set]:
-        removed = root.inc.removed(tau) | root.removed
-        return None if is_acyclic(root.inc.graph, forbidden=removed) else removed
+    def cyclic(completion: tuple[Assignment, Residual]) -> Optional[Residual]:
+        return None if completion[1].acyclic() else completion[1]
 
     def settle(candidate: frozenset[int]):
-        removed = first_hit(probe, assignments_over(candidate))
-        if removed is None:
+        survivor = first_hit(cyclic, root.completions(candidate))
+        if survivor is None:
             return candidate, {}
         if len(candidate) == budget:
             return None
-        return Residual(root.inc, frozenset(removed), root.universe - candidate)
+        return survivor
 
     def moves(candidate: frozenset[int], survivor: Residual, cycle: Cycle):
         cycle_vars = frozenset(cycle.variables)
@@ -274,14 +269,13 @@ def detect_deletion(formula: Formula, budget: int) -> BackdoorVerdict:
     """
     if budget < 0:
         raise ContractError(f"budget must be >= 0, got {budget}")
-    inc = incidence_graph(formula)
+    root = Residual.of(formula)
 
     def settle(removed: frozenset[int]):
-        # Deletion keeps every clause, so only the variable nodes go.
-        nodes = frozenset(var_node(v) for v in removed)
-        if is_acyclic(inc.graph, forbidden=nodes):
+        view = root.without(removed)
+        if view.acyclic():
             return frozenset(), {}
-        return Residual(inc, nodes, formula.universe - removed) if len(removed) < budget else None
+        return view if len(removed) < budget else None
 
     def moves(removed: frozenset[int], survivor: Residual, cycle: Cycle):
         for variable in sorted(cycle.variables):
@@ -311,13 +305,13 @@ def count_with_backdoor(
         raise ContractError("backdoor must be a subset of the formula universe")
     _guard_size(cutset)
     size = len(target - cutset)
-    inc = incidence_graph(formula)
 
-    def piece(tau: Assignment) -> int:
-        return residual_count(inc, inc.removed(tau), size)
+    def piece(completion: tuple[Assignment, Residual]) -> int:
+        residual = completion[1]
+        return residual_count(residual.inc, residual.removed, size)
 
     try:
-        total = sum(ordered_map(piece, assignments_over(cutset)))
+        total = sum(ordered_map(piece, Residual.of(formula).completions(cutset)))
     except CyclicInputError as exc:
         raise ContractError("the given set is not a strong backdoor") from exc
     return ModelCount(total, len(target))

@@ -35,13 +35,7 @@ from .acyclic import residual_satisfiable
 from .backdoors import BackdoorVerdict, Residual, branch_on_cycles, external_killers
 from .errors import ContractError, ResourceLimitError
 from .formula import Formula
-from .graphs import (
-    Cycle,
-    FeedbackSet,
-    IncidenceGraph,
-    disjoint_cycles_or_feedback,
-    is_acyclic,
-)
+from .graphs import Cycle, FeedbackSet, IncidenceGraph, disjoint_cycles_or_feedback
 from .workers import first_hit
 
 if TYPE_CHECKING:
@@ -207,7 +201,7 @@ def detect_weak(
 
 
 def _detect_weak(residual: Residual, budget: int, width: int) -> BackdoorVerdict:
-    if is_acyclic(residual.inc.graph, forbidden=residual.removed):
+    if residual.acyclic():
         # On a forest the dichotomy returns the empty feedback set.
         split = FeedbackSet(frozenset()) if budget else None
         if residual_satisfiable(residual.inc, residual.removed):
@@ -256,7 +250,7 @@ def _weak_exact_search(root: Residual, budget: int) -> BackdoorVerdict:
 
     def settle(state: tuple[Residual, int]):
         residual, remaining = state
-        if is_acyclic(residual.inc.graph, forbidden=residual.removed):
+        if residual.acyclic():
             if not residual_satisfiable(residual.inc, residual.removed):
                 return None
             return frozenset(), {}

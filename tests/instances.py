@@ -14,7 +14,7 @@ import itertools
 import random
 from collections import deque
 from dataclasses import replace
-from typing import Mapping
+from typing import Iterable, Iterator, Mapping
 
 from forestbd import (
     ContractError,
@@ -32,7 +32,6 @@ from forestbd.backdoors import (
     BackdoorVerdict,
     Residual,
     _guard_size,
-    assignments_over,
     branch_on_cycles,
     external_killers,
     opposite_sign_clauses,
@@ -294,6 +293,14 @@ def enumerate_simple_cycles(graph: Graph) -> list[tuple]:
                 elif nb > start and nb not in path:
                     stack.append(path + (nb,))
     return sorted(found, key=lambda c: (len(c), c))
+
+
+def assignments_over(variables: Iterable[int]) -> Iterator[Assignment]:
+    """All assignments of the variables, lexicographic with False first,
+    each built whole instead of extending its prefix."""
+    ordered = sorted(variables)
+    for bits in itertools.product((False, True), repeat=len(ordered)):
+        yield dict(zip(ordered, bits))
 
 
 def truth_table_satisfiable(formula: Formula) -> bool:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -20,7 +21,7 @@ from forestbd import (
     shortest_cycle,
     weak_backdoor_witness,
 )
-from forestbd.backdoors import external_killers, opposite_sign_clauses
+from forestbd.backdoors import Residual, external_killers, opposite_sign_clauses
 from instances import direct_strong, direct_weak_witness, triangle, two_triangles
 
 
@@ -45,6 +46,38 @@ class TestDeletion:
     def test_outside_universe(self):
         with pytest.raises(ContractError):
             is_deletion_backdoor(triangle(), {9})
+
+
+class TestCompletions:
+    def test_walk_order_views_and_assign_count(self, monkeypatch):
+        calls = []
+        assign = Residual.assign
+
+        def counted(view, variable, value):
+            calls.append(variable)
+            return assign(view, variable, value)
+
+        monkeypatch.setattr(Residual, "assign", counted)
+        for seed in range(60):
+            rng = random.Random(seed)
+            f = random_rcnf(rng.randint(3, 9), rng.randint(1, 14), 3, seed)
+            variables = rng.sample(sorted(f.universe), rng.randint(0, min(5, len(f.universe))))
+            ordered = sorted(variables)
+            root = Residual.of(f)
+            calls.clear()
+            walked = list(root.completions(variables))
+            assert len(calls) == 2 ** (len(variables) + 1) - 2
+            # Every assignment once, lexicographic with False first.
+            assert [tau for tau, _ in walked] == [
+                dict(zip(ordered, bits))
+                for bits in itertools.product((False, True), repeat=len(ordered))
+            ]
+            for tau, view in walked:
+                # The same view from the root, assigning in the other order.
+                direct = root
+                for variable in reversed(ordered):
+                    direct = assign(direct, variable, tau[variable])
+                assert view == direct
 
 
 class TestStrong:

@@ -115,7 +115,9 @@ class TestExitCodes:
         assert "not plain decimal integers" in err
 
     @pytest.mark.parametrize(
-        "ids", ["1_0", "1,\u0662", "\uff11"], ids=["underscore", "arabic-indic", "fullwidth"]
+        "ids",
+        ["1_0", "1,\u0662", "\uff11", "2,+1"],
+        ids=["underscore", "arabic-indic", "fullwidth", "plus"],
     )
     def test_python_only_integers_in_variable_lists(self, grid3, ids):
         for argv in (
@@ -126,6 +128,41 @@ class TestExitCodes:
             code, out, err = run(argv)
             assert (code, out) == (2, ""), argv
             assert "bad variable list" in err
+
+    @pytest.mark.parametrize(
+        "spelling",
+        ["1_0", "+1", "\u0661", " 0_3 "],
+        ids=["underscore", "plus", "arabic-indic", "padded-underscore"],
+    )
+    def test_python_only_integers_in_options(self, grid3, spelling):
+        for argv in (
+            ["detect", "weak", "--cnf", grid3, "-k", spelling],
+            ["detect", "weak", "--cnf", grid3, "-k", "1", "-r", spelling],
+            ["detect", "strong", "--cnf", grid3, "-k", spelling],
+            ["oracle", "weak", "--cnf", grid3, "--k-max", spelling],
+            ["stats", "--cnf", grid3, "--threads", spelling],
+            ["gen", "grid", "--size", spelling],
+            ["gen", "random", "-n", spelling, "-m", "3", "-r", "3", "--seed", "1"],
+            ["gen", "random", "-n", "4", "-m", spelling, "-r", "3", "--seed", "1"],
+            ["gen", "random", "-n", "4", "-m", "3", "-r", spelling, "--seed", "1"],
+            ["gen", "random", "-n", "4", "-m", "3", "-r", "3", "--seed", spelling],
+        ):
+            code, out, err = run(argv)
+            assert (code, out) == (2, ""), argv
+            assert "invalid integer value" in err
+        code, out, err = run(["stats", "--cnf", grid3], env={"FB_THREADS": spelling})
+        assert (code, out) == (2, "")
+        assert "FB_THREADS must be an integer" in err
+
+    def test_plain_integers_in_options(self, grid3):
+        assert run(["detect", "strong", "--cnf", grid3, "-k", " 1 "])[0] == 0
+        assert run(["stats", "--cnf", grid3], env={"FB_THREADS": " 2 "})[0] == 0
+        code, _, err = run(["detect", "strong", "--cnf", grid3, "-k", "-1"])
+        assert code == 2
+        assert "budget must be >= 0" in err
+        code, out, _ = run(["gen", "random", "-n", "4", "-m", "3", "-r", "2", "--seed", "-5"])
+        assert code == 0
+        assert out.startswith("p cnf 4 3\n")
 
     def test_resource_guard(self, triangle_file):
         code, _, err = run(["detect", "strong", "--cnf", triangle_file, "-k", "9"])

@@ -4,6 +4,7 @@ dichotomy."""
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +23,7 @@ from forestbd import (
     restriction_is_acyclic,
     shortest_cycle,
 )
+from forestbd.backdoors import Residual
 from forestbd.graphs import (
     Cycle,
     Graph,
@@ -72,6 +74,14 @@ def random_partial(rng: random.Random, formula: Formula) -> dict[int, bool]:
     return {v: rng.random() < 0.5 for v in picked}
 
 
+def restricted(formula: Formula, tau: dict[int, bool]) -> Residual:
+    """The view of `formula` restricted by `tau`, one variable at a time."""
+    view = Residual.of(formula)
+    for variable, value in tau.items():
+        view = view.assign(variable, value)
+    return view
+
+
 class TestIncidence:
     def test_signs(self):
         f = Formula.from_ints([[1, -2]], num_vars=2)
@@ -109,16 +119,16 @@ class TestIncidence:
 class TestRestrictionView:
     def test_true_value_removes_satisfied_clause(self):
         f = Formula.from_ints([[1, 2], [-1, 2]], num_vars=2)
-        assert incidence_graph(f).removed({1: True}) == {var_node(1), clause_node(0)}
+        assert Residual.of(f).assign(1, True).removed == {var_node(1), clause_node(0)}
 
     def test_false_value_removes_the_other_clause(self):
         f = Formula.from_ints([[1, 2], [-1, 2]], num_vars=2)
-        assert incidence_graph(f).removed({1: False}) == {var_node(1), clause_node(1)}
+        assert Residual.of(f).assign(1, False).removed == {var_node(1), clause_node(1)}
 
     def test_unused_variable_removes_only_itself(self):
-        inc = incidence_graph(Formula((), frozenset({1})))
-        assert inc.removed({1: True}) == {var_node(1)}
-        assert inc.removed({}) == set()
+        root = Residual.of(Formula((), frozenset({1})))
+        assert root.assign(1, True).removed == {var_node(1)}
+        assert root.removed == set()
 
     @given(st.integers(0, 100_000))
     @settings(max_examples=200, deadline=None)
@@ -128,8 +138,7 @@ class TestRestrictionView:
         rng = random.Random(seed)
         f = random_rcnf(rng.randint(3, 10), rng.randint(1, 15), 3, seed)
         tau = random_partial(rng, f)
-        inc = incidence_graph(f)
-        removed = inc.removed(tau)
+        inc, removed, _ = restricted(f, tau)
         kept = [i for i, c in enumerate(f.clauses) if not c.satisfied_by(tau)]
         assert {clause_node(i) for i in range(f.num_clauses)} - removed == {
             clause_node(i) for i in kept
@@ -148,8 +157,7 @@ class TestRestrictionView:
         rng = random.Random(seed)
         f = random_rcnf(rng.randint(3, 12), rng.randint(1, 24), 3, seed)
         tau = random_partial(rng, f)
-        inc = incidence_graph(f)
-        removed = inc.removed(tau)
+        inc, removed, _ = restricted(f, tau)
         kept = [i for i, c in enumerate(f.clauses) if not c.satisfied_by(tau)]
 
         def mapped_back(nodes):
@@ -334,6 +342,9 @@ class TestRestrictionAcyclicity:
     def test_outside_universe_rejected(self):
         with pytest.raises(ContractError):
             restriction_is_acyclic(triangle(), {9: True})
+        message = "assignment mentions variables outside universe: [7, 9]"
+        with pytest.raises(ContractError, match=re.escape(message)):
+            restriction_is_acyclic(triangle(), {9: True, 1: False, 7: True})
 
     @given(st.integers(0, 100_000))
     @settings(max_examples=200, deadline=None)
