@@ -1,9 +1,12 @@
 """Command line entry point.
 
 Subcommands: detect (weak|strong|deletion), count, verify, oracle, stats,
-and gen (grid|hitting|random). `--json` writes a versioned RunReport to
-standard output. Exit codes: 0 found/valid/success, 1 no/invalid, 2 usage
-or input error, 3 resource guard tripped.
+and gen (grid|hitting|random). Every command takes one path: `main` checks
+the options and `--threads`/FB_THREADS, then `_run` times the subcommand's
+handler, which reads its input and returns its outcome, and prints its text
+lines or, under `--json`, writes one versioned RunReport to standard output.
+Exit codes: 0 found/valid/success, 1 no/invalid, 2 usage or input error,
+3 resource guard tripped.
 """
 
 from __future__ import annotations
@@ -20,12 +23,11 @@ from .formula import Formula, emit_dimacs, parse_dimacs
 from .generators import grid_formula, hitting_set_formula, random_rcnf
 from .graphs import CyclePacking, FeedbackSet, incidence_graph, is_acyclic, shortest_cycle
 from .backdoors import is_deletion_backdoor, is_strong_backdoor, weak_backdoor_witness
-from .oracle import brute_count, brute_min_backdoor
+from .oracle import KINDS, brute_count, brute_min_backdoor
 from .report import RunReport, base_stats, formula_digest
 from .strong import MAX_STRONG_BUDGET, count_with_backdoor, detect_deletion, detect_strong
 from .weak import detect_weak
 
-_KINDS = ("weak", "strong", "deletion")
 THREADS_ENV = "FB_THREADS"
 
 
@@ -63,23 +65,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_io(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--cnf", required=True, metavar="FILE", help="DIMACS CNF input")
+    def add_report(p: argparse.ArgumentParser) -> None:
         p.add_argument("--json", action="store_true", help="emit a RunReport as JSON")
-        p.add_argument(
-            "--threads",
-            type=integer,
-            default=None,
-            help="accepted for compatibility (default: FB_THREADS or 1); has no effect",
-        )
         p.add_argument(
             "--no-timing",
             action="store_true",
             help="report wall_ms as 0 for byte-reproducible output",
         )
 
+    def add_io(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--cnf", required=True, metavar="FILE", help="DIMACS CNF input")
+        p.add_argument(
+            "--threads",
+            type=integer,
+            default=None,
+            help="accepted for compatibility (default: FB_THREADS or 1); has no effect",
+        )
+        add_report(p)
+
     detect = sub.add_parser("detect", help="search for a backdoor set")
-    detect.add_argument("kind", choices=_KINDS)
+    detect.add_argument("kind", choices=KINDS)
     detect.add_argument("-k", dest="budget", type=integer, required=True, help="size budget")
     detect.add_argument(
         "-r",
@@ -100,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_io(count)
 
     verify = sub.add_parser("verify", help="check a claimed backdoor set")
-    verify.add_argument("--kind", choices=_KINDS, required=True)
+    verify.add_argument("--kind", choices=KINDS, required=True)
     verify.add_argument(
         "--set", dest="variables", required=True, metavar="V1,V2,...",
         help="candidate variable set (empty string for the empty set)",
@@ -108,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_io(verify)
 
     oracle = sub.add_parser("oracle", help="brute-force ground truth")
-    oracle.add_argument("kind", choices=_KINDS + ("count",))
+    oracle.add_argument("kind", choices=KINDS + ("count",))
     oracle.add_argument("--k-max", dest="k_max", type=integer, default=None)
     add_io(oracle)
 
@@ -131,8 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     rnd.add_argument("--seed", type=integer, required=True)
     for p in (grid, hitting, rnd):
         p.add_argument("-o", "--output", default=None, metavar="FILE")
-        p.add_argument("--json", action="store_true", help="emit a RunReport as JSON")
-        p.add_argument("--no-timing", action="store_true")
+        add_report(p)
 
     return parser
 
@@ -143,7 +147,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        return _dispatch(args)
+        resolve_threads(getattr(args, "threads", None))
+        return _run(args)
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -152,7 +157,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2
 
 
-def _dispatch(args: argparse.Namespace) -> int:
+def _run(args: argparse.Namespace) -> int:
+    """Run the subcommand's handler, then print its lines or, under
+    `--json`, its RunReport. The clock starts before the handler reads its
+    input and is read last, after the digest and the statistics."""
+    start = time.perf_counter()
     handler = {
         "detect": _cmd_detect,
         "count": _cmd_count,
@@ -161,20 +170,32 @@ def _dispatch(args: argparse.Namespace) -> int:
         "stats": _cmd_stats,
         "gen": _cmd_gen,
     }[args.command]
-    return handler(args)
+    code, formula, lines, fields = handler(args)
+    if not args.json:
+        for line in lines:
+            print(line)
+        return code
+    if "stats" not in fields:
+        fields["stats"] = base_stats(formula)
+    report = RunReport(
+        digest=formula_digest(formula),
+        path=args.output if args.command == "gen" else args.cnf,
+        **fields,
+        wall_ms=0.0 if args.no_timing else (time.perf_counter() - start) * 1000.0,
+    )
+    with _long_ints():
+        sys.stdout.write(report.to_json())
+    return code
 
 
-def _load(args: argparse.Namespace) -> tuple[Formula, str]:
-    """Parse `--cnf` and validate `--threads`/FB_THREADS."""
+def _load(args: argparse.Namespace) -> Formula:
     with open(args.cnf, "rb") as handle:
         data = handle.read()
     try:
         text = data.decode("ascii")
     except UnicodeDecodeError as exc:
         raise DimacsError(f"byte {exc.start} of {args.cnf} is not ASCII") from exc
-    formula = parse_dimacs(text)
-    resolve_threads(args.threads)
-    return formula, args.cnf
+    return parse_dimacs(text)
 
 
 def _parse_variables(text: str) -> list[int]:
@@ -200,23 +221,6 @@ def _parse_sets(text: str) -> list[list[int]]:
     return groups
 
 
-def _wall(start: float, args: argparse.Namespace) -> float:
-    """Milliseconds since `start`. Commands start the clock before loading
-    their input and read it last when building the report, after the
-    digest and the statistics."""
-    if getattr(args, "no_timing", False):
-        return 0.0
-    return (time.perf_counter() - start) * 1000.0
-
-
-def _emit(args: argparse.Namespace, report: RunReport, lines: list[str]) -> None:
-    if args.json:
-        sys.stdout.write(report.to_json())
-    else:
-        for line in lines:
-            print(line)
-
-
 @contextlib.contextmanager
 def _long_ints() -> Iterator[None]:
     """Lift Python's int-to-str digit limit while a model count is written."""
@@ -228,9 +232,15 @@ def _long_ints() -> Iterator[None]:
         sys.set_int_max_str_digits(limit)
 
 
-def _cmd_detect(args: argparse.Namespace) -> int:
-    start = time.perf_counter()
-    formula, path = _load(args)
+# A handler reads its input and returns (exit code, formula, text lines,
+# RunReport fields). One that adds statistics returns the whole "stats",
+# built on `base_stats`, so the `stats` command, whose text lines print the
+# base statistics, computes them once.
+Outcome = tuple[int, Formula, list[str], dict[str, Any]]
+
+
+def _cmd_detect(args: argparse.Namespace) -> Outcome:
+    formula = _load(args)
     if args.kind == "weak":
         verdict = detect_weak(formula, args.budget, args.width)
     elif args.kind == "strong":
@@ -243,21 +253,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
         parameters["r"] = (
             args.width if args.width is not None else max(3, formula.max_clause_width())
         )
-    stats = base_stats(formula)
     split = verdict.split
-    stats["packing_size"] = len(split.cycles) if isinstance(split, CyclePacking) else None
-    stats["fvs_size"] = len(split.nodes) if isinstance(split, FeedbackSet) else None
-    report = RunReport(
-        command=f"detect-{args.kind}",
-        digest=formula_digest(formula),
-        parameters=parameters,
-        path=path,
-        verdict="found" if verdict.found else "no",
-        backdoor=sorted(verdict.variables) if verdict.found else None,
-        witness=verdict.witness if (verdict.found and args.kind == "weak") else None,
-        stats=stats,
-        wall_ms=_wall(start, args),
-    )
     lines = [f"verdict: {'found' if verdict.found else 'no'}"]
     if verdict.found:
         lines.append("backdoor: " + (" ".join(map(str, verdict.sorted_variables())) or "(empty)"))
@@ -266,13 +262,22 @@ def _cmd_detect(args: argparse.Namespace) -> int:
                 "witness: "
                 + (" ".join(f"{v}={int(verdict.witness[v])}" for v in sorted(verdict.witness)) or "(empty)")
             )
-    _emit(args, report, lines)
-    return 0 if verdict.found else 1
+    return 0 if verdict.found else 1, formula, lines, {
+        "command": f"detect-{args.kind}",
+        "parameters": parameters,
+        "verdict": "found" if verdict.found else "no",
+        "backdoor": sorted(verdict.variables) if verdict.found else None,
+        "witness": verdict.witness if (verdict.found and args.kind == "weak") else None,
+        "stats": {
+            **base_stats(formula),
+            "packing_size": len(split.cycles) if isinstance(split, CyclePacking) else None,
+            "fvs_size": len(split.nodes) if isinstance(split, FeedbackSet) else None,
+        },
+    }
 
 
-def _cmd_count(args: argparse.Namespace) -> int:
-    start = time.perf_counter()
-    formula, path = _load(args)
+def _cmd_count(args: argparse.Namespace) -> Outcome:
+    formula = _load(args)
     if args.backdoor is not None:
         backdoor = _parse_variables(args.backdoor)
     else:
@@ -286,24 +291,15 @@ def _cmd_count(args: argparse.Namespace) -> int:
             raise ResourceLimitError(
                 f"no strong backdoor found within budget {MAX_STRONG_BUDGET}"
             )
-    result = count_with_backdoor(formula, backdoor, formula.universe)
-    report = RunReport(
-        command="count",
-        digest=formula_digest(formula),
-        parameters={"backdoor": backdoor},
-        path=path,
-        count=result.count,
-        stats=base_stats(formula),
-        wall_ms=_wall(start, args),
-    )
+    count = count_with_backdoor(formula, backdoor, formula.universe).count
     with _long_ints():
-        _emit(args, report, [f"count: {result.count}"])
-    return 0
+        lines = [f"count: {count}"]
+    fields = {"command": "count", "parameters": {"backdoor": backdoor}, "count": count}
+    return 0, formula, lines, fields
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    start = time.perf_counter()
-    formula, path = _load(args)
+def _cmd_verify(args: argparse.Namespace) -> Outcome:
+    formula = _load(args)
     candidate = _parse_variables(args.variables)
     witness = None
     if args.kind == "weak":
@@ -313,74 +309,43 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         valid = is_strong_backdoor(formula, candidate)
     else:
         valid = is_deletion_backdoor(formula, candidate)
-    report = RunReport(
-        command="verify",
-        digest=formula_digest(formula),
-        parameters={"kind": args.kind, "set": candidate},
-        path=path,
-        verdict="valid" if valid else "invalid",
-        witness=witness if valid else None,
-        stats=base_stats(formula),
-        wall_ms=_wall(start, args),
-    )
-    _emit(args, report, [f"verdict: {'valid' if valid else 'invalid'}"])
-    return 0 if valid else 1
+    verdict = "valid" if valid else "invalid"
+    return 0 if valid else 1, formula, [f"verdict: {verdict}"], {
+        "command": "verify",
+        "parameters": {"kind": args.kind, "set": candidate},
+        "verdict": verdict,
+        "witness": witness,
+    }
 
 
-def _cmd_oracle(args: argparse.Namespace) -> int:
-    start = time.perf_counter()
-    formula, path = _load(args)
+def _cmd_oracle(args: argparse.Namespace) -> Outcome:
+    formula = _load(args)
     if args.kind == "count":
         value = brute_count(formula, formula.universe)
-        report = RunReport(
-            command="oracle-count",
-            digest=formula_digest(formula),
-            parameters={},
-            path=path,
-            count=value,
-            stats=base_stats(formula),
-            wall_ms=_wall(start, args),
-        )
-        _emit(args, report, [f"count: {value}"])
-        return 0
+        fields = {"command": "oracle-count", "parameters": {}, "count": value}
+        return 0, formula, [f"count: {value}"], fields
     k_max = args.k_max if args.k_max is not None else 2
     result = brute_min_backdoor(formula, args.kind, k_max)
     found = result.optimum is not None
-    stats = base_stats(formula)
-    stats["witnesses"] = len(result.witness_sets)
-    stats["optimum"] = result.optimum
-    report = RunReport(
-        command=f"oracle-{args.kind}",
-        digest=formula_digest(formula),
-        parameters={"kind": args.kind, "k_max": k_max},
-        path=path,
-        verdict="found" if found else "no",
-        backdoor=sorted(result.witness_sets[0]) if found else None,
-        stats=stats,
-        wall_ms=_wall(start, args),
-    )
-    lines = [f"optimum: {result.optimum}", f"witnesses: {len(result.witness_sets)}"]
-    _emit(args, report, lines)
-    return 0 if found else 1
+    witnesses = len(result.witness_sets)
+    lines = [f"optimum: {result.optimum}", f"witnesses: {witnesses}"]
+    return 0 if found else 1, formula, lines, {
+        "command": f"oracle-{args.kind}",
+        "parameters": {"kind": args.kind, "k_max": k_max},
+        "verdict": "found" if found else "no",
+        "backdoor": sorted(result.witness_sets[0]) if found else None,
+        "stats": {**base_stats(formula), "witnesses": witnesses, "optimum": result.optimum},
+    }
 
 
-def _cmd_stats(args: argparse.Namespace) -> int:
-    start = time.perf_counter()
-    formula, path = _load(args)
+def _cmd_stats(args: argparse.Namespace) -> Outcome:
+    formula = _load(args)
     inc = incidence_graph(formula)
     acyclic = is_acyclic(inc.graph)
     cycle = None if acyclic else shortest_cycle(inc.graph)
     stats = base_stats(formula)
     stats["acyclic"] = acyclic
     stats["shortest_cycle"] = cycle.to_json() if cycle is not None else None
-    report = RunReport(
-        command="stats",
-        digest=formula_digest(formula),
-        parameters={},
-        path=path,
-        stats=stats,
-        wall_ms=_wall(start, args),
-    )
     lines = [
         f"variables: {stats['variables']}",
         f"clauses: {stats['clauses']}",
@@ -388,12 +353,10 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         f"width: {stats['width']}",
         f"acyclic: {str(acyclic).lower()}",
     ]
-    _emit(args, report, lines)
-    return 0
+    return 0, formula, lines, {"command": "stats", "parameters": {}, "stats": stats}
 
 
-def _cmd_gen(args: argparse.Namespace) -> int:
-    start = time.perf_counter()
+def _cmd_gen(args: argparse.Namespace) -> Outcome:
     if args.generator == "grid":
         formula = grid_formula(args.size)
         parameters: dict[str, Any] = {"size": args.size}
@@ -412,17 +375,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         raise ContractError("--json needs -o so the report does not mix with DIMACS")
     else:
         sys.stdout.write(text)
-    if args.json:
-        report = RunReport(
-            command=f"gen-{args.generator}",
-            digest=formula_digest(formula),
-            parameters=parameters,
-            path=args.output,
-            stats=base_stats(formula),
-            wall_ms=_wall(start, args),
-        )
-        sys.stdout.write(report.to_json())
-    return 0
+    return 0, formula, [], {"command": f"gen-{args.generator}", "parameters": parameters}
 
 
 if __name__ == "__main__":

@@ -33,7 +33,6 @@ class OracleReport:
     kind: str
     optimum: int | None
     witness_sets: tuple[frozenset[int], ...]
-    count: int | None = None
 
 
 def brute_count(formula: Formula, universe: Iterable[int]) -> int:

@@ -367,6 +367,23 @@ class TestReports:
                     assert expected == (None, 0)
                 assert (stats["packing_size"], stats["fvs_size"]) == expected, (kind, budget)
 
+    def test_input_path_is_the_file_read_or_written(self, grid3, triangle_file, tmp_path):
+        for argv in (
+            ["detect", "weak", "--cnf", grid3, "-k", "1"],
+            ["count", "--cnf", triangle_file],
+            ["verify", "--cnf", grid3, "--kind", "deletion", "--set", "10"],
+            ["oracle", "strong", "--cnf", triangle_file, "--k-max", "1"],
+            ["oracle", "count", "--cnf", triangle_file],
+            ["stats", "--cnf", grid3],
+        ):
+            code, out, _ = run(argv + ["--json"])
+            assert code in (0, 1), argv
+            assert json.loads(out)["input"]["path"] == argv[argv.index("--cnf") + 1], argv
+        out_path = str(tmp_path / "gen.cnf")
+        code, out, _ = run(["gen", "grid", "--size", "2", "-o", out_path, "--json"])
+        assert code == 0
+        assert json.loads(out)["input"]["path"] == out_path
+
     def test_stats_shortest_cycle_serialization(self, grid3):
         _, out, _ = run(["stats", "--cnf", grid3, "--json"])
         stats = json.loads(out)["stats"]
@@ -446,8 +463,28 @@ class TestHumanOutput:
         assert out.strip() == "count: 1"
 
     def test_stats_lines(self, grid3):
-        _, out, _ = run(["stats", "--cnf", grid3])
-        assert "variables: 10" in out and "acyclic: false" in out
+        code, out, _ = run(["stats", "--cnf", grid3])
+        assert code == 0
+        assert out == "variables: 10\nclauses: 12\nlength: 36\nwidth: 3\nacyclic: false\n"
+
+    def test_detect_no_prints_only_the_verdict(self, grid3):
+        assert run(["detect", "deletion", "--cnf", grid3, "-k", "1"]) == (1, "verdict: no\n", "")
+
+    def test_verify_lines(self, grid3):
+        verify = ["verify", "--cnf", grid3, "--kind", "strong", "--set"]
+        assert run(verify + ["10"]) == (0, "verdict: valid\n", "")
+        assert run(verify + ["1"]) == (1, "verdict: invalid\n", "")
+
+    def test_oracle_lines(self, grid3, triangle_file):
+        weak = ["oracle", "weak", "--cnf", triangle_file]
+        assert run(weak + ["--k-max", "2"]) == (0, "optimum: 1\nwitnesses: 2\n", "")
+        assert run(weak + ["--k-max", "0"]) == (1, "optimum: None\nwitnesses: 0\n", "")
+        assert run(["oracle", "count", "--cnf", grid3]) == (0, "count: 250\n", "")
+
+    def test_gen_to_file_prints_nothing(self, tmp_path):
+        path = tmp_path / "g.cnf"
+        assert run(["gen", "grid", "--size", "2", "-o", str(path)]) == (0, "", "")
+        assert path.read_text(encoding="ascii").startswith("p cnf 5 4\n")
 
 
 class TestGen:
@@ -499,11 +536,22 @@ class TestDeterminism:
         for argv in (
             ["detect", "strong", "--cnf", grid3, "-k", "1"],
             ["oracle", "count", "--cnf", grid3],
+            ["gen", "grid", "--size", "2"],
         ):
-            code, _, _ = run(argv, env={"FB_THREADS": "zebra"})
-            assert code == 2
+            code, out, _ = run(argv, env={"FB_THREADS": "zebra"})
+            assert (code, out) == (2, ""), argv
+        # An explicit --threads wins over the environment variable.
+        code, _, _ = run(["stats", "--cnf", grid3, "--threads", "1"], env={"FB_THREADS": "zebra"})
+        assert code == 0
 
-    def test_zero_threads_is_usage_error(self, grid3):
+    def test_zero_threads_is_usage_error(self, grid3, tmp_path):
         for argv in (["oracle", "count", "--cnf", grid3], ["stats", "--cnf", grid3]):
             code, _, _ = run(argv + ["--threads", "0"])
             assert code == 2
+        # The thread count is checked before the input is read, so it wins
+        # over the DIMACS header guard (exit 3).
+        huge = tmp_path / "huge.cnf"
+        huge.write_text("p cnf 2000000 0\n", encoding="ascii")
+        code, _, err = run(["stats", "--cnf", str(huge), "--threads", "0"])
+        assert code == 2
+        assert "thread count" in err
