@@ -33,6 +33,9 @@ from .graphs import (
 from .workers import all_true, first_hit
 
 MAX_VERIFY_VARIABLES = 30
+# States one exact search may memoize; over the seed-1 and seed-11 benchmark
+# plans the largest memo holds 131.
+MAX_SEARCH_STATES = 10_000
 
 S = TypeVar("S")
 # A backdoor found below a search state, with its witness assignment
@@ -227,12 +230,18 @@ def branch_on_cycles(
     branches (child, variable, value) that can remove the view's canonical
     shortest cycle. The first child that finds a backdoor adds its
     variable to it, and the value to the witness unless the value is
-    None. States are memoized, so they must be hashable.
+    None. States are memoized, so they must be hashable. Raises
+    ResourceLimitError rather than expand a state once MAX_SEARCH_STATES
+    are memoized.
     """
     memo: dict[S, Optional[Found]] = {}
 
     def search(state: S) -> Optional[Found]:
         if state not in memo:
+            if len(memo) >= MAX_SEARCH_STATES:
+                raise ResourceLimitError(
+                    f"refusing to search more than {MAX_SEARCH_STATES} states"
+                )
             memo[state] = expand(state)
         return memo[state]
 

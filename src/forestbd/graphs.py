@@ -144,25 +144,29 @@ def _bfs_distances(
     return dist
 
 
-def _girth(graph: Graph, allowed: list[Node], allowed_set: set[Node], floor: int) -> int | None:
+def _girth(graph: Graph, allowed: list[Node], floor: int) -> tuple[int, Node] | None:
     """Length of a shortest cycle within `allowed`, given that none is
-    shorter than `floor`: the first cycle of that length ends the search.
+    shorter than `floor`, and its anchor: the least node on any cycle of
+    that length. The first cycle of length `floor` ends the search.
 
-    Each root searches only the nodes not yet used as roots: a shortest
-    cycle is still found from its smallest node."""
-    best: int | None = None
-    allowed_set = set(allowed_set)
+    Each root searches only itself and the nodes not yet used as roots. A
+    search that closes a cycle of the final length closes a simple cycle
+    through its root, or a shorter cycle would exist; and the search from
+    a shortest cycle's least node finds it. So the first root that meets
+    the final length is the anchor."""
+    best: tuple[int, Node] | None = None
+    remaining = set(allowed)
     for root in allowed:
-        allowed_set.discard(root)
+        remaining.discard(root)
         dist: dict[Node, int] = {root: 0}
         parent: dict[Node, Node | None] = {root: None}
         queue = deque([root])
         while queue:
             a = queue.popleft()
-            if best is not None and 2 * dist[a] >= best:
+            if best is not None and 2 * dist[a] >= best[0]:
                 break
             for b in graph.neighbors(a):
-                if b not in allowed_set:
+                if b not in remaining:
                     continue
                 if b not in dist:
                     dist[b] = dist[a] + 1
@@ -172,10 +176,10 @@ def _girth(graph: Graph, allowed: list[Node], allowed_set: set[Node], floor: int
                     # Non-tree edge: the union of the two root paths and this
                     # edge contains a cycle no longer than this bound.
                     candidate = dist[a] + dist[b] + 1
-                    if best is None or candidate < best:
+                    if best is None or candidate < best[0]:
+                        best = (candidate, root)
                         if candidate == floor:
-                            return floor
-                        best = candidate
+                            return best
     return best
 
 
@@ -204,38 +208,30 @@ def shortest_cycle(
     smallest canonical node sequence. `girth_floor` may raise the graph's
     own `girth_floor` when the caller knows that no cycle avoiding
     `forbidden` is shorter; the search stops at the first cycle that long.
+    The girth pass names the anchor, the least node on any shortest cycle,
+    and the canonical cycle is built from that one anchor's ring.
     """
     allowed = [v for v in graph.nodes if v not in forbidden]
-    allowed_set = set(allowed)
-    girth = _girth(graph, allowed, allowed_set, max(graph.girth_floor, girth_floor))
-    if girth is None:
+    found = _girth(graph, allowed, max(graph.girth_floor, girth_floor))
+    if found is None:
         return None
-    for anchor in allowed:
-        # The canonical sequence starts at the cycle's minimum node, so only
-        # nodes after the anchor may join it: drop each anchor once passed.
-        allowed_set.discard(anchor)
-        ring = [u for u in graph.neighbors(anchor) if u in allowed_set]
-        if len(ring) < 2:
-            continue
-        # Two ring nodes close a girth-length cycle through the anchor only
-        # at distance girth - 2, so no BFS needs to look further.
-        dist_from: dict[Node, dict[Node, int]] = {
-            b: _bfs_distances(graph, b, allowed_set, girth - 2) for b in ring
-        }
-        for second in ring:
-            candidates = []
-            for last in ring:
-                if last == second:
-                    continue
-                goal_dist = dist_from[last]
-                if goal_dist.get(second) == girth - 2:
-                    interior = _lexmin_shortest_path(
-                        graph, second, last, goal_dist, allowed_set
-                    )
-                    candidates.append((anchor,) + interior)
-            if candidates:
-                return Cycle(min(candidates))
-    return None
+    girth, anchor = found
+    # The canonical sequence starts at the anchor, so only later nodes join it.
+    later = set(allowed[allowed.index(anchor) + 1 :])
+    ring = [u for u in graph.neighbors(anchor) if u in later]
+    # Two ring nodes close a girth-length cycle through the anchor only at
+    # distance girth - 2, so no BFS needs to look further.
+    dist_from = {b: _bfs_distances(graph, b, later, girth - 2) for b in ring}
+    # The anchor lies on a shortest cycle, so some second node closes one.
+    for second in ring:
+        candidates = [
+            (anchor,) + _lexmin_shortest_path(graph, second, last, dist_from[last], later)
+            for last in ring
+            if last != second and dist_from[last].get(second) == girth - 2
+        ]
+        if candidates:
+            break
+    return Cycle(min(candidates))
 
 
 @dataclass(frozen=True)

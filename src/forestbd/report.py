@@ -59,11 +59,12 @@ class RunReport:
 
 
 def base_stats(formula: Formula) -> dict[str, Any]:
+    widths = [len(c.literals) for c in formula.clauses]
     return {
         "variables": len(formula.universe),
         "clauses": formula.num_clauses,
-        "length": formula.length(),
-        "width": formula.max_clause_width(),
+        "length": sum(widths),
+        "width": max(widths, default=0),
     }
 
 

@@ -31,10 +31,8 @@ from .graphs import (
     Cycle,
     FeedbackSet,
     IncidenceGraph,
-    canonical_cycle,
     clause_node,
     disjoint_cycles_or_feedback,
-    var_node,
 )
 from .weak import KillChoice, RuleOutcome, candidate_pool
 from .workers import first_hit, ordered_map
@@ -58,8 +56,8 @@ class StrongParameters:
 
 @dataclass(frozen=True)
 class ApexCycle:
-    """The cycle formed by an outside killer together with a minimal arc of
-    a packed cycle between an opposite-sign clause pair.
+    """The cycle formed by an outside killer (`apex`) together with a
+    minimal `arc` of a packed cycle between an opposite-sign clause pair.
 
     Minimality: no pool variable kills the base cycle at a clause pair
     lying on the arc other than the arc's own endpoints, so every killer
@@ -70,7 +68,6 @@ class ApexCycle:
     pos_clause: int
     neg_clause: int
     arc: tuple
-    cycle: Cycle
 
 
 def _arcs_between(cycle: Cycle, start: tuple, end: tuple) -> tuple[tuple, tuple]:
@@ -105,8 +102,7 @@ def build_apex_cycle(
     if best is None:
         return None
     _, u, v, variable, arc = best
-    closed = canonical_cycle(arc + (var_node(variable),))
-    return ApexCycle(variable, u, v, arc, closed)
+    return ApexCycle(variable, u, v, arc)
 
 
 def apex_cycle_killers(

@@ -98,37 +98,29 @@ def weak_rule_outcome(
     if any(not ks for ks in killer_sets):
         return RuleOutcome("unkillable-cycle", frozenset())
 
-    # A killer's weight: the number of the cycle's clauses it occurs in.
-    weights = [
-        {v: sum(inc.sign(v, i) is not None for i in cycle.clause_indices) for v in ks}
-        for cycle, ks in zip(choice.external, killer_sets)
-    ]
-    champions: list[tuple[int, int]] = []
-    for w in weights:
-        champion = max(w, key=lambda v: (w[v], -v))
-        champions.append((champion, w[champion]))
-
     k = params.budget
-    for (champion, weight), w in zip(champions, weights):
-        if weight < params.multi:
+    dominant: Optional[int] = None
+    for cycle, ks in zip(choice.external, killer_sets):
+        # A killer's weight: the number of the cycle's clauses it occurs in.
+        w = {v: sum(inc.sign(v, i) is not None for i in cycle.clause_indices) for v in ks}
+        champion = max(w, key=lambda v: (w[v], -v))
+        if w[champion] < params.multi:
             continue
-        heavy = frozenset(v for v, c in w.items() if 2 * k * c >= weight)
+        heavy = frozenset(v for v, c in w.items() if 2 * k * c >= w[champion])
         if len(heavy) <= params.support:
             return RuleOutcome("concentrated-killers", heavy)
-    for (champion, weight), w in zip(champions, weights):
-        if weight < params.multi:
-            continue
-        heavy_count = sum(1 for c in w.values() if 2 * k * c >= weight)
-        if heavy_count > params.support:
-            return RuleOutcome("dominant-killer", frozenset({champion}))
-
-    for i, j in itertools.combinations(range(len(killer_sets)), 2):
-        if len(killer_sets[i] & killer_sets[j]) >= params.overlap:
-            return RuleOutcome("killer-overlap-excess", frozenset())
+        if dominant is None:
+            dominant = champion
+    if dominant is not None:
+        # No heavy cycle is concentrated, so each has more than `support` near-peers.
+        return RuleOutcome("dominant-killer", frozenset({dominant}))
 
     shared: set[int] = set()
-    for i, j in itertools.combinations(range(len(killer_sets)), 2):
-        shared |= killer_sets[i] & killer_sets[j]
+    for first, second in itertools.combinations(killer_sets, 2):
+        common = first & second
+        if len(common) >= params.overlap:
+            return RuleOutcome("killer-overlap-excess", frozenset())
+        shared |= common
     return RuleOutcome("shared-killers", frozenset(shared))
 
 

@@ -5,7 +5,9 @@ enumeration is a DFS over all simple paths, satisfiability is a truth
 table, the weak/strong checks and the reference searches and count
 rebuild every restriction or deletion and its incidence graph instead of
 taking a removed-node view of the formula's one graph, and the reference
-cycle search and packing run every BFS to the end, with no girth bound.
+cycle search and packing run every BFS to the end, with no girth bound,
+and the reference weak rule walks the heavy cycles and the killer pairs
+twice each.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from forestbd.graphs import (
     CyclePacking,
     FeedbackSet,
     Graph,
+    IncidenceGraph,
     Node,
     PackingOrFeedback,
     canonical_cycle,
@@ -51,7 +54,13 @@ from forestbd.graphs import (
     var_node,
 )
 from forestbd.strong import MAX_STRONG_BUDGET, StrongParameters, strong_rule_outcome
-from forestbd.weak import KillChoice, WeakParameters, candidate_pool, weak_rule_outcome
+from forestbd.weak import (
+    KillChoice,
+    RuleOutcome,
+    WeakParameters,
+    candidate_pool,
+    weak_rule_outcome,
+)
 
 
 def triangle() -> Formula:
@@ -454,6 +463,52 @@ def reference_packing(graph: Graph, count: int) -> PackingOrFeedback:
         used |= cycle.node_set
         if len(packed) == count:
             return CyclePacking(tuple(packed))
+
+
+# --- reference weak selection rule --------------------------------------------
+
+def reference_weak_rule_outcome(
+    inc: IncidenceGraph, choice: KillChoice, params: WeakParameters
+) -> RuleOutcome:
+    """`weak.weak_rule_outcome` in two passes: every killer weight and
+    champion first, then the heavy cycles once for concentrated-killers and
+    again for dominant-killer, then the killer pairs once for the overlap
+    certificate and again for the shared killers."""
+    killer_sets = [external_killers(inc, c, choice.pool) for c in choice.external]
+    if any(not ks for ks in killer_sets):
+        return RuleOutcome("unkillable-cycle", frozenset())
+
+    weights = [
+        {v: sum(inc.sign(v, i) is not None for i in cycle.clause_indices) for v in ks}
+        for cycle, ks in zip(choice.external, killer_sets)
+    ]
+    champions: list[tuple[int, int]] = []
+    for w in weights:
+        champion = max(w, key=lambda v: (w[v], -v))
+        champions.append((champion, w[champion]))
+
+    k = params.budget
+    for (champion, weight), w in zip(champions, weights):
+        if weight < params.multi:
+            continue
+        heavy = frozenset(v for v, c in w.items() if 2 * k * c >= weight)
+        if len(heavy) <= params.support:
+            return RuleOutcome("concentrated-killers", heavy)
+    for (champion, weight), w in zip(champions, weights):
+        if weight < params.multi:
+            continue
+        heavy_count = sum(1 for c in w.values() if 2 * k * c >= weight)
+        if heavy_count > params.support:
+            return RuleOutcome("dominant-killer", frozenset({champion}))
+
+    for i, j in itertools.combinations(range(len(killer_sets)), 2):
+        if len(killer_sets[i] & killer_sets[j]) >= params.overlap:
+            return RuleOutcome("killer-overlap-excess", frozenset())
+
+    shared: set[int] = set()
+    for i, j in itertools.combinations(range(len(killer_sets)), 2):
+        shared |= killer_sets[i] & killer_sets[j]
+    return RuleOutcome("shared-killers", frozenset(shared))
 
 
 # --- reference searches and count on rebuilt restrictions -----------------------

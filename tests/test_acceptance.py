@@ -6,6 +6,7 @@ criterion.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import random
@@ -22,6 +23,7 @@ from forestbd import (
     detect_strong,
     detect_weak,
     disjoint_cycles_or_feedback,
+    emit_dimacs,
     grid_formula,
     hitting_set_formula,
     incidence_graph,
@@ -37,6 +39,7 @@ from forestbd.strong import StrongParameters, strong_rule_outcome
 from forestbd.weak import WeakParameters, designations, weak_rule_outcome
 from instances import (
     contradiction_path,
+    disjoint_triangles,
     heavy_dense_ring,
     heavy_sparse_ring,
     random_graph,
@@ -381,36 +384,69 @@ def test_criterion_9_acyclic_engine():
     )
 
 
-def test_criterion_10_report_determinism(tmp_path):
+def _report_digest(output: tuple[int, str, str]) -> str:
+    code, stdout, _ = output
+    return hashlib.sha256(f"{code}\n{stdout}".encode("utf-8")).hexdigest()
+
+
+# sha256 of each criterion-10 command's exit code and stdout, run in the
+# directory holding its input so that `input.path` is the bare file name.
+# Any change to a verdict, backdoor, witness, count or statistic moves it.
+PINNED_REPORTS = {
+    "detect weak --cnf grid3.cnf -k 1": "c5c64559841542d6294fa907e7f4857b55968142488eb3e8152f9d815c0bc2a9",
+    "detect strong --cnf grid3.cnf -k 1": "f5509d274c64d679fffee64e8d5c9ca95770cb164f018cfc4c04bcb75589a08a",
+    "detect deletion --cnf grid3.cnf -k 1": "6c0fea81f3cdb100c79ba23e7f23789612b3d4b1e60fcd0ed0cc59a308afb9e8",
+    "detect weak --cnf rnd.cnf -k 2": "0d5886eda280119e752a675f63fb4b3e8b5ff42c1b8d8787a6572f219c4d6b44",
+    "detect strong --cnf rnd.cnf -k 2": "a1d70d09fda32db94784f0f2846001d6841b338b794d73b04f282f97a50e90c0",
+    "detect weak --cnf hit.cnf -k 1": "9db002ee11ac22fed173352553ee24da20b344f434da4a9ff546cd69bbc4894a",
+    "detect strong --cnf tri12.cnf -k 2": "8f601ef5d9681582c26b0d46be565a7665c496546aefac7a9ebb60c6e662202f",
+    "detect weak --cnf grid5.cnf -k 1": "302c1ab9f9d232ec165a2e5c141970ab95962b30eed9be4a75357caff8e83713",
+    "count --cnf tri.cnf --backdoor 1": "529951ec451be0078837409597cf67c0b58dff2b5ef604d04f7d4030ee3ae08c",
+    "count --cnf grid3.cnf": "5291b4aabf3a4600de8112b90b87228d2b050a270d90891f9fa5a5a451bb472e",
+    "verify --cnf grid3.cnf --kind strong --set 10": "6139c8507c2a0d266cb1e95dca12e52fea027326b406af34eb5f7e988a4b9c48",
+    "verify --cnf grid3.cnf --kind weak --set 10": "f69b3c7b59df1e78a7032da15b4f8ba9db211138f23661da0561657667bb521e",
+    "oracle strong --cnf tri.cnf --k-max 2": "11fa38988cccac7eb313ffdb368a7538636d1f71e9f1ffdc6e6a2100a630845b",
+    "oracle count --cnf grid3.cnf": "089dd2be2a42cb0cff784f0ff984755d516cd6142e9784c7eb4e3b5112cd7969",
+    "stats --cnf grid3.cnf": "c56244f94fb264c3a3d08cfff4787ae1fc399044214f99a803b4b56b4f461052",
+    "stats --cnf rnd.cnf": "db86cf00924ab5f0185976bc180f9fd08e56ed0ab9f48c5aabd4246451b4197f",
+}
+
+
+def test_criterion_10_report_determinism(tmp_path, monkeypatch):
     from test_cli import run
 
     start = time.perf_counter()
-    grid3 = tmp_path / "grid3.cnf"
-    tri = tmp_path / "tri.cnf"
-    hit = tmp_path / "hit.cnf"
-    rnd = tmp_path / "rnd.cnf"
-    assert run(["gen", "grid", "--size", "3", "-o", str(grid3)])[0] == 0
-    tri.write_text("p cnf 2 3\n1 2 0\n-1 2 0\n1 -2 0\n", encoding="ascii")
-    assert run(["gen", "hitting", "--sets", "1,2;2,3", "-o", str(hit)])[0] == 0
-    assert run(["gen", "random", "-n", "8", "-m", "12", "-r", "3", "--seed", "5", "-o", str(rnd)])[0] == 0
+    monkeypatch.chdir(tmp_path)
+    assert run(["gen", "grid", "--size", "3", "-o", "grid3.cnf"])[0] == 0
+    assert run(["gen", "grid", "--size", "5", "-o", "grid5.cnf"])[0] == 0
+    (tmp_path / "tri.cnf").write_text("p cnf 2 3\n1 2 0\n-1 2 0\n1 -2 0\n", encoding="ascii")
+    (tmp_path / "tri12.cnf").write_text(emit_dimacs(disjoint_triangles(12)), encoding="ascii")
+    assert run(["gen", "hitting", "--sets", "1,2;2,3", "-o", "hit.cnf"])[0] == 0
+    assert run(["gen", "random", "-n", "8", "-m", "12", "-r", "3", "--seed", "5", "-o", "rnd.cnf"])[0] == 0
 
     battery = [
-        ["detect", "weak", "--cnf", str(grid3), "-k", "1", "--json", "--no-timing"],
-        ["detect", "strong", "--cnf", str(grid3), "-k", "1", "--json", "--no-timing"],
-        ["detect", "deletion", "--cnf", str(grid3), "-k", "1", "--json", "--no-timing"],
-        ["detect", "weak", "--cnf", str(rnd), "-k", "2", "--json", "--no-timing"],
-        ["detect", "strong", "--cnf", str(rnd), "-k", "2", "--json", "--no-timing"],
-        ["detect", "weak", "--cnf", str(hit), "-k", "1", "--json", "--no-timing"],
-        ["count", "--cnf", str(tri), "--backdoor", "1", "--json", "--no-timing"],
-        ["count", "--cnf", str(grid3), "--json", "--no-timing"],
-        ["verify", "--cnf", str(grid3), "--kind", "strong", "--set", "10", "--json", "--no-timing"],
-        ["verify", "--cnf", str(grid3), "--kind", "weak", "--set", "10", "--json", "--no-timing"],
-        ["oracle", "strong", "--cnf", str(tri), "--k-max", "2", "--json", "--no-timing"],
-        ["oracle", "count", "--cnf", str(grid3), "--json", "--no-timing"],
-        ["stats", "--cnf", str(grid3), "--json", "--no-timing"],
-        ["stats", "--cnf", str(rnd), "--json", "--no-timing"],
+        "detect weak --cnf grid3.cnf -k 1",
+        "detect strong --cnf grid3.cnf -k 1",
+        "detect deletion --cnf grid3.cnf -k 1",
+        "detect weak --cnf rnd.cnf -k 2",
+        "detect strong --cnf rnd.cnf -k 2",
+        "detect weak --cnf hit.cnf -k 1",
+        # Both take the packing route: 11 packed triangles for strong at
+        # budget 2, three packed grid cycles for weak at 1.
+        "detect strong --cnf tri12.cnf -k 2",
+        "detect weak --cnf grid5.cnf -k 1",
+        "count --cnf tri.cnf --backdoor 1",
+        "count --cnf grid3.cnf",
+        "verify --cnf grid3.cnf --kind strong --set 10",
+        "verify --cnf grid3.cnf --kind weak --set 10",
+        "oracle strong --cnf tri.cnf --k-max 2",
+        "oracle count --cnf grid3.cnf",
+        "stats --cnf grid3.cnf",
+        "stats --cnf rnd.cnf",
     ]
-    for argv in battery:
+    digests = {}
+    for command in battery:
+        argv = command.split() + ["--json", "--no-timing"]
         outputs = [
             run(argv + ["--threads", "1"]),
             run(argv + ["--threads", "1"]),
@@ -420,10 +456,12 @@ def test_criterion_10_report_determinism(tmp_path):
         first = outputs[0]
         assert all(o == first for o in outputs), argv
         json.loads(first[1])
+        digests[command] = _report_digest(first)
+    assert digests == PINNED_REPORTS
     elapsed = time.perf_counter() - start
     report(
         "criterion-10 determinism",
         elapsed,
         None,
-        f"{len(battery)} commands byte-identical across runs and 1 vs 4 threads",
+        f"{len(battery)} commands byte-identical across runs, 1 vs 4 threads and the pinned digests",
     )

@@ -21,8 +21,18 @@ from forestbd import (
     shortest_cycle,
     weak_backdoor_witness,
 )
+from forestbd import backdoors
 from forestbd.backdoors import Residual, external_killers, opposite_sign_clauses
-from instances import direct_strong, direct_weak_witness, triangle, two_triangles
+from forestbd.formula import emit_dimacs
+from forestbd.strong import detect_deletion, strong_exact_search
+from forestbd.weak import weak_exact_search
+from instances import (
+    direct_strong,
+    direct_weak_witness,
+    disjoint_triangles,
+    triangle,
+    two_triangles,
+)
 
 
 class TestDeletion:
@@ -174,6 +184,37 @@ class TestWeak:
         extra = rng.choice(sorted(f.universe - candidate)) if f.universe - candidate else None
         if extra is not None:
             assert weak_backdoor_witness(f, candidate | {extra}) is not None
+
+
+class TestSearchStateGuard:
+    """The weak, strong and deletion exact searches share one memo cap."""
+
+    SEARCHES = {
+        "weak": weak_exact_search,
+        "strong": strong_exact_search,
+        "deletion": detect_deletion,
+    }
+
+    @pytest.mark.parametrize("kind", list(SEARCHES))
+    def test_each_exact_search_trips_the_cap(self, monkeypatch, kind):
+        # Four disjoint triangles have no backdoor of size three, so every
+        # search memoizes more than five states before it answers no.
+        f = disjoint_triangles(4)
+        assert not self.SEARCHES[kind](f, 3).found
+        monkeypatch.setattr(backdoors, "MAX_SEARCH_STATES", 5)
+        with pytest.raises(ResourceLimitError, match="more than 5 states"):
+            self.SEARCHES[kind](f, 3)
+
+    @pytest.mark.parametrize("kind", list(SEARCHES))
+    def test_cli_exits_3(self, monkeypatch, tmp_path, kind):
+        from test_cli import run
+
+        path = tmp_path / "triangles.cnf"
+        path.write_text(emit_dimacs(disjoint_triangles(4)), encoding="ascii")
+        monkeypatch.setattr(backdoors, "MAX_SEARCH_STATES", 5)
+        code, out, err = run(["detect", kind, "--cnf", str(path), "-k", "3"])
+        assert code == 3 and out == ""
+        assert "states" in err
 
 
 class TestKillRelations:

@@ -108,7 +108,6 @@ class TestApexCycle:
         assert (apex.pos_clause, apex.neg_clause) == (0, 1)
         # Two length-three arcs tie; the one through the smaller variable wins.
         assert apex.arc == (clause_node(0), var_node(1), clause_node(1))
-        assert len(apex.cycle) == 4
 
     def test_no_opposite_pair_means_none(self):
         f = Formula.from_ints([[1, 2, 3], [1, 2, 3]], num_vars=3)

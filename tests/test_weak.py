@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -38,9 +39,12 @@ from instances import (
     heavy_dense_ring,
     heavy_sparse_cycles,
     heavy_sparse_ring,
+    killer_gadgets,
     manufactured_choice,
     overlap_ring_cycles,
     overlap_rings,
+    random_hitting_formula,
+    reference_weak_rule_outcome,
     rule_selection_sound,
     shared_killer_cycles,
     shared_killer_square,
@@ -119,6 +123,54 @@ class TestRules:
         assert outcome.rule == "shared-killers"
         assert outcome.selected == frozenset({5})
         assert rule_selection_sound(f, choice, outcome.selected, 1, "weak")
+
+
+class TestOnePassRule:
+    """`weak_rule_outcome` decides every designation as the two-pass
+    `reference_weak_rule_outcome` does."""
+
+    FIXTURES = (
+        (heavy_sparse_ring, heavy_sparse_cycles),
+        (heavy_dense_ring, heavy_dense_cycles),
+        (overlap_rings, overlap_ring_cycles),
+        (shared_killer_square, shared_killer_cycles),
+    )
+    FAMILIES = {
+        "3cnf": lambda: [random_rcnf(30, 40 + seed, 3, seed) for seed in range(30)],
+        "gadgets": lambda: [killer_gadgets(seed) for seed in range(30)],
+        "grid": lambda: [grid_formula(size) for size in range(4, 8)],
+        "hitting": lambda: [random_hitting_formula(seed) for seed in range(30)],
+    }
+
+    @pytest.mark.parametrize("family", list(FAMILIES))
+    def test_every_designation(self, family):
+        compared = 0
+        for formula in self.FAMILIES[family]():
+            residual = Residual.of(formula)
+            for budget, width in itertools.product((1, 2), (3, 4, 5)):
+                params = WeakParameters.derive(budget, width)
+                split = disjoint_cycles_or_feedback(residual.inc.graph, params.cycles)
+                if not isinstance(split, CyclePacking):
+                    continue
+                for choice, outcome in designations(
+                    weak_rule_outcome, residual, split.cycles, params
+                ):
+                    assert outcome == reference_weak_rule_outcome(residual.inc, choice, params)
+                    compared += 1
+        assert compared >= 100
+
+    def test_fixture_rings(self):
+        fired = set()
+        for formula, cycles in self.FIXTURES:
+            f = formula()
+            inc = incidence_graph(f)
+            choice = manufactured_choice(f, cycles())
+            for budget, width in itertools.product((1, 2), (3, 4, 5)):
+                params = WeakParameters.derive(budget, width)
+                outcome = weak_rule_outcome(inc, choice, params)
+                assert outcome == reference_weak_rule_outcome(inc, choice, params)
+                fired.add(outcome.rule)
+        assert fired >= {"concentrated-killers", "dominant-killer", "killer-overlap-excess"}
 
 
 class TestCandidatePool:
