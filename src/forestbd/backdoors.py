@@ -7,15 +7,30 @@ assignment of it yields an acyclic restriction, and a weak backdoor when
 some assignment yields an acyclic and satisfiable restriction.
 
 A restriction or deletion is a `Residual`, a view of the formula's one
-incidence graph. The exponential loops walk `Residual.completions`:
-assignments in lexicographic order (variables ascending, False before
-True), each step assigning one variable on its prefix's view.
+incidence graph. The exponential loops assign one variable at a time on
+its prefix's view. Loops whose answer depends on the order (the weak
+witness, the strong exact search) walk `Residual.completions`: every
+assignment in lexicographic order, variables ascending, False before
+True. Strong verification and counting walk `Residual.conditioned`
+instead, cycle-cutset conditioning in degree order (`by_degree`): a
+prefix whose view is acyclic settles every completion below it, since
+assigning only removes nodes and a forest minus nodes is a forest.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, TypeVar, Union
+from typing import (
+    Callable,
+    Iterable,
+    Iterator,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    TypeVar,
+    Union,
+)
 
 from .acyclic import residual_satisfiable
 from .errors import ContractError, ResourceLimitError
@@ -76,6 +91,32 @@ class Residual(NamedTuple):
                 yield from walk(view.assign(variable, value), values + (value,))
 
         return walk(self, ())
+
+    def by_degree(self, variables: Iterable[int]) -> list[int]:
+        """The variables, most incidence-graph neighbours first, ties by id."""
+        neighbors = self.inc.graph.neighbors
+        return sorted(variables, key=lambda v: (-len(neighbors(var_node(v))), v))
+
+    def conditioned(
+        self, ordered: Sequence[int]
+    ) -> Iterator[tuple[Residual, int]]:
+        """Assign `ordered` in that order, False first, testing each prefix's
+        view, this one included. The first acyclic view on a branch is
+        yielded as (view, number of variables left unassigned) and not
+        descended into: every completion below it is acyclic too. A full
+        assignment whose prefixes were all cyclic is yielded as (view, 0)
+        without a test."""
+
+        def walk(view: Residual, depth: int) -> Iterator[tuple[Residual, int]]:
+            if depth == len(ordered):
+                yield view, 0
+            elif view.acyclic():
+                yield view, len(ordered) - depth
+            else:
+                for value in (False, True):
+                    yield from walk(view.assign(ordered[depth], value), depth + 1)
+
+        return walk(self, 0)
 
     def without(self, variables: Iterable[int]) -> Residual:
         """The deletion view: the variables' nodes go, every clause stays."""
@@ -152,7 +193,11 @@ def is_strong_backdoor(formula: Formula, variables: Iterable[int]) -> bool:
     candidate = frozenset(variables)
     _check_candidate(formula, candidate)
     _guard_size(candidate)
-    return all_true(lambda c: c[1].acyclic(), Residual.of(formula).completions(candidate))
+    root = Residual.of(formula)
+    return all_true(
+        lambda leaf: leaf[1] > 0 or leaf[0].acyclic(),
+        root.conditioned(root.by_degree(candidate)),
+    )
 
 
 def weak_backdoor_witness(

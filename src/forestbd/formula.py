@@ -123,10 +123,6 @@ class Formula:
     def num_clauses(self) -> int:
         return len(self.clauses)
 
-    def length(self) -> int:
-        """Total number of literal occurrences."""
-        return sum(len(c) for c in self.clauses)
-
     def max_clause_width(self) -> int:
         return max((len(c) for c in self.clauses), default=0)
 

@@ -7,7 +7,10 @@ disjoint cycles an exact memoized search runs, with many the designation
 rules shrink branching to at most two variables per designation.
 
 A strong backdoor acts as an implied cycle cutset: summing the acyclic
-counts of all its restrictions yields the exact model count.
+counts of all its restrictions yields the exact model count. Counting
+conditions on the cutset, most-connected variable first, and stops at
+the first acyclic prefix, whose one tree DP counts the unassigned cutset
+variables as free.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from .errors import ContractError, CyclicInputError, ResourceLimitError
 from .formula import Assignment, Formula
 from .graphs import (
     Cycle,
+    CyclePacking,
     FeedbackSet,
     IncidenceGraph,
     clause_node,
@@ -261,11 +265,18 @@ def detect_deletion(formula: Formula, budget: int) -> BackdoorVerdict:
     memoized on the removed set.
 
     Deleting a variable off a cycle leaves the cycle intact, so a deletion
-    backdoor must contain one of the cycle's variables.
+    backdoor must contain one of the cycle's variables. Vertex-disjoint
+    cycles share no variable, so from budget 2 a packing of budget + 1 of
+    them answers no before any branching; at budget 1 the search is one
+    cycle and a deletion test per variable on it, less than the packing's
+    second girth pass.
     """
     if budget < 0:
         raise ContractError(f"budget must be >= 0, got {budget}")
     root = Residual.of(formula)
+    packing = budget >= 2 and disjoint_cycles_or_feedback(root.inc.graph, budget + 1)
+    if isinstance(packing, CyclePacking):
+        return BackdoorVerdict.no(budget)
 
     def settle(removed: frozenset[int]):
         view = root.without(removed)
@@ -289,8 +300,9 @@ def count_with_backdoor(
     universe: Sequence[int] | frozenset[int],
 ) -> ModelCount:
     """Exact model count over `universe` by summing the acyclic counts of
-    every restriction of a strong backdoor; a restriction that leaves a
-    cycle shows the set is not one."""
+    the restrictions of a strong backdoor, one per acyclic prefix of the
+    conditioning walk; a full restriction that leaves a cycle shows the set
+    is not one."""
     cutset = frozenset(backdoor)
     target = frozenset(universe)
     if not cutset <= target:
@@ -302,12 +314,13 @@ def count_with_backdoor(
     _guard_size(cutset)
     size = len(target - cutset)
 
-    def piece(completion: tuple[Assignment, Residual]) -> int:
-        residual = completion[1]
-        return residual_count(residual.inc, residual.removed, size)
+    def piece(leaf: tuple[Residual, int]) -> int:
+        view, unassigned = leaf
+        return residual_count(view.inc, view.removed, size + unassigned)
 
+    root = Residual.of(formula)
     try:
-        total = sum(ordered_map(piece, Residual.of(formula).completions(cutset)))
+        total = sum(ordered_map(piece, root.conditioned(root.by_degree(cutset))))
     except CyclicInputError as exc:
         raise ContractError("the given set is not a strong backdoor") from exc
     return ModelCount(total, len(target))

@@ -89,6 +89,26 @@ def three_islands() -> Formula:
     )
 
 
+def deep_cycle_gadget() -> Formula:
+    """The 4-cycle 1, (1 2 3), 2, (1 2 -4): of the assignments of {3, 4},
+    only 3 = False, 4 = True keeps both clauses and so the cycle."""
+    return Formula.from_ints([[1, 2, 3], [1, 2, -4]], num_vars=4)
+
+
+def disjoint_union(*formulas: Formula) -> Formula:
+    """The formulas side by side, each one's variables shifted past the
+    universes of those before it (each universe must be 1..n)."""
+    clauses: list[list[int]] = []
+    offset = 0
+    for formula in formulas:
+        clauses += [
+            [lit + offset if lit > 0 else lit - offset for lit in c.literals]
+            for c in formula.clauses
+        ]
+        offset += len(formula.universe)
+    return Formula.from_ints(clauses, num_vars=offset)
+
+
 def contradiction_path() -> Formula:
     """Acyclic but unsatisfiable."""
     return Formula.from_ints([[1], [-1]], num_vars=1)

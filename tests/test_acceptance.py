@@ -405,6 +405,9 @@ PINNED_REPORTS = {
     "count --cnf grid3.cnf": "5291b4aabf3a4600de8112b90b87228d2b050a270d90891f9fa5a5a451bb472e",
     "verify --cnf grid3.cnf --kind strong --set 10": "6139c8507c2a0d266cb1e95dca12e52fea027326b406af34eb5f7e988a4b9c48",
     "verify --cnf grid3.cnf --kind weak --set 10": "f69b3c7b59df1e78a7032da15b4f8ba9db211138f23661da0561657667bb521e",
+    "count --cnf grid4.cnf --backdoor 17,1,3,6,8,9,11,14,16": "1c2d9fead678af2440ff4878c3c85253adfbcf7baccbc7bb436a5c9fa116f387",
+    "verify --cnf grid4.cnf --kind strong --set 17,1,3,6,8,9,11,14,16": "f926cff919787b4fc229e3994be23e26a2daa7bca286fac8f2ed065a6956ac43",
+    "verify --cnf grid4.cnf --kind strong --set 1,3,6,8,9,11,14,16": "6b706788dcdd097fc21d6caab204d57cf3435bfcee7835dbcd3fe91c31a0b81d",
     "oracle strong --cnf tri.cnf --k-max 2": "11fa38988cccac7eb313ffdb368a7538636d1f71e9f1ffdc6e6a2100a630845b",
     "oracle count --cnf grid3.cnf": "089dd2be2a42cb0cff784f0ff984755d516cd6142e9784c7eb4e3b5112cd7969",
     "stats --cnf grid3.cnf": "c56244f94fb264c3a3d08cfff4787ae1fc399044214f99a803b4b56b4f461052",
@@ -418,6 +421,7 @@ def test_criterion_10_report_determinism(tmp_path, monkeypatch):
     start = time.perf_counter()
     monkeypatch.chdir(tmp_path)
     assert run(["gen", "grid", "--size", "3", "-o", "grid3.cnf"])[0] == 0
+    assert run(["gen", "grid", "--size", "4", "-o", "grid4.cnf"])[0] == 0
     assert run(["gen", "grid", "--size", "5", "-o", "grid5.cnf"])[0] == 0
     (tmp_path / "tri.cnf").write_text("p cnf 2 3\n1 2 0\n-1 2 0\n1 -2 0\n", encoding="ascii")
     (tmp_path / "tri12.cnf").write_text(emit_dimacs(disjoint_triangles(12)), encoding="ascii")
@@ -439,6 +443,12 @@ def test_criterion_10_report_determinism(tmp_path, monkeypatch):
         "count --cnf grid3.cnf",
         "verify --cnf grid3.cnf --kind strong --set 10",
         "verify --cnf grid3.cnf --kind weak --set 10",
+        # The conditioning walk: grid 4's extra variable, 17, is its most
+        # connected, so the walk assigns it first and cuts below both values;
+        # without it the set is not strong.
+        "count --cnf grid4.cnf --backdoor 17,1,3,6,8,9,11,14,16",
+        "verify --cnf grid4.cnf --kind strong --set 17,1,3,6,8,9,11,14,16",
+        "verify --cnf grid4.cnf --kind strong --set 1,3,6,8,9,11,14,16",
         "oracle strong --cnf tri.cnf --k-max 2",
         "oracle count --cnf grid3.cnf",
         "stats --cnf grid3.cnf",

@@ -90,6 +90,48 @@ class TestCompletions:
                 assert view == direct
 
 
+class TestConditioned:
+    @staticmethod
+    def expected_leaves(root: Residual, ordered: list[int]) -> list[tuple[Residual, int]]:
+        """Per full assignment, its shortest prefix with an acyclic view (or
+        the whole assignment); each prefix once, in walk order."""
+        leaves, seen = [], set()
+        for bits in itertools.product((False, True), repeat=len(ordered)):
+            view, depth = root, 0
+            while depth < len(ordered) and not view.acyclic():
+                view, depth = view.assign(ordered[depth], bits[depth]), depth + 1
+            if bits[:depth] not in seen:
+                seen.add(bits[:depth])
+                leaves.append((view, len(ordered) - depth))
+        return leaves
+
+    def test_walk_matches_first_acyclic_prefixes(self):
+        for seed in range(80):
+            rng = random.Random(seed)
+            f = random_rcnf(rng.randint(3, 9), rng.randint(1, 14), 3, seed)
+            if seed % 2:
+                f = grid_formula(rng.randint(2, 4))
+            ordered = rng.sample(sorted(f.universe), rng.randint(0, min(6, len(f.universe))))
+            root = Residual.of(f)
+            leaves = list(root.conditioned(ordered))
+            assert leaves == self.expected_leaves(root, ordered)
+            # The leaves split the assignments of `ordered` between them.
+            assert sum(2**unassigned for _, unassigned in leaves) == 2 ** len(ordered)
+            assert all(view.acyclic() for view, unassigned in leaves if unassigned)
+
+    def test_acyclic_root_is_the_only_leaf(self):
+        f = Formula.from_ints([[1, 2], [-2, 3]], num_vars=3)
+        root = Residual.of(f)
+        assert list(root.conditioned([3, 1, 2])) == [(root, 3)]
+        assert list(root.conditioned([])) == [(root, 0)]
+
+    def test_by_degree(self):
+        # Grid 4's extra variable is in all 24 clauses; the four centre
+        # cells in four, the other edge cells in three, the corners in two.
+        order = Residual.of(grid_formula(4)).by_degree(range(1, 18))
+        assert order == [17, 6, 7, 10, 11, 2, 3, 5, 8, 9, 12, 14, 15, 1, 4, 13, 16]
+
+
 class TestStrong:
     def test_grid_extra_variable(self):
         for size in (2, 3, 4):
@@ -189,30 +231,34 @@ class TestWeak:
 class TestSearchStateGuard:
     """The weak, strong and deletion exact searches share one memo cap."""
 
+    # Each input has no backdoor of the kind within the budget, so its search
+    # memoizes more than five states before it answers no. Four disjoint
+    # triangles would answer deletion through the packing bound before any
+    # search; grid 4 packs only four disjoint cycles, so it searches at 4.
     SEARCHES = {
-        "weak": weak_exact_search,
-        "strong": strong_exact_search,
-        "deletion": detect_deletion,
+        "weak": (weak_exact_search, lambda: disjoint_triangles(4), 3),
+        "strong": (strong_exact_search, lambda: disjoint_triangles(4), 3),
+        "deletion": (detect_deletion, lambda: grid_formula(4), 4),
     }
 
     @pytest.mark.parametrize("kind", list(SEARCHES))
     def test_each_exact_search_trips_the_cap(self, monkeypatch, kind):
-        # Four disjoint triangles have no backdoor of size three, so every
-        # search memoizes more than five states before it answers no.
-        f = disjoint_triangles(4)
-        assert not self.SEARCHES[kind](f, 3).found
+        search, build, budget = self.SEARCHES[kind]
+        f = build()
+        assert not search(f, budget).found
         monkeypatch.setattr(backdoors, "MAX_SEARCH_STATES", 5)
         with pytest.raises(ResourceLimitError, match="more than 5 states"):
-            self.SEARCHES[kind](f, 3)
+            search(f, budget)
 
     @pytest.mark.parametrize("kind", list(SEARCHES))
     def test_cli_exits_3(self, monkeypatch, tmp_path, kind):
         from test_cli import run
 
-        path = tmp_path / "triangles.cnf"
-        path.write_text(emit_dimacs(disjoint_triangles(4)), encoding="ascii")
+        _, build, budget = self.SEARCHES[kind]
+        path = tmp_path / "input.cnf"
+        path.write_text(emit_dimacs(build()), encoding="ascii")
         monkeypatch.setattr(backdoors, "MAX_SEARCH_STATES", 5)
-        code, out, err = run(["detect", kind, "--cnf", str(path), "-k", "3"])
+        code, out, err = run(["detect", kind, "--cnf", str(path), "-k", str(budget)])
         assert code == 3 and out == ""
         assert "states" in err
 

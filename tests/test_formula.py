@@ -18,7 +18,7 @@ from forestbd import (
     parse_dimacs,
     random_rcnf,
 )
-from forestbd.report import formula_digest
+from forestbd.report import base_stats, formula_digest
 
 
 class TestParse:
@@ -286,4 +286,4 @@ class TestWidthAndLength:
 
     def test_length(self):
         f = Formula.from_ints([[1, 2], [3]], num_vars=3)
-        assert f.length() == 3
+        assert base_stats(f)["length"] == 3

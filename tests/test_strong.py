@@ -44,8 +44,10 @@ from forestbd.strong import (
 from forestbd.weak import candidate_pool, designations
 import instances
 from instances import (
+    deep_cycle_gadget,
     direct_strong,
     disjoint_triangles,
+    disjoint_union,
     killer_gadgets,
     random_hitting_formula,
     random_instance,
@@ -412,6 +414,19 @@ class TestDeletion:
             assert not detect_deletion(grid_formula(size), 1).found
         assert brute_min_backdoor(grid_formula(3), "deletion", 1).optimum is None
 
+    def test_packing_bound_answers_before_searching(self, monkeypatch):
+        # Grid 6 packs nine vertex-disjoint cycles, and each needs its own
+        # deleted variable.
+        graph = incidence_graph(grid_formula(6)).graph
+        assert isinstance(disjoint_cycles_or_feedback(graph, 9), CyclePacking)
+
+        def refuse(*args):
+            raise AssertionError("searched despite the packing bound")
+
+        monkeypatch.setattr(strong, "branch_on_cycles", refuse)
+        assert detect_deletion(grid_formula(6), 8) == BackdoorVerdict.no(8)
+        assert detect_deletion(disjoint_triangles(4), 3) == BackdoorVerdict.no(3)
+
     @given(st.integers(0, 100_000))
     @settings(max_examples=30, deadline=None)
     def test_exact_against_oracle(self, seed):
@@ -471,6 +486,89 @@ class TestCounting:
             count_with_backdoor(f, verdict.variables, f.universe).count
             == brute_count(f, f.universe)
         )
+
+
+class TestConditionedCounting:
+    """Counting and strong verification condition on the cutset most
+    connected variable first and stop at the first acyclic prefix; both
+    still agree with rebuilding every restriction."""
+
+    @staticmethod
+    def agree(f: Formula, cutset: list[int]) -> None:
+        mine = outcome(count_with_backdoor, f, cutset, f.universe)
+        assert mine == outcome(reference_count_with_backdoor, f, cutset, f.universe)
+        assert is_strong_backdoor(f, cutset) == direct_strong(f, cutset)
+
+    @pytest.mark.parametrize("size", [3, 4, 5])
+    def test_grid_cell_subsets(self, size):
+        f = grid_formula(size)
+        extra = size * size + 1
+        rng = random.Random(size)
+        for _ in range(6):
+            cells = rng.sample(range(1, extra), rng.randint(1, 7))
+            self.agree(f, cells)
+            self.agree(f, cells + [extra])
+
+    def test_random_3cnf(self):
+        rng = random.Random(7)
+        for seed in range(60):
+            f = random_instance(seed + 120_000)
+            universe = sorted(f.universe)
+            self.agree(f, rng.sample(universe, rng.randint(0, min(5, len(universe)))))
+
+    def test_disjoint_unions(self):
+        rng = random.Random(8)
+        for seed in range(20):
+            f = disjoint_union(grid_formula(3), triangle(), random_instance(seed + 130_000))
+            universe = sorted(f.universe)
+            for size in (2, 4, 6):
+                self.agree(f, rng.sample(universe, size))
+            # The grid's extra variable and one triangle variable.
+            self.agree(f, [10, 11] + rng.sample(universe, 2))
+
+    @pytest.mark.parametrize("size", [3, 4, 5])
+    def test_cycle_only_in_the_last_restrictions(self, size):
+        # The gadget's cycle survives only x = False, y = True; x and y have
+        # one clause each, so the degree order assigns them last.
+        f = disjoint_union(grid_formula(size), deep_cycle_gadget())
+        extra = size * size + 1
+        a, x, y = extra + 1, extra + 3, extra + 4
+        cutset = [extra, 1, size + 2, x, y]
+        assert Residual.of(f).by_degree(cutset)[-2:] == [x, y]
+        assert not is_strong_backdoor(f, cutset)
+        with pytest.raises(ContractError, match="not a strong backdoor"):
+            count_with_backdoor(f, cutset, f.universe)
+        self.agree(f, cutset)
+        self.agree(f, [extra, a])
+
+    def test_grid_six_at_the_guard(self, monkeypatch, tmp_path):
+        """Grid 6's extra variable plus cells 1-29 is 30 variables, the most
+        verification takes; both of the extra variable's values leave a
+        forest, so counting ends after a handful of tree DPs."""
+        from test_cli import run
+
+        f = grid_formula(6)
+        cutset = [37, *range(1, 30)]
+        assert len(cutset) == backdoors.MAX_VERIFY_VARIABLES
+        calls = []
+        dp = strong.residual_count
+
+        def counted(inc, removed, size):
+            calls.append(size)
+            return dp(inc, removed, size)
+
+        monkeypatch.setattr(strong, "residual_count", counted)
+        total = count_with_backdoor(f, cutset, f.universe)
+        assert len(calls) <= 4
+        assert total == count_with_backdoor(f, {37}, f.universe)
+        assert total.count == 171532242
+        assert is_strong_backdoor(f, cutset)
+        path = tmp_path / "grid6.cnf"
+        assert run(["gen", "grid", "--size", "6", "-o", str(path)])[0] == 0
+        listed = ",".join(map(str, cutset))
+        assert run(["count", "--cnf", str(path), "--backdoor", listed]) == (0, "count: 171532242\n", "")
+        code, out, _ = run(["verify", "--cnf", str(path), "--kind", "strong", "--set", listed])
+        assert code == 0 and "valid" in out
 
 
 # Formulas for the differential tests against the rebuilding references:
