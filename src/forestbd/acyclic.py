@@ -16,7 +16,7 @@ from typing import AbstractSet, Iterable
 
 from .errors import ContractError, CyclicInputError
 from .formula import Assignment, Formula
-from .graphs import VAR, IncidenceGraph, Node, incidence_graph
+from .graphs import IncidenceGraph, Node, incidence_graph
 
 
 @dataclass(frozen=True)
@@ -35,79 +35,106 @@ class ModelCount:
 
 class _TreeTables:
     """DP tables for the incidence forest `inc` minus `removed`, folded in
-    the traversal that orients it; a cycle raises CyclicInputError."""
+    the traversal that orients it; a cycle raises CyclicInputError.
+
+    Every table is a list indexed by node. The traversal reads each edge's
+    sign off the clause's literal tuple, which lists the clause's variables
+    in the order of its neighbours."""
 
     def __init__(self, inc: IncidenceGraph, removed: AbstractSet[Node]) -> None:
-        self.inc = inc
         graph = inc.graph
-        # Per variable node: (ways with value False, ways with value True).
-        self.var_ways: dict[tuple, tuple[int, int]] = {}
-        # Per clause node: (ways when the parent satisfies it, ways when not).
-        self.clause_ways: dict[tuple, tuple[int, int]] = {}
-        self.children: dict[tuple, list[tuple]] = {}
-        self.roots: list[tuple] = []
-        clauses = 0
-        seen: set[tuple] = set()
-        for root in graph.nodes:
-            if root in removed:
-                continue
-            if root[0] != VAR:
-                clauses += 1
-                continue
-            if root in seen:
-                continue
-            seen.add(root)
-            order: list[tuple] = []
-            stack: list[tuple[tuple, tuple | None]] = [(root, None)]
+        adjacency, literals, m = graph.adjacency, inc.literals, graph.clauses
+        size = len(adjacency)
+        self.clauses = m
+        self.adjacency = adjacency
+        state = bytearray(size)  # 0 unreached, 1 removed, 2 reached
+        for node in removed:
+            state[node] = 1
+        clauses = state.count(0, 0, m)
+        self.parent = parent = [-1] * size
+        # The sign of the literal on the edge to the parent: a variable's in
+        # its parent clause, or a clause's parent variable's in the clause.
+        self.positive = positive = bytearray(size)
+        # Per variable node: ways with value False, ways with value True.
+        self.false_ways = false_ways = [1] * size
+        self.true_ways = true_ways = [1] * size
+        # Per clause node: ways of its children, and ways that falsify all
+        # of their literals in it.
+        all_ways = [1] * size
+        falsifying = [1] * size
+        self.roots: list[Node] = []
+        # Nodes of the trees with a clause, each after its parent.
+        order: list[Node] = []
+        root = state.find(0, m)
+        while root >= 0:
+            state[root] = 2
+            first = len(order)
+            stack = [root]
             while stack:
-                node, parent = stack.pop()
+                node = stack.pop()
                 order.append(node)
-                children = self.children[node] = []
-                for nb in graph.neighbors(node):
-                    if nb == parent or nb in removed:
-                        continue
-                    if nb in seen:
-                        raise CyclicInputError("incidence graph is not a forest")
-                    seen.add(nb)
-                    children.append(nb)
-                    stack.append((nb, node))
-            if len(order) == 1:
-                # A variable without clauses is priced by the free factor.
-                continue
-            self.roots.append(root)
-            # Every node comes after its parent in `order`.
-            for node in reversed(order):
-                if node[0] == VAR:
-                    self.var_ways[node] = (
-                        self._var_value_ways(node, False),
-                        self._var_value_ways(node, True),
-                    )
+                up = parent[node]
+                if node < m:
+                    for child, literal in zip(adjacency[node], literals[node]):
+                        mark = state[child]
+                        if not mark:
+                            state[child] = 2
+                            parent[child] = node
+                            positive[child] = literal > 0
+                            stack.append(child)
+                        elif mark == 2:
+                            if child != up:
+                                raise CyclicInputError("incidence graph is not a forest")
+                            positive[node] = literal > 0
                 else:
-                    self.clause_ways[node] = self._clause_parent_ways(node)
+                    for child in adjacency[node]:
+                        mark = state[child]
+                        if not mark:
+                            state[child] = 2
+                            parent[child] = node
+                            stack.append(child)
+                        elif mark == 2 and child != up:
+                            raise CyclicInputError("incidence graph is not a forest")
+            if len(order) - first == 1:
+                # A variable without clauses is priced by the free factor.
+                order.pop()
+            else:
+                self.roots.append(root)
+            root = state.find(0, root + 1)
+        # Every node comes after its parent in `order`.
+        self.tree_variables = 0
+        reached_clauses = 0
+        for node in reversed(order):
+            up = parent[node]
+            if node >= m:
+                self.tree_variables += 1
+                if up < 0:
+                    continue
+                low, high = false_ways[node], true_ways[node]
+                all_ways[up] *= low + high
+                falsifying[up] *= low if positive[node] else high
+            else:
+                reached_clauses += 1
+                total = all_ways[node]
+                unsatisfied = total - falsifying[node]
+                if positive[node]:
+                    true_ways[up] *= total
+                    false_ways[up] *= unsatisfied
+                else:
+                    false_ways[up] *= total
+                    true_ways[up] *= unsatisfied
         # A residual clause no traversal reached has lost every variable.
-        self.dead = len(self.clause_ways) < clauses
+        self.dead = reached_clauses < clauses
 
-    def _var_value_ways(self, node: tuple, value: bool) -> int:
-        ways = 1
-        variable = node[1]
-        for child in self.children[node]:
-            sat, unsat = self.clause_ways[child]
-            ways *= sat if self.inc.sign(variable, child[1]) == value else unsat
-        return ways
-
-    def _clause_parent_ways(self, node: tuple) -> tuple[int, int]:
-        index = node[1]
-        total = 1
-        falsifying = 1
-        for child in self.children[node]:
-            w0, w1 = self.var_ways[child]
-            total *= w0 + w1
-            sign = self.inc.sign(child[1], index)
-            falsifying *= w0 if sign else w1
-        return total, total - falsifying
+    def children(self, node: Node) -> list[Node]:
+        """The node's children, in the order of its neighbours."""
+        parent = self.parent
+        return [child for child in self.adjacency[node] if parent[child] == node]
 
     def satisfiable(self) -> bool:
-        return not self.dead and all(sum(self.var_ways[root]) for root in self.roots)
+        return not self.dead and all(
+            self.false_ways[root] + self.true_ways[root] for root in self.roots
+        )
 
 
 def residual_count(inc: IncidenceGraph, removed: AbstractSet[Node], universe_size: int) -> int:
@@ -116,9 +143,9 @@ def residual_count(inc: IncidenceGraph, removed: AbstractSet[Node], universe_siz
     if tables.dead:
         return 0
     # The trees hold every occurring variable: the rest are free.
-    count = 2 ** (universe_size - len(tables.var_ways))
+    count = 2 ** (universe_size - tables.tree_variables)
     for root in tables.roots:
-        count *= sum(tables.var_ways[root])
+        count *= tables.false_ways[root] + tables.true_ways[root]
     return count
 
 
@@ -153,40 +180,39 @@ def satisfying_assignment(formula: Formula) -> Assignment | None:
         return None
     assignment: Assignment = {}
     for root in tables.roots:
-        w0, _ = tables.var_ways[root]
-        _descend_var(tables, assignment, root, w0 == 0)
+        _descend_var(tables, assignment, root, tables.false_ways[root] == 0)
     for v in formula.universe:
         assignment.setdefault(v, False)
     return assignment
 
 
-def _descend_var(
-    tables: _TreeTables, assignment: Assignment, node: tuple, value: bool
-) -> None:
-    stack: list[tuple[tuple, bool]] = [(node, value)]
+def _descend_var(tables: _TreeTables, assignment: Assignment, node: Node, value: bool) -> None:
+    offset = tables.clauses - 1
+    stack: list[tuple[Node, bool]] = [(node, value)]
     while stack:
         var_n, val = stack.pop()
-        assignment[var_n[1]] = val
-        for clause_child in tables.children[var_n]:
-            parent_sat = tables.inc.sign(var_n[1], clause_child[1]) == val
+        assignment[var_n - offset] = val
+        for clause_child in tables.children(var_n):
+            parent_sat = bool(tables.positive[clause_child]) == val
             stack.extend(_pick_clause_children(tables, clause_child, parent_sat))
 
 
 def _pick_clause_children(
-    tables: _TreeTables, clause_n: tuple, parent_sat: bool
-) -> list[tuple[tuple, bool]]:
+    tables: _TreeTables, clause_n: Node, parent_sat: bool
+) -> list[tuple[Node, bool]]:
     """Every child takes False unless only True is viable. When the parent
     leaves the clause unsatisfied and no child's default satisfies it, the
     last child able to satisfy it takes its satisfying value."""
-    children = tables.children[clause_n]
-    picks = [(child, tables.var_ways[child][0] == 0) for child in children]
+    children = tables.children(clause_n)
+    picks = [(child, tables.false_ways[child] == 0) for child in children]
     if parent_sat:
         return picks
-    sat_values = [tables.inc.sign(child[1], clause_n[1]) for child in children]
+    sat_values = [bool(tables.positive[child]) for child in children]
     if any(value == sat for (_, value), sat in zip(picks, sat_values)):
         return picks
     for i in reversed(range(len(children))):
-        if tables.var_ways[children[i]][sat_values[i]]:
+        ways = tables.true_ways if sat_values[i] else tables.false_ways
+        if ways[children[i]]:
             picks[i] = (children[i], sat_values[i])
             break
     return picks

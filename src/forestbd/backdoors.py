@@ -33,17 +33,15 @@ from typing import (
 )
 
 from .acyclic import residual_satisfiable
-from .errors import ContractError, ResourceLimitError
+from .errors import ContractError, CyclicInputError, ResourceLimitError
 from .formula import Assignment, Formula
 from .graphs import (
-    CLAUSE,
     Cycle,
     IncidenceGraph,
     Node,
     PackingOrFeedback,
     incidence_graph,
     shortest_cycle,
-    var_node,
 )
 from .workers import all_true, first_hit
 
@@ -72,8 +70,8 @@ class Residual(NamedTuple):
 
     def assign(self, variable: int, value: bool) -> Residual:
         """The view with `variable` set: its node and the clauses the value satisfies go."""
-        node, sign = var_node(variable), self.inc.sign
-        satisfied = [c for c in self.inc.graph.neighbors(node) if sign(variable, c[1]) == value]
+        node = self.inc.graph.var_node(variable)
+        satisfied = self.inc.satisfied(variable, value)
         return Residual(self.inc, self.removed.union(satisfied, (node,)), self.universe - {variable})
 
     def completions(self, variables: Iterable[int]) -> Iterator[tuple[Assignment, Residual]]:
@@ -94,8 +92,8 @@ class Residual(NamedTuple):
 
     def by_degree(self, variables: Iterable[int]) -> list[int]:
         """The variables, most incidence-graph neighbours first, ties by id."""
-        neighbors = self.inc.graph.neighbors
-        return sorted(variables, key=lambda v: (-len(neighbors(var_node(v))), v))
+        graph = self.inc.graph
+        return sorted(variables, key=lambda v: (-len(graph.adjacency[graph.var_node(v)]), v))
 
     def conditioned(
         self, ordered: Sequence[int]
@@ -121,7 +119,8 @@ class Residual(NamedTuple):
     def without(self, variables: Iterable[int]) -> Residual:
         """The deletion view: the variables' nodes go, every clause stays."""
         gone = frozenset(variables)
-        return Residual(self.inc, self.removed.union(map(var_node, gone)), self.universe - gone)
+        nodes = map(self.inc.graph.var_node, gone)
+        return Residual(self.inc, self.removed.union(nodes), self.universe - gone)
 
     def acyclic(self) -> bool:
         return self.inc.residual_acyclic(self.removed)
@@ -129,10 +128,9 @@ class Residual(NamedTuple):
     def has_empty_clause(self, variable: Optional[int] = None) -> bool:
         """Whether a surviving clause (of `variable`, if given) lost every variable."""
         graph, gone = self.inc.graph, self.removed
-        nodes = graph.nodes if variable is None else graph.neighbors(var_node(variable))
-        return any(
-            n[0] == CLAUSE and n not in gone and gone.issuperset(graph.neighbors(n)) for n in nodes
-        )
+        adjacency = graph.adjacency
+        clauses = range(graph.clauses) if variable is None else adjacency[graph.var_node(variable)]
+        return any(c not in gone and gone.issuperset(adjacency[c]) for c in clauses)
 
 
 @dataclass(frozen=True)
@@ -211,9 +209,11 @@ def weak_backdoor_witness(
 
     def probe(completion: tuple[Assignment, Residual]) -> Optional[Assignment]:
         tau, residual = completion
-        if residual.acyclic() and residual_satisfiable(residual.inc, residual.removed):
-            return tau
-        return None
+        # The tree DP's one traversal also finds any cycle.
+        try:
+            return tau if residual_satisfiable(residual.inc, residual.removed) else None
+        except CyclicInputError:
+            return None
 
     return first_hit(probe, Residual.of(formula).completions(candidate))
 

@@ -11,8 +11,9 @@ index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
+from itertools import chain, repeat
+from operator import attrgetter, lt
 from typing import Dict, Iterable, Mapping
 
 from .errors import ContractError, DimacsError, ResourceLimitError
@@ -24,7 +25,7 @@ Assignment = Dict[int, bool]
 MAX_DIMACS_VARIABLES = 1_000_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Clause:
     """A disjunction of DIMACS literals over pairwise distinct variables.
 
@@ -55,10 +56,6 @@ class Clause:
         """The clause of `values`, deduplicated and sorted by variable."""
         return cls(tuple(sorted(set(values), key=abs)))
 
-    @cached_property
-    def variables(self) -> frozenset[int]:
-        return frozenset(abs(lit) for lit in self.literals)
-
     def polarity(self, variable: int) -> bool | None:
         """Polarity of `variable` in this clause, or None if absent."""
         for lit in self.literals:
@@ -82,6 +79,16 @@ class Clause:
         return "Clause(" + " ".join(str(v) for v in self.literals) + ")"
 
 
+def _strictly_increasing_within_clauses(values: list[int]) -> bool:
+    """Whether the variables of every clause in `values`, a literal list
+    with 0 ending each clause, strictly increase: then each clause is
+    canonical as written. Every pair of neighbours ending at a 0 fails
+    `<` on their variables, and every other pair must pass."""
+    variables = list(map(abs, values))
+    ends = values.count(0) - (values[:1] == [0])
+    return sum(map(lt, variables, variables[1:])) == len(variables) - 1 - ends
+
+
 @dataclass(frozen=True)
 class Formula:
     """A CNF formula: an ordered clause list over an explicit universe.
@@ -93,15 +100,22 @@ class Formula:
 
     clauses: tuple[Clause, ...]
     universe: frozenset[int]
+    # Variables with at least one occurrence, computed once here.
+    variables: frozenset[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        for v in self.universe:
-            if not isinstance(v, int) or v < 1:
-                raise ContractError(f"universe contains invalid variable id {v!r}")
-        occurring = frozenset(v for c in self.clauses for v in c.variables)
-        if not occurring <= self.universe:
-            missing = sorted(occurring - self.universe)
+        universe = self.universe
+        if not all(map(isinstance, universe, repeat(int))) or min(universe, default=1) < 1:
+            for v in universe:
+                if not isinstance(v, int) or v < 1:
+                    raise ContractError(f"universe contains invalid variable id {v!r}")
+        occurring = frozenset(
+            map(abs, chain.from_iterable(map(attrgetter("literals"), self.clauses)))
+        )
+        if not occurring <= universe:
+            missing = sorted(occurring - universe)
             raise ContractError(f"clauses mention variables outside universe: {missing}")
+        object.__setattr__(self, "variables", occurring)
 
     @classmethod
     def from_ints(
@@ -109,15 +123,10 @@ class Formula:
     ) -> Formula:
         built = tuple(Clause.from_ints(c) for c in clauses)
         if num_vars is None:
-            universe = frozenset(v for c in built for v in c.variables)
+            universe = frozenset(abs(lit) for c in built for lit in c.literals)
         else:
             universe = frozenset(range(1, num_vars + 1))
         return cls(built, universe)
-
-    @cached_property
-    def variables(self) -> frozenset[int]:
-        """Variables with at least one occurrence."""
-        return frozenset(v for c in self.clauses for v in c.variables)
 
     @property
     def num_clauses(self) -> int:
@@ -174,67 +183,124 @@ def parse_dimacs(text: str) -> Formula:
 
     The universe is {1..n} from the header. Duplicate literals inside a
     clause collapse; a clause holding a variable with both polarities is
-    rejected.
-    """
-    header: tuple[int, int] | None = None
-    body_tokens: list[str] = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("c"):
-            continue
-        # int() would also read Python's `1_0`, `+1` and non-ASCII digits.
-        if "_" in stripped or "+" in stripped or not stripped.isascii():
-            raise DimacsError(f"line {line_no}: not plain decimal integers: {stripped!r}")
-        if stripped.startswith("p"):
-            if header is not None:
-                raise DimacsError(f"line {line_no}: duplicate header")
-            parts = stripped.split()
-            if len(parts) != 4 or parts[0] != "p" or parts[1] != "cnf":
-                raise DimacsError(f"line {line_no}: malformed header {stripped!r}")
-            try:
-                n, m = int(parts[2]), int(parts[3])
-            except ValueError as exc:
-                raise DimacsError(f"line {line_no}: malformed header {stripped!r}") from exc
-            if n < 0 or m < 0:
-                raise DimacsError(f"line {line_no}: negative counts in header")
-            if n > MAX_DIMACS_VARIABLES:
-                raise ResourceLimitError(
-                    f"line {line_no}: header declares {n} variables "
-                    f"(limit {MAX_DIMACS_VARIABLES})"
-                )
-            header = (n, m)
-            continue
-        if header is None:
-            raise DimacsError(f"line {line_no}: clause data before header")
-        body_tokens.extend(stripped.split())
-    if header is None:
-        raise DimacsError("missing 'p cnf' header")
-    n, m = header
+    rejected. Errors naming a line come first, in line order; then those
+    naming a clause or token, in input order.
 
+    One look at the whole text finds what `int` would read beyond plain
+    decimal integers (`1_0`, `+1`, non-ASCII digits). The lines after the
+    header are read one at a time only when that look finds something,
+    to name the line, or when they may hold comments or a second header;
+    otherwise they are split as one text.
+    """
+    suspect = "_" in text or "+" in text or not text.isascii()
+    lines = text.splitlines()
+    for line_no, line in enumerate(lines, start=1):
+        stripped = line.strip()
+        if stripped and not stripped.startswith("c"):
+            break
+    else:
+        raise DimacsError("missing 'p cnf' header")
+    if suspect:
+        _check_plain(line_no, stripped)
+    if not stripped.startswith("p"):
+        raise DimacsError(f"line {line_no}: clause data before header")
+    n, m = _read_header(line_no, stripped)
+    body = "\n".join(lines[line_no:])
+    if suspect or "c" in body or "p" in body:
+        tokens = _body_tokens(lines, line_no, suspect)
+    else:
+        tokens = body.split()
+
+    values, token_error = _literal_values(tokens, n)
+    # Each clause is checked once: here when every clause is written in
+    # order, which then builds them without `Clause.__post_init__`, or else
+    # by `Clause.from_ints`.
+    canonical = _strictly_increasing_within_clauses(values)
+    new, put = object.__new__, object.__setattr__
     clauses: list[Clause] = []
-    current: list[int] = []
-    for token in body_tokens:
+    start = 0
+    while True:
         try:
-            value = int(token)
-        except ValueError as exc:
-            raise DimacsError(f"non-integer token {token!r} in clause data") from exc
-        if value == 0:
+            end = values.index(0, start)
+        except ValueError:
+            break
+        if canonical:
+            clause = new(Clause)
+            put(clause, "literals", tuple(values[start:end]))
+        else:
             try:
-                clauses.append(Clause.from_ints(current))
+                clause = Clause.from_ints(values[start:end])
             except ContractError as exc:
                 raise DimacsError(f"clause {len(clauses) + 1}: {exc}") from exc
-            current = []
-            continue
-        if abs(value) > n:
-            raise DimacsError(
-                f"literal {value} exceeds declared variable count {n}"
-            )
-        current.append(value)
-    if current:
+        clauses.append(clause)
+        start = end + 1
+    if token_error is not None:
+        raise token_error
+    if start < len(values):
         raise DimacsError("unterminated clause at end of input")
     if len(clauses) != m:
         raise DimacsError(f"header declares {m} clauses, found {len(clauses)}")
     return Formula(tuple(clauses), frozenset(range(1, n + 1)))
+
+
+def _check_plain(line_no: int, stripped: str) -> None:
+    # int() would also read Python's `1_0`, `+1` and non-ASCII digits.
+    if "_" in stripped or "+" in stripped or not stripped.isascii():
+        raise DimacsError(f"line {line_no}: not plain decimal integers: {stripped!r}")
+
+
+def _read_header(line_no: int, stripped: str) -> tuple[int, int]:
+    parts = stripped.split()
+    if len(parts) != 4 or parts[0] != "p" or parts[1] != "cnf":
+        raise DimacsError(f"line {line_no}: malformed header {stripped!r}")
+    try:
+        n, m = int(parts[2]), int(parts[3])
+    except ValueError as exc:
+        raise DimacsError(f"line {line_no}: malformed header {stripped!r}") from exc
+    if n < 0 or m < 0:
+        raise DimacsError(f"line {line_no}: negative counts in header")
+    if n > MAX_DIMACS_VARIABLES:
+        raise ResourceLimitError(
+            f"line {line_no}: header declares {n} variables (limit {MAX_DIMACS_VARIABLES})"
+        )
+    return n, m
+
+
+def _body_tokens(lines: list[str], header_line: int, suspect: bool) -> list[str]:
+    """The tokens of the lines after the header, skipping blank and
+    comment lines, one line at a time."""
+    tokens: list[str] = []
+    for line_no, line in enumerate(lines[header_line:], start=header_line + 1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("c"):
+            continue
+        if suspect:
+            _check_plain(line_no, stripped)
+        if stripped.startswith("p"):
+            raise DimacsError(f"line {line_no}: duplicate header")
+        tokens.extend(stripped.split())
+    return tokens
+
+
+def _literal_values(tokens: list[str], n: int) -> tuple[list[int], DimacsError | None]:
+    """The tokens as ints, up to the first one that is not an integer or
+    whose variable exceeds `n`, and the error for that token, if any."""
+    try:
+        values = list(map(int, tokens))
+        if not values or (max(values) <= n and min(values) >= -n):
+            return values, None
+    except ValueError:
+        pass
+    values = []
+    for token in tokens:
+        try:
+            value = int(token)
+        except ValueError:
+            return values, DimacsError(f"non-integer token {token!r} in clause data")
+        if abs(value) > n:
+            return values, DimacsError(f"literal {value} exceeds declared variable count {n}")
+        values.append(value)
+    return values, None
 
 
 def emit_dimacs(formula: Formula) -> str:
@@ -246,6 +312,5 @@ def emit_dimacs(formula: Formula) -> str:
     """
     n = max(formula.universe, default=0)
     lines = [f"p cnf {n} {formula.num_clauses}"]
-    for clause in formula.clauses:
-        lines.append(" ".join(map(str, (*clause.literals, 0))))
+    lines += [" ".join(map(str, (*clause.literals, 0))) for clause in formula.clauses]
     return "\n".join(lines) + "\n"

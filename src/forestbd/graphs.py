@@ -16,60 +16,61 @@ the successor chain is smallest) is lexicographically least.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import AbstractSet, Hashable, Iterator, Mapping, Sequence, Union
+from itertools import compress
+from typing import AbstractSet, Iterator, Mapping, Sequence, Union
 
-from .errors import ContractError
-from .formula import Formula
+from .errors import ContractError, ResourceLimitError
+from .formula import MAX_DIMACS_VARIABLES, Formula
 
-Node = Hashable
-
-VAR = "var"
-CLAUSE = "clause"
-
-
-def var_node(variable: int) -> tuple:
-    return (VAR, variable)
-
-
-def clause_node(index: int) -> tuple:
-    return (CLAUSE, index)
+# A node is a dense int id. On an incidence graph the clause nodes come
+# first: clause i is node i and variable v is node m + v - 1, where m is the
+# clause count, so nodes order as clauses by index, then variables by id.
+Node = int
 
 
 class Graph:
-    """Read-only undirected graph over totally ordered, hashable node ids.
+    """Read-only undirected simple graph on the nodes 0 .. len(adjacency) - 1.
 
-    `nodes` and every neighbour list are sorted tuples, decided once at
-    construction, so queries that walk them in order are deterministic
-    without sorting again. `girth_floor` is a length no cycle of the graph
-    undercuts: 3 for any simple graph, 4 for a bipartite one.
+    `adjacency[v]` is the sorted tuple of v's neighbours, so queries that
+    walk it in order are deterministic without sorting. `girth_floor` is a
+    length no cycle of the graph undercuts: 3 for any simple graph, 4 for a
+    bipartite one. `clauses` counts the clause nodes that come first on an
+    incidence graph; it is 0 on a graph without them.
     """
 
-    def __init__(self, adjacency: dict[Node, list[Node]], girth_floor: int = 3) -> None:
-        """Take over `adjacency`, a symmetric mapping from every node to its
-        neighbours, replacing each list in place by its sorted tuple."""
-        for v, around in adjacency.items():
-            around.sort()
-            adjacency[v] = tuple(around)
-        self._adj: dict[Node, tuple] = adjacency
-        self.nodes = tuple(sorted(adjacency))
+    def __init__(
+        self, adjacency: list[tuple[Node, ...]], girth_floor: int = 3, clauses: int = 0
+    ) -> None:
+        """Take over `adjacency`, whose neighbour tuples must be sorted and
+        symmetric."""
+        self.adjacency = adjacency
+        self.nodes = range(len(adjacency))
         self.girth_floor = girth_floor
+        self.clauses = clauses
 
     def has_edge(self, u: Node, v: Node) -> bool:
-        return v in self._adj.get(u, ())
+        return v in self.adjacency[u]
 
-    def neighbors(self, v: Node) -> tuple:
-        return self._adj[v]
+    def neighbors(self, v: Node) -> tuple[Node, ...]:
+        return self.adjacency[v]
+
+    def clause_node(self, index: int) -> Node:
+        return index
+
+    def var_node(self, variable: int) -> Node:
+        return self.clauses + variable - 1
 
 
 @dataclass(frozen=True)
 class Cycle:
     """A simple cycle, stored as its canonical node sequence without the
-    closing repetition."""
+    closing repetition, with its graph's `clauses` count, by which its
+    nodes map back to clause indices and variables."""
 
-    nodes: tuple
+    nodes: tuple[Node, ...]
+    clauses: int = 0
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -80,17 +81,22 @@ class Cycle:
 
     @cached_property
     def variables(self) -> tuple[int, ...]:
-        return tuple(n[1] for n in self.nodes if n[0] == VAR)
+        m = self.clauses
+        return tuple(n - m + 1 for n in self.nodes if n >= m)
 
     @cached_property
     def clause_indices(self) -> tuple[int, ...]:
-        return tuple(n[1] for n in self.nodes if n[0] == CLAUSE)
+        return tuple(n for n in self.nodes if n < self.clauses)
 
     def to_json(self) -> list[dict]:
-        return [{"kind": n[0], "id": n[1]} for n in self.nodes]
+        m = self.clauses
+        return [
+            {"kind": "clause", "id": n} if n < m else {"kind": "var", "id": n - m + 1}
+            for n in self.nodes
+        ]
 
 
-def canonical_cycle(nodes: Sequence[Node]) -> Cycle:
+def canonical_cycle(nodes: Sequence[Node], clauses: int = 0) -> Cycle:
     """Normalize a cyclic node sequence: rotate its smallest node to the
     front, then keep the lexicographically smaller of the two directions."""
     seq = tuple(nodes)
@@ -99,92 +105,107 @@ def canonical_cycle(nodes: Sequence[Node]) -> Cycle:
     pivot = seq.index(min(seq))
     forward = seq[pivot:] + seq[:pivot]
     backward = (forward[0],) + tuple(reversed(forward[1:]))
-    return Cycle(min(forward, backward))
+    return Cycle(min(forward, backward), clauses)
 
 
-def is_acyclic(graph: Graph, forbidden: frozenset | set = frozenset()) -> bool:
-    """A graph is acyclic iff every component is a tree: edges = nodes - components."""
-    allowed = [v for v in graph.nodes if v not in forbidden]
-    allowed_set = set(allowed)
-    seen: set[Node] = set()
-    components = 0
-    edges = 0
-    for start in allowed:
-        if start in seen:
-            continue
-        components += 1
-        queue = deque([start])
-        seen.add(start)
-        while queue:
-            v = queue.popleft()
-            for u in graph.neighbors(v):
-                if u not in allowed_set:
-                    continue
-                edges += 1
-                if u not in seen:
-                    seen.add(u)
+def is_acyclic(graph: Graph, forbidden: AbstractSet[Node] = frozenset()) -> bool:
+    """Whether the graph minus `forbidden` is a forest.
+
+    Each node is reached once, from its parent. In a forest a node, when
+    its turn comes, has no reached neighbour but its parent: any other
+    would join two paths from the root, and a non-tree edge is met so from
+    whichever of its ends comes first."""
+    adjacency = graph.adjacency
+    state = bytearray(len(adjacency))  # 0 unreached, 1 forbidden, 2 reached
+    for v in forbidden:
+        state[v] = 1
+    root = state.find(0)
+    while root >= 0:
+        state[root] = 2
+        queue = [root]
+        for v in queue:
+            reached = 0
+            for u in adjacency[v]:
+                mark = state[u]
+                if not mark:
+                    state[u] = 2
                     queue.append(u)
-    return edges // 2 == len(allowed) - components
+                elif mark == 2:
+                    reached += 1
+            if reached > 1:
+                return False
+        root = state.find(0, root + 1)
+    return True
 
 
 def _bfs_distances(
-    graph: Graph, source: Node, allowed: set[Node], depth: int
+    graph: Graph, source: Node, allowed: bytearray, depth: int
 ) -> dict[Node, int]:
     """Distances from `source` within `allowed`, up to `depth`."""
+    adjacency = graph.adjacency
     dist = {source: 0}
-    queue = deque([source])
-    while queue:
-        v = queue.popleft()
-        if dist[v] == depth:
+    queue = [source]
+    for v in queue:
+        d = dist[v]
+        if d == depth:
             break
-        for u in graph.neighbors(v):
-            if u in allowed and u not in dist:
-                dist[u] = dist[v] + 1
+        for u in adjacency[v]:
+            if allowed[u] and u not in dist:
+                dist[u] = d + 1
                 queue.append(u)
     return dist
 
 
-def _girth(graph: Graph, allowed: list[Node], floor: int) -> tuple[int, Node] | None:
-    """Length of a shortest cycle within `allowed`, given that none is
-    shorter than `floor`, and its anchor: the least node on any cycle of
-    that length. The first cycle of length `floor` ends the search.
+def _girth(graph: Graph, allowed: bytearray, floor: int) -> tuple[int, Node] | None:
+    """Length of a shortest cycle within the nodes `allowed` marks, given
+    that none is shorter than `floor`, and its anchor: the least node on
+    any cycle of that length. The first cycle of length `floor` ends the
+    search.
 
     Each root searches only itself and the nodes not yet used as roots. A
     search that closes a cycle of the final length closes a simple cycle
     through its root, or a shorter cycle would exist; and the search from
     a shortest cycle's least node finds it. So the first root that meets
     the final length is the anchor."""
+    adjacency = graph.adjacency
+    remaining = bytearray(allowed)
+    # Per node, for the current root's search only: distance and parent.
+    dist = [-1] * len(adjacency)
+    parent = [-1] * len(adjacency)
     best: tuple[int, Node] | None = None
-    remaining = set(allowed)
-    for root in allowed:
-        remaining.discard(root)
-        dist: dict[Node, int] = {root: 0}
-        parent: dict[Node, Node | None] = {root: None}
-        queue = deque([root])
-        while queue:
-            a = queue.popleft()
-            if best is not None and 2 * dist[a] >= best[0]:
+    for root in compress(graph.nodes, allowed):
+        remaining[root] = 0
+        dist[root] = 0
+        parent[root] = -1
+        queue = [root]
+        for a in queue:
+            da = dist[a]
+            if best is not None and 2 * da >= best[0]:
                 break
-            for b in graph.neighbors(a):
-                if b not in remaining:
+            pa = parent[a]
+            for b in adjacency[a]:
+                if not remaining[b]:
                     continue
-                if b not in dist:
-                    dist[b] = dist[a] + 1
+                db = dist[b]
+                if db < 0:
+                    dist[b] = da + 1
                     parent[b] = a
                     queue.append(b)
-                elif parent[a] != b and parent[b] != a:
+                elif pa != b and parent[b] != a:
                     # Non-tree edge: the union of the two root paths and this
                     # edge contains a cycle no longer than this bound.
-                    candidate = dist[a] + dist[b] + 1
+                    candidate = da + db + 1
                     if best is None or candidate < best[0]:
                         best = (candidate, root)
                         if candidate == floor:
                             return best
+        for v in queue:
+            dist[v] = -1
     return best
 
 
 def _lexmin_shortest_path(
-    graph: Graph, start: Node, goal: Node, dist_to_goal: Mapping[Node, int], allowed: set[Node]
+    graph: Graph, start: Node, goal: Node, dist_to_goal: Mapping[Node, int], allowed: bytearray
 ) -> tuple:
     path = [start]
     current = start
@@ -192,15 +213,15 @@ def _lexmin_shortest_path(
         # Neighbours are sorted, so the first match is the least.
         current = next(
             u
-            for u in graph.neighbors(current)
-            if u in allowed and dist_to_goal.get(u) == dist_to_goal[current] - 1
+            for u in graph.adjacency[current]
+            if allowed[u] and dist_to_goal.get(u) == dist_to_goal[current] - 1
         )
         path.append(current)
     return tuple(path)
 
 
 def shortest_cycle(
-    graph: Graph, forbidden: frozenset | set = frozenset(), girth_floor: int = 0
+    graph: Graph, forbidden: AbstractSet[Node] = frozenset(), girth_floor: int = 0
 ) -> Cycle | None:
     """Canonically smallest among the shortest cycles avoiding `forbidden`.
 
@@ -211,14 +232,16 @@ def shortest_cycle(
     The girth pass names the anchor, the least node on any shortest cycle,
     and the canonical cycle is built from that one anchor's ring.
     """
-    allowed = [v for v in graph.nodes if v not in forbidden]
-    found = _girth(graph, allowed, max(graph.girth_floor, girth_floor))
+    later = bytearray(b"\x01") * len(graph.adjacency)
+    for v in forbidden:
+        later[v] = 0
+    found = _girth(graph, later, max(graph.girth_floor, girth_floor))
     if found is None:
         return None
     girth, anchor = found
     # The canonical sequence starts at the anchor, so only later nodes join it.
-    later = set(allowed[allowed.index(anchor) + 1 :])
-    ring = [u for u in graph.neighbors(anchor) if u in later]
+    later[: anchor + 1] = bytes(anchor + 1)
+    ring = [u for u in graph.adjacency[anchor] if later[u]]
     # Two ring nodes close a girth-length cycle through the anchor only at
     # distance girth - 2, so no BFS needs to look further.
     dist_from = {b: _bfs_distances(graph, b, later, girth - 2) for b in ring}
@@ -231,7 +254,7 @@ def shortest_cycle(
         ]
         if candidates:
             break
-    return Cycle(min(candidates))
+    return Cycle(min(candidates), graph.clauses)
 
 
 @dataclass(frozen=True)
@@ -252,7 +275,7 @@ PackingOrFeedback = Union[CyclePacking, FeedbackSet]
 
 
 def disjoint_cycles_or_feedback(
-    graph: Graph, count: int, forbidden: frozenset | set = frozenset()
+    graph: Graph, count: int, forbidden: AbstractSet[Node] = frozenset()
 ) -> PackingOrFeedback:
     """Greedily pack shortest cycles avoiding `forbidden` until `count` are
     found or the packing is maximal.
@@ -284,22 +307,36 @@ def disjoint_cycles_or_feedback(
 class IncidenceGraph:
     """Bipartite variable/clause graph with signed edges.
 
-    Contains a node for every universe variable (occurring or not) and for
-    every clause, including empty ones.
+    Contains a node for every clause, including empty ones, and for every
+    variable id from 1 to the largest in the universe, occurring or not.
+    `literals[i]` is clause i's literal tuple, which lists its variables
+    in the order of its neighbours and carries their signs.
     """
 
-    def __init__(self, graph: Graph, signs: dict[tuple[int, int], bool]) -> None:
+    def __init__(self, graph: Graph, literals: tuple[tuple[int, ...], ...]) -> None:
         self.graph = graph
-        self._signs = signs
+        self.literals = literals
 
     def sign(self, variable: int, clause_index: int) -> bool | None:
         """True for a positive occurrence, False for negative, None if the
-        variable is not in the clause."""
-        return self._signs.get((variable, clause_index))
+        variable is not in the clause or there is no such clause."""
+        if not 0 <= clause_index < len(self.literals):
+            return None
+        literals = self.literals[clause_index]
+        if variable in literals:
+            return True
+        if -variable in literals:
+            return False
+        return None
+
+    def satisfied(self, variable: int, value: bool) -> list[Node]:
+        """The clause nodes that `variable` set to `value` satisfies."""
+        literal, literals = (variable if value else -variable), self.literals
+        clauses = self.graph.adjacency[self.graph.var_node(variable)]
+        return [c for c in clauses if literal in literals[c]]
 
     def variables_adjacent_to(self, clause_index: int) -> Iterator[int]:
-        for n in self.graph.neighbors(clause_node(clause_index)):
-            yield n[1]
+        return map(abs, self.literals[clause_index])
 
     def residual_acyclic(self, removed: AbstractSet[Node]) -> bool:
         """Whether the view of this graph minus `removed` is acyclic."""
@@ -307,19 +344,28 @@ class IncidenceGraph:
 
 
 def incidence_graph(formula: Formula) -> IncidenceGraph:
-    adjacency: dict[Node, list[Node]] = {var_node(v): [] for v in formula.universe}
-    signs: dict[tuple[int, int], bool] = {}
-    for idx, clause in enumerate(formula.clauses):
-        node = clause_node(idx)
-        around = adjacency[node] = []
-        for lit in clause.literals:
-            v = abs(lit)
-            variable = var_node(v)
-            around.append(variable)
-            adjacency[variable].append(node)
-            signs[(v, idx)] = lit > 0
+    """The incidence graph, built in one pass over the clauses. A clause's
+    variable nodes come out sorted because its literals are sorted by
+    variable, and each variable's clause list comes out ascending because
+    the clauses are read in order. Every variable id up to the largest gets
+    a node, so that id is capped as a DIMACS header's variable count is."""
+    n = max(formula.universe, default=0)
+    if n > MAX_DIMACS_VARIABLES:
+        raise ResourceLimitError(
+            f"refusing a graph over variable ids up to {n} (limit {MAX_DIMACS_VARIABLES})"
+        )
+    literals = tuple(clause.literals for clause in formula.clauses)
+    m = len(literals)
+    offset = m - 1
+    occurrences: list[list[int]] = [[] for _ in range(n)]
+    adjacency: list[tuple[Node, ...]] = []
+    for index, clause in enumerate(literals):
+        adjacency.append(tuple([offset + abs(lit) for lit in clause]))
+        for lit in clause:
+            occurrences[abs(lit) - 1].append(index)
+    adjacency += map(tuple, occurrences)
     # Every edge joins a variable and a clause, so no cycle is shorter than 4.
-    return IncidenceGraph(Graph(adjacency, girth_floor=4), signs)
+    return IncidenceGraph(Graph(adjacency, girth_floor=4, clauses=m), literals)
 
 
 # Kept because the benchmark's tracer finds the restriction test

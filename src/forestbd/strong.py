@@ -35,7 +35,7 @@ from .graphs import (
     CyclePacking,
     FeedbackSet,
     IncidenceGraph,
-    clause_node,
+    Node,
     disjoint_cycles_or_feedback,
 )
 from .weak import KillChoice, RuleOutcome, candidate_pool
@@ -71,10 +71,10 @@ class ApexCycle:
     apex: int
     pos_clause: int
     neg_clause: int
-    arc: tuple
+    arc: tuple[Node, ...]
 
 
-def _arcs_between(cycle: Cycle, start: tuple, end: tuple) -> tuple[tuple, tuple]:
+def _arcs_between(cycle: Cycle, start: Node, end: Node) -> tuple[tuple, tuple]:
     nodes = cycle.nodes
     size = len(nodes)
     i = nodes.index(start)
@@ -99,7 +99,7 @@ def build_apex_cycle(
             continue
         for u in positive:
             for v in negative:
-                for arc in _arcs_between(cycle, clause_node(u), clause_node(v)):
+                for arc in _arcs_between(cycle, inc.graph.clause_node(u), inc.graph.clause_node(v)):
                     candidate = (len(arc), u, v, variable, arc)
                     if best is None or candidate < best:
                         best = candidate
@@ -269,18 +269,22 @@ def detect_deletion(formula: Formula, budget: int) -> BackdoorVerdict:
     cycles share no variable, so from budget 2 a packing of budget + 1 of
     them answers no before any branching; at budget 1 the search is one
     cycle and a deletion test per variable on it, less than the packing's
-    second girth pass.
+    second girth pass. An acyclic formula needs neither: the empty set is
+    found before either runs.
     """
     if budget < 0:
         raise ContractError(f"budget must be >= 0, got {budget}")
     root = Residual.of(formula)
+    if root.acyclic():
+        return BackdoorVerdict.yes((), budget)
     packing = budget >= 2 and disjoint_cycles_or_feedback(root.inc.graph, budget + 1)
     if isinstance(packing, CyclePacking):
         return BackdoorVerdict.no(budget)
 
     def settle(removed: frozenset[int]):
+        # The root, with nothing removed, is known to be cyclic.
         view = root.without(removed)
-        if view.acyclic():
+        if removed and view.acyclic():
             return frozenset(), {}
         return view if len(removed) < budget else None
 

@@ -7,7 +7,8 @@ rebuild every restriction or deletion and its incidence graph instead of
 taking a removed-node view of the formula's one graph, and the reference
 cycle search and packing run every BFS to the end, with no girth bound,
 and the reference weak rule walks the heavy cycles and the killer pairs
-twice each.
+twice each. The reference parser reads DIMACS one line and one token at a
+time, checking each line for what `int` reads beyond plain decimals.
 """
 
 from __future__ import annotations
@@ -19,8 +20,10 @@ from dataclasses import replace
 from typing import Iterable, Iterator, Mapping
 
 from forestbd import (
+    Clause,
     ContractError,
     CyclicInputError,
+    DimacsError,
     Formula,
     ModelCount,
     ResourceLimitError,
@@ -38,7 +41,7 @@ from forestbd.backdoors import (
     external_killers,
     opposite_sign_clauses,
 )
-from forestbd.formula import Assignment
+from forestbd.formula import MAX_DIMACS_VARIABLES, Assignment
 from forestbd.graphs import (
     Cycle,
     CyclePacking,
@@ -48,10 +51,8 @@ from forestbd.graphs import (
     Node,
     PackingOrFeedback,
     canonical_cycle,
-    clause_node,
     incidence_graph,
     is_acyclic,
-    var_node,
 )
 from forestbd.strong import MAX_STRONG_BUDGET, StrongParameters, strong_rule_outcome
 from forestbd.weak import (
@@ -133,8 +134,9 @@ def overlap_rings() -> Formula:
 
 
 def overlap_ring_cycles() -> tuple[Cycle, Cycle]:
-    first = ring_cycle(list(range(1, 18)), list(range(0, 17)))
-    second = ring_cycle(list(range(18, 35)), list(range(17, 34)))
+    graph = incidence_graph(overlap_rings()).graph
+    first = ring_cycle(graph, list(range(1, 18)), list(range(0, 17)))
+    second = ring_cycle(graph, list(range(18, 35)), list(range(17, 34)))
     return first, second
 
 
@@ -147,7 +149,8 @@ def shared_killer_square() -> Formula:
 
 
 def shared_killer_cycles() -> tuple[Cycle, Cycle]:
-    return ring_cycle([1, 2], [0, 1]), ring_cycle([3, 4], [2, 3])
+    graph = incidence_graph(shared_killer_square()).graph
+    return ring_cycle(graph, [1, 2], [0, 1]), ring_cycle(graph, [3, 4], [2, 3])
 
 
 def heavy_sparse_ring() -> Formula:
@@ -166,7 +169,10 @@ def heavy_sparse_ring() -> Formula:
 
 
 def heavy_sparse_cycles() -> tuple[Cycle, Cycle]:
-    return ring_cycle(list(range(1, 9)), list(range(0, 8))), ring_cycle([10, 11], [8, 9])
+    graph = incidence_graph(heavy_sparse_ring()).graph
+    return ring_cycle(graph, list(range(1, 9)), list(range(0, 8))), ring_cycle(
+        graph, [10, 11], [8, 9]
+    )
 
 
 def heavy_dense_ring() -> Formula:
@@ -190,8 +196,9 @@ def heavy_dense_ring() -> Formula:
 
 
 def heavy_dense_cycles() -> tuple[Cycle, Cycle]:
-    return ring_cycle(list(range(1, 17)), list(range(0, 16))), ring_cycle(
-        [24, 25], [16, 17]
+    graph = incidence_graph(heavy_dense_ring()).graph
+    return ring_cycle(graph, list(range(1, 17)), list(range(0, 16))), ring_cycle(
+        graph, [24, 25], [16, 17]
     )
 
 
@@ -241,14 +248,14 @@ def strong_saturated() -> Formula:
 
 # --- helpers ------------------------------------------------------------------
 
-def ring_cycle(variables: list[int], clause_indices: list[int]) -> Cycle:
-    """Cycle object for a ring where clause_indices[i] joins variables[i]
-    and variables[(i+1) % n]."""
+def ring_cycle(graph: Graph, variables: list[int], clause_indices: list[int]) -> Cycle:
+    """Cycle object for a ring of `graph` where clause_indices[i] joins
+    variables[i] and variables[(i+1) % n]."""
     nodes = []
     for v, c in zip(variables, clause_indices):
-        nodes.append(var_node(v))
-        nodes.append(clause_node(c))
-    return canonical_cycle(tuple(nodes))
+        nodes.append(graph.var_node(v))
+        nodes.append(graph.clause_node(c))
+    return canonical_cycle(tuple(nodes), graph.clauses)
 
 
 def manufactured_choice(formula: Formula, external: tuple[Cycle, ...]) -> KillChoice:
@@ -304,7 +311,7 @@ def random_graph(seed: int, nodes: tuple[int, int], edges: tuple[int, int]) -> G
         u, v = rng.sample(range(len(adjacency)), 2)
         adjacency[u].add(v)
         adjacency[v].add(u)
-    return Graph({v: list(around) for v, around in adjacency.items()})
+    return Graph([tuple(sorted(adjacency[v])) for v in range(len(adjacency))])
 
 
 def enumerate_simple_cycles(graph: Graph) -> list[tuple]:
@@ -466,7 +473,7 @@ def reference_shortest_cycle(
                     )
                     candidates.append((anchor,) + interior)
             if candidates:
-                return Cycle(min(candidates))
+                return Cycle(min(candidates), graph.clauses)
     return None
 
 
@@ -716,3 +723,67 @@ def reference_count_with_backdoor(formula: Formula, backdoor, universe) -> Model
     except CyclicInputError as exc:
         raise ContractError("the given set is not a strong backdoor") from exc
     return ModelCount(total, len(target))
+
+
+# --- reference DIMACS parser ----------------------------------------------------
+
+def reference_parse_dimacs(text: str) -> Formula:
+    """`formula.parse_dimacs` one line at a time: every line is checked for
+    `_`, `+` and non-ASCII characters, every token converted on its own,
+    and every clause normalised and checked by `Clause.from_ints`."""
+    header: tuple[int, int] | None = None
+    body_tokens: list[str] = []
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("c"):
+            continue
+        if "_" in stripped or "+" in stripped or not stripped.isascii():
+            raise DimacsError(f"line {line_no}: not plain decimal integers: {stripped!r}")
+        if stripped.startswith("p"):
+            if header is not None:
+                raise DimacsError(f"line {line_no}: duplicate header")
+            parts = stripped.split()
+            if len(parts) != 4 or parts[0] != "p" or parts[1] != "cnf":
+                raise DimacsError(f"line {line_no}: malformed header {stripped!r}")
+            try:
+                n, m = int(parts[2]), int(parts[3])
+            except ValueError as exc:
+                raise DimacsError(f"line {line_no}: malformed header {stripped!r}") from exc
+            if n < 0 or m < 0:
+                raise DimacsError(f"line {line_no}: negative counts in header")
+            if n > MAX_DIMACS_VARIABLES:
+                raise ResourceLimitError(
+                    f"line {line_no}: header declares {n} variables "
+                    f"(limit {MAX_DIMACS_VARIABLES})"
+                )
+            header = (n, m)
+            continue
+        if header is None:
+            raise DimacsError(f"line {line_no}: clause data before header")
+        body_tokens.extend(stripped.split())
+    if header is None:
+        raise DimacsError("missing 'p cnf' header")
+    n, m = header
+
+    clauses: list[Clause] = []
+    current: list[int] = []
+    for token in body_tokens:
+        try:
+            value = int(token)
+        except ValueError as exc:
+            raise DimacsError(f"non-integer token {token!r} in clause data") from exc
+        if value == 0:
+            try:
+                clauses.append(Clause.from_ints(current))
+            except ContractError as exc:
+                raise DimacsError(f"clause {len(clauses) + 1}: {exc}") from exc
+            current = []
+            continue
+        if abs(value) > n:
+            raise DimacsError(f"literal {value} exceeds declared variable count {n}")
+        current.append(value)
+    if current:
+        raise DimacsError("unterminated clause at end of input")
+    if len(clauses) != m:
+        raise DimacsError(f"header declares {m} clauses, found {len(clauses)}")
+    return Formula(tuple(clauses), frozenset(range(1, n + 1)))

@@ -229,7 +229,7 @@ def test_criterion_6_dichotomy_validity():
                 )
                 if incidence_half:
                     ok = ok and all(
-                        ring[j][0] != ring[(j + 1) % len(ring)][0]
+                        (ring[j] < g.clauses) != (ring[(j + 1) % len(ring)] < g.clauses)
                         for j in range(len(ring))
                     )
                 seen |= cycle.node_set

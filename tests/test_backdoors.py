@@ -279,20 +279,20 @@ class TestKillRelations:
     def test_grid_face_killed_by_extra_variable(self):
         f = grid_formula(2)
         inc = incidence_graph(f)
-        cycle = shortest_cycle(inc.graph, forbidden={("var", 5)})
+        cycle = shortest_cycle(inc.graph, forbidden={inc.graph.var_node(5)})
         assert 5 in external_killers(inc, cycle, frozenset({5}))
 
     def test_opposite_sign_pair(self):
         f = Formula.from_ints([[1, 2, 5], [1, 2, -5], [1, 2]], num_vars=5)
         inc = incidence_graph(f)
-        cycle = shortest_cycle(inc.graph, forbidden={("var", 5)})
+        cycle = shortest_cycle(inc.graph, forbidden={inc.graph.var_node(5)})
         pair = opposite_sign_clauses(inc, 5, cycle)
         assert pair == (0, 1)
 
     def test_same_sign_is_not_a_strong_kill(self):
         f = Formula.from_ints([[1, 2, 5], [1, 2, 5], [1, 2]], num_vars=5)
         inc = incidence_graph(f)
-        cycle = shortest_cycle(inc.graph, forbidden={("var", 5)})
+        cycle = shortest_cycle(inc.graph, forbidden={inc.graph.var_node(5)})
         assert opposite_sign_clauses(inc, 5, cycle) is None
 
     def test_on_cycle_variable_rejected(self):
@@ -305,7 +305,7 @@ class TestKillRelations:
     def test_opposite_pair_removes_cycle_under_both_values(self):
         f = Formula.from_ints([[1, 2, 5], [1, 2, -5], [1, 2]], num_vars=5)
         inc = incidence_graph(f)
-        cycle = shortest_cycle(inc.graph, forbidden={("var", 5)})
+        cycle = shortest_cycle(inc.graph, forbidden={inc.graph.var_node(5)})
         pair = opposite_sign_clauses(inc, 5, cycle)
         assert pair is not None
         # Either value of the variable satisfies one of the pair, so a clause

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +21,7 @@ from forestbd import (
     random_rcnf,
 )
 from forestbd.report import base_stats, formula_digest
+from instances import reference_parse_dimacs
 
 
 class TestParse:
@@ -90,6 +93,114 @@ class TestParse:
         # int() reads every one of these; DIMACS has none of them.
         with pytest.raises(DimacsError, match="not plain decimal integers"):
             parse_dimacs(text)
+
+
+def parse_outcome(parse, text):
+    """The formula a parser returns, or the type and message it raises."""
+    try:
+        return parse(text)
+    except Exception as exc:  # compared, not swallowed
+        return type(exc), str(exc)
+
+
+def random_dimacs_text(rng: random.Random) -> str:
+    """DIMACS text with random spacing, comments, clause layout, unsorted
+    and repeated literals, then at times one random edit."""
+    n, m = rng.randint(0, 6), rng.randint(0, 5)
+    comments = ["c random", "c note_1 +2", "", "c \u0661"]
+    lines = [rng.choice(comments) for _ in range(rng.randint(0, 2))]
+    lines.append(f"p cnf {n} {m}")
+    tokens: list[str] = []
+    for _ in range(m):
+        width = rng.randint(0, 4)
+        tokens += [str(rng.choice((-1, 1)) * rng.randint(1, max(n, 1))) for _ in range(width)]
+        tokens.append("0")
+    line: list[str] = []
+    for token in tokens:
+        line.append(token)
+        if rng.random() < 0.4:
+            lines.append(rng.choice([" ", "  ", "\t"]).join(line))
+            line = []
+            if rng.random() < 0.2:
+                lines.append(rng.choice(["c mid", "", "   ", "c 1_0 +1"]))
+    lines.append(" ".join(line))
+    text = rng.choice(["\n", "\r\n"]).join(lines) + rng.choice(["\n", ""])
+    if rng.random() < 0.5 and text:
+        at = rng.randrange(len(text))
+        edit = rng.choice(["_", "+", "x", "0", "-", "\u0661", " ", "\n", "p", "c", "7", ""])
+        text = text[:at] + edit + text[at + rng.randint(0, 1):]
+    return text
+
+
+class TestAgainstReferenceParse:
+    """`parse_dimacs` returns the formula the line-by-line reference parser
+    returns, or raises the same error with the same message."""
+
+    CORPUS = [
+        # Comments may hold anything `int` would read.
+        "c a_b +1 \u0661\np cnf 2 1\n1 -2 0\n",
+        "p cnf 2 1\nc note_1 +2\n1 -2 0\n",
+        "p cnf 2 2\n  c indented comment\n1 0\n2 0\n",
+        # What `int` reads beyond plain decimals, in the header and the body.
+        "p cnf 1_0 2\n1 -2 0\n1 0\n",
+        "p cnf 10 2\n1_0 -2 0\n1 0\n",
+        "p cnf 2 1\n+1 -2 0\n",
+        "p cnf +2 1\n1 0\n",
+        "p cnf 2 1\n\u0661 0\n",
+        "p cnf 2 2\n1 x 0\n1_0 0\n",
+        # Headers.
+        "",
+        "c only a comment\n",
+        "p cnf 2 1\n1 0\np cnf 2 1\n",
+        "p cnf 2 1\n1 x 0\np cnf 2 1\n",
+        "1 0\np cnf 1 1\n",
+        "p cnf x 1\n1 0\n",
+        "p dnf 1 1\n1 0\n",
+        "p cnf 1\n1 0\n",
+        "p cnf -1 1\n1 0\n",
+        "p cnf 1000001 0\n",
+        "p cnf 1000001 1\n1 x 0\n",
+        "p cnf 0 0\n",
+        "p cnf 3 0",
+        # Clause data.
+        "p cnf 2 1\n1 2\n",
+        "p cnf 2 2\n1 0\n",
+        "p cnf 2 1\n1 0\n2 0\n",
+        "p cnf 2 1\n1 -1 0\n",
+        "p cnf 3 2\n1 2 0\n2 -3 3 0\n",
+        "p cnf 2 1\n3 0\n",
+        "p cnf 2 1\n-3 0\n",
+        "p cnf 2 2\n1 -1 0\n1 x 0\n",
+        "p cnf 2 2\n1 x 0\n1 -1 0\n",
+        "p cnf 2 2\n1 -1 0\n3 0\n",
+        "p cnf 2 2\n3 0\n1 -1 0\n",
+        "p cnf 2 2\n2 x\n",
+        "p cnf 2 1\n1 c 0\n",
+        "p cnf 2 1\n1 p 0\n",
+        "p cnf 3 2\n3 -1 3 0\n2 -3 0\n",
+        "p cnf 3 3\n1 2\n 3 0 -1\n0 0\n",
+        "p cnf 1 1\n0\n",
+        "p cnf 1 1\n1 -0\n",
+        "p cnf 2 1\n01 -02 00\n",
+        "p cnf 2 2\r\n1 -2 0\r\n2\t0\x0c\n",
+        "p cnf 2 2\n1 0\x1c2 0\x0b\n",
+    ]
+
+    @pytest.mark.parametrize("text", CORPUS)
+    def test_corpus(self, text):
+        assert parse_outcome(parse_dimacs, text) == parse_outcome(reference_parse_dimacs, text)
+
+    def test_random_texts(self):
+        rng = random.Random(13)
+        for _ in range(2000):
+            text = random_dimacs_text(rng)
+            mine = parse_outcome(parse_dimacs, text)
+            assert mine == parse_outcome(reference_parse_dimacs, text), text
+
+    def test_large_round_trip(self):
+        f = random_rcnf(300, 400, 3, 2)
+        text = emit_dimacs(f)
+        assert parse_dimacs(text) == reference_parse_dimacs(text) == f
 
 
 class TestEmit:

@@ -15,6 +15,7 @@ from forestbd import (
     CyclePacking,
     FeedbackSet,
     Formula,
+    ResourceLimitError,
     disjoint_cycles_or_feedback,
     grid_formula,
     incidence_graph,
@@ -28,8 +29,6 @@ from forestbd.graphs import (
     Cycle,
     Graph,
     canonical_cycle,
-    clause_node,
-    var_node,
 )
 from instances import (
     disjoint_triangles,
@@ -74,6 +73,16 @@ def random_partial(rng: random.Random, formula: Formula) -> dict[int, bool]:
     return {v: rng.random() < 0.5 for v in picked}
 
 
+def mapped_back(graph: Graph, clauses: int, kept: list[int], nodes) -> tuple:
+    """Nodes of the graph of a restriction, with `clauses` clause nodes, as
+    the nodes of the unrestricted `graph`: clause i of the restriction is
+    clause kept[i], and a variable keeps its id."""
+    return tuple(
+        graph.clause_node(kept[n]) if n < clauses else graph.var_node(n - clauses + 1)
+        for n in nodes
+    )
+
+
 def restricted(formula: Formula, tau: dict[int, bool]) -> Residual:
     """The view of `formula` restricted by `tau`, one variable at a time."""
     view = Residual.of(formula)
@@ -89,28 +98,35 @@ class TestIncidence:
         assert inc.sign(1, 0) is True
         assert inc.sign(2, 0) is False
         assert inc.sign(1, 1) is None
-        assert inc.graph.has_edge(var_node(1), clause_node(0))
+        assert inc.graph.has_edge(inc.graph.var_node(1), inc.graph.clause_node(0))
 
     def test_empty_formula(self):
         inc = incidence_graph(Formula((), frozenset()))
-        assert inc.graph.nodes == ()
+        assert inc.graph.nodes == range(0)
 
     def test_grid_counts(self):
         f = grid_formula(2)
         inc = incidence_graph(f)
         assert len(inc.graph.nodes) == 5 + 4
         assert edge_count(inc.graph) == 12
-        assert len(inc.graph.neighbors(var_node(5))) == 4
+        assert len(inc.graph.neighbors(inc.graph.var_node(5))) == 4
 
     def test_includes_non_occurring_universe_variables(self):
         f = Formula.from_ints([[1]], num_vars=3)
         inc = incidence_graph(f)
-        assert var_node(3) in inc.graph.nodes
-        assert inc.graph.neighbors(var_node(3)) == ()
+        assert inc.graph.var_node(3) in inc.graph.nodes
+        assert inc.graph.neighbors(inc.graph.var_node(3)) == ()
+
+    def test_variable_ids_are_capped(self):
+        # One node per id up to the largest: a sparse huge id is refused
+        # before anything is allocated for it, as a DIMACS header would be.
+        with pytest.raises(ResourceLimitError, match="limit 1000000"):
+            incidence_graph(Formula.from_ints([[1, 1_000_001]]))
+        assert len(incidence_graph(Formula.from_ints([[1, 9]])).graph.nodes) == 1 + 9
 
     def test_nodes_and_neighbors_are_sorted_tuples(self):
         g = incidence_graph(random_rcnf(12, 20, 3, 7)).graph
-        assert isinstance(g.nodes, tuple) and list(g.nodes) == sorted(g.nodes)
+        assert g.nodes == range(len(g.adjacency)) and list(g.nodes) == sorted(g.nodes)
         for v in g.nodes:
             around = g.neighbors(v)
             assert isinstance(around, tuple) and list(around) == sorted(around)
@@ -119,15 +135,17 @@ class TestIncidence:
 class TestRestrictionView:
     def test_true_value_removes_satisfied_clause(self):
         f = Formula.from_ints([[1, 2], [-1, 2]], num_vars=2)
-        assert Residual.of(f).assign(1, True).removed == {var_node(1), clause_node(0)}
+        g = incidence_graph(f).graph
+        assert Residual.of(f).assign(1, True).removed == {g.var_node(1), g.clause_node(0)}
 
     def test_false_value_removes_the_other_clause(self):
         f = Formula.from_ints([[1, 2], [-1, 2]], num_vars=2)
-        assert Residual.of(f).assign(1, False).removed == {var_node(1), clause_node(1)}
+        g = incidence_graph(f).graph
+        assert Residual.of(f).assign(1, False).removed == {g.var_node(1), g.clause_node(1)}
 
     def test_unused_variable_removes_only_itself(self):
         root = Residual.of(Formula((), frozenset({1})))
-        assert root.assign(1, True).removed == {var_node(1)}
+        assert root.assign(1, True).removed == {root.inc.graph.var_node(1)}
         assert root.removed == set()
 
     @given(st.integers(0, 100_000))
@@ -140,15 +158,14 @@ class TestRestrictionView:
         tau = random_partial(rng, f)
         inc, removed, _ = restricted(f, tau)
         kept = [i for i, c in enumerate(f.clauses) if not c.satisfied_by(tau)]
-        assert {clause_node(i) for i in range(f.num_clauses)} - removed == {
-            clause_node(i) for i in kept
+        g = inc.graph
+        assert {g.clause_node(i) for i in range(f.num_clauses)} - removed == {
+            g.clause_node(i) for i in kept
         }
-        assert {var_node(v) for v in tau} <= removed
+        assert {g.var_node(v) for v in tau} <= removed
         rebuilt = shortest_cycle(incidence_graph(f.restrict(tau)).graph)
         if rebuilt is not None:
-            rebuilt = Cycle(
-                tuple(clause_node(kept[n[1]]) if n[0] == "clause" else n for n in rebuilt.nodes)
-            )
+            rebuilt = Cycle(mapped_back(g, rebuilt.clauses, kept, rebuilt.nodes), g.clauses)
         assert shortest_cycle(inc.graph, forbidden=removed) == rebuilt
 
     @given(st.integers(0, 100_000), st.integers(1, 4))
@@ -160,18 +177,85 @@ class TestRestrictionView:
         inc, removed, _ = restricted(f, tau)
         kept = [i for i, c in enumerate(f.clauses) if not c.satisfied_by(tau)]
 
-        def mapped_back(nodes):
-            return tuple(clause_node(kept[n[1]]) if n[0] == "clause" else n for n in nodes)
+        g = inc.graph
+        rebuilt_graph = incidence_graph(f.restrict(tau)).graph
+        m = rebuilt_graph.clauses
 
-        rebuilt = disjoint_cycles_or_feedback(incidence_graph(f.restrict(tau)).graph, count)
+        rebuilt = disjoint_cycles_or_feedback(rebuilt_graph, count)
         if isinstance(rebuilt, CyclePacking):
-            rebuilt = CyclePacking(tuple(Cycle(mapped_back(c.nodes)) for c in rebuilt.cycles))
+            rebuilt = CyclePacking(
+                tuple(Cycle(mapped_back(g, m, kept, c.nodes), g.clauses) for c in rebuilt.cycles)
+            )
         else:
-            rebuilt = FeedbackSet(frozenset(mapped_back(rebuilt.nodes)))
+            rebuilt = FeedbackSet(frozenset(mapped_back(g, m, kept, rebuilt.nodes)))
         view = disjoint_cycles_or_feedback(inc.graph, count, forbidden=removed)
         assert view == rebuilt
         if isinstance(view, FeedbackSet):
             assert not view.nodes & removed
+
+
+def tuple_node(graph: Graph, node: int) -> tuple[str, int]:
+    """An incidence graph's node as the ("clause", index) or ("var", id)
+    pair that once named it."""
+    if node < graph.clauses:
+        return ("clause", node)
+    return ("var", node - graph.clauses + 1)
+
+
+class TupleGraph:
+    """The incidence graph with ("clause", index) and ("var", id) nodes,
+    built from the formula alone, for the reference cycle search."""
+
+    clauses = 0
+
+    def __init__(self, formula: Formula) -> None:
+        adjacency: dict[tuple, list[tuple]] = {("var", v): [] for v in formula.universe}
+        for index, clause in enumerate(formula.clauses):
+            adjacency[("clause", index)] = [("var", abs(lit)) for lit in clause.literals]
+            for lit in clause.literals:
+                adjacency[("var", abs(lit))].append(("clause", index))
+        self.adjacency = {v: tuple(sorted(around)) for v, around in adjacency.items()}
+        self.nodes = tuple(sorted(adjacency))
+
+    def neighbors(self, v: tuple) -> tuple:
+        return self.adjacency[v]
+
+
+class TestEncoding:
+    """Int node ids keep the order of the tuple names they replaced, so
+    canonical cycles and their JSON stay the same."""
+
+    @given(st.integers(0, 100_000))
+    @settings(max_examples=200, deadline=None)
+    def test_int_order_is_tuple_order(self, seed):
+        rng = random.Random(seed)
+        f = random_rcnf(rng.randint(3, 10), rng.randint(1, 15), 3, seed)
+        view = restricted(f, random_partial(rng, f))
+        g = view.inc.graph
+        kept = [v for v in g.nodes if v not in view.removed]
+        assert sorted(kept, key=lambda v: tuple_node(g, v)) == kept
+        assert [tuple_node(g, v) for v in g.nodes if v >= g.clauses] == [
+            ("var", v) for v in range(1, max(f.universe) + 1)
+        ]
+
+    @given(st.integers(0, 100_000))
+    @settings(max_examples=200, deadline=None)
+    def test_view_cycle_is_tuple_cycle(self, seed):
+        rng = random.Random(seed)
+        f = random_rcnf(rng.randint(3, 10), rng.randint(1, 15), 3, seed)
+        view = restricted(f, random_partial(rng, f))
+        g = view.inc.graph
+        found = shortest_cycle(g, forbidden=view.removed)
+        named = reference_shortest_cycle(
+            TupleGraph(f), forbidden={tuple_node(g, v) for v in view.removed}
+        )
+        if named is None:
+            assert found is None
+        else:
+            assert tuple(tuple_node(g, v) for v in found.nodes) == named.nodes
+            assert found.to_json() == [{"kind": kind, "id": id_} for kind, id_ in named.nodes]
+            assert found.variables == tuple(i for kind, i in named.nodes if kind == "var")
+            assert found.clause_indices == tuple(i for kind, i in named.nodes if kind == "clause")
 
 
 class TestAcyclicity:
@@ -184,12 +268,12 @@ class TestAcyclicity:
         assert not is_acyclic(incidence_graph(f).graph)
 
     def test_empty_graph(self):
-        assert is_acyclic(Graph({}))
+        assert is_acyclic(Graph([]))
 
     def test_forbidden_removes_cycle(self):
         f = Formula.from_ints([[1, 2], [1, 2]], num_vars=2)
         g = incidence_graph(f).graph
-        assert is_acyclic(g, forbidden={var_node(1)})
+        assert is_acyclic(g, forbidden={g.var_node(1)})
 
 
 class TestShortestCycle:
@@ -197,22 +281,24 @@ class TestShortestCycle:
         f = Formula.from_ints([[1, 2], [1, 2]], num_vars=2)
         g = incidence_graph(f).graph
         cycle = shortest_cycle(g)
-        assert cycle.nodes == (clause_node(0), var_node(1), clause_node(1), var_node(2))
+        assert cycle.nodes == (g.clause_node(0), g.var_node(1), g.clause_node(1), g.var_node(2))
 
     def test_forbidden_kills_it(self):
         f = Formula.from_ints([[1, 2], [1, 2]], num_vars=2)
         g = incidence_graph(f).graph
-        assert shortest_cycle(g, forbidden={var_node(1)}) is None
+        assert shortest_cycle(g, forbidden={g.var_node(1)}) is None
 
     def test_canonical_cycle_normalization(self):
-        c1 = canonical_cycle((var_node(2), clause_node(0), var_node(1), clause_node(1)))
-        c2 = canonical_cycle((clause_node(1), var_node(1), clause_node(0), var_node(2)))
+        g = incidence_graph(Formula.from_ints([[1, 2], [1, 2]], num_vars=2)).graph
+        c1 = canonical_cycle((g.var_node(2), g.clause_node(0), g.var_node(1), g.clause_node(1)))
+        c2 = canonical_cycle((g.clause_node(1), g.var_node(1), g.clause_node(0), g.var_node(2)))
         assert c1 == c2
-        assert c1.nodes[0] == clause_node(0)
+        assert c1.nodes[0] == g.clause_node(0)
 
     def test_canonical_rejects_non_cycles(self):
+        g = incidence_graph(Formula.from_ints([[1]], num_vars=1)).graph
         with pytest.raises(ContractError):
-            canonical_cycle((var_node(1), clause_node(0)))
+            canonical_cycle((g.var_node(1), g.clause_node(0)))
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=120, deadline=None)
@@ -275,7 +361,7 @@ class TestAgainstReference:
         for u, v in edges:
             adjacency[u].append(v)
             adjacency[v].append(u)
-        g = Graph(adjacency)
+        g = Graph([tuple(sorted(adjacency[v])) for v in range(7)])
         assert g.girth_floor == 3
         assert incidence_graph(triangle()).graph.girth_floor == 4
         assert shortest_cycle(g).nodes == (4, 5, 6)
@@ -307,7 +393,7 @@ class TestDichotomy:
 
     def test_requires_positive_count(self):
         with pytest.raises(ContractError):
-            disjoint_cycles_or_feedback(Graph({}), 0)
+            disjoint_cycles_or_feedback(Graph([]), 0)
 
     @given(st.integers(0, 10_000), st.sampled_from([2, 3, 5]))
     @settings(max_examples=100, deadline=None)

@@ -22,6 +22,7 @@ from forestbd import (
     detect_strong,
     detect_weak,
     disjoint_cycles_or_feedback,
+    emit_dimacs,
     grid_formula,
     incidence_graph,
     is_deletion_backdoor,
@@ -34,7 +35,6 @@ from forestbd import (
 )
 from forestbd import acyclic, backdoors, graphs, strong, weak
 from forestbd.backdoors import Residual
-from forestbd.graphs import clause_node, var_node
 from forestbd.strong import (
     StrongParameters,
     apex_cycle_killers,
@@ -89,7 +89,7 @@ class TestParameters:
 def arc_killing_pairs(formula, inc, apex_cycle, pool):
     """All clause pairs on the arc at which some pool variable holds
     opposite signs; used to check arc minimality directly."""
-    arc_clauses = [n[1] for n in apex_cycle.arc if n[0] == "clause"]
+    arc_clauses = [n for n in apex_cycle.arc if n < inc.graph.clauses]
     pairs = set()
     for variable in pool:
         for u, v in itertools.combinations(arc_clauses, 2):
@@ -103,18 +103,19 @@ class TestApexCycle:
     def test_two_clause_cycle(self):
         f = Formula.from_ints([[1, 2, 3], [1, 2, -3]], num_vars=3)
         inc = incidence_graph(f)
-        cycle = shortest_cycle(inc.graph, forbidden={var_node(3)})
+        cycle = shortest_cycle(inc.graph, forbidden={inc.graph.var_node(3)})
         apex = build_apex_cycle(inc, cycle, frozenset({3}))
         assert apex is not None
         assert apex.apex == 3
         assert (apex.pos_clause, apex.neg_clause) == (0, 1)
         # Two length-three arcs tie; the one through the smaller variable wins.
-        assert apex.arc == (clause_node(0), var_node(1), clause_node(1))
+        g = inc.graph
+        assert apex.arc == (g.clause_node(0), g.var_node(1), g.clause_node(1))
 
     def test_no_opposite_pair_means_none(self):
         f = Formula.from_ints([[1, 2, 3], [1, 2, 3]], num_vars=3)
         inc = incidence_graph(f)
-        cycle = shortest_cycle(inc.graph, forbidden={var_node(3)})
+        cycle = shortest_cycle(inc.graph, forbidden={inc.graph.var_node(3)})
         assert build_apex_cycle(inc, cycle, frozenset({3})) is None
 
     def test_inner_pair_wins_minimality(self):
@@ -135,7 +136,7 @@ class TestApexCycle:
             clauses.append(body)
         f = Formula.from_ints(clauses, num_vars=8)
         inc = incidence_graph(f)
-        base = ring_cycle([2, 3, 4, 5, 6, 1], [1, 2, 3, 4, 5, 0])
+        base = ring_cycle(inc.graph, [2, 3, 4, 5, 6, 1], [1, 2, 3, 4, 5, 0])
         apex = build_apex_cycle(inc, base, frozenset({7, 8}))
         assert apex.apex == 8
         assert (apex.pos_clause, apex.neg_clause) == (1, 2)
@@ -157,6 +158,7 @@ class TestApexCycle:
             f = Formula.from_ints(clauses, num_vars=ring + extras)
             inc = incidence_graph(f)
             base = ring_cycle(
+                inc.graph,
                 list(range(2, ring + 1)) + [1],
                 list(range(1, ring)) + [0],
             )
@@ -174,7 +176,8 @@ class TestApexKillers:
         )
         inc = incidence_graph(f)
         cycle = shortest_cycle(
-            inc.graph, forbidden={var_node(v) for v in (3, 4, 5, 6, 7)} | {clause_node(2)}
+            inc.graph,
+            forbidden={inc.graph.var_node(v) for v in (3, 4, 5, 6, 7)} | {inc.graph.clause_node(2)},
         )
         apex = build_apex_cycle(inc, cycle, frozenset({3, 4, 5, 6, 7}))
         return f, inc, apex
@@ -426,6 +429,28 @@ class TestDeletion:
         monkeypatch.setattr(strong, "branch_on_cycles", refuse)
         assert detect_deletion(grid_formula(6), 8) == BackdoorVerdict.no(8)
         assert detect_deletion(disjoint_triangles(4), 3) == BackdoorVerdict.no(3)
+
+    def test_acyclic_root_skips_the_girth_pass(self, monkeypatch, tmp_path):
+        # The empty set is found before the packing bound's girth pass.
+        from test_cli import run
+
+        f = Formula.from_ints([[1, 2], [-2, 3, 4], [4, -5], [1, 6]], num_vars=6)
+        expected = reference_detect_deletion(f, 2)
+        path = tmp_path / "forest.cnf"
+        path.write_text(emit_dimacs(f), encoding="ascii")
+        calls = []
+        original = graphs.shortest_cycle
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(graphs, "shortest_cycle", counted)
+        monkeypatch.setattr(backdoors, "shortest_cycle", counted)
+        assert detect_deletion(f, 2) == expected == BackdoorVerdict.yes((), 2)
+        argv = ["detect", "deletion", "-k", "2", "--cnf", str(path)]
+        assert run(argv) == (0, "verdict: found\nbackdoor: (empty)\n", "")
+        assert calls == []
 
     @given(st.integers(0, 100_000))
     @settings(max_examples=30, deadline=None)

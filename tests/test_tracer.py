@@ -35,6 +35,8 @@ def test_traced_commands_reach_every_layer(tmp_path):
         ["detect", "strong", "--cnf", str(grid), "-k", "1", "--json"],
         ["detect", "deletion", "--cnf", str(grid), "-k", "1", "--json"],
         ["count", "--cnf", str(grid), "--backdoor", "17", "--json"],
+        ["stats", "--cnf", str(grid), "--json"],
+        ["verify", "--kind", "deletion", "--set", "17", "--cnf", str(grid), "--json"],
     ]
     tracer = tracing.Tracer()
     tracer.install(modules)
@@ -44,7 +46,7 @@ def test_traced_commands_reach_every_layer(tmp_path):
     finally:
         tracer.uninstall()
     assert modules["graphs"].shortest_cycle is original
-    assert codes == [0, 1, 0]
+    assert codes == [0, 1, 0, 0, 1]
 
     spans, counts = tracer.take()
     assert counts["strong.designations"] > 0
@@ -59,9 +61,34 @@ def test_traced_commands_reach_every_layer(tmp_path):
             yield spans[parent]
             parent = spans[parent][1]
 
+    # The input path and the graph walks are reached through their spanned
+    # names, whatever calls them.
+    called = {function(span) for span in spans}
+    for name in (
+        "formula.parse_dimacs",
+        "graphs.incidence_graph",
+        "graphs.is_acyclic",
+        "graphs.residual_acyclic",
+    ):
+        assert name in called
+
     cycles = [span for span in spans if function(span) == "graphs.shortest_cycle"]
     assert cycles
     # The exact searches' own cycle queries are seen, not only the packing's.
     assert any(
         function(outer) == "strong.detect_deletion" for span in cycles for outer in ancestors(span)
     )
+
+
+def test_every_spanned_name_resolves():
+    tracing = load_tracer()
+    for module, functions in tracing.SPANNED.items():
+        namespace = importlib.import_module(f"forestbd.{module}")
+        for qualified in functions:
+            owner_name, _, attr = qualified.rpartition(".")
+            if owner_name:
+                # Methods are patched on the class, so each must be defined
+                # there, `ClauseLiteralGraph.residual_acyclic` included.
+                assert attr in vars(getattr(namespace, owner_name)), qualified
+            else:
+                assert callable(getattr(namespace, attr)), qualified
