@@ -5,6 +5,8 @@ and gen (grid|hitting|random). Every command takes one path: `main` checks
 the options and `--threads`/FB_THREADS, then `_run` times the subcommand's
 handler, which reads its input and returns its outcome, and prints its text
 lines or, under `--json`, writes one versioned RunReport to standard output.
+The argument parser is built once per process, on the first `main` call,
+and every later call in the same process parses with that one parser.
 Exit codes: 0 found/valid/success, 1 no/invalid, 2 usage or input error,
 3 resource guard tripped.
 """
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import os
 import sys
 import time
@@ -25,7 +28,7 @@ from .graphs import CyclePacking, FeedbackSet, incidence_graph, is_acyclic, shor
 from .backdoors import is_deletion_backdoor, is_strong_backdoor, weak_backdoor_witness
 from .oracle import KINDS, brute_count, brute_min_backdoor
 from .report import RunReport, base_stats, formula_digest
-from .strong import MAX_STRONG_BUDGET, count_with_backdoor, detect_deletion, detect_strong
+from .strong import count_through_search, count_with_backdoor, detect_deletion, detect_strong
 from .weak import detect_weak
 
 THREADS_ENV = "FB_THREADS"
@@ -58,7 +61,11 @@ def resolve_threads(threads: int | None = None) -> int:
     return threads
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `forestbd` argument parser, built on the first call and returned
+    as the same object on every later one: a build makes a help formatter
+    for every option, and parsing never changes the parser."""
     parser = argparse.ArgumentParser(
         prog="forestbd",
         description="Backdoor sets to acyclic CNF and model counting through them.",
@@ -280,18 +287,10 @@ def _cmd_count(args: argparse.Namespace) -> Outcome:
     formula = _load(args)
     if args.backdoor is not None:
         backdoor = _parse_variables(args.backdoor)
+        count = count_with_backdoor(formula, backdoor, formula.universe).count
     else:
-        backdoor = None
-        for budget in range(MAX_STRONG_BUDGET + 1):
-            verdict = detect_strong(formula, budget)
-            if verdict.found:
-                backdoor = sorted(verdict.variables)
-                break
-        if backdoor is None:
-            raise ResourceLimitError(
-                f"no strong backdoor found within budget {MAX_STRONG_BUDGET}"
-            )
-    count = count_with_backdoor(formula, backdoor, formula.universe).count
+        found, result = count_through_search(formula)
+        backdoor, count = sorted(found), result.count
     with _long_ints():
         lines = [f"count: {count}"]
     fields = {"command": "count", "parameters": {"backdoor": backdoor}, "count": count}

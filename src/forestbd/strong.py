@@ -10,7 +10,8 @@ A strong backdoor acts as an implied cycle cutset: summing the acyclic
 counts of all its restrictions yields the exact model count. Counting
 conditions on the cutset, most-connected variable first, and stops at
 the first acyclic prefix, whose one tree DP counts the unassigned cutset
-variables as free.
+variables as free. `count_through_search` finds the cutset with
+`detect_strong` first, on the same incidence graph it then counts on.
 """
 
 from __future__ import annotations
@@ -307,6 +308,29 @@ def count_with_backdoor(
     the restrictions of a strong backdoor, one per acyclic prefix of the
     conditioning walk; a full restriction that leaves a cycle shows the set
     is not one."""
+    cutset, target = _counting_sets(formula, backdoor, universe)
+    return _count_with_backdoor(Residual.of(formula), cutset, target)
+
+
+def count_through_search(formula: Formula) -> tuple[frozenset[int], ModelCount]:
+    """The first strong backdoor `detect_strong` finds at budgets 0 to
+    MAX_STRONG_BUDGET, and the model count over the formula's universe
+    through it; the search and the count share one incidence graph.
+    Raises ResourceLimitError when no budget finds one."""
+    root = Residual.of(formula)
+    for budget in range(MAX_STRONG_BUDGET + 1):
+        verdict = _detect_strong(root, budget)
+        if verdict.found:
+            cutset, target = _counting_sets(formula, verdict.variables, formula.universe)
+            return verdict.variables, _count_with_backdoor(root, cutset, target)
+    raise ResourceLimitError(f"no strong backdoor found within budget {MAX_STRONG_BUDGET}")
+
+
+def _counting_sets(
+    formula: Formula,
+    backdoor: Sequence[int] | frozenset[int],
+    universe: Sequence[int] | frozenset[int],
+) -> tuple[frozenset[int], frozenset[int]]:
     cutset = frozenset(backdoor)
     target = frozenset(universe)
     if not cutset <= target:
@@ -316,13 +340,18 @@ def count_with_backdoor(
     if not cutset <= formula.universe:
         raise ContractError("backdoor must be a subset of the formula universe")
     _guard_size(cutset)
+    return cutset, target
+
+
+def _count_with_backdoor(
+    root: Residual, cutset: frozenset[int], target: frozenset[int]
+) -> ModelCount:
     size = len(target - cutset)
 
     def piece(leaf: tuple[Residual, int]) -> int:
         view, unassigned = leaf
         return residual_count(view.inc, view.removed, size + unassigned)
 
-    root = Residual.of(formula)
     try:
         total = sum(ordered_map(piece, root.conditioned(root.by_degree(cutset))))
     except CyclicInputError as exc:

@@ -144,13 +144,19 @@ def designations(
             f"refusing to enumerate {total} designations (limit {MAX_DESIGNATIONS})"
         )
     base = tuple(packing[: params.cycles])
+    cycle_variables = [frozenset(c.variables) for c in base]
     # The packed cycles are disjoint, so the universe minus the external
     # cycles' variables is the free variables plus the internal ones.
-    free = residual.universe.difference(v for c in base for v in c.variables)
+    free = residual.universe.difference(*cycle_variables)
     for indices in itertools.combinations(range(params.cycles), params.budget):
         internal = tuple(base[i] for i in indices)
-        external = tuple(c for i, c in enumerate(base) if i not in indices)
-        pool = free.union(v for c in internal for v in c.variables)
+        # The runs between internal cycles: the external ones in packing
+        # order, which the rules' first-match tie-breaks read.
+        bounds = (-1, *indices, params.cycles)
+        external: tuple[Cycle, ...] = ()
+        for before, after in zip(bounds, bounds[1:]):
+            external += base[before + 1 : after]
+        pool = free.union(*[cycle_variables[i] for i in indices])
         choice = KillChoice(internal, external, pool)
         yield choice, rule(residual.inc, choice, params)
 

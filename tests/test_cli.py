@@ -555,3 +555,89 @@ class TestDeterminism:
         code, _, err = run(["stats", "--cnf", str(huge), "--threads", "0"])
         assert code == 2
         assert "thread count" in err
+
+
+class TestParserReuse:
+    def corpus(self, grid3, triangle_file, tmp_path):
+        return [
+            ["--help"],
+            *([command, "--help"] for command in ("detect", "count", "verify", "oracle", "stats", "gen")),
+            ["gen", "grid", "--help"],
+            [],
+            ["gen"],
+            ["stats", "--cnf", grid3, "--bogus"],
+            ["detect", "weak", "--cnf", grid3, "-k", "x"],
+            ["stats", "--cnf", grid3, "--threads", "+1"],
+            ["stats", "--cnf", grid3, "--threads", "0"],
+            ["detect", "strong", "--cnf", grid3, "-k", "1", "--json", "--no-timing"],
+            ["count", "--cnf", triangle_file, "--json", "--no-timing"],
+            ["verify", "--cnf", grid3, "--kind", "weak", "--set", "10"],
+            ["oracle", "strong", "--cnf", triangle_file, "--k-max", "1"],
+            ["stats", "--cnf", grid3],
+            ["gen", "hitting", "--sets", "1,2;2,3", "-o", str(tmp_path / "h.cnf"), "--json", "--no-timing"],
+            ["gen", "grid", "--size", "2"],
+        ]
+
+    def test_one_parser_gives_the_same_outcomes(self, grid3, triangle_file, tmp_path):
+        corpus = self.corpus(grid3, triangle_file, tmp_path)
+        first = [run(argv) for argv in corpus]
+        again = [run(argv) for argv in corpus]
+        backwards = [run(argv) for argv in reversed(corpus)][::-1]
+        assert first == again == backwards
+        codes = [code for code, _, _ in first]
+        assert codes == [0] * 8 + [2] * 6 + [0] * 7
+        assert "usage: forestbd" in first[0][1]
+        assert all("usage: forestbd" in err for _, _, err in first[8:13])
+        assert "thread count" in first[13][2]
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_built_on_first_main_call_only(self):
+        src = Path(cli.__file__).resolve().parents[1]
+        probe = (
+            "import argparse, io, contextlib\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counted(self, *args, **kwargs):\n"
+            "    built.append(self)\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counted\n"
+            "import forestbd.cli\n"
+            "counts = [len(built)]\n"
+            "for _ in range(2):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert forestbd.cli.main(['gen', 'grid', '--size', '2']) == 0\n"
+            "    counts.append(len(built))\n"
+            "print(counts)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            timeout=60,
+            check=True,
+        )
+        before, first, second = json.loads(result.stdout)
+        assert before == 0
+        assert first > 0
+        assert second == first
+
+
+def test_count_without_backdoor_builds_one_graph(tmp_path, monkeypatch):
+    from forestbd import acyclic, backdoors, graphs, strong, weak
+
+    path = tmp_path / "grid4.cnf"
+    path.write_text(emit_dimacs(grid_formula(4)), encoding="ascii")
+    builds = []
+    build = graphs.incidence_graph
+
+    def counted(formula):
+        builds.append(formula)
+        return build(formula)
+
+    for module in (graphs, acyclic, backdoors, strong, weak, cli):
+        monkeypatch.setattr(module, "incidence_graph", counted, raising=False)
+    code, out, _ = run(["count", "--cnf", str(path), "--json", "--no-timing"])
+    assert code == 0
+    assert json.loads(out)["parameters"]["backdoor"] == [17]
+    assert len(builds) == 1

@@ -232,6 +232,8 @@ class TestDesignations:
                     assert choice.pool == formula.universe - barred
                     assert len(choice.internal) == budget
                     assert set(choice.internal) | set(choice.external) == set(split.cycles)
+                    packing = split.cycles[: params.cycles]
+                    assert choice.external == tuple(c for c in packing if c not in choice.internal)
                     checked += 1
         assert checked
 
