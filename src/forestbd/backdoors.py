@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import (
+    AbstractSet,
     Callable,
     Iterable,
     Iterator,
@@ -231,17 +232,17 @@ def restriction_is_acyclic(formula: Formula, assignment: Mapping[int, bool]) -> 
 
 
 def external_killers(
-    inc: IncidenceGraph, cycle: Cycle, pool: Iterable[int]
+    inc: IncidenceGraph, cycle: Cycle, pool: AbstractSet[int]
 ) -> frozenset[int]:
     """Pool variables outside the cycle adjacent to at least one of its
     clauses; satisfying such a clause can remove the cycle."""
-    allowed = frozenset(pool) - frozenset(cycle.variables)
-    found: set[int] = set()
-    for index in cycle.clause_indices:
-        for variable in inc.variables_adjacent_to(index):
-            if variable in allowed:
-                found.add(variable)
-    return frozenset(found)
+    on_cycle = cycle.variables
+    return frozenset(
+        variable
+        for index in cycle.clause_indices
+        for variable in inc.variables_adjacent_to(index)
+        if variable in pool and variable not in on_cycle
+    )
 
 
 def opposite_sign_clauses(

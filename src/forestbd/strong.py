@@ -18,17 +18,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import AbstractSet, Optional, Sequence
 
 from .acyclic import ModelCount, residual_count
-from .backdoors import (
-    BackdoorVerdict,
-    Residual,
-    _guard_size,
-    branch_on_cycles,
-    external_killers,
-    opposite_sign_clauses,
-)
+from .backdoors import BackdoorVerdict, Residual, _guard_size, branch_on_cycles
 from .errors import ContractError, CyclicInputError, ResourceLimitError
 from .formula import Assignment, Formula
 from .graphs import (
@@ -85,19 +78,33 @@ def _arcs_between(cycle: Cycle, start: Node, end: Node) -> tuple[tuple, tuple]:
     return forward, backward
 
 
+def opposite_sign_killers(
+    inc: IncidenceGraph, cycle: Cycle, pool: AbstractSet[int]
+) -> frozenset[int]:
+    """Pool variables outside the cycle occurring with opposite signs in two
+    of its clauses, read off those clauses' literals. Either value of such a
+    variable satisfies (and removes) one of the two clauses, so no
+    restriction of it keeps the whole cycle."""
+    literals = {lit for index in cycle.clause_indices for lit in inc.literals[index]}
+    on_cycle = cycle.variables
+    # No clause holds both signs of a variable, so the two come from two clauses.
+    return frozenset(
+        lit
+        for lit in literals
+        if lit > 0 and -lit in literals and lit in pool and lit not in on_cycle
+    )
+
+
 def build_apex_cycle(
-    inc: IncidenceGraph, cycle: Cycle, pool: frozenset[int]
+    inc: IncidenceGraph, cycle: Cycle, pool: AbstractSet[int]
 ) -> Optional[ApexCycle]:
     """The minimum-length killing arc over all pool killers of the cycle,
     ties by (positive clause, negative clause, killer, arc nodes); None when
     no pool variable holds opposite signs in two of the cycle's clauses."""
     best: Optional[tuple] = None
-    # A variable with no occurrence in the cycle's clauses has no sign there.
-    for variable in sorted(external_killers(inc, cycle, pool)):
+    for variable in sorted(opposite_sign_killers(inc, cycle, pool)):
         positive = [i for i in cycle.clause_indices if inc.sign(variable, i) is True]
         negative = [i for i in cycle.clause_indices if inc.sign(variable, i) is False]
-        if not positive or not negative:
-            continue
         for u in positive:
             for v in negative:
                 for arc in _arcs_between(cycle, inc.graph.clause_node(u), inc.graph.clause_node(v)):
@@ -111,22 +118,18 @@ def build_apex_cycle(
 
 
 def apex_cycle_killers(
-    inc: IncidenceGraph, apex_cycle: ApexCycle, pool: frozenset[int]
+    inc: IncidenceGraph, apex_cycle: ApexCycle, pool: AbstractSet[int]
 ) -> frozenset[int]:
     """Pool variables, other than the apex, occurring with opposite signs in
     the arc's two endpoint clauses; by arc minimality these are exactly the
     outside killers of the apex cycle, and each also kills the base cycle."""
-    u, v = apex_cycle.pos_clause, apex_cycle.neg_clause
-    found: set[int] = set()
-    for variable in pool:
-        if variable == apex_cycle.apex:
-            continue
-        su = inc.sign(variable, u)
-        sv = inc.sign(variable, v)
-        if su is None or sv is None or su == sv:
-            continue
-        found.add(variable)
-    return frozenset(found)
+    first = inc.literals[apex_cycle.pos_clause]
+    second = inc.literals[apex_cycle.neg_clause]
+    return frozenset(
+        abs(lit)
+        for lit in first
+        if -lit in second and abs(lit) != apex_cycle.apex and abs(lit) in pool
+    )
 
 
 def strong_rule_outcome(
@@ -203,7 +206,9 @@ def _detect_strong(residual: Residual, budget: int) -> BackdoorVerdict:
     split = disjoint_cycles_or_feedback(residual.inc.graph, params.cycles, residual.removed)
     if isinstance(split, FeedbackSet):
         return replace(_strong_exact_search(residual, budget), split=split)
-    pool = candidate_pool(strong_rule_outcome, residual, split.cycles, params)
+    pool = candidate_pool(
+        strong_rule_outcome, opposite_sign_killers, residual, split.cycles, params
+    )
 
     def explore(candidate: int) -> Optional[BackdoorVerdict]:
         high = _detect_strong(residual.assign(candidate, True), budget - 1)
@@ -247,11 +252,9 @@ def _strong_exact_search(root: Residual, budget: int) -> BackdoorVerdict:
         return survivor
 
     def moves(candidate: frozenset[int], survivor: Residual, cycle: Cycle):
-        cycle_vars = frozenset(cycle.variables)
-        outside = survivor.universe - cycle_vars
-        extenders = cycle_vars | {
-            v for v in outside if opposite_sign_clauses(survivor.inc, v, cycle) is not None
-        }
+        extenders = opposite_sign_killers(survivor.inc, cycle, survivor.universe).union(
+            cycle.variables
+        )
         for variable in sorted(extenders):
             yield candidate | {variable}, variable, None
 

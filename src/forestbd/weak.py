@@ -11,9 +11,17 @@ exists. Branching on that set with a reduced budget keeps the search
 fixed-parameter sized. Every branch assigns a variable on a
 `backdoors.Residual`, a view of the formula's one incidence graph.
 
+Hopeless cycles are settled once per packing. A packed cycle that no
+unassigned outside variable can kill under the rule's own killer test
+can be killed by no designation's pool either, so every designation
+leaving it external selects nothing; `candidate_pool` enumerates only the
+designations that hold every hopeless cycle internal.
+
 Rule identifiers (in application order):
-  unkillable-cycle       some designated-external cycle has no outside
-                         variable adjacent to its clauses; empty selection
+  unkillable-cycle       some designated-external cycle has no pool
+                         variable adjacent to its clauses; empty selection.
+                         Under `candidate_pool` such variables exist, but
+                         all lie outside the designation's pool
   concentrated-killers   a heavy killer exists and few killers approach its
                          adjacency weight; select all of those
   dominant-killer        a heavy killer exists amid many near-peers; select
@@ -29,7 +37,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, AbstractSet, Callable, Iterable, Iterator, Optional, Sequence
 
 from .acyclic import residual_satisfiable
 from .backdoors import BackdoorVerdict, Residual, branch_on_cycles, external_killers
@@ -129,11 +137,16 @@ def designations(
     residual: Residual,
     packing: Sequence[Cycle],
     params: WeakParameters | StrongParameters,
+    required: Iterable[int] = (),
 ) -> Iterator[tuple[KillChoice, RuleOutcome]]:
     """Every way of designating `params.budget` of the first
-    `params.cycles` packed cycles as internal, with the outcome of the
-    selection `rule` (weak or strong) on it. Raises ResourceLimitError,
-    before the first one, when there are more than MAX_DESIGNATIONS."""
+    `params.cycles` packed cycles as internal, in lexicographic order of
+    their indices, with the outcome of the selection `rule` (weak or
+    strong) on it. Given `required` packed-cycle indices, only the
+    designations holding all of them internal, in the same order; none
+    when there are more than the budget. Raises ResourceLimitError,
+    before the first one, when C(cycles, budget) exceeds MAX_DESIGNATIONS,
+    whatever is required."""
     if len(packing) < params.cycles:
         raise ContractError(
             f"need {params.cycles} disjoint cycles, got {len(packing)}"
@@ -143,12 +156,18 @@ def designations(
         raise ResourceLimitError(
             f"refusing to enumerate {total} designations (limit {MAX_DESIGNATIONS})"
         )
+    needed = frozenset(required)
+    if len(needed) > params.budget:
+        return
     base = tuple(packing[: params.cycles])
     cycle_variables = [frozenset(c.variables) for c in base]
     # The packed cycles are disjoint, so the universe minus the external
     # cycles' variables is the free variables plus the internal ones.
     free = residual.universe.difference(*cycle_variables)
-    for indices in itertools.combinations(range(params.cycles), params.budget):
+    # Sets of one size holding `needed` sort as their other members do.
+    others = [i for i in range(params.cycles) if i not in needed]
+    for chosen in itertools.combinations(others, params.budget - len(needed)):
+        indices = sorted(needed.union(chosen))
         internal = tuple(base[i] for i in indices)
         # The runs between internal cycles: the external ones in packing
         # order, which the rules' first-match tie-breaks read.
@@ -163,14 +182,27 @@ def designations(
 
 def candidate_pool(
     rule: Callable[..., RuleOutcome],
+    killers: Callable[[IncidenceGraph, Cycle, AbstractSet[int]], frozenset[int]],
     residual: Residual,
     packing: Sequence[Cycle],
     params: WeakParameters | StrongParameters,
 ) -> frozenset[int]:
     """Union of rule selections over every designation; every backdoor
-    within budget intersects it, and an empty union certifies none exists."""
+    within budget intersects it, and an empty union certifies none exists.
+
+    `killers` is the rule's own first test: the rule selects nothing when
+    an external cycle has no killers in the pool. A packed cycle with none
+    among all unassigned variables is hopeless: every designation's pool
+    lies within those, so a designation leaving it external adds nothing,
+    and only the designations holding every hopeless cycle internal run
+    (none when more than the budget are hopeless)."""
+    hopeless = [
+        index
+        for index, cycle in enumerate(packing[: params.cycles])
+        if not killers(residual.inc, cycle, residual.universe)
+    ]
     pool: set[int] = set()
-    for _, outcome in designations(rule, residual, packing, params):
+    for _, outcome in designations(rule, residual, packing, params, hopeless):
         pool |= outcome.selected
     return frozenset(pool)
 
@@ -211,7 +243,7 @@ def _detect_weak(residual: Residual, budget: int, width: int) -> BackdoorVerdict
     split = disjoint_cycles_or_feedback(residual.inc.graph, params.cycles, residual.removed)
     if isinstance(split, FeedbackSet):
         return replace(_weak_exact_search(residual, budget), split=split)
-    pool = candidate_pool(weak_rule_outcome, residual, split.cycles, params)
+    pool = candidate_pool(weak_rule_outcome, external_killers, residual, split.cycles, params)
     branches = [(s, value) for s in sorted(pool) for value in (False, True)]
 
     def explore(branch: tuple[int, bool]) -> Optional[BackdoorVerdict]:
@@ -255,9 +287,9 @@ def _weak_exact_search(root: Residual, budget: int) -> BackdoorVerdict:
         return residual if remaining else None
 
     def moves(state: tuple[Residual, int], residual: Residual, cycle: Cycle):
-        cycle_vars = frozenset(cycle.variables)
-        outside = residual.universe - cycle_vars
-        candidates = cycle_vars | external_killers(residual.inc, cycle, outside)
+        candidates = external_killers(residual.inc, cycle, residual.universe).union(
+            cycle.variables
+        )
         for candidate in sorted(candidates):
             for value in (False, True):
                 child = residual.assign(candidate, value)

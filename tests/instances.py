@@ -7,8 +7,11 @@ rebuild every restriction or deletion and its incidence graph instead of
 taking a removed-node view of the formula's one graph, and the reference
 cycle search and packing run every BFS to the end, with no girth bound,
 and the reference weak rule walks the heavy cycles and the killer pairs
-twice each. The reference parser reads DIMACS one line and one token at a
-time, checking each line for what `int` reads beyond plain decimals.
+twice each. The reference detectors take the union of the rule over every
+designation, with no hopeless-cycle pruning, and the reference apex-cycle
+killers scan the whole pool. The reference parser reads DIMACS one line
+and one token at a time, checking each line for what `int` reads beyond
+plain decimals.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from forestbd import (
     ResourceLimitError,
     count_models,
     disjoint_cycles_or_feedback,
+    grid_formula,
     hitting_set_formula,
     random_rcnf,
     satisfying_assignment,
@@ -54,12 +58,17 @@ from forestbd.graphs import (
     incidence_graph,
     is_acyclic,
 )
-from forestbd.strong import MAX_STRONG_BUDGET, StrongParameters, strong_rule_outcome
+from forestbd.strong import (
+    MAX_STRONG_BUDGET,
+    ApexCycle,
+    StrongParameters,
+    strong_rule_outcome,
+)
 from forestbd.weak import (
     KillChoice,
     RuleOutcome,
     WeakParameters,
-    candidate_pool,
+    designations,
     weak_rule_outcome,
 )
 
@@ -113,6 +122,23 @@ def disjoint_union(*formulas: Formula) -> Formula:
 def contradiction_path() -> Formula:
     """Acyclic but unsatisfiable."""
     return Formula.from_ints([[1], [-1]], num_vars=1)
+
+
+def one_killer_cycles(count: int) -> Formula:
+    """`count` disjoint two-clause cycles (a b x) (a b -x) sharing the one
+    outside killer x, the last variable."""
+    x = 2 * count + 1
+    clauses: list[list[int]] = []
+    for a in range(1, 2 * count + 1, 2):
+        clauses += [[a, a + 1, x], [a, a + 1, -x]]
+    return Formula.from_ints(clauses, num_vars=x)
+
+
+def eleven_islands() -> Formula:
+    """Eleven disjoint duplicated-clause cycles with no outside variables."""
+    return Formula.from_ints(
+        [[2 * i + 1, 2 * i + 2] for i in range(11) for _ in range(2)], num_vars=22
+    )
 
 
 # --- crafted weak-rule instances -------------------------------------------
@@ -244,6 +270,20 @@ def strong_saturated() -> Formula:
         ],
         num_vars=10,
     )
+
+
+def criterion_8_strong_targets() -> list[tuple[Formula, int]]:
+    """The (formula, budget) pairs whose every strong designation the
+    criterion-8 rule-soundness audit checks."""
+    return [
+        (three_islands(), 1),
+        (strong_pair(), 1),
+        (strong_saturated(), 1),
+        (strong_lone_killer(), 1),
+        (grid_formula(4), 1),
+        (shared_killer_square(), 1),
+        (eleven_islands(), 2),
+    ]
 
 
 # --- helpers ------------------------------------------------------------------
@@ -538,6 +578,33 @@ def reference_weak_rule_outcome(
     return RuleOutcome("shared-killers", frozenset(shared))
 
 
+def reference_candidate_pool(rule, residual: Residual, packing, params) -> frozenset[int]:
+    """`weak.candidate_pool` with no hopeless-cycle pruning: the union of
+    the rule's selections over every designation."""
+    pool: set[int] = set()
+    for _, outcome in designations(rule, residual, packing, params):
+        pool |= outcome.selected
+    return frozenset(pool)
+
+
+def reference_apex_cycle_killers(
+    inc: IncidenceGraph, apex_cycle: ApexCycle, pool
+) -> frozenset[int]:
+    """`strong.apex_cycle_killers` by scanning the whole pool for opposite
+    signs in the two endpoint clauses."""
+    u, v = apex_cycle.pos_clause, apex_cycle.neg_clause
+    found: set[int] = set()
+    for variable in pool:
+        if variable == apex_cycle.apex:
+            continue
+        su = inc.sign(variable, u)
+        sv = inc.sign(variable, v)
+        if su is None or sv is None or su == sv:
+            continue
+        found.add(variable)
+    return frozenset(found)
+
+
 # --- reference searches and count on rebuilt restrictions -----------------------
 
 def reference_weak_witness(formula: Formula, candidate) -> Assignment | None:
@@ -640,7 +707,7 @@ def _reference_detect_weak(formula: Formula, budget: int, width: int) -> Backdoo
     split = disjoint_cycles_or_feedback(whole.inc.graph, params.cycles)
     if isinstance(split, FeedbackSet):
         return replace(reference_weak_exact_search(formula, budget), split=split)
-    pool = candidate_pool(weak_rule_outcome, whole, split.cycles, params)
+    pool = reference_candidate_pool(weak_rule_outcome, whole, split.cycles, params)
     for candidate in sorted(pool):
         for value in (False, True):
             rest = formula.restrict({candidate: value})
@@ -667,7 +734,7 @@ def reference_detect_strong(formula: Formula, budget: int) -> BackdoorVerdict:
     split = disjoint_cycles_or_feedback(whole.inc.graph, params.cycles)
     if isinstance(split, FeedbackSet):
         return replace(reference_strong_exact_search(formula, budget), split=split)
-    pool = candidate_pool(strong_rule_outcome, whole, split.cycles, params)
+    pool = reference_candidate_pool(strong_rule_outcome, whole, split.cycles, params)
     for candidate in sorted(pool):
         high = reference_detect_strong(formula.restrict({candidate: True}), budget - 1)
         if not high.found:

@@ -39,6 +39,7 @@ from forestbd.strong import StrongParameters, strong_rule_outcome
 from forestbd.weak import WeakParameters, designations, weak_rule_outcome
 from instances import (
     contradiction_path,
+    criterion_8_strong_targets,
     disjoint_triangles,
     heavy_dense_ring,
     heavy_sparse_ring,
@@ -280,12 +281,6 @@ def five_islands() -> Formula:
     )
 
 
-def eleven_islands() -> Formula:
-    return Formula.from_ints(
-        [[2 * i + 1, 2 * i + 2] for i in range(11) for _ in range(2)], num_vars=22
-    )
-
-
 def test_criterion_8_rule_soundness_audit():
     start = time.perf_counter()
     weak_events = 0
@@ -322,16 +317,7 @@ def test_criterion_8_rule_soundness_audit():
             ), (outcome.rule, sorted(outcome.selected))
             weak_events += 1
 
-    strong_targets: list[tuple[Formula, int]] = [
-        (three_islands(), 1),
-        (strong_pair(), 1),
-        (strong_saturated(), 1),
-        (strong_lone_killer(), 1),
-        (grid_formula(4), 1),
-        (shared_killer_square(), 1),
-        (eleven_islands(), 2),
-    ]
-    for f, budget in strong_targets:
+    for f, budget in criterion_8_strong_targets():
         residual = Residual.of(f)
         params = StrongParameters.derive(budget)
         split = disjoint_cycles_or_feedback(residual.inc.graph, params.cycles)

@@ -34,23 +34,28 @@ from forestbd import (
     weak_exact_search,
 )
 from forestbd import acyclic, backdoors, graphs, strong, weak
-from forestbd.backdoors import Residual
+from forestbd.backdoors import Residual, external_killers
 from forestbd.strong import (
     StrongParameters,
     apex_cycle_killers,
     build_apex_cycle,
+    opposite_sign_killers,
     strong_rule_outcome,
 )
-from forestbd.weak import candidate_pool, designations
+from forestbd.weak import WeakParameters, candidate_pool, designations, weak_rule_outcome
 import instances
 from instances import (
+    criterion_8_strong_targets,
     deep_cycle_gadget,
     direct_strong,
     disjoint_triangles,
     disjoint_union,
     killer_gadgets,
+    one_killer_cycles,
     random_hitting_formula,
     random_instance,
+    reference_apex_cycle_killers,
+    reference_candidate_pool,
     reference_count_with_backdoor,
     reference_detect_deletion,
     reference_detect_strong,
@@ -191,6 +196,35 @@ class TestApexKillers:
         assert 6 not in killers  # only one endpoint
         assert apex.apex not in killers
 
+    def test_endpoint_clauses_match_pool_scan(self):
+        # Every apex cycle over the criterion-8 strong targets' designations,
+        # and over each packed cycle of random 3-CNF with its largest pool.
+        targets = criterion_8_strong_targets()
+        targets += [(random_instance(seed + 30_000), 1) for seed in range(50)]
+        compared = nonempty = 0
+        for f, budget in targets:
+            residual = Residual.of(f)
+            inc = residual.inc
+            pools = []
+            used: set = set()
+            while (cycle := shortest_cycle(inc.graph, used)) is not None:
+                used |= cycle.node_set
+                pools.append((cycle, f.universe - set(cycle.variables)))
+            params = StrongParameters.derive(budget)
+            split = disjoint_cycles_or_feedback(inc.graph, params.cycles)
+            if isinstance(split, CyclePacking):
+                for choice, _ in designations(strong_rule_outcome, residual, split.cycles, params):
+                    pools += [(cycle, choice.pool) for cycle in choice.external]
+            for cycle, pool in pools:
+                apex = build_apex_cycle(inc, cycle, pool)
+                if apex is None:
+                    continue
+                killers = apex_cycle_killers(inc, apex, pool)
+                assert killers == reference_apex_cycle_killers(inc, apex, pool)
+                compared += 1
+                nonempty += bool(killers)
+        assert compared >= 40 and nonempty >= 10
+
 
 class TestRules:
     def test_lone_killer(self):
@@ -277,20 +311,130 @@ class TestDesignationGuard:
             next(designations(strong_rule_outcome, residual, split.cycles, StrongParameters.derive(4)))
 
 
+def count_rule_calls(monkeypatch) -> list[str]:
+    """Wrap both selection rules at the module names the detectors read, as
+    the benchmark's tracer does; each call appends the rule's name."""
+    calls: list[str] = []
+    for module, name in ((weak, "weak_rule_outcome"), (strong, "strong_rule_outcome")):
+        rule = getattr(module, name)
+
+        def counted(*args, rule=rule, name=name):
+            calls.append(name)
+            return rule(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def grid_and_triangles(count: int) -> Formula:
+    """`count` disjoint triangles, then grid 4 on the next variables."""
+    return disjoint_union(disjoint_triangles(count), grid_formula(4))
+
+
+class TestHopelessCycles:
+    """A packed cycle no unassigned outside variable can kill is settled
+    once per packing: only the designations holding it internal run."""
+
+    # (rule, budget, formula, hopeless packed cycles). A triangle's packed
+    # 4-cycle has no outside variable; grid 4's second packed cycle runs
+    # through its extra variable, so nothing outside it has both signs.
+    CASES = {
+        "weak-grid4-triangle-k1": ("weak", 1, lambda: grid_and_triangles(1), 1),
+        "weak-grid4-triangle-k2": ("weak", 2, lambda: grid_and_triangles(1), 1),
+        "weak-grid4-triangles-k2": ("weak", 2, lambda: grid_and_triangles(2), 2),
+        "weak-triangles5-k2": ("weak", 2, lambda: disjoint_triangles(5), 5),
+        "strong-gadgets-triangle-k2": (
+            "strong", 2, lambda: disjoint_union(triangle(), one_killer_cycles(11)), 1
+        ),
+        "strong-gadgets-triangles-k2": (
+            "strong", 2, lambda: disjoint_union(disjoint_triangles(2), one_killer_cycles(11)), 2
+        ),
+        "strong-grid4-triangle-k1": ("strong", 1, lambda: grid_and_triangles(1), 2),
+        "strong-triangles11-k2": ("strong", 2, lambda: disjoint_triangles(11), 11),
+    }
+    RULES = {
+        "weak": (weak_rule_outcome, external_killers, detect_weak, reference_detect_weak),
+        "strong": (
+            strong_rule_outcome, opposite_sign_killers, detect_strong, reference_detect_strong
+        ),
+    }
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_pruned_route_matches_full_enumeration(self, name):
+        kind, budget, build, expected_hopeless = self.CASES[name]
+        rule, killers, detect, reference = self.RULES[kind]
+        f = build()
+        residual = Residual.of(f)
+        if kind == "weak":
+            params = WeakParameters.derive(budget, max(3, f.max_clause_width()))
+        else:
+            params = StrongParameters.derive(budget)
+        split = disjoint_cycles_or_feedback(residual.inc.graph, params.cycles)
+        assert isinstance(split, CyclePacking)
+        hopeless = [
+            c for c in split.cycles if not killers(residual.inc, c, residual.universe)
+        ]
+        assert len(hopeless) == expected_hopeless
+        pool = candidate_pool(rule, killers, residual, split.cycles, params)
+        assert pool == reference_candidate_pool(rule, residual, split.cycles, params)
+        for k in range(budget + 1):
+            same_outcome(detect(f, k), reference(f, k))
+        verdict = detect(f, budget)
+        assert verdict.split == split
+        if verdict.found and kind == "strong":
+            assert is_strong_backdoor(f, verdict.variables)
+        elif verdict.found:
+            assert weak_backdoor_witness(f, verdict.variables) == verdict.witness
+
+    def test_only_hopeless_triangles_call_no_rule(self, monkeypatch, tmp_path):
+        # Strong -k 3 packs all 40 triangles (C(40, 3) = 9,880 designations)
+        # and weak -k 3 packs 7: more than 3 hopeless cycles either way.
+        from test_cli import run
+
+        path = tmp_path / "triangles40.cnf"
+        path.write_text(emit_dimacs(disjoint_triangles(40)), encoding="ascii")
+        calls = count_rule_calls(monkeypatch)
+        for kind in ("strong", "weak"):
+            code, out, _ = run(["detect", kind, "-k", "3", "--cnf", str(path)])
+            assert (code, out) == (1, "verdict: no\n")
+        assert calls == []
+
+    def test_guard_counts_every_designation(self):
+        # All 133 triangles are hopeless at budget 4, so nothing would be
+        # enumerated, but the cap still counts C(133, 4).
+        f = disjoint_triangles(133)
+        residual = Residual.of(f)
+        params = StrongParameters.derive(4)
+        split = disjoint_cycles_or_feedback(residual.inc.graph, params.cycles)
+        assert isinstance(split, CyclePacking)
+        with pytest.raises(ResourceLimitError):
+            candidate_pool(
+                strong_rule_outcome, opposite_sign_killers, residual, split.cycles, params
+            )
+        with pytest.raises(ResourceLimitError):
+            next(designations(strong_rule_outcome, residual, split.cycles, params, range(5)))
+
+
 class TestCandidatePool:
     def test_grid_pool_contains_extra_variable(self):
         f = grid_formula(4)
         residual = Residual.of(f)
         split = disjoint_cycles_or_feedback(residual.inc.graph, 3)
         assert isinstance(split, CyclePacking)
-        pool = candidate_pool(strong_rule_outcome, residual, split.cycles, StrongParameters.derive(1))
+        params = StrongParameters.derive(1)
+        pool = candidate_pool(
+            strong_rule_outcome, opposite_sign_killers, residual, split.cycles, params
+        )
         assert 17 in pool
 
     def test_islands_certify_no(self):
         f = three_islands()
         residual = Residual.of(f)
         split = disjoint_cycles_or_feedback(residual.inc.graph, 3)
-        pool = candidate_pool(strong_rule_outcome, residual, split.cycles, StrongParameters.derive(1))
+        params = StrongParameters.derive(1)
+        pool = candidate_pool(
+            strong_rule_outcome, opposite_sign_killers, residual, split.cycles, params
+        )
         assert pool == frozenset()
 
 

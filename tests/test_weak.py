@@ -23,8 +23,8 @@ from forestbd import (
     weak_backdoor_witness,
     weak_exact_search,
 )
-from forestbd.backdoors import Residual
-from forestbd.strong import StrongParameters
+from forestbd.backdoors import Residual, external_killers
+from forestbd.strong import StrongParameters, strong_rule_outcome
 from forestbd.weak import (
     RuleOutcome,
     WeakParameters,
@@ -178,7 +178,8 @@ class TestCandidatePool:
         f = three_islands()
         residual = Residual.of(f)
         split = disjoint_cycles_or_feedback(residual.inc.graph, 3)
-        pool = candidate_pool(weak_rule_outcome, residual, split.cycles, WeakParameters.derive(1, 3))
+        params = WeakParameters.derive(1, 3)
+        pool = candidate_pool(weak_rule_outcome, external_killers, residual, split.cycles, params)
         assert pool == frozenset()
         assert brute_min_backdoor(f, "weak", 1).optimum is None
 
@@ -187,7 +188,8 @@ class TestCandidatePool:
         residual = Residual.of(f)
         split = disjoint_cycles_or_feedback(residual.inc.graph, 3)
         assert isinstance(split, CyclePacking)
-        pool = candidate_pool(weak_rule_outcome, residual, split.cycles, WeakParameters.derive(1, 3))
+        params = WeakParameters.derive(1, 3)
+        pool = candidate_pool(weak_rule_outcome, external_killers, residual, split.cycles, params)
         assert 17 in pool
 
     def test_every_outcome_is_sound(self):
@@ -202,8 +204,9 @@ class TestCandidatePool:
     def test_requires_enough_cycles(self):
         f = triangle()
         residual = Residual.of(f)
+        params = WeakParameters.derive(1, 3)
         with pytest.raises(ContractError):
-            candidate_pool(weak_rule_outcome, residual, (), WeakParameters.derive(1, 3))
+            candidate_pool(weak_rule_outcome, external_killers, residual, (), params)
 
 
 class TestDesignations:
@@ -235,6 +238,37 @@ class TestDesignations:
                     packing = split.cycles[: params.cycles]
                     assert choice.external == tuple(c for c in packing if c not in choice.internal)
                     checked += 1
+        assert checked
+
+
+    @pytest.mark.parametrize("name", [name for name in FORMULAS if name != "triangles40"])
+    def test_required_indices_filter_the_full_enumeration(self, name):
+        formula = self.FORMULAS[name]()
+        residual = Residual.of(formula)
+        rng = random.Random(name)
+        checked = 0
+        for budget in (1, 2):
+            for params, rule in (
+                (WeakParameters.derive(budget, 3), weak_rule_outcome),
+                (StrongParameters.derive(budget), strong_rule_outcome),
+            ):
+                split = disjoint_cycles_or_feedback(residual.inc.graph, params.cycles)
+                if not isinstance(split, CyclePacking):
+                    continue
+                index = {cycle: i for i, cycle in enumerate(split.cycles[: params.cycles])}
+                full = list(designations(rule, residual, split.cycles, params))
+                for size in range(budget + 2):
+                    for _ in range(3):
+                        required = rng.sample(range(params.cycles), size)
+                        expected = [
+                            (choice, outcome)
+                            for choice, outcome in full
+                            if set(required) <= {index[c] for c in choice.internal}
+                        ]
+                        got = list(designations(rule, residual, split.cycles, params, required))
+                        assert got == expected
+                        assert (len(got) > 0) == (size <= budget)
+                        checked += 1
         assert checked
 
 
