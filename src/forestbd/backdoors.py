@@ -245,24 +245,6 @@ def external_killers(
     )
 
 
-def opposite_sign_clauses(
-    inc: IncidenceGraph, variable: int, cycle: Cycle
-) -> Optional[tuple[int, int]]:
-    """The least clause pair of the cycle holding the variable positively in
-    the first and negatively in the second, or None.
-
-    Either value of the variable satisfies (and removes) one of the two
-    clauses, so no restriction of the variable keeps the whole cycle.
-    """
-    if variable in cycle.variables:
-        raise ContractError(f"variable {variable} lies on the cycle")
-    positive = [i for i in cycle.clause_indices if inc.sign(variable, i) is True]
-    negative = [i for i in cycle.clause_indices if inc.sign(variable, i) is False]
-    if positive and negative:
-        return (min(positive), min(negative))
-    return None
-
-
 def branch_on_cycles(
     root: S,
     settle: Callable[[S], Union[Found, None, Residual]],

@@ -2,8 +2,9 @@
 
 Subcommands: detect (weak|strong|deletion), count, verify, oracle, stats,
 and gen (grid|hitting|random). Every command takes one path: `main` checks
-the options and `--threads`/FB_THREADS, then `_run` times the subcommand's
-handler, which reads its input and returns its outcome, and prints its text
+the options and `--threads`/FB_THREADS and pauses the cyclic garbage
+collector, then `_run` times the command: it reads the `--cnf` input, calls
+the subcommand's handler, which returns its outcome, and prints its text
 lines or, under `--json`, writes one versioned RunReport to standard output.
 The argument parser is built once per process, on the first `main` call,
 and every later call in the same process parses with that one parser.
@@ -16,18 +17,19 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import gc
 import os
 import sys
 import time
 from typing import Any, Iterator, Optional
 
 from .errors import ContractError, DimacsError, ForestBDError, ResourceLimitError
-from .formula import Formula, emit_dimacs, parse_dimacs
+from .formula import Formula, emit_dimacs, is_emitted, parse_dimacs
 from .generators import grid_formula, hitting_set_formula, random_rcnf
 from .graphs import CyclePacking, FeedbackSet, incidence_graph, is_acyclic, shortest_cycle
 from .backdoors import is_deletion_backdoor, is_strong_backdoor, weak_backdoor_witness
 from .oracle import KINDS, brute_count, brute_min_backdoor
-from .report import RunReport, base_stats, formula_digest
+from .report import RunReport, base_stats, canonical_digest, formula_digest
 from .strong import count_through_search, count_with_backdoor, detect_deletion, detect_strong
 from .weak import detect_weak
 
@@ -155,7 +157,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         resolve_threads(getattr(args, "threads", None))
-        return _run(args)
+        with _collector_paused():
+            return _run(args)
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -165,19 +168,23 @@ def main(argv: Optional[list[str]] = None) -> int:
 
 
 def _run(args: argparse.Namespace) -> int:
-    """Run the subcommand's handler, then print its lines or, under
-    `--json`, its RunReport. The clock starts before the handler reads its
-    input and is read last, after the digest and the statistics."""
+    """Read the `--cnf` input, run the subcommand's handler, then print its
+    lines or, under `--json`, its RunReport. The clock starts before the
+    input is read and is read last, after the digest and the statistics."""
     start = time.perf_counter()
-    handler = {
-        "detect": _cmd_detect,
-        "count": _cmd_count,
-        "verify": _cmd_verify,
-        "oracle": _cmd_oracle,
-        "stats": _cmd_stats,
-        "gen": _cmd_gen,
-    }[args.command]
-    code, formula, lines, fields = handler(args)
+    if args.command == "gen":
+        code, formula, lines, fields = _cmd_gen(args)
+        digest = None
+    else:
+        formula, digest = _load(args)
+        handler = {
+            "detect": _cmd_detect,
+            "count": _cmd_count,
+            "verify": _cmd_verify,
+            "oracle": _cmd_oracle,
+            "stats": _cmd_stats,
+        }[args.command]
+        code, lines, fields = handler(args, formula)
     if not args.json:
         for line in lines:
             print(line)
@@ -185,7 +192,7 @@ def _run(args: argparse.Namespace) -> int:
     if "stats" not in fields:
         fields["stats"] = base_stats(formula)
     report = RunReport(
-        digest=formula_digest(formula),
+        digest=digest or formula_digest(formula),
         path=args.output if args.command == "gen" else args.cnf,
         **fields,
         wall_ms=0.0 if args.no_timing else (time.perf_counter() - start) * 1000.0,
@@ -195,14 +202,20 @@ def _run(args: argparse.Namespace) -> int:
     return code
 
 
-def _load(args: argparse.Namespace) -> Formula:
+def _load(args: argparse.Namespace) -> tuple[Formula, Optional[str]]:
+    """The formula in `--cnf` and, under `--json` when the file is exactly
+    `emit_dimacs` of it, the digest of its bytes; else None. Neither the
+    bytes nor the text outlive the call."""
     with open(args.cnf, "rb") as handle:
         data = handle.read()
     try:
         text = data.decode("ascii")
     except UnicodeDecodeError as exc:
         raise DimacsError(f"byte {exc.start} of {args.cnf} is not ASCII") from exc
-    return parse_dimacs(text)
+    formula = parse_dimacs(text)
+    if args.json and is_emitted(text, formula):
+        return formula, canonical_digest(data)
+    return formula, None
 
 
 def _parse_variables(text: str) -> list[int]:
@@ -229,6 +242,20 @@ def _parse_sets(text: str) -> list[list[int]]:
 
 
 @contextlib.contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector, then restore the caller's state.
+    Loading allocates many small tuples and lists, none in a reference
+    cycle, and each collection their count triggers would scan them all."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@contextlib.contextmanager
 def _long_ints() -> Iterator[None]:
     """Lift Python's int-to-str digit limit while a model count is written."""
     limit = sys.get_int_max_str_digits()
@@ -239,15 +266,15 @@ def _long_ints() -> Iterator[None]:
         sys.set_int_max_str_digits(limit)
 
 
-# A handler reads its input and returns (exit code, formula, text lines,
-# RunReport fields). One that adds statistics returns the whole "stats",
-# built on `base_stats`, so the `stats` command, whose text lines print the
-# base statistics, computes them once.
-Outcome = tuple[int, Formula, list[str], dict[str, Any]]
+# A handler takes the loaded formula and returns (exit code, text lines,
+# RunReport fields); `gen`, which reads no input, returns (exit code,
+# formula, text lines, fields). One that adds statistics returns the whole
+# "stats", built on `base_stats`, so the `stats` command, whose text lines
+# print the base statistics, computes them once.
+Outcome = tuple[int, list[str], dict[str, Any]]
 
 
-def _cmd_detect(args: argparse.Namespace) -> Outcome:
-    formula = _load(args)
+def _cmd_detect(args: argparse.Namespace, formula: Formula) -> Outcome:
     if args.kind == "weak":
         verdict = detect_weak(formula, args.budget, args.width)
     elif args.kind == "strong":
@@ -269,7 +296,7 @@ def _cmd_detect(args: argparse.Namespace) -> Outcome:
                 "witness: "
                 + (" ".join(f"{v}={int(verdict.witness[v])}" for v in sorted(verdict.witness)) or "(empty)")
             )
-    return 0 if verdict.found else 1, formula, lines, {
+    return 0 if verdict.found else 1, lines, {
         "command": f"detect-{args.kind}",
         "parameters": parameters,
         "verdict": "found" if verdict.found else "no",
@@ -283,8 +310,7 @@ def _cmd_detect(args: argparse.Namespace) -> Outcome:
     }
 
 
-def _cmd_count(args: argparse.Namespace) -> Outcome:
-    formula = _load(args)
+def _cmd_count(args: argparse.Namespace, formula: Formula) -> Outcome:
     if args.backdoor is not None:
         backdoor = _parse_variables(args.backdoor)
         count = count_with_backdoor(formula, backdoor, formula.universe).count
@@ -294,11 +320,10 @@ def _cmd_count(args: argparse.Namespace) -> Outcome:
     with _long_ints():
         lines = [f"count: {count}"]
     fields = {"command": "count", "parameters": {"backdoor": backdoor}, "count": count}
-    return 0, formula, lines, fields
+    return 0, lines, fields
 
 
-def _cmd_verify(args: argparse.Namespace) -> Outcome:
-    formula = _load(args)
+def _cmd_verify(args: argparse.Namespace, formula: Formula) -> Outcome:
     candidate = _parse_variables(args.variables)
     witness = None
     if args.kind == "weak":
@@ -309,7 +334,7 @@ def _cmd_verify(args: argparse.Namespace) -> Outcome:
     else:
         valid = is_deletion_backdoor(formula, candidate)
     verdict = "valid" if valid else "invalid"
-    return 0 if valid else 1, formula, [f"verdict: {verdict}"], {
+    return 0 if valid else 1, [f"verdict: {verdict}"], {
         "command": "verify",
         "parameters": {"kind": args.kind, "set": candidate},
         "verdict": verdict,
@@ -317,18 +342,17 @@ def _cmd_verify(args: argparse.Namespace) -> Outcome:
     }
 
 
-def _cmd_oracle(args: argparse.Namespace) -> Outcome:
-    formula = _load(args)
+def _cmd_oracle(args: argparse.Namespace, formula: Formula) -> Outcome:
     if args.kind == "count":
         value = brute_count(formula, formula.universe)
         fields = {"command": "oracle-count", "parameters": {}, "count": value}
-        return 0, formula, [f"count: {value}"], fields
+        return 0, [f"count: {value}"], fields
     k_max = args.k_max if args.k_max is not None else 2
     result = brute_min_backdoor(formula, args.kind, k_max)
     found = result.optimum is not None
     witnesses = len(result.witness_sets)
     lines = [f"optimum: {result.optimum}", f"witnesses: {witnesses}"]
-    return 0 if found else 1, formula, lines, {
+    return 0 if found else 1, lines, {
         "command": f"oracle-{args.kind}",
         "parameters": {"kind": args.kind, "k_max": k_max},
         "verdict": "found" if found else "no",
@@ -337,11 +361,11 @@ def _cmd_oracle(args: argparse.Namespace) -> Outcome:
     }
 
 
-def _cmd_stats(args: argparse.Namespace) -> Outcome:
-    formula = _load(args)
+def _cmd_stats(args: argparse.Namespace, formula: Formula) -> Outcome:
     inc = incidence_graph(formula)
     acyclic = is_acyclic(inc.graph)
-    cycle = None if acyclic else shortest_cycle(inc.graph)
+    # Only the report shows the cycle.
+    cycle = None if acyclic or not args.json else shortest_cycle(inc.graph)
     stats = base_stats(formula)
     stats["acyclic"] = acyclic
     stats["shortest_cycle"] = cycle.to_json() if cycle is not None else None
@@ -352,10 +376,10 @@ def _cmd_stats(args: argparse.Namespace) -> Outcome:
         f"width: {stats['width']}",
         f"acyclic: {str(acyclic).lower()}",
     ]
-    return 0, formula, lines, {"command": "stats", "parameters": {}, "stats": stats}
+    return 0, lines, {"command": "stats", "parameters": {}, "stats": stats}
 
 
-def _cmd_gen(args: argparse.Namespace) -> Outcome:
+def _cmd_gen(args: argparse.Namespace) -> tuple[int, Formula, list[str], dict[str, Any]]:
     if args.generator == "grid":
         formula = grid_formula(args.size)
         parameters: dict[str, Any] = {"size": args.size}

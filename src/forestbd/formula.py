@@ -11,6 +11,7 @@ index.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 from operator import attrgetter, lt
@@ -84,6 +85,8 @@ def _strictly_increasing_within_clauses(values: list[int]) -> bool:
     with 0 ending each clause, strictly increase: then each clause is
     canonical as written. Every pair of neighbours ending at a 0 fails
     `<` on their variables, and every other pair must pass."""
+    if not values:
+        return True
     variables = list(map(abs, values))
     ends = values.count(0) - (values[:1] == [0])
     return sum(map(lt, variables, variables[1:])) == len(variables) - 1 - ends
@@ -102,6 +105,9 @@ class Formula:
     universe: frozenset[int]
     # Variables with at least one occurrence, computed once here.
     variables: frozenset[int] = field(init=False, repr=False, compare=False)
+    # True when `parse_dimacs` built every clause exactly as its text wrote
+    # it, variables strictly increasing; False for any other construction.
+    as_written: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         universe = self.universe
@@ -240,7 +246,9 @@ def parse_dimacs(text: str) -> Formula:
         raise DimacsError("unterminated clause at end of input")
     if len(clauses) != m:
         raise DimacsError(f"header declares {m} clauses, found {len(clauses)}")
-    return Formula(tuple(clauses), frozenset(range(1, n + 1)))
+    formula = Formula(tuple(clauses), frozenset(range(1, n + 1)))
+    put(formula, "as_written", canonical)
+    return formula
 
 
 def _check_plain(line_no: int, stripped: str) -> None:
@@ -314,3 +322,28 @@ def emit_dimacs(formula: Formula) -> str:
     lines = [f"p cnf {n} {formula.num_clauses}"]
     lines += [" ".join(map(str, (*clause.literals, 0))) for clause in formula.clauses]
     return "\n".join(lines) + "\n"
+
+
+# One clause line as `emit_dimacs` writes it, newline included.
+_EMITTED_CLAUSE = re.compile(r"(?:-?[1-9][0-9]* )*0\n")
+
+
+def is_emitted(text: str, formula: Formula) -> bool:
+    """Whether `text`, which `parse_dimacs` read as `formula`, is exactly
+    `emit_dimacs(formula)`: the header line is `p cnf n m`, the parse kept
+    every clause as written, and the lines after it are clause lines in
+    emitted form, each ending in a newline.
+
+    The pattern matches one line at a time and removing every match must
+    leave nothing: one pattern repeated over the whole body would
+    backtrack through a stack as large as the text.
+    """
+    if not formula.as_written:
+        return False
+    header, newline, body = text.partition("\n")
+    n = max(formula.universe, default=0)
+    return (
+        header == f"p cnf {n} {formula.num_clauses}"
+        and newline == "\n"
+        and _EMITTED_CLAUSE.sub("", body) == ""
+    )

@@ -21,7 +21,13 @@ _SCHEMA_FILE = "run_report_schema.json"
 
 def formula_digest(formula: Formula) -> str:
     """Hex digest of the canonical DIMACS serialization."""
-    return hashlib.sha256(emit_dimacs(formula).encode("ascii")).hexdigest()
+    return canonical_digest(emit_dimacs(formula).encode("ascii"))
+
+
+def canonical_digest(data: bytes) -> str:
+    """Hex digest of DIMACS bytes already in canonical form, `emit_dimacs`
+    of their formula: its `formula_digest`, without serialising it again."""
+    return hashlib.sha256(data).hexdigest()
 
 
 @dataclass

@@ -43,7 +43,6 @@ from forestbd.backdoors import (
     _guard_size,
     branch_on_cycles,
     external_killers,
-    opposite_sign_clauses,
 )
 from forestbd.formula import MAX_DIMACS_VARIABLES, Assignment
 from forestbd.graphs import (
@@ -614,6 +613,25 @@ def reference_weak_witness(formula: Formula, candidate) -> Assignment | None:
         rest = formula.restrict(tau)
         if is_acyclic(incidence_graph(rest).graph) and satisfying_assignment(rest) is not None:
             return tau
+    return None
+
+
+def opposite_sign_clauses(
+    inc: IncidenceGraph, variable: int, cycle: Cycle
+) -> tuple[int, int] | None:
+    """The least clause pair of the cycle holding the variable positively in
+    the first and negatively in the second, or None: the per-variable form
+    of `strong.opposite_sign_killers` that the reference strong search uses.
+
+    Either value of the variable satisfies (and removes) one of the two
+    clauses, so no restriction of the variable keeps the whole cycle.
+    """
+    if variable in cycle.variables:
+        raise ContractError(f"variable {variable} lies on the cycle")
+    positive = [i for i in cycle.clause_indices if inc.sign(variable, i) is True]
+    negative = [i for i in cycle.clause_indices if inc.sign(variable, i) is False]
+    if positive and negative:
+        return (min(positive), min(negative))
     return None
 
 

@@ -22,7 +22,7 @@ from forestbd import (
     weak_backdoor_witness,
 )
 from forestbd import backdoors
-from forestbd.backdoors import Residual, external_killers, opposite_sign_clauses
+from forestbd.backdoors import Residual, external_killers
 from forestbd.formula import emit_dimacs
 from forestbd.strong import detect_deletion, strong_exact_search
 from forestbd.weak import weak_exact_search
@@ -30,6 +30,7 @@ from instances import (
     direct_strong,
     direct_weak_witness,
     disjoint_triangles,
+    opposite_sign_clauses,
     triangle,
     two_triangles,
 )

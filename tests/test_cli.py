@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import gc
+import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -22,9 +25,12 @@ from forestbd import (
     emit_dimacs,
     grid_formula,
     incidence_graph,
+    parse_dimacs,
+    shortest_cycle,
 )
-from forestbd import cli
+from forestbd import cli, report
 from forestbd.cli import main
+from forestbd.formula import is_emitted
 from forestbd.report import validate_report
 from forestbd.strong import StrongParameters
 from forestbd.weak import WeakParameters
@@ -641,3 +647,155 @@ def test_count_without_backdoor_builds_one_graph(tmp_path, monkeypatch):
     assert code == 0
     assert json.loads(out)["parameters"]["backdoor"] == [17]
     assert len(builds) == 1
+
+
+# (text, whether it is exactly `emit_dimacs` of its parse)
+DIGEST_CORPUS = {
+    "canonical": ("p cnf 3 2\n1 -2 0\n-2 3 0\n", True),
+    "no-clauses": ("p cnf 0 0\n", True),
+    "empty-clause": ("p cnf 2 2\n0\n1 2 0\n", True),
+    "header-n-above-largest": ("p cnf 5 1\n1 -2 0\n", True),
+    "comment": ("c written by hand\np cnf 2 1\n1 2 0\n", False),
+    "crlf": ("p cnf 2 1\r\n1 2 0\r\n", False),
+    "double-space": ("p cnf 2 1\n1  2 0\n", False),
+    "leading-zero": ("p cnf 2 1\n01 2 0\n", False),
+    "no-final-newline": ("p cnf 2 1\n1 2 0", False),
+    "unsorted": ("p cnf 2 1\n2 1 0\n", False),
+    "duplicate-literal": ("p cnf 2 1\n1 1 2 0\n", False),
+    "header-extra-spaces": ("p  cnf 2 1\n1 2 0\n", False),
+    "header-leading-zero": ("p cnf 02 1\n1 2 0\n", False),
+    "clause-over-two-lines": ("p cnf 2 1\n1\n2 0\n", False),
+    "trailing-blank-line": ("p cnf 2 1\n1 2 0\n\n", False),
+}
+
+
+class TestInputDigest:
+    @pytest.mark.parametrize("name", DIGEST_CORPUS)
+    def test_digest_hashes_the_canonical_dimacs(self, tmp_path, name):
+        text, emitted = DIGEST_CORPUS[name]
+        path = tmp_path / "input.cnf"
+        path.write_bytes(text.encode("ascii"))
+        formula = parse_dimacs(text)
+        assert is_emitted(text, formula) is emitted
+        expected = hashlib.sha256(emit_dimacs(formula).encode("ascii")).hexdigest()
+        for argv in (["stats"], ["count", "--backdoor", ""]):
+            code, out, _ = run([*argv, "--cnf", str(path), "--json", "--no-timing"])
+            assert code == 0
+            assert json.loads(out)["input"]["sha256"] == expected, argv
+
+    def test_canonical_input_skips_serialising(self, tmp_path, monkeypatch):
+        emitted = []
+        emit = report.emit_dimacs
+
+        def counted(formula):
+            emitted.append(formula)
+            return emit(formula)
+
+        monkeypatch.setattr(report, "emit_dimacs", counted)
+        path = tmp_path / "grid4.cnf"
+        code, _, _ = run(["gen", "grid", "--size", "4", "-o", str(path)])
+        assert code == 0
+        code, out, _ = run(["stats", "--cnf", str(path), "--json", "--no-timing"])
+        assert code == 0
+        assert emitted == []
+        assert json.loads(out)["input"]["sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+        path.write_text("c comment\n" + path.read_text())
+        code, _, _ = run(["stats", "--cnf", str(path), "--json", "--no-timing"])
+        assert code == 0
+        assert len(emitted) == 1
+
+    def test_canonical_check_memory(self, tmp_path, monkeypatch):
+        # A path of 20,000 two-literal clauses: an acyclic forest. The check
+        # matches one line at a time; one nested pattern over the whole body
+        # would peak at about 38 times the text size.
+        count = 20_000
+        formula = Formula.from_ints(
+            [[-v if v % 3 else v, v + 1] for v in range(1, count + 1)], num_vars=count + 1
+        )
+        path = tmp_path / "forest.cnf"
+        text = emit_dimacs(formula)
+        path.write_text(text, encoding="ascii")
+        parse = cli.parse_dimacs
+        loaded = []
+
+        def parse_then_mark(text):
+            parsed = parse(text)
+            tracemalloc.reset_peak()
+            loaded.append(tracemalloc.get_traced_memory()[0])
+            return parsed
+
+        monkeypatch.setattr(cli, "parse_dimacs", parse_then_mark)
+        parser = cli.build_parser()
+        args = parser.parse_args(["stats", "--cnf", str(path), "--json"])
+        tracemalloc.start()
+        try:
+            _, digest = cli._load(args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert digest == hashlib.sha256(text.encode("ascii")).hexdigest()
+        assert peak - loaded[0] < 8 * len(text)
+
+
+class TestCollectorState:
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    def test_restored_after_every_exit(self, tmp_path, triangle_file, enabled):
+        bad = tmp_path / "bad.cnf"
+        bad.write_text("p cnf 2 1\n1 x 0\n", encoding="ascii")
+        huge = tmp_path / "huge.cnf"
+        huge.write_text("p cnf 2000000 0\n", encoding="ascii")
+        cases = [
+            (["stats", "--cnf", triangle_file, "--json"], 0),
+            (["stats", "--cnf", triangle_file], 0),
+            (["detect", "deletion", "--cnf", triangle_file, "-k", "0"], 1),
+            (["stats", "--cnf", str(bad)], 2),
+            (["stats", "--cnf", str(huge)], 3),
+        ]
+        saved = gc.isenabled()
+        try:
+            for argv, expected in cases:
+                gc.enable() if enabled else gc.disable()
+                code, _, _ = run(argv)
+                assert code == expected, argv
+                assert gc.isenabled() is enabled, argv
+        finally:
+            gc.enable() if saved else gc.disable()
+
+    def test_paused_during_the_command(self, triangle_file, monkeypatch):
+        seen = []
+        parse = cli.parse_dimacs
+
+        def observed(text):
+            seen.append(gc.isenabled())
+            return parse(text)
+
+        monkeypatch.setattr(cli, "parse_dimacs", observed)
+        saved = gc.isenabled()
+        gc.enable()
+        try:
+            assert run(["stats", "--cnf", triangle_file])[0] == 0
+            assert gc.isenabled()
+        finally:
+            gc.enable() if saved else gc.disable()
+        assert seen == [False]
+
+
+def test_stats_text_skips_the_cycle_search(monkeypatch, tmp_path):
+    path = tmp_path / "grid4.cnf"
+    path.write_text(emit_dimacs(grid_formula(4)), encoding="ascii")
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return shortest_cycle(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "shortest_cycle", counted)
+    code, out, _ = run(["stats", "--cnf", str(path)])
+    assert code == 0
+    assert out == "variables: 17\nclauses: 24\nlength: 72\nwidth: 3\nacyclic: false\n"
+    assert calls == []
+    code, out, _ = run(["stats", "--cnf", str(path), "--json", "--no-timing"])
+    assert code == 0
+    assert len(calls) == 1
+    expected = shortest_cycle(incidence_graph(grid_formula(4)).graph).to_json()
+    assert json.loads(out)["stats"]["shortest_cycle"] == expected

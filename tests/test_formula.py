@@ -20,6 +20,7 @@ from forestbd import (
     parse_dimacs,
     random_rcnf,
 )
+from forestbd.formula import is_emitted
 from forestbd.report import base_stats, formula_digest
 from instances import reference_parse_dimacs
 
@@ -301,6 +302,49 @@ class TestCanonicalForm:
     def test_parse_sorts_and_deduplicates(self):
         f = parse_dimacs("p cnf 3 2\n3 -1 3 0\n2 -3 0\n")
         assert [c.literals for c in f.clauses] == [(-1, 3), (2, -3)]
+
+    def test_as_written_only_when_parsed_in_order(self):
+        assert parse_dimacs("p cnf 3 2\n-1 3 0\n2 -3 0\n").as_written
+        assert parse_dimacs("p cnf 0 0\n").as_written
+        assert not parse_dimacs("p cnf 3 1\n3 -1 0\n").as_written
+        assert not parse_dimacs("p cnf 3 1\n1 1 3 0\n").as_written
+        assert not Formula.from_ints([[1, 2]], num_vars=2).as_written
+        assert not grid_formula(3).as_written
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_is_emitted_iff_text_is_emitted_form(self, data):
+        """Texts in emitted form but for a few changes: a comment, spacing,
+        line ends, leading zeros, literal order and repeats, or the final
+        newline."""
+        changes = data.draw(st.sets(st.sampled_from(
+            ["header", "comment", "space", "crlf", "zero", "order", "no-newline"]
+        ), max_size=2))
+        n = data.draw(st.integers(0, 4))
+        m = data.draw(st.integers(0, 3))
+        space = "  " if "space" in changes else " "
+        zero = "0" if "zero" in changes else ""
+        lines = [f"p {' ' if 'header' in changes else ''}cnf {n} {m}"]
+        if "comment" in changes:
+            lines.insert(0, "c comment")
+        for _ in range(m):
+            if "order" in changes:
+                variables = data.draw(st.lists(st.integers(1, n), max_size=4)) if n else []
+            else:
+                variables = sorted(data.draw(st.sets(st.integers(1, n), max_size=4))) if n else []
+            signs = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+            tokens = [("" if signs[v - 1] else "-") + zero + str(v) for v in variables]
+            lines.append(space.join([*tokens, "0"]))
+        newline = "\r\n" if "crlf" in changes else "\n"
+        text = newline.join(lines) + ("" if "no-newline" in changes else newline)
+        formula = parse_dimacs(text)
+        assert is_emitted(text, formula) == (text == emit_dimacs(formula))
+
+    @given(st.integers(0, 2000))
+    @settings(max_examples=40, deadline=None)
+    def test_emitted_text_is_recognised(self, seed):
+        text = emit_dimacs(random_rcnf(6, 8, 3, seed))
+        assert is_emitted(text, parse_dimacs(text))
 
 
 class TestRestrict:
