@@ -78,18 +78,20 @@ class Residual(NamedTuple):
     def completions(self, variables: Iterable[int]) -> Iterator[tuple[Assignment, Residual]]:
         """Every assignment of `variables` with its view, lexicographic with
         False first. Each step assigns one variable on its prefix's view, so
-        `k` variables take 2^(k+1) - 2 `assign` calls."""
+        `k` variables take 2^(k+1) - 2 `assign` calls, each made when its
+        branch is reached."""
         ordered = sorted(variables)
-
-        def walk(view: Residual, values: tuple[bool, ...]) -> Iterator:
+        # Each entry is a view and the values of the branch below it; the
+        # last value is assigned when the entry is taken.
+        stack: list[tuple[Residual, tuple[bool, ...]]] = [(self, ())]
+        while stack:
+            view, values = stack.pop()
+            if values:
+                view = view.assign(ordered[len(values) - 1], values[-1])
             if len(values) == len(ordered):
                 yield dict(zip(ordered, values)), view
-                return
-            variable = ordered[len(values)]
-            for value in (False, True):
-                yield from walk(view.assign(variable, value), values + (value,))
-
-        return walk(self, ())
+            else:
+                stack += ((view, values + (True,)), (view, values + (False,)))
 
     def by_degree(self, variables: Iterable[int]) -> list[int]:
         """The variables, most incidence-graph neighbours first, ties by id."""
@@ -105,17 +107,29 @@ class Residual(NamedTuple):
         descended into: every completion below it is acyclic too. A full
         assignment whose prefixes were all cyclic is yielded as (view, 0)
         without a test."""
-
-        def walk(view: Residual, depth: int) -> Iterator[tuple[Residual, int]]:
+        # Each entry is a view, its depth and the value that the variable
+        # before that depth takes when the entry is taken (None at the top).
+        stack: list[tuple[Residual, int, Optional[bool]]] = [(self, 0, None)]
+        while stack:
+            view, depth, value = stack.pop()
+            if value is not None:
+                view = view.assign(ordered[depth - 1], value)
             if depth == len(ordered):
                 yield view, 0
             elif view.acyclic():
                 yield view, len(ordered) - depth
             else:
-                for value in (False, True):
-                    yield from walk(view.assign(ordered[depth], value), depth + 1)
+                stack += ((view, depth + 1, True), (view, depth + 1, False))
 
-        return walk(self, 0)
+    def within(self, nodes: Iterable[Node]) -> Residual:
+        """The view keeping only `nodes`: every other node goes, and with it
+        every variable whose node goes."""
+        graph = self.inc.graph
+        kept = frozenset(nodes)
+        m = graph.clauses
+        variables = frozenset(n - m + 1 for n in kept if n >= m)
+        removed = frozenset(graph.nodes).difference(kept)
+        return Residual(self.inc, removed, self.universe & variables)
 
     def without(self, variables: Iterable[int]) -> Residual:
         """The deletion view: the variables' nodes go, every clause stays."""

@@ -173,8 +173,7 @@ def _run(args: argparse.Namespace) -> int:
     input is read and is read last, after the digest and the statistics."""
     start = time.perf_counter()
     if args.command == "gen":
-        code, formula, lines, fields = _cmd_gen(args)
-        digest = None
+        code, formula, digest, lines, fields = _cmd_gen(args)
     else:
         formula, digest = _load(args)
         handler = {
@@ -379,7 +378,11 @@ def _cmd_stats(args: argparse.Namespace, formula: Formula) -> Outcome:
     return 0, lines, {"command": "stats", "parameters": {}, "stats": stats}
 
 
-def _cmd_gen(args: argparse.Namespace) -> tuple[int, Formula, list[str], dict[str, Any]]:
+def _cmd_gen(
+    args: argparse.Namespace,
+) -> tuple[int, Formula, Optional[str], list[str], dict[str, Any]]:
+    """Build the instance and write its DIMACS; under `--json`, the digest
+    of the text written, so the report does not serialise it again."""
     if args.generator == "grid":
         formula = grid_formula(args.size)
         parameters: dict[str, Any] = {"size": args.size}
@@ -398,7 +401,8 @@ def _cmd_gen(args: argparse.Namespace) -> tuple[int, Formula, list[str], dict[st
         raise ContractError("--json needs -o so the report does not mix with DIMACS")
     else:
         sys.stdout.write(text)
-    return 0, formula, [], {"command": f"gen-{args.generator}", "parameters": parameters}
+    digest = canonical_digest(text.encode("ascii")) if args.json else None
+    return 0, formula, digest, [], {"command": f"gen-{args.generator}", "parameters": parameters}
 
 
 if __name__ == "__main__":

@@ -138,6 +138,41 @@ def is_acyclic(graph: Graph, forbidden: AbstractSet[Node] = frozenset()) -> bool
     return True
 
 
+def cyclic_components(
+    graph: Graph, forbidden: AbstractSet[Node] = frozenset(), limit: int | None = None
+) -> list[list[Node]]:
+    """The node lists of the connected components of the graph minus
+    `forbidden` that hold a cycle, in the order of their least nodes; the
+    list stops growing once it is longer than `limit`, if one is given.
+
+    A component is cyclic when it has at least as many edges as nodes,
+    that is, when its allowed degrees sum to twice its node count or more."""
+    adjacency = graph.adjacency
+    state = bytearray(len(adjacency))  # 0 unreached, 1 forbidden, 2 reached
+    for v in forbidden:
+        state[v] = 1
+    found: list[list[Node]] = []
+    root = state.find(0)
+    while root >= 0:
+        state[root] = 2
+        queue = [root]
+        ends = 0
+        for v in queue:
+            for u in adjacency[v]:
+                mark = state[u]
+                if mark != 1:
+                    ends += 1
+                    if not mark:
+                        state[u] = 2
+                        queue.append(u)
+        if ends >= 2 * len(queue):
+            found.append(queue)
+            if limit is not None and len(found) > limit:
+                break
+        root = state.find(0, root + 1)
+    return found
+
+
 def _bfs_distances(
     graph: Graph, source: Node, allowed: bytearray, depth: int
 ) -> dict[Node, int]:

@@ -6,6 +6,13 @@ is exact. The detector routes on the cycle packing dichotomy; with few
 disjoint cycles an exact memoized search runs, with many the designation
 rules shrink branching to at most two variables per designation.
 
+A variable reaches only its own connected component of the incidence
+graph, so every cyclic component needs backdoor variables of its own.
+The exact strong and deletion searches prune every state whose untouched
+cyclic components outnumber the budget left, and at the root they answer
+no when the components' least backdoors, each searched alone, sum past
+the budget.
+
 A strong backdoor acts as an implied cycle cutset: summing the acyclic
 counts of all its restrictions yields the exact model count. Counting
 conditions on the cutset, most-connected variable first, and stops at
@@ -18,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from typing import AbstractSet, Optional, Sequence
+from typing import AbstractSet, Callable, Optional, Sequence
 
 from .acyclic import ModelCount, residual_count
 from .backdoors import BackdoorVerdict, Residual, _guard_size, branch_on_cycles
@@ -30,6 +37,7 @@ from .graphs import (
     FeedbackSet,
     IncidenceGraph,
     Node,
+    cyclic_components,
     disjoint_cycles_or_feedback,
 )
 from .weak import KillChoice, RuleOutcome, candidate_pool
@@ -240,10 +248,22 @@ def strong_exact_search(formula: Formula, budget: int) -> BackdoorVerdict:
 
 
 def _strong_exact_search(root: Residual, budget: int) -> BackdoorVerdict:
+    components = _components_within(root, budget, _strong_exact_search)
+    if components is None:
+        return BackdoorVerdict.no(budget)
+    # Each variable node of a cyclic component, as a variable, to its index.
+    m = root.inc.graph.clauses
+    owner = {n - m + 1: index for index, nodes in enumerate(components) for n in nodes if n >= m}
+
     def cyclic(completion: tuple[Assignment, Residual]) -> Optional[Residual]:
         return None if completion[1].acyclic() else completion[1]
 
     def settle(candidate: frozenset[int]):
+        # A cyclic component of the root holding no candidate variable keeps
+        # its cycles under every completion, so each needs one more variable.
+        untouched = len(components) - len({owner[v] for v in candidate if v in owner})
+        if untouched > budget - len(candidate):
+            return None
         survivor = first_hit(cyclic, root.completions(candidate))
         if survivor is None:
             return candidate, {}
@@ -264,6 +284,38 @@ def _strong_exact_search(root: Residual, budget: int) -> BackdoorVerdict:
     return BackdoorVerdict.yes(result[0], budget)
 
 
+def _components_within(
+    root: Residual, budget: int, search: Callable[[Residual, int], BackdoorVerdict]
+) -> Optional[list[list[Node]]]:
+    """The cyclic components of the root's view, or None when they show that
+    no backdoor within `budget` exists. A variable reaches only its own
+    component, so each cyclic one needs variables of its own: None when
+    there are more of them than the budget, or, given two or more, when
+    their least backdoors sum past it. Each least backdoor is found by
+    iterative deepening of the exact `search` on the component's view
+    alone. These can only answer no; a search that trips the state cap
+    leaves the question to the caller's search."""
+    components = cyclic_components(root.inc.graph, root.removed, budget)
+    if len(components) > budget:
+        return None
+    if len(components) < 2:
+        return components
+    # Every component needs one variable at least.
+    total = len(components)
+    try:
+        for nodes in components:
+            view = root.within(nodes)
+            size = 1
+            while not search(view, size).found:
+                size += 1
+                total += 1
+                if total > budget:
+                    return None
+    except ResourceLimitError:
+        pass
+    return components
+
+
 def detect_deletion(formula: Formula, budget: int) -> BackdoorVerdict:
     """Exact deletion backdoor detection by shortest-cycle branching,
     memoized on the removed set.
@@ -274,23 +326,35 @@ def detect_deletion(formula: Formula, budget: int) -> BackdoorVerdict:
     them answers no before any branching; at budget 1 the search is one
     cycle and a deletion test per variable on it, less than the packing's
     second girth pass. An acyclic formula needs neither: the empty set is
-    found before either runs.
+    found before either runs. Each cyclic component needs deleted variables
+    of its own, at the root and in every state of the search.
     """
     if budget < 0:
         raise ContractError(f"budget must be >= 0, got {budget}")
-    root = Residual.of(formula)
+    return _detect_deletion(Residual.of(formula), budget)
+
+
+def _detect_deletion(root: Residual, budget: int) -> BackdoorVerdict:
     if root.acyclic():
         return BackdoorVerdict.yes((), budget)
-    packing = budget >= 2 and disjoint_cycles_or_feedback(root.inc.graph, budget + 1)
+    graph = root.inc.graph
+    packing = budget >= 2 and disjoint_cycles_or_feedback(graph, budget + 1, root.removed)
     if isinstance(packing, CyclePacking):
+        return BackdoorVerdict.no(budget)
+    if _components_within(root, budget, _detect_deletion) is None:
         return BackdoorVerdict.no(budget)
 
     def settle(removed: frozenset[int]):
-        # The root, with nothing removed, is known to be cyclic.
+        if not removed:
+            # Known to be cyclic, with no more cyclic components than the budget.
+            return root
         view = root.without(removed)
-        if removed and view.acyclic():
+        if view.acyclic():
             return frozenset(), {}
-        return view if len(removed) < budget else None
+        left = budget - len(removed)
+        if not left or len(cyclic_components(graph, view.removed, left)) > left:
+            return None
+        return view
 
     def moves(removed: frozenset[int], survivor: Residual, cycle: Cycle):
         for variable in sorted(cycle.variables):

@@ -9,7 +9,9 @@ removed from outside, and selection rules either produce a small variable
 set that every conforming backdoor intersects or certify that none
 exists. Branching on that set with a reduced budget keeps the search
 fixed-parameter sized. Every branch assigns a variable on a
-`backdoors.Residual`, a view of the formula's one incidence graph.
+`backdoors.Residual`, a view of the formula's one incidence graph. The
+exact branch prunes a residual whose cyclic components outnumber the
+budget left: a variable reaches only its own component.
 
 Hopeless cycles are settled once per packing. A packed cycle that no
 unassigned outside variable can kill under the rule's own killer test
@@ -43,7 +45,13 @@ from .acyclic import residual_satisfiable
 from .backdoors import BackdoorVerdict, Residual, branch_on_cycles, external_killers
 from .errors import ContractError, ResourceLimitError
 from .formula import Formula
-from .graphs import Cycle, FeedbackSet, IncidenceGraph, disjoint_cycles_or_feedback
+from .graphs import (
+    Cycle,
+    FeedbackSet,
+    IncidenceGraph,
+    cyclic_components,
+    disjoint_cycles_or_feedback,
+)
 from .workers import first_hit
 
 if TYPE_CHECKING:
@@ -284,7 +292,11 @@ def _weak_exact_search(root: Residual, budget: int) -> BackdoorVerdict:
             if not residual_satisfiable(residual.inc, residual.removed):
                 return None
             return frozenset(), {}
-        return residual if remaining else None
+        if not remaining:
+            return None
+        # Each cyclic component needs a variable of its own.
+        components = cyclic_components(residual.inc.graph, residual.removed, remaining)
+        return residual if len(components) <= remaining else None
 
     def moves(state: tuple[Residual, int], residual: Residual, cycle: Cycle):
         candidates = external_killers(residual.inc, cycle, residual.universe).union(

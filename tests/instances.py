@@ -104,6 +104,17 @@ def deep_cycle_gadget() -> Formula:
     return Formula.from_ints([[1, 2, 3], [1, 2, -4]], num_vars=4)
 
 
+def k33_gadgets(count: int) -> Formula:
+    """`count` variable-disjoint copies of the clauses a b c, -a b -c,
+    a -b -c: each copy's incidence graph is K3,3, which packs one cycle
+    but needs two variables deleted, or two assigned for every value."""
+    clauses: list[list[int]] = []
+    for a in range(1, 3 * count + 1, 3):
+        b, c = a + 1, a + 2
+        clauses += [[a, b, c], [-a, b, -c], [a, -b, -c]]
+    return Formula.from_ints(clauses, num_vars=3 * count)
+
+
 def disjoint_union(*formulas: Formula) -> Formula:
     """The formulas side by side, each one's variables shifted past the
     universes of those before it (each universe must be 1..n)."""
@@ -351,6 +362,25 @@ def random_graph(seed: int, nodes: tuple[int, int], edges: tuple[int, int]) -> G
         adjacency[u].add(v)
         adjacency[v].add(u)
     return Graph([tuple(sorted(adjacency[v])) for v in range(len(adjacency))])
+
+
+def reference_cyclic_components(graph: Graph, forbidden=frozenset()) -> list[list[Node]]:
+    """The sorted node lists of the components of the graph minus
+    `forbidden` that are not forests, by their least nodes, each found by
+    a depth-first search and tested with `is_acyclic` on its own."""
+    allowed = set(graph.nodes) - set(forbidden)
+    components: list[list[Node]] = []
+    for root in sorted(allowed):
+        if any(root in c for c in components):
+            continue
+        seen, stack = {root}, [root]
+        while stack:
+            for u in graph.adjacency[stack.pop()]:
+                if u in allowed and u not in seen:
+                    seen.add(u)
+                    stack.append(u)
+        components.append(sorted(seen))
+    return [c for c in components if not is_acyclic(graph, set(graph.nodes) - set(c))]
 
 
 def enumerate_simple_cycles(graph: Graph) -> list[tuple]:

@@ -232,15 +232,23 @@ class TestWeak:
 class TestSearchStateGuard:
     """The weak, strong and deletion exact searches share one memo cap."""
 
-    # Each input has no backdoor of the kind within the budget, so its search
-    # memoizes more than five states before it answers no. Four disjoint
-    # triangles would answer deletion through the packing bound before any
-    # search; grid 4 packs only four disjoint cycles, so it searches at 4.
+    # Each input is connected and has no backdoor of the kind within the
+    # budget, so its search memoizes more than five states before it
+    # answers no. Disjoint triangles would answer no through the cyclic-
+    # component bound (and, for deletion, the packing bound) first; grid 4
+    # packs only four disjoint cycles, so deletion searches at 4.
     SEARCHES = {
-        "weak": (weak_exact_search, lambda: disjoint_triangles(4), 3),
-        "strong": (strong_exact_search, lambda: disjoint_triangles(4), 3),
+        "weak": (weak_exact_search, lambda: random_rcnf(7, 10, 3, 1), 2),
+        "strong": (strong_exact_search, lambda: random_rcnf(7, 10, 3, 1), 3),
         "deletion": (detect_deletion, lambda: grid_formula(4), 4),
     }
+
+    @pytest.mark.parametrize("kind", list(SEARCHES))
+    def test_component_bound_answers_before_the_cap(self, monkeypatch, kind):
+        # Four triangles are four cyclic components, one more than the budget.
+        search = self.SEARCHES[kind][0]
+        monkeypatch.setattr(backdoors, "MAX_SEARCH_STATES", 1)
+        assert not search(disjoint_triangles(4), 3).found
 
     @pytest.mark.parametrize("kind", list(SEARCHES))
     def test_each_exact_search_trips_the_cap(self, monkeypatch, kind):

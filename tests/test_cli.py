@@ -11,6 +11,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import types
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -704,6 +705,24 @@ class TestInputDigest:
         assert code == 0
         assert len(emitted) == 1
 
+    def test_gen_hashes_the_text_it_writes(self, tmp_path, monkeypatch):
+        emitted = []
+
+        def counted(emit):
+            def call(formula):
+                emitted.append(formula)
+                return emit(formula)
+
+            return call
+
+        for module in (cli, report):
+            monkeypatch.setattr(module, "emit_dimacs", counted(module.emit_dimacs))
+        path = tmp_path / "grid10.cnf"
+        code, out, _ = run(["gen", "grid", "--size", "10", "-o", str(path), "--json"])
+        assert code == 0
+        assert len(emitted) == 1
+        assert json.loads(out)["input"]["sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+
     def test_canonical_check_memory(self, tmp_path, monkeypatch):
         # A path of 20,000 two-literal clauses: an acyclic forest. The check
         # matches one line at a time; one nested pattern over the whole body
@@ -760,6 +779,31 @@ class TestCollectorState:
                 assert gc.isenabled() is enabled, argv
         finally:
             gc.enable() if saved else gc.disable()
+
+    def test_assignment_walks_leave_no_cycles(self, tmp_path):
+        # The conditioning and completion walks were recursive closures,
+        # each referring to itself through its cell: garbage that only the
+        # paused collector could free.
+        path = tmp_path / "grid4.cnf"
+        path.write_text(emit_dimacs(grid_formula(4)), encoding="ascii")
+        commands = [
+            ["count", "--backdoor", "17"],
+            ["verify", "--kind", "weak", "--set", "1,17"],
+            ["detect", "strong", "-k", "2"],
+        ]
+        saved = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            for argv in commands:
+                assert run([*argv, "--cnf", str(path)])[0] == 0, argv
+            walks = [
+                o for o in gc.get_objects()
+                if isinstance(o, types.FunctionType) and o.__qualname__.endswith("<locals>.walk")
+            ]
+        finally:
+            gc.enable() if saved else gc.disable()
+        assert walks == []
 
     def test_paused_during_the_command(self, triangle_file, monkeypatch):
         seen = []

@@ -29,12 +29,14 @@ from forestbd.graphs import (
     Cycle,
     Graph,
     canonical_cycle,
+    cyclic_components,
 )
 from instances import (
     disjoint_triangles,
     enumerate_simple_cycles,
     random_graph,
     random_instance,
+    reference_cyclic_components,
     reference_packing,
     reference_shortest_cycle,
     three_islands,
@@ -440,3 +442,34 @@ class TestRestrictionAcyclicity:
         tau = random_partial(rng, f)
         direct = is_acyclic(incidence_graph(f.restrict(tau)).graph)
         assert restriction_is_acyclic(f, tau) == direct
+
+
+class TestCyclicComponents:
+    def test_disjoint_unions(self):
+        assert cyclic_components(incidence_graph(triangle()).graph) == [[0, 3, 4, 1, 2]]
+        graph = incidence_graph(disjoint_triangles(5)).graph
+        assert len(cyclic_components(graph)) == 5
+        assert len(cyclic_components(graph, limit=2)) == 3
+        assert cyclic_components(incidence_graph(Formula.from_ints([[1, 2]])).graph) == []
+
+    def test_a_cut_can_split_one_component_in_two(self):
+        inc = incidence_graph(grid_formula(4)).graph
+        assert len(cyclic_components(inc)) == 1
+        # Without the hub variable 17, these four cut the faces in two.
+        removed = {inc.var_node(v) for v in (1, 6, 11, 12, 17)}
+        found = cyclic_components(inc, removed)
+        assert len(found) == 2
+        assert [sorted(c) for c in found] == reference_cyclic_components(inc, removed)
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_against_reference(self, family):
+        rng = random.Random(family)
+        for graph in FAMILIES[family]():
+            nodes = list(graph.nodes)
+            for _ in range(3):
+                forbidden = frozenset(rng.sample(nodes, rng.randint(0, len(nodes) // 3)))
+                expected = reference_cyclic_components(graph, forbidden)
+                found = cyclic_components(graph, forbidden)
+                assert [sorted(c) for c in found] == expected
+                limit = rng.randint(0, 3)
+                assert found[: limit + 1] == cyclic_components(graph, forbidden, limit)

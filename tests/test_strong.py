@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -50,6 +51,7 @@ from instances import (
     direct_strong,
     disjoint_triangles,
     disjoint_union,
+    k33_gadgets,
     killer_gadgets,
     one_killer_cycles,
     random_hitting_formula,
@@ -934,3 +936,82 @@ def test_verification_and_exact_searches_never_rebuild(monkeypatch):
         result = call(*args)
         assert (result.count if call is count_with_backdoor else result) == expected
         assert builds == [args[0]], call.__name__
+
+
+def component_unions() -> list[Formula]:
+    """Disjoint unions of triangles, K3,3 gadgets, grid 3 and small random
+    3-CNF, each with two to four cyclic components."""
+    unions = [
+        disjoint_triangles(2),
+        disjoint_triangles(3),
+        k33_gadgets(2),
+        k33_gadgets(3),
+        disjoint_union(k33_gadgets(1), triangle(), grid_formula(3)),
+        disjoint_union(grid_formula(3), k33_gadgets(1)),
+    ]
+    for seed in range(12):
+        parts = [random_instance(seed + 120_000, max_n=7, max_m=10), k33_gadgets(1)]
+        if seed % 2:
+            parts.append(triangle())
+        if seed % 3 == 0:
+            parts.append(random_instance(seed + 130_000, max_n=6, max_m=8))
+        unions.append(disjoint_union(*parts))
+    return unions
+
+
+class TestCyclicComponentBound:
+    """Each cyclic component needs a backdoor variable of its own: the exact
+    searches prune on it, and strong and deletion detection also sum the
+    components' least backdoors at the root."""
+
+    # (search, gadget copies, budget): one below the least backdoor, as each
+    # gadget needs one variable under weak and two under strong and deletion.
+    LADDER = [
+        (detect_weak, 7, 6),
+        (strong_exact_search, 6, 11),
+        (strong_exact_search, 7, 13),
+        (detect_deletion, 10, 19),
+    ]
+
+    @pytest.mark.parametrize(
+        "search, copies, budget", LADDER, ids=["weak-7", "strong-6", "strong-7", "deletion-10"]
+    )
+    def test_gadget_unions_answer_no_at_once(self, monkeypatch, search, copies, budget):
+        f = k33_gadgets(copies)
+        assert search(f, budget + 1).found
+        # Without the bound, these took seconds or tripped the state cap.
+        monkeypatch.setattr(backdoors, "MAX_SEARCH_STATES", 100)
+        started = time.perf_counter()
+        assert not search(f, budget).found
+        assert time.perf_counter() - started < 1.0
+
+    @pytest.mark.parametrize("kind, copies, budget", [("weak", 7, 6), ("deletion", 10, 19)])
+    def test_cli_gadget_unions_exit_1(self, tmp_path, kind, copies, budget):
+        from test_cli import run
+
+        path = tmp_path / "gadgets.cnf"
+        path.write_text(emit_dimacs(k33_gadgets(copies)), encoding="ascii")
+        argv = ["detect", kind, "--cnf", str(path), "-k", str(budget)]
+        assert run(argv) == (1, "verdict: no\n", "")
+
+    @pytest.mark.parametrize("index", range(18))
+    def test_searches_match_the_references(self, index):
+        f = component_unions()[index]
+        for budget in range(5):
+            for search, reference in (
+                (weak_exact_search, reference_weak_exact_search),
+                (strong_exact_search, reference_strong_exact_search),
+                (detect_deletion, reference_detect_deletion),
+            ):
+                same_outcome(search(f, budget), reference(f, budget))
+
+    def test_a_tripped_component_search_leaves_the_answer_to_the_whole(self, monkeypatch):
+        # The random part needs four variables and the triangle one. Alone,
+        # the random part's search at three trips a cap of three states;
+        # the search over the whole view finds five within it.
+        f = disjoint_union(random_rcnf(7, 10, 3, 1), triangle())
+        expected = {search: search(f, 5) for search in (strong_exact_search, detect_deletion)}
+        monkeypatch.setattr(backdoors, "MAX_SEARCH_STATES", 3)
+        for search, verdict in expected.items():
+            assert verdict.found and len(verdict.variables) == 5
+            assert search(f, 5) == verdict
