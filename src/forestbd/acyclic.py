@@ -12,7 +12,7 @@ formula's incidence graph minus the nodes a restriction removes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import AbstractSet, Iterable
+from typing import AbstractSet, Iterable, Optional
 
 from .errors import ContractError, CyclicInputError
 from .formula import Assignment, Formula
@@ -34,22 +34,22 @@ class ModelCount:
 
 
 class _TreeTables:
-    """DP tables for the incidence forest `inc` minus `removed`, folded in
-    the traversal that orients it; a cycle raises CyclicInputError.
+    """DP tables for the incidence forest `inc` minus the nodes `state`
+    marks 1, folded in the traversal that orients it; a cycle raises
+    CyclicInputError. The traversal marks the nodes it reaches 2, so the
+    caller passes a mask it gives up.
 
     Every table is a list indexed by node. The traversal reads each edge's
     sign off the clause's literal tuple, which lists the clause's variables
     in the order of its neighbours."""
 
-    def __init__(self, inc: IncidenceGraph, removed: AbstractSet[Node]) -> None:
+    def __init__(self, inc: IncidenceGraph, state: bytearray) -> None:
         graph = inc.graph
         adjacency, literals, m = graph.adjacency, inc.literals, graph.clauses
         size = len(adjacency)
         self.clauses = m
         self.adjacency = adjacency
-        state = bytearray(size)  # 0 unreached, 1 removed, 2 reached
-        for node in removed:
-            state[node] = 1
+        # 0 unreached, 1 removed, 2 reached
         clauses = state.count(0, 0, m)
         self.parent = parent = [-1] * size
         # The sign of the literal on the edge to the parent: a variable's in
@@ -136,22 +136,35 @@ class _TreeTables:
             self.false_ways[root] + self.true_ways[root] for root in self.roots
         )
 
+    def count(self, universe_size: int) -> int:
+        """Models of the residual over `universe_size` variables."""
+        if self.dead:
+            return 0
+        # The trees hold every occurring variable: the rest are free.
+        count = 2 ** (universe_size - self.tree_variables)
+        for root in self.roots:
+            count *= self.false_ways[root] + self.true_ways[root]
+        return count
+
+
+def forest_tables(inc: IncidenceGraph, mask: bytearray) -> Optional[_TreeTables]:
+    """The DP tables of `inc` minus the nodes `mask` marks, or None when that
+    view has a cycle; `mask` is read, not changed. Its one traversal is both
+    the acyclicity test and the fold."""
+    try:
+        return _TreeTables(inc, bytearray(mask))
+    except CyclicInputError:
+        return None
+
 
 def residual_count(inc: IncidenceGraph, removed: AbstractSet[Node], universe_size: int) -> int:
     """Models of the residual `inc` minus `removed` over `universe_size` variables."""
-    tables = _TreeTables(inc, removed)
-    if tables.dead:
-        return 0
-    # The trees hold every occurring variable: the rest are free.
-    count = 2 ** (universe_size - tables.tree_variables)
-    for root in tables.roots:
-        count *= tables.false_ways[root] + tables.true_ways[root]
-    return count
+    return _TreeTables(inc, inc.graph.mask(removed)).count(universe_size)
 
 
 def residual_satisfiable(inc: IncidenceGraph, removed: AbstractSet[Node]) -> bool:
     """Whether the residual formula `inc` minus `removed` is satisfiable."""
-    return _TreeTables(inc, removed).satisfiable()
+    return _TreeTables(inc, inc.graph.mask(removed)).satisfiable()
 
 
 def count_models(formula: Formula, universe: Iterable[int]) -> ModelCount:
@@ -175,7 +188,8 @@ def satisfying_assignment(formula: Formula) -> Assignment | None:
     Free variables default to False. Raises CyclicInputError when the
     incidence graph has a cycle.
     """
-    tables = _TreeTables(incidence_graph(formula), frozenset())
+    inc = incidence_graph(formula)
+    tables = _TreeTables(inc, inc.graph.mask(frozenset()))
     if not tables.satisfiable():
         return None
     assignment: Assignment = {}

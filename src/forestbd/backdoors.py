@@ -14,7 +14,10 @@ assignment in lexicographic order, variables ascending, False before
 True. Strong verification and counting walk `Residual.conditioned`
 instead, cycle-cutset conditioning in degree order (`by_degree`): a
 prefix whose view is acyclic settles every completion below it, since
-assigning only removes nodes and a forest minus nodes is a forest.
+assigning only removes nodes and a forest minus nodes is a forest. That
+walk keeps one removal mask with an undo log rather than a view per
+step, and its prefix test is the caller's: an acyclicity search for
+verification, the tree DP itself for counting.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from .graphs import (
     IncidenceGraph,
     Node,
     PackingOrFeedback,
+    acyclic_without,
     incidence_graph,
     shortest_cycle,
 )
@@ -52,6 +56,7 @@ MAX_VERIFY_VARIABLES = 30
 MAX_SEARCH_STATES = 10_000
 
 S = TypeVar("S")
+T = TypeVar("T")
 # A backdoor found below a search state, with its witness assignment
 # (empty unless the search assigns values).
 Found = tuple[frozenset[int], Assignment]
@@ -99,27 +104,47 @@ class Residual(NamedTuple):
         return sorted(variables, key=lambda v: (-len(graph.adjacency[graph.var_node(v)]), v))
 
     def conditioned(
-        self, ordered: Sequence[int]
-    ) -> Iterator[tuple[Residual, int]]:
-        """Assign `ordered` in that order, False first, testing each prefix's
-        view, this one included. The first acyclic view on a branch is
-        yielded as (view, number of variables left unassigned) and not
-        descended into: every completion below it is acyclic too. A full
-        assignment whose prefixes were all cyclic is yielded as (view, 0)
-        without a test."""
-        # Each entry is a view, its depth and the value that the variable
-        # before that depth takes when the entry is taken (None at the top).
-        stack: list[tuple[Residual, int, Optional[bool]]] = [(self, 0, None)]
+        self, ordered: Sequence[int], test: Callable[[bytearray], Optional[T]]
+    ) -> Iterator[tuple[Optional[T], int]]:
+        """Assign `ordered` in that order, False first, on one removal mask,
+        testing each prefix's view, this one included. `test(mask)` returns
+        None when the view minus the nodes `mask` marks has a cycle, and the
+        leaf's value otherwise; it must not keep or change `mask`. The first
+        prefix on a branch whose test is not None is yielded as (value,
+        number of variables left unassigned) and not descended into: every
+        completion below it is acyclic too. A full assignment whose
+        prefixes all tested None is yielded as (None, 0).
+
+        An assignment marks the variable's node and those clause nodes it
+        satisfies that no earlier step marked, and backtracking clears just
+        those, so a step builds no view."""
+        graph = self.inc.graph
+        mask = graph.mask(self.removed)
+        # Per variable in order: the nodes each value removes, False first.
+        gone = [
+            [(graph.var_node(v), *self.inc.satisfied(v, value)) for value in (False, True)]
+            for v in ordered
+        ]
+        # The nodes each assignment on the current branch marked, by depth.
+        marked: list[list[Node]] = []
+        # Each entry is a depth and the value that the variable before that
+        # depth takes when the entry is taken (None at the top).
+        stack: list[tuple[int, Optional[bool]]] = [(0, None)]
         while stack:
-            view, depth, value = stack.pop()
+            depth, value = stack.pop()
             if value is not None:
-                view = view.assign(ordered[depth - 1], value)
-            if depth == len(ordered):
-                yield view, 0
-            elif view.acyclic():
-                yield view, len(ordered) - depth
+                while len(marked) >= depth:
+                    for node in marked.pop():
+                        mask[node] = 0
+                nodes = [node for node in gone[depth - 1][value] if not mask[node]]
+                for node in nodes:
+                    mask[node] = 1
+                marked.append(nodes)
+            leaf = test(mask)
+            if leaf is not None or depth == len(ordered):
+                yield leaf, len(ordered) - depth
             else:
-                stack += ((view, depth + 1, True), (view, depth + 1, False))
+                stack += ((depth + 1, True), (depth + 1, False))
 
     def within(self, nodes: Iterable[Node]) -> Residual:
         """The view keeping only `nodes`: every other node goes, and with it
@@ -207,10 +232,11 @@ def is_strong_backdoor(formula: Formula, variables: Iterable[int]) -> bool:
     _check_candidate(formula, candidate)
     _guard_size(candidate)
     root = Residual.of(formula)
-    return all_true(
-        lambda leaf: leaf[1] > 0 or leaf[0].acyclic(),
-        root.conditioned(root.by_degree(candidate)),
+    graph = root.inc.graph
+    walk = root.conditioned(
+        root.by_degree(candidate), lambda mask: acyclic_without(graph, mask) or None
     )
+    return all_true(lambda leaf: leaf[0] is not None, walk)
 
 
 def weak_backdoor_witness(
@@ -250,7 +276,7 @@ def external_killers(
 ) -> frozenset[int]:
     """Pool variables outside the cycle adjacent to at least one of its
     clauses; satisfying such a clause can remove the cycle."""
-    on_cycle = cycle.variables
+    on_cycle = cycle.variable_set
     return frozenset(
         variable
         for index in cycle.clause_indices

@@ -36,12 +36,19 @@ class Graph:
     `adjacency[v]` is the sorted tuple of v's neighbours, so queries that
     walk it in order are deterministic without sorting. `girth_floor` is a
     length no cycle of the graph undercuts: 3 for any simple graph, 4 for a
-    bipartite one. `clauses` counts the clause nodes that come first on an
-    incidence graph; it is 0 on a graph without them.
+    bipartite one. `bipartite` says that every cycle is even, which the
+    girth search uses to stop each root's search a level earlier; a
+    `girth_floor` of 4 alone does not say it. `clauses` counts the clause
+    nodes that come first on an incidence graph; it is 0 on a graph
+    without them.
     """
 
     def __init__(
-        self, adjacency: list[tuple[Node, ...]], girth_floor: int = 3, clauses: int = 0
+        self,
+        adjacency: list[tuple[Node, ...]],
+        girth_floor: int = 3,
+        clauses: int = 0,
+        bipartite: bool = False,
     ) -> None:
         """Take over `adjacency`, whose neighbour tuples must be sorted and
         symmetric."""
@@ -49,6 +56,7 @@ class Graph:
         self.nodes = range(len(adjacency))
         self.girth_floor = girth_floor
         self.clauses = clauses
+        self.bipartite = bipartite
 
     def has_edge(self, u: Node, v: Node) -> bool:
         return v in self.adjacency[u]
@@ -61,6 +69,13 @@ class Graph:
 
     def var_node(self, variable: int) -> Node:
         return self.clauses + variable - 1
+
+    def mask(self, nodes: AbstractSet[Node]) -> bytearray:
+        """A removal mask: one byte per node, 1 for the given nodes, else 0."""
+        mask = bytearray(len(self.adjacency))
+        for v in nodes:
+            mask[v] = 1
+        return mask
 
 
 @dataclass(frozen=True)
@@ -83,6 +98,10 @@ class Cycle:
     def variables(self) -> tuple[int, ...]:
         m = self.clauses
         return tuple(n - m + 1 for n in self.nodes if n >= m)
+
+    @cached_property
+    def variable_set(self) -> frozenset[int]:
+        return frozenset(self.variables)
 
     @cached_property
     def clause_indices(self) -> tuple[int, ...]:
@@ -109,16 +128,24 @@ def canonical_cycle(nodes: Sequence[Node], clauses: int = 0) -> Cycle:
 
 
 def is_acyclic(graph: Graph, forbidden: AbstractSet[Node] = frozenset()) -> bool:
-    """Whether the graph minus `forbidden` is a forest.
+    """Whether the graph minus `forbidden` is a forest."""
+    return _forest(graph.adjacency, graph.mask(forbidden))
+
+
+def acyclic_without(graph: Graph, mask: bytearray) -> bool:
+    """Whether the graph minus the nodes `mask` marks is a forest; `mask` is
+    read, not changed."""
+    return _forest(graph.adjacency, bytearray(mask))
+
+
+def _forest(adjacency: list[tuple[Node, ...]], state: bytearray) -> bool:
+    """Whether the nodes `state` leaves 0 induce a forest; it marks the nodes
+    it reaches 2, so the caller passes a mask it gives up.
 
     Each node is reached once, from its parent. In a forest a node, when
     its turn comes, has no reached neighbour but its parent: any other
     would join two paths from the root, and a non-tree edge is met so from
     whichever of its ends comes first."""
-    adjacency = graph.adjacency
-    state = bytearray(len(adjacency))  # 0 unreached, 1 forbidden, 2 reached
-    for v in forbidden:
-        state[v] = 1
     root = state.find(0)
     while root >= 0:
         state[root] = 2
@@ -148,9 +175,7 @@ def cyclic_components(
     A component is cyclic when it has at least as many edges as nodes,
     that is, when its allowed degrees sum to twice its node count or more."""
     adjacency = graph.adjacency
-    state = bytearray(len(adjacency))  # 0 unreached, 1 forbidden, 2 reached
-    for v in forbidden:
-        state[v] = 1
+    state = graph.mask(forbidden)  # 0 unreached, 1 forbidden, 2 reached
     found: list[list[Node]] = []
     root = state.find(0)
     while root >= 0:
@@ -201,21 +226,38 @@ def _girth(graph: Graph, allowed: bytearray, floor: int) -> tuple[int, Node] | N
     search that closes a cycle of the final length closes a simple cycle
     through its root, or a shorter cycle would exist; and the search from
     a shortest cycle's least node finds it. So the first root that meets
-    the final length is the anchor."""
+    the final length is the anchor.
+
+    A search at depth d closes no new cycle shorter than 2d + 1 (2d + 2 on
+    a bipartite graph): an edge back to a shallower node was met from that
+    node. Once the searches have visited as many nodes as the graph has,
+    the nodes left are peeled to their 2-core, and from then on each
+    finished root is dropped and peeled from its neighbours: a peeled node
+    lies on no cycle that a later root can search, so it is neither
+    searched nor a root. Waiting until then keeps the peel's cost below
+    the searches' own: a pass that ends a few roots in never pays for it,
+    and a ring's first search already visits every node."""
     adjacency = graph.adjacency
     remaining = bytearray(allowed)
+    slack = 2 if graph.bipartite else 1
     # Per node, for the current root's search only: distance and parent.
     dist = [-1] * len(adjacency)
     parent = [-1] * len(adjacency)
+    # Per node left once peeling starts: its neighbours left, counting the
+    # root being searched.
+    degree: list[int] | None = None
+    # Nodes the searches have visited, repeats included.
+    visited = 0
     best: tuple[int, Node] | None = None
-    for root in compress(graph.nodes, allowed):
+    root = remaining.find(1)
+    while root >= 0:
         remaining[root] = 0
         dist[root] = 0
         parent[root] = -1
         queue = [root]
         for a in queue:
             da = dist[a]
-            if best is not None and 2 * da >= best[0]:
+            if best is not None and 2 * da + slack >= best[0]:
                 break
             pa = parent[a]
             for b in adjacency[a]:
@@ -236,6 +278,30 @@ def _girth(graph: Graph, allowed: bytearray, floor: int) -> tuple[int, Node] | N
                             return best
         for v in queue:
             dist[v] = -1
+        visited += len(queue)
+        low = []
+        if degree is not None:
+            for v in adjacency[root]:
+                if remaining[v]:
+                    degree[v] -= 1
+                    if degree[v] == 1:
+                        low.append(v)
+        elif visited >= len(adjacency):
+            degree = [0] * len(adjacency)
+            for v in compress(graph.nodes, remaining):
+                degree[v] = d = sum(map(remaining.__getitem__, adjacency[v]))
+                if d < 2:
+                    low.append(v)
+        while low:
+            v = low.pop()
+            if remaining[v]:
+                remaining[v] = 0
+                for u in adjacency[v]:
+                    if remaining[u]:
+                        degree[u] -= 1
+                        if degree[u] == 1:
+                            low.append(u)
+        root = remaining.find(1, root + 1)
     return best
 
 
@@ -400,7 +466,7 @@ def incidence_graph(formula: Formula) -> IncidenceGraph:
             occurrences[abs(lit) - 1].append(index)
     adjacency += map(tuple, occurrences)
     # Every edge joins a variable and a clause, so no cycle is shorter than 4.
-    return IncidenceGraph(Graph(adjacency, girth_floor=4, clauses=m), literals)
+    return IncidenceGraph(Graph(adjacency, girth_floor=4, clauses=m, bipartite=True), literals)
 
 
 # Kept because the benchmark's tracer finds the restriction test

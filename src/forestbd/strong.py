@@ -25,11 +25,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import AbstractSet, Callable, Optional, Sequence
 
-from .acyclic import ModelCount, residual_count
+from .acyclic import ModelCount, _TreeTables, forest_tables
 from .backdoors import BackdoorVerdict, Residual, _guard_size, branch_on_cycles
-from .errors import ContractError, CyclicInputError, ResourceLimitError
+from .errors import ContractError, ResourceLimitError
 from .formula import Assignment, Formula
 from .graphs import (
     Cycle,
@@ -94,7 +95,7 @@ def opposite_sign_killers(
     variable satisfies (and removes) one of the two clauses, so no
     restriction of it keeps the whole cycle."""
     literals = {lit for index in cycle.clause_indices for lit in inc.literals[index]}
-    on_cycle = cycle.variables
+    on_cycle = cycle.variable_set
     # No clause holds both signs of a variable, so the two come from two clauses.
     return frozenset(
         lit
@@ -415,12 +416,12 @@ def _count_with_backdoor(
 ) -> ModelCount:
     size = len(target - cutset)
 
-    def piece(leaf: tuple[Residual, int]) -> int:
-        view, unassigned = leaf
-        return residual_count(view.inc, view.removed, size + unassigned)
+    def piece(leaf: tuple[Optional[_TreeTables], int]) -> int:
+        tables, unassigned = leaf
+        if tables is None:
+            raise ContractError("the given set is not a strong backdoor")
+        return tables.count(size + unassigned)
 
-    try:
-        total = sum(ordered_map(piece, root.conditioned(root.by_degree(cutset))))
-    except CyclicInputError as exc:
-        raise ContractError("the given set is not a strong backdoor") from exc
-    return ModelCount(total, len(target))
+    # The DP's traversal is the prefix test, so an acyclic prefix is traversed once.
+    walk = root.conditioned(root.by_degree(cutset), partial(forest_tables, root.inc))
+    return ModelCount(sum(ordered_map(piece, walk)), len(target))

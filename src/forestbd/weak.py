@@ -168,7 +168,7 @@ def designations(
     if len(needed) > params.budget:
         return
     base = tuple(packing[: params.cycles])
-    cycle_variables = [frozenset(c.variables) for c in base]
+    cycle_variables = [c.variable_set for c in base]
     # The packed cycles are disjoint, so the universe minus the external
     # cycles' variables is the free variables plus the internal ones.
     free = residual.universe.difference(*cycle_variables)

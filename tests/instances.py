@@ -6,6 +6,7 @@ table, the weak/strong checks and the reference searches and count
 rebuild every restriction or deletion and its incidence graph instead of
 taking a removed-node view of the formula's one graph, and the reference
 cycle search and packing run every BFS to the end, with no girth bound,
+the reference girth pass keeps the older, later cut and peels nothing,
 and the reference weak rule walks the heavy cycles and the killer pairs
 twice each. The reference detectors take the union of the rule over every
 designation, with no hopeless-cycle pruning, and the reference apex-cycle
@@ -351,6 +352,39 @@ def killer_gadgets(seed: int) -> Formula:
     return Formula.from_ints(clauses, num_vars=base + len(counts))
 
 
+def ring_formula(length: int, pendant: int = 0, chord: int = 0) -> Formula:
+    """A ring of `length` variables, the clauses i ∨ i+1 closed by 1 ∨ length.
+    With `pendant`, every third ring variable carries a path of that many
+    new variables, each in one clause with the one before it. With
+    `chord`, a path of that many new variables joins variable 1 to the
+    ring variable opposite it, which makes a theta graph."""
+    clauses = [[i, i + 1] for i in range(1, length)] + [[1, length]]
+    fresh = length
+    for start in range(1, length + 1, 3):
+        previous = start
+        for _ in range(pendant):
+            fresh += 1
+            clauses.append([previous, fresh])
+            previous = fresh
+    if chord:
+        path = list(range(fresh + 1, fresh + chord + 1))
+        ends = [1, *path, 1 + length // 2]
+        clauses += [[a, b] for a, b in zip(ends, ends[1:])]
+        fresh += chord
+    return Formula.from_ints(clauses, num_vars=fresh)
+
+
+def ring_graph(length: int, pendant: int = 0, chord: int = 0) -> Graph:
+    """`ring_formula`'s shape as a plain graph on its variables alone, so a
+    ring or theta path may be odd: node i - 1 for variable i."""
+    adjacency: dict[int, set[int]] = {}
+    for clause in ring_formula(length, pendant, chord).clauses:
+        u, v = (abs(lit) - 1 for lit in clause.literals)
+        adjacency.setdefault(u, set()).add(v)
+        adjacency.setdefault(v, set()).add(u)
+    return Graph([tuple(sorted(adjacency[v])) for v in range(len(adjacency))])
+
+
 def random_graph(seed: int, nodes: tuple[int, int], edges: tuple[int, int]) -> Graph:
     """A simple graph on 0..n-1 with n drawn from the `nodes` range and a
     count drawn from the `edges` range of random node pairs joined;
@@ -495,6 +529,42 @@ def _reference_girth(graph: Graph, allowed: list[Node], allowed_set: set[Node]) 
                     candidate = dist[a] + dist[b] + 1
                     if best is None or candidate < best:
                         best = candidate
+    return best
+
+
+def reference_unpeeled_girth(
+    graph: Graph, allowed: bytearray, floor: int
+) -> tuple[int, Node] | None:
+    """`graphs._girth` as it was before its cut moved a level earlier and
+    it peeled the nodes left to their 2-core: each root's search stops at
+    depth d only once 2d reaches the best length found."""
+    remaining = bytearray(allowed)
+    dist = [-1] * len(graph.adjacency)
+    parent = [-1] * len(graph.adjacency)
+    best: tuple[int, Node] | None = None
+    for root in (v for v in graph.nodes if allowed[v]):
+        remaining[root] = 0
+        dist[root] = 0
+        parent[root] = -1
+        queue = [root]
+        for a in queue:
+            if best is not None and 2 * dist[a] >= best[0]:
+                break
+            for b in graph.neighbors(a):
+                if not remaining[b]:
+                    continue
+                if dist[b] < 0:
+                    dist[b] = dist[a] + 1
+                    parent[b] = a
+                    queue.append(b)
+                elif parent[a] != b and parent[b] != a:
+                    candidate = dist[a] + dist[b] + 1
+                    if best is None or candidate < best[0]:
+                        best = (candidate, root)
+                        if candidate == floor:
+                            return best
+        for v in queue:
+            dist[v] = -1
     return best
 
 

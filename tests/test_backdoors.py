@@ -21,10 +21,11 @@ from forestbd import (
     shortest_cycle,
     weak_backdoor_witness,
 )
-from forestbd import backdoors
+from forestbd import acyclic, backdoors, graphs
 from forestbd.backdoors import Residual, external_killers
 from forestbd.formula import emit_dimacs
-from forestbd.strong import detect_deletion, strong_exact_search
+from forestbd.graphs import acyclic_without
+from forestbd.strong import count_with_backdoor, detect_deletion, strong_exact_search
 from forestbd.weak import weak_exact_search
 from instances import (
     direct_strong,
@@ -91,20 +92,48 @@ class TestCompletions:
                 assert view == direct
 
 
+def removed_nodes(mask: bytearray) -> frozenset:
+    return frozenset(node for node, mark in enumerate(mask) if mark)
+
+
 class TestConditioned:
     @staticmethod
-    def expected_leaves(root: Residual, ordered: list[int]) -> list[tuple[Residual, int]]:
-        """Per full assignment, its shortest prefix with an acyclic view (or
-        the whole assignment); each prefix once, in walk order."""
-        leaves, seen = [], set()
+    def expected_walk(root: Residual, ordered: list[int]) -> tuple[list, list]:
+        """The removed nodes of every prefix the walk tests, each once in walk
+        order, and per full assignment its shortest prefix with an acyclic
+        view (or the whole assignment) as (removed nodes, unassigned,
+        acyclic), each once in walk order; built from `Residual` views."""
+        tested, leaves, seen = [], [], set()
         for bits in itertools.product((False, True), repeat=len(ordered)):
-            view, depth = root, 0
-            while depth < len(ordered) and not view.acyclic():
-                view, depth = view.assign(ordered[depth], bits[depth]), depth + 1
-            if bits[:depth] not in seen:
-                seen.add(bits[:depth])
-                leaves.append((view, len(ordered) - depth))
-        return leaves
+            view = root
+            for depth in range(len(ordered) + 1):
+                if depth:
+                    view = view.assign(ordered[depth - 1], bits[depth - 1])
+                forest = view.acyclic()
+                if bits[:depth] not in seen:
+                    seen.add(bits[:depth])
+                    tested.append(view.removed)
+                    if forest or depth == len(ordered):
+                        leaves.append((view.removed, len(ordered) - depth, forest))
+                if forest:
+                    break
+        return tested, leaves
+
+    @staticmethod
+    def walk(root: Residual, ordered: list[int]) -> tuple[list, list]:
+        """What `conditioned` tests and yields, in the form of `expected_walk`."""
+        graph = root.inc.graph
+        tested: list[frozenset] = []
+
+        def test(mask: bytearray):
+            tested.append(removed_nodes(mask))
+            return tested[-1] if acyclic_without(graph, mask) else None
+
+        leaves = []
+        for removed, unassigned in root.conditioned(ordered, test):
+            forest = removed is not None
+            leaves.append((removed if forest else tested[-1], unassigned, forest))
+        return tested, leaves
 
     def test_walk_matches_first_acyclic_prefixes(self):
         for seed in range(80):
@@ -114,17 +143,59 @@ class TestConditioned:
                 f = grid_formula(rng.randint(2, 4))
             ordered = rng.sample(sorted(f.universe), rng.randint(0, min(6, len(f.universe))))
             root = Residual.of(f)
-            leaves = list(root.conditioned(ordered))
-            assert leaves == self.expected_leaves(root, ordered)
+            tested, leaves = self.walk(root, ordered)
+            assert (tested, leaves) == self.expected_walk(root, ordered)
             # The leaves split the assignments of `ordered` between them.
-            assert sum(2**unassigned for _, unassigned in leaves) == 2 ** len(ordered)
-            assert all(view.acyclic() for view, unassigned in leaves if unassigned)
+            assert sum(2**unassigned for _, unassigned, _ in leaves) == 2 ** len(ordered)
+            assert all(forest for _, unassigned, forest in leaves if unassigned)
 
     def test_acyclic_root_is_the_only_leaf(self):
         f = Formula.from_ints([[1, 2], [-2, 3]], num_vars=3)
         root = Residual.of(f)
-        assert list(root.conditioned([3, 1, 2])) == [(root, 3)]
-        assert list(root.conditioned([])) == [(root, 0)]
+        assert self.walk(root, [3, 1, 2]) == ([frozenset()], [(frozenset(), 3, True)])
+        assert self.walk(root, []) == ([frozenset()], [(frozenset(), 0, True)])
+
+    def test_counting_traverses_each_tested_prefix_once(self, monkeypatch):
+        """Counting tests a prefix with the tree DP alone: no acyclicity
+        search runs, and the DP sees each prefix the walk tests once."""
+        seen: list[frozenset] = []
+        tables = acyclic._TreeTables
+
+        def spied(inc, state):
+            seen.append(removed_nodes(state))
+            return tables(inc, state)
+
+        def no_search(adjacency, state):
+            raise AssertionError("counting ran an acyclicity search")
+
+        for f, cutset in [
+            (grid_formula(3), [10, 1, 5]),
+            (grid_formula(4), [17, 6, 7, 10, 11, 1]),
+            (disjoint_triangles(3), [1, 3, 5]),
+        ]:
+            root = Residual.of(f)
+            tested, _ = self.expected_walk(root, root.by_degree(cutset))
+            seen.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(acyclic, "_TreeTables", spied)
+                patch.setattr(graphs, "_forest", no_search)
+                count_with_backdoor(f, cutset, f.universe)
+            assert len(tested) > 1
+            assert seen == tested
+
+    def test_a_walk_leaves_no_trace_on_the_next(self):
+        root = Residual.of(grid_formula(3))
+        ordered = root.by_degree([10, 1, 2, 4, 5])
+        whole = self.walk(root, ordered)
+        # Stopped at its second full assignment, deep in the walk.
+        stopped = root.conditioned(ordered, lambda mask: None)
+        assert [next(stopped), next(stopped)] == [(None, 0), (None, 0)]
+        stopped.close()
+        assert self.walk(root, ordered) == whole
+        # Run to the end.
+        assert len(list(root.conditioned(ordered, lambda mask: None))) == 2**5
+        assert self.walk(root, ordered) == whole
+        assert root.removed == frozenset()
 
     def test_by_degree(self):
         # Grid 4's extra variable is in all 24 clauses; the four centre

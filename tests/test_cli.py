@@ -35,7 +35,7 @@ from forestbd.formula import is_emitted
 from forestbd.report import validate_report
 from forestbd.strong import StrongParameters
 from forestbd.weak import WeakParameters
-from instances import disjoint_triangles
+from instances import disjoint_triangles, ring_formula
 
 
 def run(argv, env=None):
@@ -843,3 +843,44 @@ def test_stats_text_skips_the_cycle_search(monkeypatch, tmp_path):
     assert len(calls) == 1
     expected = shortest_cycle(incidence_graph(grid_formula(4)).graph).to_json()
     assert json.loads(out)["stats"]["shortest_cycle"] == expected
+
+
+class TestLongRing:
+    """A 20,000-variable ring: the clauses i ∨ i+1, closed by 1 ∨ 20000. Its
+    one cycle is 40,000 nodes long, and every command that searches it
+    stays linear in that length."""
+
+    LENGTH = 20_000
+    # Each command takes well under a second; a search quadratic in the
+    # ring's length takes minutes.
+    BOUND_S = 15.0
+
+    @pytest.fixture(scope="class")
+    def ring(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("ring") / "ring.cnf"
+        path.write_text(emit_dimacs(ring_formula(self.LENGTH)), encoding="ascii")
+        return str(path)
+
+    def timed(self, argv):
+        start = time.perf_counter()
+        outcome = run(argv)
+        assert time.perf_counter() - start < self.BOUND_S
+        return outcome
+
+    def test_stats(self, ring):
+        code, out, _ = self.timed(["stats", "--cnf", ring, "--json", "--no-timing"])
+        assert code == 0
+        assert len(json.loads(out)["stats"]["shortest_cycle"]) == 2 * self.LENGTH
+
+    @pytest.mark.parametrize("kind, k", [("deletion", 1), ("weak", 1), ("strong", 3)])
+    def test_detect(self, ring, kind, k):
+        code, out, _ = self.timed(["detect", kind, "--cnf", ring, "-k", str(k)])
+        assert code == 0 and "backdoor: 1\n" in out
+
+    def test_count(self, ring):
+        code, out, _ = self.timed(["count", "--cnf", ring])
+        # A ring's models set no two neighbours False: the Lucas number L(n).
+        previous, lucas = 2, 1
+        for _ in range(self.LENGTH - 1):
+            previous, lucas = lucas, previous + lucas
+        assert (code, out) == (0, f"count: {lucas}\n")

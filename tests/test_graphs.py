@@ -28,6 +28,7 @@ from forestbd.backdoors import Residual
 from forestbd.graphs import (
     Cycle,
     Graph,
+    _girth,
     canonical_cycle,
     cyclic_components,
 )
@@ -39,6 +40,9 @@ from instances import (
     reference_cyclic_components,
     reference_packing,
     reference_shortest_cycle,
+    reference_unpeeled_girth,
+    ring_formula,
+    ring_graph,
     three_islands,
     triangle,
 )
@@ -61,7 +65,20 @@ FAMILIES = {
     "triangles": lambda: [
         incidence_graph(disjoint_triangles(count)).graph for count in (1, 2, 5, 12)
     ],
+    # Rings, rings with pendant trees and theta graphs, as incidence graphs
+    # and as plain graphs with odd cycles.
+    "rings": lambda: [
+        make(length, pendant, chord)
+        for make in (lambda *shape: incidence_graph(ring_formula(*shape)).graph, ring_graph)
+        for length, pendant, chord in RING_SHAPES
+    ],
 }
+# (ring length, pendant path length, theta chord length) of the ring family.
+RING_SHAPES = [
+    (3, 0, 0), (8, 0, 0), (25, 0, 0), (40, 0, 0),
+    (9, 2, 0), (30, 1, 0), (31, 3, 0),
+    (12, 0, 1), (21, 0, 4), (40, 0, 13), (26, 2, 7),
+]
 # Packing until maximal: no graph here holds this many disjoint cycles.
 MAXIMAL = 10**6
 
@@ -364,11 +381,54 @@ class TestAgainstReference:
             adjacency[u].append(v)
             adjacency[v].append(u)
         g = Graph([tuple(sorted(adjacency[v])) for v in range(7)])
-        assert g.girth_floor == 3
-        assert incidence_graph(triangle()).graph.girth_floor == 4
+        assert (g.girth_floor, g.bipartite) == (3, False)
+        inc = incidence_graph(triangle()).graph
+        assert (inc.girth_floor, inc.bipartite) == (4, True)
         assert shortest_cycle(g).nodes == (4, 5, 6)
         packing = disjoint_cycles_or_feedback(g, 2)
         assert [c.nodes for c in packing.cycles] == [(4, 5, 6), (0, 1, 2, 3)]
+
+
+class TestGirthKernel:
+    """`_girth` against the search before its earlier cut and its peel: the
+    same length and anchor, with the graph's own floor and with the girth
+    itself as the floor."""
+
+    @staticmethod
+    def agree(g: Graph, allowed: bytearray) -> None:
+        expected = reference_unpeeled_girth(g, allowed, g.girth_floor)
+        assert _girth(g, allowed, g.girth_floor) == expected
+        if expected is not None:
+            assert _girth(g, allowed, expected[0]) == expected
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_matches_the_unpeeled_search(self, family):
+        rng = random.Random(family)
+        for g in FAMILIES[family]():
+            self.agree(g, bytearray(b"\x01") * len(g.nodes))
+            for _ in range(3):
+                self.agree(g, bytearray(rng.random() < 0.85 for _ in g.nodes))
+
+    def test_floor_four_is_not_bipartite(self):
+        # Graphs whose girth is at least 4 but which may hold odd cycles:
+        # the earlier bipartite cut must not apply to them.
+        checked = 0
+        for seed in range(300):
+            g = random_graph(seed, nodes=(6, 20), edges=(6, 30))
+            found = _girth(g, bytearray(b"\x01") * len(g.nodes), 3)
+            if found is not None and found[0] >= 4:
+                checked += 1
+                self.agree(Graph(g.adjacency, girth_floor=4), bytearray(b"\x01") * len(g.nodes))
+        assert checked > 10
+        # A 6-cycle on the smallest nodes and a 5-cycle on larger ones.
+        edges = [(v, (v + 1) % 6) for v in range(6)] + [(6 + v, 6 + (v + 1) % 5) for v in range(5)]
+        adjacency: dict[int, list[int]] = {v: [] for v in range(11)}
+        for u, v in edges:
+            adjacency[u].append(v)
+            adjacency[v].append(u)
+        g = Graph([tuple(sorted(adjacency[v])) for v in range(11)], girth_floor=4)
+        assert _girth(g, bytearray(b"\x01") * 11, 4) == (5, 6)
+        assert shortest_cycle(g).nodes == (6, 7, 8, 9, 10)
 
 
 class TestDichotomy:
