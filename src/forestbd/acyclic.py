@@ -6,7 +6,10 @@ carries two counts, one for a parent occurrence that already satisfies
 the clause and one for a parent that does not (the latter subtracts the
 single child combination that leaves the clause falsified). Counts are
 Python ints, so they never overflow. The forest may be a view: a
-formula's incidence graph minus the nodes a restriction removes.
+formula's incidence graph minus the nodes a restriction removes. On a
+view that is not a forest, `split_count` folds the trees and lists the
+cyclic components in the same traversal, for counting through a strong
+backdoor one component at a time.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from typing import AbstractSet, Iterable, Optional
 
 from .errors import ContractError, CyclicInputError
 from .formula import Assignment, Formula
-from .graphs import IncidenceGraph, Node, incidence_graph
+from .graphs import IncidenceGraph, Node, incidence_graph, unmarked
 
 
 @dataclass(frozen=True)
@@ -35,22 +38,36 @@ class ModelCount:
 
 class _TreeTables:
     """DP tables for the incidence forest `inc` minus the nodes `state`
-    marks 1, folded in the traversal that orients it; a cycle raises
-    CyclicInputError. The traversal marks the nodes it reaches 2, so the
-    caller passes a mask it gives up.
+    marks 1, folded in the traversal that orients it. The traversal marks
+    the nodes it reaches 2, so the caller passes a mask it gives up.
+
+    A cycle raises CyclicInputError at once, unless `split` is set: then a
+    component with a cycle is traversed to its end and listed in `cyclic`
+    as its node list and its variable count, instead of being folded. The
+    roots are the unmarked variable nodes, or those in `scope` if it is
+    given: a component of the view, with `clauses` unmarked clause nodes.
 
     Every table is a list indexed by node. The traversal reads each edge's
     sign off the clause's literal tuple, which lists the clause's variables
     in the order of its neighbours."""
 
-    def __init__(self, inc: IncidenceGraph, state: bytearray) -> None:
+    def __init__(
+        self,
+        inc: IncidenceGraph,
+        state: bytearray,
+        split: bool = False,
+        scope: Optional[Iterable[Node]] = None,
+        clauses: int = 0,
+    ) -> None:
         graph = inc.graph
         adjacency, literals, m = graph.adjacency, inc.literals, graph.clauses
         size = len(adjacency)
         self.clauses = m
         self.adjacency = adjacency
         # 0 unreached, 1 removed, 2 reached
-        clauses = state.count(0, 0, m)
+        if scope is None:
+            clauses = state.count(0, 0, m)
+            scope = unmarked(state, m)
         self.parent = parent = [-1] * size
         # The sign of the literal on the edge to the parent: a variable's in
         # its parent clause, or a clause's parent variable's in the clause.
@@ -63,18 +80,24 @@ class _TreeTables:
         all_ways = [1] * size
         falsifying = [1] * size
         self.roots: list[Node] = []
+        self.cyclic: list[tuple[list[Node], int]] = []
         # Nodes of the trees with a clause, each after its parent.
         order: list[Node] = []
-        root = state.find(0, m)
-        while root >= 0:
+        # Clause nodes reached, and nodes in the cyclic components.
+        reached = apart = 0
+        for root in scope:
+            if root < m or state[root]:
+                continue
             state[root] = 2
-            first = len(order)
+            first, before = len(order), reached
+            closed = False
             stack = [root]
             while stack:
                 node = stack.pop()
                 order.append(node)
                 up = parent[node]
                 if node < m:
+                    reached += 1
                     for child, literal in zip(adjacency[node], literals[node]):
                         mark = state[child]
                         if not mark:
@@ -83,9 +106,12 @@ class _TreeTables:
                             positive[child] = literal > 0
                             stack.append(child)
                         elif mark == 2:
-                            if child != up:
+                            if child == up:
+                                positive[node] = literal > 0
+                            elif split:
+                                closed = True
+                            else:
                                 raise CyclicInputError("incidence graph is not a forest")
-                            positive[node] = literal > 0
                 else:
                     for child in adjacency[node]:
                         mark = state[child]
@@ -94,27 +120,33 @@ class _TreeTables:
                             parent[child] = node
                             stack.append(child)
                         elif mark == 2 and child != up:
-                            raise CyclicInputError("incidence graph is not a forest")
-            if len(order) - first == 1:
+                            if not split:
+                                raise CyclicInputError("incidence graph is not a forest")
+                            closed = True
+            if closed:
+                nodes = order[first:]
+                del order[first:]
+                apart += len(nodes)
+                self.cyclic.append((nodes, len(nodes) - reached + before))
+            elif len(order) - first == 1:
                 # A variable without clauses is priced by the free factor.
                 order.pop()
             else:
                 self.roots.append(root)
-            root = state.find(0, root + 1)
+        # The variable nodes of the trees and the cyclic components.
+        self.variables = len(order) + apart - reached
+        # A residual clause no traversal reached has lost every variable.
+        self.dead = reached < clauses
         # Every node comes after its parent in `order`.
-        self.tree_variables = 0
-        reached_clauses = 0
         for node in reversed(order):
             up = parent[node]
             if node >= m:
-                self.tree_variables += 1
                 if up < 0:
                     continue
                 low, high = false_ways[node], true_ways[node]
                 all_ways[up] *= low + high
                 falsifying[up] *= low if positive[node] else high
             else:
-                reached_clauses += 1
                 total = all_ways[node]
                 unsatisfied = total - falsifying[node]
                 if positive[node]:
@@ -123,8 +155,6 @@ class _TreeTables:
                 else:
                     false_ways[up] *= total
                     true_ways[up] *= unsatisfied
-        # A residual clause no traversal reached has lost every variable.
-        self.dead = reached_clauses < clauses
 
     def children(self, node: Node) -> list[Node]:
         """The node's children, in the order of its neighbours."""
@@ -132,29 +162,38 @@ class _TreeTables:
         return [child for child in self.adjacency[node] if parent[child] == node]
 
     def satisfiable(self) -> bool:
+        """Whether the trees are satisfiable."""
         return not self.dead and all(
             self.false_ways[root] + self.true_ways[root] for root in self.roots
         )
 
     def count(self, universe_size: int) -> int:
-        """Models of the residual over `universe_size` variables."""
+        """Models of the trees over `universe_size` variables, less those of
+        the cyclic components, which the caller counts."""
         if self.dead:
             return 0
-        # The trees hold every occurring variable: the rest are free.
-        count = 2 ** (universe_size - self.tree_variables)
+        # The variables in no component with a clause are free.
+        count = 2 ** (universe_size - self.variables)
         for root in self.roots:
             count *= self.false_ways[root] + self.true_ways[root]
         return count
 
 
-def forest_tables(inc: IncidenceGraph, mask: bytearray) -> Optional[_TreeTables]:
-    """The DP tables of `inc` minus the nodes `mask` marks, or None when that
-    view has a cycle; `mask` is read, not changed. Its one traversal is both
-    the acyclicity test and the fold."""
-    try:
-        return _TreeTables(inc, bytearray(mask))
-    except CyclicInputError:
-        return None
+def split_count(
+    inc: IncidenceGraph,
+    mask: bytearray,
+    variables: int,
+    scope: Optional[Iterable[Node]] = None,
+    clauses: int = 0,
+) -> tuple[int, list[tuple[list[Node], int]]]:
+    """Models of the trees of `inc` minus the nodes `mask` marks over
+    `variables` variables, less the variables of its cyclic components,
+    and those components as node lists with their variable counts, from
+    one traversal; with a `scope`, of that component of the view alone (see
+    `_TreeTables`). `mask` is read, not changed, and the tables are not
+    kept, so a caller that recurses holds none of them."""
+    tables = _TreeTables(inc, bytearray(mask), True, scope, clauses)
+    return tables.count(variables), tables.cyclic
 
 
 def residual_count(inc: IncidenceGraph, removed: AbstractSet[Node], universe_size: int) -> int:

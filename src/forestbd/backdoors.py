@@ -11,13 +11,15 @@ incidence graph. The exponential loops assign one variable at a time on
 its prefix's view. Loops whose answer depends on the order (the weak
 witness, the strong exact search) walk `Residual.completions`: every
 assignment in lexicographic order, variables ascending, False before
-True. Strong verification and counting walk `Residual.conditioned`
-instead, cycle-cutset conditioning in degree order (`by_degree`): a
-prefix whose view is acyclic settles every completion below it, since
-assigning only removes nodes and a forest minus nodes is a forest. That
+True. Strong verification and counting through a strong backdoor
+recurse over connected components instead (`Conditioning`): a variable
+reaches only its own component, so each cyclic component branches on
+its own first variable in degree order (`by_degree`), and independent
+components add their branches instead of multiplying them. An acyclic
+component settles every assignment of the variables left in it, since
+assigning only removes nodes and a forest minus nodes is a forest. The
 walk keeps one removal mask with an undo log rather than a view per
-step, and its prefix test is the caller's: an acyclicity search for
-verification, the tree DP itself for counting.
+step, and each call caches its answer per component node set.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from typing import (
     Mapping,
     NamedTuple,
     Optional,
-    Sequence,
     TypeVar,
     Union,
 )
@@ -44,7 +45,7 @@ from .graphs import (
     IncidenceGraph,
     Node,
     PackingOrFeedback,
-    acyclic_without,
+    cyclic_components_within,
     incidence_graph,
     shortest_cycle,
 )
@@ -56,7 +57,6 @@ MAX_VERIFY_VARIABLES = 30
 MAX_SEARCH_STATES = 10_000
 
 S = TypeVar("S")
-T = TypeVar("T")
 # A backdoor found below a search state, with its witness assignment
 # (empty unless the search assigns values).
 Found = tuple[frozenset[int], Assignment]
@@ -103,49 +103,6 @@ class Residual(NamedTuple):
         graph = self.inc.graph
         return sorted(variables, key=lambda v: (-len(graph.adjacency[graph.var_node(v)]), v))
 
-    def conditioned(
-        self, ordered: Sequence[int], test: Callable[[bytearray], Optional[T]]
-    ) -> Iterator[tuple[Optional[T], int]]:
-        """Assign `ordered` in that order, False first, on one removal mask,
-        testing each prefix's view, this one included. `test(mask)` returns
-        None when the view minus the nodes `mask` marks has a cycle, and the
-        leaf's value otherwise; it must not keep or change `mask`. The first
-        prefix on a branch whose test is not None is yielded as (value,
-        number of variables left unassigned) and not descended into: every
-        completion below it is acyclic too. A full assignment whose
-        prefixes all tested None is yielded as (None, 0).
-
-        An assignment marks the variable's node and those clause nodes it
-        satisfies that no earlier step marked, and backtracking clears just
-        those, so a step builds no view."""
-        graph = self.inc.graph
-        mask = graph.mask(self.removed)
-        # Per variable in order: the nodes each value removes, False first.
-        gone = [
-            [(graph.var_node(v), *self.inc.satisfied(v, value)) for value in (False, True)]
-            for v in ordered
-        ]
-        # The nodes each assignment on the current branch marked, by depth.
-        marked: list[list[Node]] = []
-        # Each entry is a depth and the value that the variable before that
-        # depth takes when the entry is taken (None at the top).
-        stack: list[tuple[int, Optional[bool]]] = [(0, None)]
-        while stack:
-            depth, value = stack.pop()
-            if value is not None:
-                while len(marked) >= depth:
-                    for node in marked.pop():
-                        mask[node] = 0
-                nodes = [node for node in gone[depth - 1][value] if not mask[node]]
-                for node in nodes:
-                    mask[node] = 1
-                marked.append(nodes)
-            leaf = test(mask)
-            if leaf is not None or depth == len(ordered):
-                yield leaf, len(ordered) - depth
-            else:
-                stack += ((depth + 1, True), (depth + 1, False))
-
     def within(self, nodes: Iterable[Node]) -> Residual:
         """The view keeping only `nodes`: every other node goes, and with it
         every variable whose node goes."""
@@ -171,6 +128,55 @@ class Residual(NamedTuple):
         adjacency = graph.adjacency
         clauses = range(graph.clauses) if variable is None else adjacency[graph.var_node(variable)]
         return any(c not in gone and gone.issuperset(adjacency[c]) for c in clauses)
+
+
+class Conditioning:
+    """Recursive conditioning on a variable set, one connected component of
+    the view at a time, on one removal mask.
+
+    The variables go in `by_degree` order. A caller splits a view into its
+    components; it prices or accepts an acyclic one at once and branches
+    on the first variable of the order in a cyclic one (`first`), both
+    values in turn (`branches`), recursing into that component alone. A
+    variable reaches only its own component, so the components of a view
+    are independent. An assignment marks the variable's node and those
+    clause nodes it satisfies that were not marked yet, and undoing it
+    clears just those, so a step builds no view. A walk serves one call:
+    `cache` keeps the caller's answer per cyclic component met, by its
+    node set, which fixes the component's view.
+    """
+
+    def __init__(self, residual: Residual, variables: Iterable[int]) -> None:
+        self.inc = inc = residual.inc
+        graph = inc.graph
+        self.mask = graph.mask(residual.removed)
+        self.cache: dict[frozenset[Node], object] = {}
+        ordered = residual.by_degree(variables)
+        self.nodes = [graph.var_node(v) for v in ordered]
+        # Per variable in order: the nodes each value removes, False first.
+        self.gone = [
+            [(graph.var_node(v), *inc.satisfied(v, value)) for value in (False, True)]
+            for v in ordered
+        ]
+
+    def first(self, component: AbstractSet[Node]) -> Optional[int]:
+        """The place in the order of the first variable whose node is in
+        `component`, or None when none is."""
+        return next((place for place, node in enumerate(self.nodes) if node in component), None)
+
+    def branches(self, place: int) -> Iterator[int]:
+        """Assign the variable at `place` False, then True. While each value's
+        nodes stay marked, yield how many clause nodes it removed."""
+        mask = self.mask
+        for nodes in self.gone[place]:
+            marked = [node for node in nodes if not mask[node]]
+            for node in marked:
+                mask[node] = 1
+            try:
+                yield len(marked) - 1
+            finally:
+                for node in marked:
+                    mask[node] = 0
 
 
 @dataclass(frozen=True)
@@ -228,15 +234,33 @@ def is_deletion_backdoor(formula: Formula, variables: Iterable[int]) -> bool:
 
 
 def is_strong_backdoor(formula: Formula, variables: Iterable[int]) -> bool:
+    """Whether every assignment of the set leaves an acyclic restriction:
+    every cyclic component of the formula must hold a variable of the set
+    whose both values leave the component's rest strong in turn."""
     candidate = frozenset(variables)
     _check_candidate(formula, candidate)
     _guard_size(candidate)
     root = Residual.of(formula)
-    graph = root.inc.graph
-    walk = root.conditioned(
-        root.by_degree(candidate), lambda mask: acyclic_without(graph, mask) or None
-    )
-    return all_true(lambda leaf: leaf[0] is not None, walk)
+    return _strong_within(Conditioning(root, candidate), None)
+
+
+def _strong_within(walk: Conditioning, scope: Optional[list[Node]]) -> bool:
+    """Whether the walk's set is strong on every cyclic component of its
+    view, or of the part `scope` lists."""
+    parts = cyclic_components_within(walk.inc.graph, walk.mask, scope)
+    return all(_strong_on(walk, nodes) for nodes in parts)
+
+
+def _strong_on(walk: Conditioning, nodes: list[Node]) -> bool:
+    """Whether both values of the component's first variable leave its rest
+    strong, from the walk's cache when the component was met before."""
+    key = frozenset(nodes)
+    if key not in walk.cache:
+        place = walk.first(key)
+        walk.cache[key] = place is not None and all_true(
+            lambda removed: _strong_within(walk, nodes), walk.branches(place)
+        )
+    return walk.cache[key]
 
 
 def weak_backdoor_witness(

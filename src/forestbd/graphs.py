@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
-from typing import AbstractSet, Iterator, Mapping, Sequence, Union
+from typing import AbstractSet, Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import ContractError, ResourceLimitError
 from .formula import MAX_DIMACS_VARIABLES, Formula
@@ -132,12 +132,6 @@ def is_acyclic(graph: Graph, forbidden: AbstractSet[Node] = frozenset()) -> bool
     return _forest(graph.adjacency, graph.mask(forbidden))
 
 
-def acyclic_without(graph: Graph, mask: bytearray) -> bool:
-    """Whether the graph minus the nodes `mask` marks is a forest; `mask` is
-    read, not changed."""
-    return _forest(graph.adjacency, bytearray(mask))
-
-
 def _forest(adjacency: list[tuple[Node, ...]], state: bytearray) -> bool:
     """Whether the nodes `state` leaves 0 induce a forest; it marks the nodes
     it reaches 2, so the caller passes a mask it gives up.
@@ -165,20 +159,53 @@ def _forest(adjacency: list[tuple[Node, ...]], state: bytearray) -> bool:
     return True
 
 
+def unmarked(state: bytearray, start: int = 0) -> Iterator[Node]:
+    """The nodes from `start` on that `state` marks 0, each found only when
+    the caller asks for it, so nodes the caller marks meanwhile are
+    skipped."""
+    node = state.find(0, start)
+    while node >= 0:
+        yield node
+        node = state.find(0, node + 1)
+
+
 def cyclic_components(
     graph: Graph, forbidden: AbstractSet[Node] = frozenset(), limit: int | None = None
 ) -> list[list[Node]]:
     """The node lists of the connected components of the graph minus
     `forbidden` that hold a cycle, in the order of their least nodes; the
-    list stops growing once it is longer than `limit`, if one is given.
+    list stops growing once it is longer than `limit`, if one is given."""
+    state = graph.mask(forbidden)
+    return _cyclic_components(graph.adjacency, state, unmarked(state), limit)
+
+
+def cyclic_components_within(
+    graph: Graph, mask: bytearray, scope: Iterable[Node] | None = None
+) -> list[list[Node]]:
+    """The node lists of the cyclic components of the graph minus the nodes
+    `mask` marks, of every one or of those holding a node of `scope`;
+    `mask` is read, not changed."""
+    state = bytearray(mask)
+    return _cyclic_components(
+        graph.adjacency, state, unmarked(state) if scope is None else scope, None
+    )
+
+
+def _cyclic_components(
+    adjacency: list[tuple[Node, ...]],
+    state: bytearray,
+    roots: Iterable[Node],
+    limit: int | None,
+) -> list[list[Node]]:
+    """The cyclic components reached from `roots` within the nodes `state`
+    leaves 0, in one BFS pass that marks the nodes it reaches 2.
 
     A component is cyclic when it has at least as many edges as nodes,
     that is, when its allowed degrees sum to twice its node count or more."""
-    adjacency = graph.adjacency
-    state = graph.mask(forbidden)  # 0 unreached, 1 forbidden, 2 reached
     found: list[list[Node]] = []
-    root = state.find(0)
-    while root >= 0:
+    for root in roots:
+        if state[root]:
+            continue
         state[root] = 2
         queue = [root]
         ends = 0
@@ -194,7 +221,6 @@ def cyclic_components(
             found.append(queue)
             if limit is not None and len(found) > limit:
                 break
-        root = state.find(0, root + 1)
     return found
 
 

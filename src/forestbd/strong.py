@@ -15,21 +15,23 @@ the budget.
 
 A strong backdoor acts as an implied cycle cutset: summing the acyclic
 counts of all its restrictions yields the exact model count. Counting
-conditions on the cutset, most-connected variable first, and stops at
-the first acyclic prefix, whose one tree DP counts the unassigned cutset
-variables as free. `count_through_search` finds the cutset with
-`detect_strong` first, on the same incidence graph it then counts on.
+conditions on the cutset one connected component at a time: one tree DP
+traversal folds a view's trees and lists its cyclic components, each of
+which branches on its first cutset variable in degree order. Component
+counts multiply and the counts of a variable's two values add, so
+independent cyclic parts add their branches instead of multiplying them.
+`count_through_search` finds the cutset with `detect_strong` first, on
+the same incidence graph it then counts on.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import AbstractSet, Callable, Optional, Sequence
 
-from .acyclic import ModelCount, _TreeTables, forest_tables
-from .backdoors import BackdoorVerdict, Residual, _guard_size, branch_on_cycles
+from .acyclic import ModelCount, split_count
+from .backdoors import BackdoorVerdict, Conditioning, Residual, _guard_size, branch_on_cycles
 from .errors import ContractError, ResourceLimitError
 from .formula import Assignment, Formula
 from .graphs import (
@@ -372,10 +374,9 @@ def count_with_backdoor(
     backdoor: Sequence[int] | frozenset[int],
     universe: Sequence[int] | frozenset[int],
 ) -> ModelCount:
-    """Exact model count over `universe` by summing the acyclic counts of
-    the restrictions of a strong backdoor, one per acyclic prefix of the
-    conditioning walk; a full restriction that leaves a cycle shows the set
-    is not one."""
+    """Exact model count over `universe` through a strong backdoor, one
+    connected component of each restriction's view at a time; a set under
+    which some full restriction leaves a cycle is not one."""
     cutset, target = _counting_sets(formula, backdoor, universe)
     return _count_with_backdoor(Residual.of(formula), cutset, target)
 
@@ -414,14 +415,37 @@ def _counting_sets(
 def _count_with_backdoor(
     root: Residual, cutset: frozenset[int], target: frozenset[int]
 ) -> ModelCount:
-    size = len(target - cutset)
+    walk = Conditioning(root, cutset)
+    return ModelCount(_count_within(walk, None, len(target), 0), len(target))
 
-    def piece(leaf: tuple[Optional[_TreeTables], int]) -> int:
-        tables, unassigned = leaf
-        if tables is None:
+
+def _count_within(
+    walk: Conditioning, scope: Optional[list[Node]], variables: int, clauses: int
+) -> int:
+    """Models of the walk's view over `variables` variables, or of the part
+    `scope` lists, over its own `variables` and with `clauses` clauses."""
+    # One traversal folds the trees and lists the cyclic components. Every
+    # component is counted, also after a zero, so that each is checked.
+    total, cyclic = split_count(walk.inc, walk.mask, variables, scope, clauses)
+    for nodes, size in cyclic:
+        total *= _count_on(walk, nodes, size)
+    return total
+
+
+def _count_on(walk: Conditioning, nodes: list[Node], size: int) -> int:
+    """Models of a cyclic component over its `size` variables: the sum over
+    both values of its first variable, from the walk's cache when the
+    component was met before."""
+    key = frozenset(nodes)
+    if key not in walk.cache:
+        place = walk.first(key)
+        if place is None:
             raise ContractError("the given set is not a strong backdoor")
-        return tables.count(size + unassigned)
-
-    # The DP's traversal is the prefix test, so an acyclic prefix is traversed once.
-    walk = root.conditioned(root.by_degree(cutset), partial(forest_tables, root.inc))
-    return ModelCount(sum(ordered_map(piece, walk)), len(target))
+        clauses = len(nodes) - size
+        walk.cache[key] = sum(
+            ordered_map(
+                lambda removed: _count_within(walk, nodes, size - 1, clauses - removed),
+                walk.branches(place),
+            )
+        )
+    return walk.cache[key]

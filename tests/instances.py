@@ -86,6 +86,16 @@ def disjoint_triangles(count: int) -> Formula:
     return Formula.from_ints(clauses, num_vars=2 * count)
 
 
+def disjoint_squares(count: int) -> Formula:
+    """`count` variable-disjoint squares: the clauses a b and a -b, whose
+    incidence graph is a 4-cycle, with a odd and b = a + 1 even. The even
+    variables form a strong backdoor, and there are 2^count models."""
+    clauses: list[list[int]] = []
+    for a in range(1, 2 * count + 1, 2):
+        clauses += [[a, a + 1], [a, -(a + 1)]]
+    return Formula.from_ints(clauses, num_vars=2 * count)
+
+
 def two_triangles() -> Formula:
     """Two variable-disjoint copies of the triangle; no single variable
     touches both, so every size-one detection must answer no."""

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 
 from forestbd import (
     ContractError,
+    brute_count,
     Formula,
     ResourceLimitError,
     grid_formula,
@@ -22,19 +25,23 @@ from forestbd import (
     weak_backdoor_witness,
 )
 from forestbd import acyclic, backdoors, graphs
-from forestbd.backdoors import Residual, external_killers
+from forestbd.backdoors import Conditioning, Residual, external_killers
 from forestbd.formula import emit_dimacs
-from forestbd.graphs import acyclic_without
 from forestbd.strong import count_with_backdoor, detect_deletion, strong_exact_search
 from forestbd.weak import weak_exact_search
 from instances import (
     direct_strong,
     direct_weak_witness,
     disjoint_triangles,
+    disjoint_union,
+    k33_gadgets,
     opposite_sign_clauses,
+    reference_count_with_backdoor,
+    reference_cyclic_components,
     triangle,
     two_triangles,
 )
+from test_strong import outcome
 
 
 class TestDeletion:
@@ -92,110 +99,187 @@ class TestCompletions:
                 assert view == direct
 
 
-def removed_nodes(mask: bytearray) -> frozenset:
-    return frozenset(node for node, mark in enumerate(mask) if mark)
+def live_nodes(mask: bytearray, scope) -> frozenset:
+    """The nodes of `scope` (every node if None) that `mask` leaves 0."""
+    return frozenset(n for n in (range(len(mask)) if scope is None else scope) if not mask[n])
 
 
 class TestConditioned:
-    @staticmethod
-    def expected_walk(root: Residual, ordered: list[int]) -> tuple[list, list]:
-        """The removed nodes of every prefix the walk tests, each once in walk
-        order, and per full assignment its shortest prefix with an acyclic
-        view (or the whole assignment) as (removed nodes, unassigned,
-        acyclic), each once in walk order; built from `Residual` views."""
-        tested, leaves, seen = [], [], set()
-        for bits in itertools.product((False, True), repeat=len(ordered)):
-            view = root
-            for depth in range(len(ordered) + 1):
-                if depth:
-                    view = view.assign(ordered[depth - 1], bits[depth - 1])
-                forest = view.acyclic()
-                if bits[:depth] not in seen:
-                    seen.add(bits[:depth])
-                    tested.append(view.removed)
-                    if forest or depth == len(ordered):
-                        leaves.append((view.removed, len(ordered) - depth, forest))
-                if forest:
-                    break
-        return tested, leaves
+    """The component walk behind counting through a strong backdoor and
+    strong verification."""
 
     @staticmethod
-    def walk(root: Residual, ordered: list[int]) -> tuple[list, list]:
-        """What `conditioned` tests and yields, in the form of `expected_walk`."""
+    def expected_views(
+        root: Residual, ordered: list[int], cached: bool = True
+    ) -> Optional[Counter]:
+        """The live node sets of the views the component walk splits, as a
+        multiset, built from `Residual` views: the root's, then for each
+        distinct cyclic component met (each one met, if not `cached`), the
+        component less what each value of its first variable in `ordered`
+        removes. None when some cyclic component holds no variable of
+        `ordered`."""
         graph = root.inc.graph
-        tested: list[frozenset] = []
+        every = frozenset(graph.nodes)
+        views: Counter = Counter()
+        met: set[frozenset] = set()
 
-        def test(mask: bytearray):
-            tested.append(removed_nodes(mask))
-            return tested[-1] if acyclic_without(graph, mask) else None
+        def visit(view: Residual, scope: frozenset) -> bool:
+            live = scope - view.removed
+            views[live] += 1
+            for nodes in reference_cyclic_components(graph, every - live):
+                key = frozenset(nodes)
+                if cached and key in met:
+                    continue
+                met.add(key)
+                first = next((v for v in ordered if graph.var_node(v) in key), None)
+                if first is None:
+                    return False
+                for value in (False, True):
+                    if not visit(view.assign(first, value), key):
+                        return False
+            return True
 
-        leaves = []
-        for removed, unassigned in root.conditioned(ordered, test):
-            forest = removed is not None
-            leaves.append((removed if forest else tested[-1], unassigned, forest))
-        return tested, leaves
+        return views if visit(root, every) else None
 
-    def test_walk_matches_first_acyclic_prefixes(self):
+    @staticmethod
+    def spy_views(monkeypatch) -> tuple[Counter, Counter]:
+        """Record the live node sets that counting's tree DP and
+        verification's component pass are given."""
+        dp_views: Counter = Counter()
+        pass_views: Counter = Counter()
+        tables = acyclic._TreeTables
+        components = backdoors.cyclic_components_within
+
+        def dp(inc, state, split=False, scope=None, clauses=0):
+            dp_views[live_nodes(state, scope)] += 1
+            return tables(inc, state, split, scope, clauses)
+
+        def split(graph, mask, scope=None):
+            pass_views[live_nodes(mask, scope)] += 1
+            return components(graph, mask, scope)
+
+        monkeypatch.setattr(acyclic, "_TreeTables", dp)
+        monkeypatch.setattr(backdoors, "cyclic_components_within", split)
+        return dp_views, pass_views
+
+    def test_walk_matches_the_reference_component_walk(self, monkeypatch):
+        dp_views, pass_views = self.spy_views(monkeypatch)
+        strong_sets = 0
         for seed in range(80):
             rng = random.Random(seed)
             f = random_rcnf(rng.randint(3, 9), rng.randint(1, 14), 3, seed)
-            if seed % 2:
+            if seed % 4 == 1:
                 f = grid_formula(rng.randint(2, 4))
-            ordered = rng.sample(sorted(f.universe), rng.randint(0, min(6, len(f.universe))))
+            elif seed % 4 == 3:
+                small = random_rcnf(4, rng.randint(1, 5), 3, seed)
+                f = disjoint_union(k33_gadgets(1), small, triangle())
+            universe = sorted(f.universe)
+            size = rng.randint(0, min(6, len(universe)))
+            if seed % 3 == 0:
+                # Most of the variables, so that many sets are strong.
+                size = min(8, max(0, len(universe) - rng.randint(0, 3)))
+            cutset = rng.sample(universe, size)
             root = Residual.of(f)
-            tested, leaves = self.walk(root, ordered)
-            assert (tested, leaves) == self.expected_walk(root, ordered)
-            # The leaves split the assignments of `ordered` between them.
-            assert sum(2**unassigned for _, unassigned, _ in leaves) == 2 ** len(ordered)
-            assert all(forest for _, unassigned, forest in leaves if unassigned)
+            expected = self.expected_views(root, root.by_degree(cutset))
+            strong = direct_strong(f, cutset)
+            reference = outcome(reference_count_with_backdoor, f, cutset, f.universe)
+            assert (expected is not None) == strong
+            dp_views.clear()
+            pass_views.clear()
+            assert is_strong_backdoor(f, cutset) == strong
+            assert outcome(count_with_backdoor, f, cutset, f.universe) == reference
+            if expected is not None:
+                strong_sets += 1
+                # Each view once per distinct component: none is split twice.
+                assert dp_views == expected
+                assert pass_views == expected
+        assert strong_sets >= 20
 
-    def test_acyclic_root_is_the_only_leaf(self):
+    def test_acyclic_root_is_the_only_leaf(self, monkeypatch):
+        """On an acyclic root, counting is one DP traversal and verification
+        one component pass, over the whole view, and neither branches."""
+        dp_views, pass_views = self.spy_views(monkeypatch)
         f = Formula.from_ints([[1, 2], [-2, 3]], num_vars=3)
-        root = Residual.of(f)
-        assert self.walk(root, [3, 1, 2]) == ([frozenset()], [(frozenset(), 3, True)])
-        assert self.walk(root, []) == ([frozenset()], [(frozenset(), 0, True)])
+        every = frozenset(incidence_graph(f).graph.nodes)
+        for cutset in ([3, 1, 2], []):
+            dp_views.clear()
+            pass_views.clear()
+            assert count_with_backdoor(f, cutset, f.universe).count == 4
+            assert is_strong_backdoor(f, cutset)
+            assert dp_views == pass_views == Counter([every])
 
     def test_counting_traverses_each_tested_prefix_once(self, monkeypatch):
-        """Counting tests a prefix with the tree DP alone: no acyclicity
-        search runs, and the DP sees each prefix the walk tests once."""
-        seen: list[frozenset] = []
-        tables = acyclic._TreeTables
-
-        def spied(inc, state):
-            seen.append(removed_nodes(state))
-            return tables(inc, state)
-
-        def no_search(adjacency, state):
-            raise AssertionError("counting ran an acyclicity search")
-
+        """Counting splits and prices each view with the tree DP alone: no
+        acyclicity search and no component pass runs, and the DP sees each
+        view the reference walk expects once."""
+        cases = []
         for f, cutset in [
             (grid_formula(3), [10, 1, 5]),
             (grid_formula(4), [17, 6, 7, 10, 11, 1]),
             (disjoint_triangles(3), [1, 3, 5]),
         ]:
             root = Residual.of(f)
-            tested, _ = self.expected_walk(root, root.by_degree(cutset))
-            seen.clear()
-            with monkeypatch.context() as patch:
-                patch.setattr(acyclic, "_TreeTables", spied)
-                patch.setattr(graphs, "_forest", no_search)
-                count_with_backdoor(f, cutset, f.universe)
-            assert len(tested) > 1
-            assert seen == tested
+            expected = self.expected_views(root, root.by_degree(cutset))
+            assert sum(expected.values()) > 1
+            cases.append((f, cutset, brute_count(f, f.universe), expected))
+        dp_views, _ = self.spy_views(monkeypatch)
+
+        def no_search(*args):
+            raise AssertionError("counting ran a separate graph search")
+
+        monkeypatch.setattr(graphs, "_forest", no_search)
+        monkeypatch.setattr(graphs, "_cyclic_components", no_search)
+        for f, cutset, models, expected in cases:
+            dp_views.clear()
+            assert count_with_backdoor(f, cutset, f.universe).count == models
+            assert dp_views == expected
 
     def test_a_walk_leaves_no_trace_on_the_next(self):
         root = Residual.of(grid_formula(3))
         ordered = root.by_degree([10, 1, 2, 4, 5])
-        whole = self.walk(root, ordered)
-        # Stopped at its second full assignment, deep in the walk.
-        stopped = root.conditioned(ordered, lambda mask: None)
-        assert [next(stopped), next(stopped)] == [(None, 0), (None, 0)]
-        stopped.close()
-        assert self.walk(root, ordered) == whole
+        walk = Conditioning(root, [10, 1, 2, 4, 5])
+        assert walk.nodes == [root.inc.graph.var_node(v) for v in ordered]
+        clean = bytes(walk.mask)
+        # A branch stopped while an inner one is open, as when verification
+        # meets a component that fails.
+        outer = walk.branches(0)
+        assert next(outer) == len(root.inc.satisfied(ordered[0], False))
+        inner = walk.branches(1)
+        next(inner)
+        next(inner)
+        assert walk.mask != clean
+        inner.close()
+        outer.close()
+        assert walk.mask == clean
         # Run to the end.
-        assert len(list(root.conditioned(ordered, lambda mask: None))) == 2**5
-        assert self.walk(root, ordered) == whole
+        for _ in walk.branches(2):
+            for _ in walk.branches(3):
+                assert walk.mask != clean
+        assert walk.mask == clean
         assert root.removed == frozenset()
+        # A count that meets a component without a cutset variable raises
+        # midway, and the next call gives its own answer.
+        f = disjoint_union(grid_formula(3), triangle())
+        with pytest.raises(ContractError):
+            count_with_backdoor(f, [10, 1], f.universe)
+        assert count_with_backdoor(f, [10, 11], f.universe).count == brute_count(f, f.universe)
+
+    def test_component_met_twice_is_walked_once(self, monkeypatch):
+        """A cyclic component met again within one call is answered from that
+        call's cache and not walked again."""
+        f = grid_formula(3)
+        cutset = list(range(1, 10))
+        root = Residual.of(f)
+        ordered = root.by_degree(cutset)
+        expected = self.expected_views(root, ordered)
+        # Grid 3's cells meet some components more than once.
+        uncached = self.expected_views(root, ordered, cached=False)
+        assert sum(expected.values()) < sum(uncached.values())
+        models = brute_count(f, f.universe)
+        dp_views, pass_views = self.spy_views(monkeypatch)
+        assert count_with_backdoor(f, cutset, f.universe).count == models
+        assert is_strong_backdoor(f, cutset)
+        assert dp_views == pass_views == expected
 
     def test_by_degree(self):
         # Grid 4's extra variable is in all 24 clauses; the four centre

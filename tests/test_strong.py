@@ -49,6 +49,7 @@ from instances import (
     criterion_8_strong_targets,
     deep_cycle_gadget,
     direct_strong,
+    disjoint_squares,
     disjoint_triangles,
     disjoint_union,
     k33_gadgets,
@@ -715,31 +716,171 @@ class TestConditionedCounting:
     def test_grid_six_at_the_guard(self, monkeypatch, tmp_path):
         """Grid 6's extra variable plus cells 1-29 is 30 variables, the most
         verification takes; both of the extra variable's values leave a
-        forest, so counting ends after a handful of tree DPs."""
+        forest, so counting ends after a handful of tree DPs and
+        verification after as many component passes."""
         from test_cli import run
 
         f = grid_formula(6)
         cutset = [37, *range(1, 30)]
         assert len(cutset) == backdoors.MAX_VERIFY_VARIABLES
-        calls = []
-        dp = strong.forest_tables
+        calls, passes = [], []
+        dp = strong.split_count
+        split = backdoors.cyclic_components_within
 
-        def counted(inc, mask):
+        def counted(inc, mask, variables, scope=None, clauses=0):
             calls.append(mask.count(1))
-            return dp(inc, mask)
+            return dp(inc, mask, variables, scope, clauses)
 
-        monkeypatch.setattr(strong, "forest_tables", counted)
+        def counted_pass(graph, mask, scope=None):
+            passes.append(mask.count(1))
+            return split(graph, mask, scope)
+
+        monkeypatch.setattr(strong, "split_count", counted)
+        monkeypatch.setattr(backdoors, "cyclic_components_within", counted_pass)
         total = count_with_backdoor(f, cutset, f.universe)
         assert 0 < len(calls) <= 4
         assert total == count_with_backdoor(f, {37}, f.universe)
         assert total.count == 171532242
         assert is_strong_backdoor(f, cutset)
+        assert 0 < len(passes) <= 4
         path = tmp_path / "grid6.cnf"
         assert run(["gen", "grid", "--size", "6", "-o", str(path)])[0] == 0
         listed = ",".join(map(str, cutset))
         assert run(["count", "--cnf", str(path), "--backdoor", listed]) == (0, "count: 171532242\n", "")
         code, out, _ = run(["verify", "--cnf", str(path), "--kind", "strong", "--set", listed])
         assert code == 0 and "valid" in out
+
+
+def union_with_cutset(parts: list[tuple[Formula, list[int]]]) -> tuple[Formula, list[int]]:
+    """`disjoint_union` of the formulas, with each part's cutset shifted as
+    its variables are."""
+    cutset: list[int] = []
+    offset = 0
+    for part, variables in parts:
+        cutset += [v + offset for v in variables]
+        offset += len(part.universe)
+    return disjoint_union(*(part for part, _ in parts)), cutset
+
+
+class TestComponentCounting:
+    """Counting and strong verification through a backdoor, one connected
+    component at a time, on disjoint unions whose parts are checked alone."""
+
+    # Small cyclic parts, each with cutsets that are strong backdoors of it
+    # and cutsets that are not.
+    PARTS = {
+        "triangle": (triangle, [[1], [2]], [[]]),
+        "gadget": (lambda: k33_gadgets(1), [[1, 2], [2, 3], [1, 2, 3]], [[1], [3]]),
+        "square": (lambda: disjoint_squares(1), [[2], [1]], [[]]),
+        "grid3": (
+            lambda: grid_formula(3),
+            [[10], [10, 5], list(range(1, 10))],
+            [[5], [1, 3, 5, 7, 9]],
+        ),
+    }
+
+    def test_early_zero_is_not_the_end(self):
+        """An unsatisfiable acyclic part prices the view at zero before the
+        triangle beside it shows that the set is not a strong backdoor."""
+        f = Formula.from_ints([[1], [-1], [2, 3], [3, 4], [2, 4]], num_vars=4)
+        expected = (ContractError, "the given set is not a strong backdoor")
+        assert outcome(count_with_backdoor, f, {1}, f.universe) == expected
+        assert outcome(reference_count_with_backdoor, f, {1}, f.universe) == expected
+        assert not is_strong_backdoor(f, {1})
+        assert not direct_strong(f, {1})
+        # A cutset variable in the triangle makes it one, and the count zero.
+        assert count_with_backdoor(f, {1, 3}, f.universe).count == 0
+        assert is_strong_backdoor(f, {1, 3})
+
+    def test_early_zero_on_the_command_line(self, tmp_path):
+        from test_cli import run
+
+        path = tmp_path / "trap.cnf"
+        path.write_text("p cnf 4 5\n1 0\n-1 0\n2 3 0\n3 4 0\n2 4 0\n", encoding="ascii")
+        assert run(["count", "--cnf", str(path), "--backdoor", "1"]) == (
+            2,
+            "",
+            "error: the given set is not a strong backdoor\n",
+        )
+        code, out, _ = run(["verify", "--cnf", str(path), "--kind", "strong", "--set", "1"])
+        assert (code, out) == (1, "verdict: invalid\n")
+
+    def test_universes_without_non_occurring_variables(self):
+        # The triangle's cycle over 1..3 in a formula over 1..5.
+        f = Formula.from_ints([[1, 2], [2, 3], [1, 3]], num_vars=5)
+        for universe, models in [({1, 2, 3}, 4), ({1, 2, 3, 4}, 8), ({1, 2, 3, 4, 5, 9}, 32)]:
+            mine = count_with_backdoor(f, {1}, universe)
+            assert type(mine.count) is int
+            assert mine.count == models
+            assert mine == reference_count_with_backdoor(f, {1}, universe)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_unions_against_their_parts(self, seed):
+        """Disjoint unions with cutsets of up to 30 variables: the count is
+        the product of the parts' counts, and the union's set is strong
+        when every part's is."""
+        rng = random.Random(seed)
+        parts: list[tuple[Formula, list[int]]] = []
+        strong_parts = seed % 3 != 2
+        while True:
+            name = rng.choice(sorted(self.PARTS))
+            build, good, bad = self.PARTS[name]
+            part = build()
+            variables = rng.choice(good if strong_parts or parts else bad)
+            if seed % 4 == 3 and not parts:
+                part = random_instance(seed + 150_000, max_n=6, max_m=8)
+                variables = sorted(part.universe)
+            if sum(len(v) for _, v in parts) + len(variables) > backdoors.MAX_VERIFY_VARIABLES:
+                break
+            parts.append((part, variables))
+        f, cutset = union_with_cutset(parts)
+        assert len(cutset) >= 24
+        strong_each = [direct_strong(part, variables) for part, variables in parts]
+        assert is_strong_backdoor(f, cutset) == all(strong_each)
+        if all(strong_each):
+            models = 1
+            for part, _ in parts:
+                models *= brute_count(part, part.universe)
+            assert count_with_backdoor(f, cutset, f.universe).count == models
+        else:
+            with pytest.raises(ContractError, match="not a strong backdoor"):
+                count_with_backdoor(f, cutset, f.universe)
+
+    @given(st.integers(0, 100_000))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_references(self, seed):
+        rng = random.Random(seed)
+        parts = [random_instance(seed + 160_000, max_n=6, max_m=8)]
+        for _ in range(rng.randint(1, 3)):
+            name = rng.choice(sorted(self.PARTS))
+            parts.append(self.PARTS[name][0]() if name != "grid3" else triangle())
+        f = disjoint_union(*parts)
+        universe = sorted(f.universe)
+        cutset = rng.sample(universe, rng.randint(0, min(8, len(universe))))
+        assert is_strong_backdoor(f, cutset) == direct_strong(f, cutset)
+        for target in (f.universe, f.universe | {max(universe) + 1}):
+            mine = outcome(count_with_backdoor, f, cutset, target)
+            assert mine == outcome(reference_count_with_backdoor, f, cutset, target)
+
+    def test_thirty_squares_on_the_command_line(self, tmp_path):
+        from test_cli import run
+
+        path = tmp_path / "squares.cnf"
+        path.write_text(emit_dimacs(disjoint_squares(30)), encoding="ascii")
+        cutset = ",".join(str(b) for b in range(2, 61, 2))
+        start = time.perf_counter()
+        counted = run(["count", "--cnf", str(path), "--backdoor", cutset])
+        assert counted == (0, f"count: {2**30}\n", "")
+        assert time.perf_counter() - start < 1
+        start = time.perf_counter()
+        code, out, _ = run(["verify", "--cnf", str(path), "--kind", "strong", "--set", cutset])
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (0, "verdict: valid\n")
+        # A 31st variable trips the guard.
+        for argv in (["count", "--backdoor"], ["verify", "--kind", "strong", "--set"]):
+            code, out, err = run([argv[0], "--cnf", str(path), *argv[1:], cutset + ",1"])
+            assert (code, out) == (3, "")
+            assert "limit 30 variables" in err
 
 
 # Formulas for the differential tests against the rebuilding references:
