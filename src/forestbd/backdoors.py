@@ -7,19 +7,20 @@ assignment of it yields an acyclic restriction, and a weak backdoor when
 some assignment yields an acyclic and satisfiable restriction.
 
 A restriction or deletion is a `Residual`, a view of the formula's one
-incidence graph. The exponential loops assign one variable at a time on
-its prefix's view. Loops whose answer depends on the order (the weak
-witness, the strong exact search) walk `Residual.completions`: every
-assignment in lexicographic order, variables ascending, False before
-True. Strong verification and counting through a strong backdoor
-recurse over connected components instead (`Conditioning`): a variable
-reaches only its own component, so each cyclic component branches on
-its own first variable in degree order (`by_degree`), and independent
-components add their branches instead of multiplying them. An acyclic
-component settles every assignment of the variables left in it, since
-assigning only removes nodes and a forest minus nodes is a forest. The
-walk keeps one removal mask with an undo log rather than a view per
-step, and each call caches its answer per component node set.
+incidence graph. Every loop over the `2^|B|` assignments of a set runs
+on one `Conditioning`: one removal mask, with an undo log, in an order
+the caller gives. Loops whose answer depends on the order (the weak
+witness, the strong exact search's first cyclic assignment) take the
+variables ascending and walk the leaves with `first_leaf`,
+lexicographic with False first; a caller's `dead` test skips a True
+branch below which no leaf can hit. Strong verification and counting
+through a strong backdoor recurse over connected components instead, in
+degree order (`by_degree`): a variable reaches only its own component,
+so each cyclic component branches on its own first variable, and
+independent components add their branches instead of multiplying them.
+An acyclic component settles every assignment of the variables left in
+it, since assigning only removes nodes and a forest minus nodes is a
+forest. Each such call caches its answer per component node set.
 """
 
 from __future__ import annotations
@@ -33,12 +34,13 @@ from typing import (
     Mapping,
     NamedTuple,
     Optional,
+    Sequence,
     TypeVar,
     Union,
 )
 
-from .acyclic import residual_satisfiable
-from .errors import ContractError, CyclicInputError, ResourceLimitError
+from .acyclic import _TreeTables
+from .errors import ContractError, ResourceLimitError
 from .formula import Assignment, Formula
 from .graphs import (
     Cycle,
@@ -49,7 +51,7 @@ from .graphs import (
     incidence_graph,
     shortest_cycle,
 )
-from .workers import all_true, first_hit
+from .workers import all_true
 
 MAX_VERIFY_VARIABLES = 30
 # States one exact search may memoize; over the seed-1 and seed-11 benchmark
@@ -57,6 +59,7 @@ MAX_VERIFY_VARIABLES = 30
 MAX_SEARCH_STATES = 10_000
 
 S = TypeVar("S")
+R = TypeVar("R")
 # A backdoor found below a search state, with its witness assignment
 # (empty unless the search assigns values).
 Found = tuple[frozenset[int], Assignment]
@@ -79,24 +82,6 @@ class Residual(NamedTuple):
         node = self.inc.graph.var_node(variable)
         satisfied = self.inc.satisfied(variable, value)
         return Residual(self.inc, self.removed.union(satisfied, (node,)), self.universe - {variable})
-
-    def completions(self, variables: Iterable[int]) -> Iterator[tuple[Assignment, Residual]]:
-        """Every assignment of `variables` with its view, lexicographic with
-        False first. Each step assigns one variable on its prefix's view, so
-        `k` variables take 2^(k+1) - 2 `assign` calls, each made when its
-        branch is reached."""
-        ordered = sorted(variables)
-        # Each entry is a view and the values of the branch below it; the
-        # last value is assigned when the entry is taken.
-        stack: list[tuple[Residual, tuple[bool, ...]]] = [(self, ())]
-        while stack:
-            view, values = stack.pop()
-            if values:
-                view = view.assign(ordered[len(values) - 1], values[-1])
-            if len(values) == len(ordered):
-                yield dict(zip(ordered, values)), view
-            else:
-                stack += ((view, values + (True,)), (view, values + (False,)))
 
     def by_degree(self, variables: Iterable[int]) -> list[int]:
         """The variables, most incidence-graph neighbours first, ties by id."""
@@ -131,27 +116,28 @@ class Residual(NamedTuple):
 
 
 class Conditioning:
-    """Recursive conditioning on a variable set, one connected component of
-    the view at a time, on one removal mask.
+    """The assignments of a variable set, in the caller's order, on one
+    removal mask.
 
-    The variables go in `by_degree` order. A caller splits a view into its
-    components; it prices or accepts an acyclic one at once and branches
-    on the first variable of the order in a cyclic one (`first`), both
-    values in turn (`branches`), recursing into that component alone. A
-    variable reaches only its own component, so the components of a view
-    are independent. An assignment marks the variable's node and those
-    clause nodes it satisfies that were not marked yet, and undoing it
-    clears just those, so a step builds no view. A walk serves one call:
-    `cache` keeps the caller's answer per cyclic component met, by its
-    node set, which fixes the component's view.
+    `branches(place)` assigns the variable at that place False, then True.
+    An assignment marks the variable's node and those clause nodes it
+    satisfies that were not marked yet, and undoing it clears just those,
+    so a step builds no view. `first_leaf` walks the places in order.
+    Counting and strong verification recurse over connected components
+    instead: a caller splits a view into its components, prices or
+    accepts an acyclic one at once and branches on the first variable of
+    the order in a cyclic one (`first`), recursing into that component
+    alone. A variable reaches only its own component, so the components of
+    a view are independent. A walk serves one call: `cache` keeps the
+    caller's answer per cyclic component met, by its node set, which fixes
+    the component's view.
     """
 
-    def __init__(self, residual: Residual, variables: Iterable[int]) -> None:
+    def __init__(self, residual: Residual, ordered: Sequence[int]) -> None:
         self.inc = inc = residual.inc
         graph = inc.graph
         self.mask = graph.mask(residual.removed)
         self.cache: dict[frozenset[Node], object] = {}
-        ordered = residual.by_degree(variables)
         self.nodes = [graph.var_node(v) for v in ordered]
         # Per variable in order: the nodes each value removes, False first.
         self.gone = [
@@ -177,6 +163,38 @@ class Conditioning:
             finally:
                 for node in marked:
                     mask[node] = 0
+
+
+def first_leaf(
+    walk: Conditioning,
+    hit: Callable[[list[bool]], Optional[R]],
+    dead: Callable[[list[bool]], bool],
+) -> Optional[R]:
+    """The first non-None `hit(values)` over the walk's leaves, in
+    lexicographic order with False first; `values` holds the values of the
+    walk's variables in its order, and the mask marks what they remove.
+
+    The walk reaches the first leaf below a prefix without testing the
+    prefix. Before it enters a variable's True branch, except at the last
+    variable, it asks `dead(values)` with that True assigned and skips the
+    branch when no leaf below it can hit."""
+    last = len(walk.nodes)
+    values: list[bool] = []
+
+    def descend() -> Optional[R]:
+        place = len(values)
+        if place == last:
+            return hit(values)
+        for value, _ in enumerate(walk.branches(place)):
+            values.append(bool(value))
+            if not (value and place + 1 < last and dead(values)):
+                found = descend()
+                if found is not None:
+                    return found
+            values.pop()
+        return None
+
+    return descend()
 
 
 @dataclass(frozen=True)
@@ -241,7 +259,7 @@ def is_strong_backdoor(formula: Formula, variables: Iterable[int]) -> bool:
     _check_candidate(formula, candidate)
     _guard_size(candidate)
     root = Residual.of(formula)
-    return _strong_within(Conditioning(root, candidate), None)
+    return _strong_within(Conditioning(root, root.by_degree(candidate)), None)
 
 
 def _strong_within(walk: Conditioning, scope: Optional[list[Node]]) -> bool:
@@ -271,16 +289,29 @@ def weak_backdoor_witness(
     candidate = frozenset(variables)
     _check_candidate(formula, candidate)
     _guard_size(candidate)
+    ordered = sorted(candidate)
+    walk = Conditioning(Residual.of(formula), ordered)
 
-    def probe(completion: tuple[Assignment, Residual]) -> Optional[Assignment]:
-        tau, residual = completion
-        # The tree DP's one traversal also finds any cycle.
-        try:
-            return tau if residual_satisfiable(residual.inc, residual.removed) else None
-        except CyclicInputError:
+    def trees() -> _TreeTables:
+        # One traversal folds the trees and lists the cyclic components.
+        return _TreeTables(walk.inc, bytearray(walk.mask), True)
+
+    def hit(values: list[bool]) -> Optional[Assignment]:
+        tables = trees()
+        if tables.cyclic or not tables.satisfiable():
             return None
+        return dict(zip(ordered, values))
 
-    return first_hit(probe, Residual.of(formula).completions(candidate))
+    def dead(values: list[bool]) -> bool:
+        # Assigning more only removes nodes: unsatisfiable trees stay so, and
+        # a cyclic component holding no variable left stays cyclic.
+        tables = trees()
+        if not tables.satisfiable():
+            return True
+        left = set(walk.nodes[len(values):])
+        return any(left.isdisjoint(nodes) for nodes, _ in tables.cyclic)
+
+    return first_leaf(walk, hit, dead)
 
 
 def restriction_is_acyclic(formula: Formula, assignment: Mapping[int, bool]) -> bool:
@@ -289,10 +320,11 @@ def restriction_is_acyclic(formula: Formula, assignment: Mapping[int, bool]) -> 
     extra = sorted(v for v in assignment if v not in formula.universe)
     if extra:
         raise ContractError(f"assignment mentions variables outside universe: {extra}")
-    residual = Residual.of(formula)
+    inc = incidence_graph(formula)
+    removed = {inc.graph.var_node(v) for v in assignment}
     for variable, value in assignment.items():
-        residual = residual.assign(variable, value)
-    return residual.acyclic()
+        removed.update(inc.satisfied(variable, value))
+    return inc.residual_acyclic(removed)
 
 
 def external_killers(

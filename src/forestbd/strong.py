@@ -31,15 +31,23 @@ from dataclasses import dataclass, replace
 from typing import AbstractSet, Callable, Optional, Sequence
 
 from .acyclic import ModelCount, split_count
-from .backdoors import BackdoorVerdict, Conditioning, Residual, _guard_size, branch_on_cycles
+from .backdoors import (
+    BackdoorVerdict,
+    Conditioning,
+    Residual,
+    _guard_size,
+    branch_on_cycles,
+    first_leaf,
+)
 from .errors import ContractError, ResourceLimitError
-from .formula import Assignment, Formula
+from .formula import Formula
 from .graphs import (
     Cycle,
     CyclePacking,
     FeedbackSet,
     IncidenceGraph,
     Node,
+    _forest,
     cyclic_components,
     disjoint_cycles_or_feedback,
 )
@@ -258,8 +266,7 @@ def _strong_exact_search(root: Residual, budget: int) -> BackdoorVerdict:
     m = root.inc.graph.clauses
     owner = {n - m + 1: index for index, nodes in enumerate(components) for n in nodes if n >= m}
 
-    def cyclic(completion: tuple[Assignment, Residual]) -> Optional[Residual]:
-        return None if completion[1].acyclic() else completion[1]
+    adjacency = root.inc.graph.adjacency
 
     def settle(candidate: frozenset[int]):
         # A cyclic component of the root holding no candidate variable keeps
@@ -267,12 +274,21 @@ def _strong_exact_search(root: Residual, budget: int) -> BackdoorVerdict:
         untouched = len(components) - len({owner[v] for v in candidate if v in owner})
         if untouched > budget - len(candidate):
             return None
-        survivor = first_hit(cyclic, root.completions(candidate))
-        if survivor is None:
+        walk = Conditioning(root, sorted(candidate))
+        mask = walk.mask
+
+        def cyclic(values: list[bool]) -> Optional[frozenset[Node]]:
+            if _forest(adjacency, bytearray(mask)):
+                return None
+            return frozenset(itertools.compress(range(len(mask)), mask))
+
+        # An acyclic prefix holds no cyclic completion.
+        removed = first_leaf(walk, cyclic, lambda values: _forest(adjacency, bytearray(mask)))
+        if removed is None:
             return candidate, {}
         if len(candidate) == budget:
             return None
-        return survivor
+        return Residual(root.inc, removed, root.universe - candidate)
 
     def moves(candidate: frozenset[int], survivor: Residual, cycle: Cycle):
         extenders = opposite_sign_killers(survivor.inc, cycle, survivor.universe).union(
@@ -415,7 +431,7 @@ def _counting_sets(
 def _count_with_backdoor(
     root: Residual, cutset: frozenset[int], target: frozenset[int]
 ) -> ModelCount:
-    walk = Conditioning(root, cutset)
+    walk = Conditioning(root, root.by_degree(cutset))
     return ModelCount(_count_within(walk, None, len(target), 0), len(target))
 
 

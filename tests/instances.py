@@ -10,7 +10,8 @@ the reference girth pass keeps the older, later cut and peels nothing,
 and the reference weak rule walks the heavy cycles and the killer pairs
 twice each. The reference detectors take the union of the rule over every
 designation, with no hopeless-cycle pruning, and the reference apex-cycle
-killers scan the whole pool. The reference parser reads DIMACS one line
+killers scan the whole pool. The reference completions assign each
+leaf's view whole from the root. The reference parser reads DIMACS one line
 and one token at a time, checking each line for what `int` reads beyond
 plain decimals.
 """
@@ -94,6 +95,13 @@ def disjoint_squares(count: int) -> Formula:
     for a in range(1, 2 * count + 1, 2):
         clauses += [[a, a + 1], [a, -(a + 1)]]
     return Formula.from_ints(clauses, num_vars=2 * count)
+
+
+def unsatisfiable_forest(count: int) -> Formula:
+    """The unit clauses 1 and -1, then 2 to `count`: an acyclic formula that
+    no assignment of 2 to `count` makes satisfiable."""
+    clauses = [[1], [-1]] + [[v] for v in range(2, count + 1)]
+    return Formula.from_ints(clauses, num_vars=count)
 
 
 def two_triangles() -> Formula:
@@ -715,6 +723,21 @@ def reference_apex_cycle_killers(
 
 
 # --- reference searches and count on rebuilt restrictions -----------------------
+
+def reference_completions(
+    residual: Residual, variables: Iterable[int]
+) -> Iterator[tuple[Assignment, Residual]]:
+    """Every assignment of `variables` with its view, lexicographic with
+    False first, each view assigned whole from `residual` instead of
+    extending its prefix's: the order and the views of the walk that
+    `backdoors.first_leaf` takes when nothing is pruned."""
+    ordered = sorted(variables)
+    for tau in assignments_over(ordered):
+        view = residual
+        for variable in ordered:
+            view = view.assign(variable, tau[variable])
+        yield tau, view
+
 
 def reference_weak_witness(formula: Formula, candidate) -> Assignment | None:
     """`backdoors.weak_backdoor_witness` with every restriction rebuilt and

@@ -391,6 +391,9 @@ PINNED_REPORTS = {
     "count --cnf grid3.cnf": "5291b4aabf3a4600de8112b90b87228d2b050a270d90891f9fa5a5a451bb472e",
     "verify --cnf grid3.cnf --kind strong --set 10": "6139c8507c2a0d266cb1e95dca12e52fea027326b406af34eb5f7e988a4b9c48",
     "verify --cnf grid3.cnf --kind weak --set 10": "f69b3c7b59df1e78a7032da15b4f8ba9db211138f23661da0561657667bb521e",
+    "verify --cnf rnd.cnf --kind weak --set 1,3,4": "7337fbf508f214c44c5478254d2cba55a3b132c97ed315bde2756a3a353691ff",
+    "verify --cnf grid3.cnf --kind weak --set 1,2,10": "d68dd73cc419fe8318f1435c24efaafd76d1e0cafd00ed8429cb0af1d8314199",
+    "verify --cnf rnd.cnf --kind weak --set 1,2": "43109474ba7c6c5a764a9e6da7ca80c67455673f0d8bad8dd955ab8e2899c506",
     "count --cnf grid4.cnf --backdoor 17,1,3,6,8,9,11,14,16": "1c2d9fead678af2440ff4878c3c85253adfbcf7baccbc7bb436a5c9fa116f387",
     "verify --cnf grid4.cnf --kind strong --set 17,1,3,6,8,9,11,14,16": "f926cff919787b4fc229e3994be23e26a2daa7bca286fac8f2ed065a6956ac43",
     "verify --cnf grid4.cnf --kind strong --set 1,3,6,8,9,11,14,16": "6b706788dcdd097fc21d6caab204d57cf3435bfcee7835dbcd3fe91c31a0b81d",
@@ -429,6 +432,12 @@ def test_criterion_10_report_determinism(tmp_path, monkeypatch):
         "count --cnf grid3.cnf",
         "verify --cnf grid3.cnf --kind strong --set 10",
         "verify --cnf grid3.cnf --kind weak --set 10",
+        # The weak witness walk: a witness whose first variable is True (1=T,
+        # 3=F, 4=T), one found in the last variable's True branch (10=T), and
+        # a set with no witness.
+        "verify --cnf rnd.cnf --kind weak --set 1,3,4",
+        "verify --cnf grid3.cnf --kind weak --set 1,2,10",
+        "verify --cnf rnd.cnf --kind weak --set 1,2",
         # The conditioning walk: grid 4's extra variable, 17, is its most
         # connected, so the walk assigns it first and cuts below both values;
         # without it the set is not strong.

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 import random
 from collections import Counter
 from typing import Optional
@@ -18,6 +17,7 @@ from forestbd import (
     ResourceLimitError,
     grid_formula,
     incidence_graph,
+    is_acyclic,
     is_deletion_backdoor,
     is_strong_backdoor,
     random_rcnf,
@@ -25,21 +25,24 @@ from forestbd import (
     weak_backdoor_witness,
 )
 from forestbd import acyclic, backdoors, graphs
-from forestbd.backdoors import Conditioning, Residual, external_killers
+from forestbd.backdoors import Conditioning, Residual, external_killers, first_leaf
 from forestbd.formula import emit_dimacs
 from forestbd.strong import count_with_backdoor, detect_deletion, strong_exact_search
 from forestbd.weak import weak_exact_search
 from instances import (
     direct_strong,
     direct_weak_witness,
+    disjoint_squares,
     disjoint_triangles,
     disjoint_union,
     k33_gadgets,
     opposite_sign_clauses,
+    reference_completions,
     reference_count_with_backdoor,
     reference_cyclic_components,
     triangle,
     two_triangles,
+    unsatisfiable_forest,
 )
 from test_strong import outcome
 
@@ -67,36 +70,77 @@ class TestDeletion:
             is_deletion_backdoor(triangle(), {9})
 
 
+def walk_case(seed: int) -> tuple[Formula, list[int]]:
+    rng = random.Random(seed)
+    f = random_rcnf(rng.randint(3, 9), rng.randint(1, 14), 3, seed)
+    variables = rng.sample(sorted(f.universe), rng.randint(0, min(5, len(f.universe))))
+    return f, variables
+
+
+def marked(mask: bytearray) -> frozenset:
+    return frozenset(n for n, mark in enumerate(mask) if mark)
+
+
 class TestCompletions:
-    def test_walk_order_views_and_assign_count(self, monkeypatch):
-        calls = []
-        assign = Residual.assign
+    """`first_leaf`, the ordered walk behind the weak witness and the strong
+    exact search, against `reference_completions`."""
 
-        def counted(view, variable, value):
-            calls.append(variable)
-            return assign(view, variable, value)
-
-        monkeypatch.setattr(Residual, "assign", counted)
+    def test_unpruned_walk_matches_the_reference(self):
         for seed in range(60):
-            rng = random.Random(seed)
-            f = random_rcnf(rng.randint(3, 9), rng.randint(1, 14), 3, seed)
-            variables = rng.sample(sorted(f.universe), rng.randint(0, min(5, len(f.universe))))
+            f, variables = walk_case(seed)
             ordered = sorted(variables)
             root = Residual.of(f)
-            calls.clear()
-            walked = list(root.completions(variables))
-            assert len(calls) == 2 ** (len(variables) + 1) - 2
-            # Every assignment once, lexicographic with False first.
-            assert [tau for tau, _ in walked] == [
-                dict(zip(ordered, bits))
-                for bits in itertools.product((False, True), repeat=len(ordered))
+            walk = Conditioning(root, ordered)
+            leaves, asked = [], []
+
+            def hit(values):
+                leaves.append((dict(zip(ordered, values)), marked(walk.mask)))
+
+            def dead(values):
+                asked.append(list(values))
+                return False
+
+            assert first_leaf(walk, hit, dead) is None
+            # Every assignment once, lexicographic with False first, each
+            # with the view the reference assigns whole from the root.
+            assert leaves == [
+                (tau, view.removed) for tau, view in reference_completions(root, variables)
             ]
-            for tau, view in walked:
-                # The same view from the root, assigning in the other order.
-                direct = root
-                for variable in reversed(ordered):
-                    direct = assign(direct, variable, tau[variable])
-                assert view == direct
+            # Only True branches above the last variable are asked about.
+            assert all(values[-1] for values in asked)
+            assert all(len(values) < len(ordered) for values in asked)
+            assert len(asked) == max(0, 2 ** (len(ordered) - 1) - 1)
+
+    def test_pruned_walk_returns_the_first_hit(self):
+        hits = 0
+        for seed in range(120):
+            f, variables = walk_case(seed)
+            ordered = sorted(variables)
+            root = Residual.of(f)
+            rng = random.Random(seed)
+            # Leaves whose view is cyclic hit, as in the strong exact search.
+            targets = [
+                tau
+                for tau, view in reference_completions(root, variables)
+                if not view.acyclic()
+            ]
+            walk = Conditioning(root, ordered)
+
+            def hit(values):
+                return None if is_acyclic(walk.inc.graph, marked(walk.mask)) else list(values)
+
+            def dead(values):
+                # Fires only where no target lies below, and then not always.
+                prefix = dict(zip(ordered, values))
+                below = any(prefix.items() <= tau.items() for tau in targets)
+                return not below and rng.random() < 0.7
+
+            found = first_leaf(walk, hit, dead)
+            first = [targets[0][v] for v in ordered] if targets else None
+            assert found == first
+            assert walk.mask == Conditioning(root, ordered).mask
+            hits += found is not None
+        assert hits >= 20
 
 
 def live_nodes(mask: bytearray, scope) -> frozenset:
@@ -237,7 +281,7 @@ class TestConditioned:
     def test_a_walk_leaves_no_trace_on_the_next(self):
         root = Residual.of(grid_formula(3))
         ordered = root.by_degree([10, 1, 2, 4, 5])
-        walk = Conditioning(root, [10, 1, 2, 4, 5])
+        walk = Conditioning(root, ordered)
         assert walk.nodes == [root.inc.graph.var_node(v) for v in ordered]
         clean = bytes(walk.mask)
         # A branch stopped while an inner one is open, as when verification
@@ -250,6 +294,16 @@ class TestConditioned:
         assert walk.mask != clean
         inner.close()
         outer.close()
+        assert walk.mask == clean
+        # An ordered walk that returns at a leaf with every branch above it
+        # open, some of them True branches past a pruned one.
+        target = [False, True, True, False, True]
+        found = first_leaf(
+            walk,
+            lambda values: list(values) if values == target else None,
+            lambda values: values == [True],
+        )
+        assert found == target
         assert walk.mask == clean
         # Run to the end.
         for _ in walk.branches(2):
@@ -365,6 +419,38 @@ class TestWeak:
         f = random_rcnf(rng.randint(3, 8), rng.randint(2, 10), 3, seed)
         candidate = frozenset(rng.sample(sorted(f.universe), rng.randint(0, 3)))
         assert weak_backdoor_witness(f, candidate) == direct_weak_witness(f, candidate)
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: unsatisfiable_forest(31), lambda: disjoint_squares(30)],
+        ids=["unsatisfiable-forest", "squares"],
+    )
+    def test_no_witness_in_a_linear_number_of_traversals(self, monkeypatch, tmp_path, build):
+        """Variables 2 to 31 leave the forest unsatisfiable under every
+        assignment, and leave squares 17 to 30 untouched, so cyclic: the
+        walk prunes each True branch with one tree DP traversal instead of
+        visiting 2^30 leaves."""
+        from test_cli import run
+
+        f = build()
+        candidate = list(range(2, 32))
+        traversals = []
+        tables = backdoors._TreeTables
+
+        def counted(*args):
+            traversals.append(args)
+            return tables(*args)
+
+        monkeypatch.setattr(backdoors, "_TreeTables", counted)
+        assert weak_backdoor_witness(f, candidate) is None
+        assert 0 < len(traversals) <= 2 * len(candidate)
+        path = tmp_path / "input.cnf"
+        path.write_text(emit_dimacs(f), encoding="ascii")
+        code, out, _ = run(
+            ["verify", "--cnf", str(path), "--kind", "weak", "--set", ",".join(map(str, candidate))]
+        )
+        assert code == 1
+        assert "verdict: invalid" in out
 
     def test_strong_of_satisfiable_extends_to_weak(self):
         f = grid_formula(3)
