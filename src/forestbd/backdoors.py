@@ -67,21 +67,26 @@ Found = tuple[frozenset[int], Assignment]
 
 class Residual(NamedTuple):
     """A restriction or deletion of a formula, as the view `inc` minus
-    `removed`; `universe` holds the variables not assigned or deleted."""
+    `removed`. Assigning or deleting a variable removes its node, so the
+    free variables are those whose nodes the view keeps (`unassigned`)."""
 
     inc: IncidenceGraph
     removed: frozenset[Node]
-    universe: frozenset[int]
 
     @classmethod
     def of(cls, formula: Formula) -> Residual:
-        return cls(incidence_graph(formula), frozenset(), formula.universe)
+        return cls(incidence_graph(formula), frozenset())
 
     def assign(self, variable: int, value: bool) -> Residual:
         """The view with `variable` set: its node and the clauses the value satisfies go."""
-        node = self.inc.graph.var_node(variable)
-        satisfied = self.inc.satisfied(variable, value)
-        return Residual(self.inc, self.removed.union(satisfied, (node,)), self.universe - {variable})
+        gone = (self.inc.graph.var_node(variable), *self.inc.satisfied(variable, value))
+        return Residual(self.inc, self.removed.union(gone))
+
+    def unassigned(self) -> frozenset[int]:
+        """Every variable id up to the largest whose node the view keeps."""
+        m = self.inc.graph.clauses
+        ids = range(1, len(self.inc.graph.nodes) - m + 1)
+        return frozenset(ids).difference([n - m + 1 for n in self.removed if n >= m])
 
     def by_degree(self, variables: Iterable[int]) -> list[int]:
         """The variables, most incidence-graph neighbours first, ties by id."""
@@ -89,20 +94,12 @@ class Residual(NamedTuple):
         return sorted(variables, key=lambda v: (-len(graph.adjacency[graph.var_node(v)]), v))
 
     def within(self, nodes: Iterable[Node]) -> Residual:
-        """The view keeping only `nodes`: every other node goes, and with it
-        every variable whose node goes."""
-        graph = self.inc.graph
-        kept = frozenset(nodes)
-        m = graph.clauses
-        variables = frozenset(n - m + 1 for n in kept if n >= m)
-        removed = frozenset(graph.nodes).difference(kept)
-        return Residual(self.inc, removed, self.universe & variables)
+        """The view keeping only `nodes`: every other node goes."""
+        return Residual(self.inc, frozenset(self.inc.graph.nodes).difference(nodes))
 
     def without(self, variables: Iterable[int]) -> Residual:
         """The deletion view: the variables' nodes go, every clause stays."""
-        gone = frozenset(variables)
-        nodes = map(self.inc.graph.var_node, gone)
-        return Residual(self.inc, self.removed.union(nodes), self.universe - gone)
+        return Residual(self.inc, self.removed.union(map(self.inc.graph.var_node, variables)))
 
     def acyclic(self) -> bool:
         return self.inc.residual_acyclic(self.removed)

@@ -162,6 +162,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 3
     except (ForestBDError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -250,7 +250,7 @@ def strong_exact_search(formula: Formula, budget: int) -> BackdoorVerdict:
     A candidate set is grown until no assignment of it leaves a cycle.
     When some assignment does, the surviving cycle pins the next branch:
     a strong backdoor extending the candidate set must assign one of the
-    cycle's variables or a variable with opposite signs in two of its
+    cycle's variables or an unassigned one with opposite signs in two of its
     clauses, because any other set admits an assignment keeping the cycle.
     """
     if budget < 0:
@@ -288,10 +288,10 @@ def _strong_exact_search(root: Residual, budget: int) -> BackdoorVerdict:
             return candidate, {}
         if len(candidate) == budget:
             return None
-        return Residual(root.inc, removed, root.universe - candidate)
+        return Residual(root.inc, removed)
 
     def moves(candidate: frozenset[int], survivor: Residual, cycle: Cycle):
-        extenders = opposite_sign_killers(survivor.inc, cycle, survivor.universe).union(
+        extenders = opposite_sign_killers(survivor.inc, cycle, survivor.unassigned()).union(
             cycle.variables
         )
         for variable in sorted(extenders):

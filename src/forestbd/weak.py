@@ -9,7 +9,8 @@ removed from outside, and selection rules either produce a small variable
 set that every conforming backdoor intersects or certify that none
 exists. Branching on that set with a reduced budget keeps the search
 fixed-parameter sized. Every branch assigns a variable on a
-`backdoors.Residual`, a view of the formula's one incidence graph. The
+`backdoors.Residual`, a view of the formula's one incidence graph that
+holds only the nodes it removes, so a memoized state stays small. The
 exact branch prunes a residual whose cyclic components outnumber the
 budget left: a variable reaches only its own component.
 
@@ -169,9 +170,9 @@ def designations(
         return
     base = tuple(packing[: params.cycles])
     cycle_variables = [c.variable_set for c in base]
-    # The packed cycles are disjoint, so the universe minus the external
-    # cycles' variables is the free variables plus the internal ones.
-    free = residual.universe.difference(*cycle_variables)
+    # The packed cycles are disjoint, so the unassigned variables minus the
+    # external cycles' ones are the free variables plus the internal ones.
+    free = residual.unassigned().difference(*cycle_variables)
     # Sets of one size holding `needed` sort as their other members do.
     others = [i for i in range(params.cycles) if i not in needed]
     for chosen in itertools.combinations(others, params.budget - len(needed)):
@@ -204,11 +205,9 @@ def candidate_pool(
     lies within those, so a designation leaving it external adds nothing,
     and only the designations holding every hopeless cycle internal run
     (none when more than the budget are hopeless)."""
-    hopeless = [
-        index
-        for index, cycle in enumerate(packing[: params.cycles])
-        if not killers(residual.inc, cycle, residual.universe)
-    ]
+    inc, unassigned = residual.inc, residual.unassigned()
+    cycles = packing[: params.cycles]
+    hopeless = [i for i, cycle in enumerate(cycles) if not killers(inc, cycle, unassigned)]
     pool: set[int] = set()
     for _, outcome in designations(rule, residual, packing, params, hopeless):
         pool |= outcome.selected
@@ -299,7 +298,7 @@ def _weak_exact_search(root: Residual, budget: int) -> BackdoorVerdict:
         return residual if len(components) <= remaining else None
 
     def moves(state: tuple[Residual, int], residual: Residual, cycle: Cycle):
-        candidates = external_killers(residual.inc, cycle, residual.universe).union(
+        candidates = external_killers(residual.inc, cycle, residual.unassigned()).union(
             cycle.variables
         )
         for candidate in sorted(candidates):

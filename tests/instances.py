@@ -104,6 +104,16 @@ def unsatisfiable_forest(count: int) -> Formula:
     return Formula.from_ints(clauses, num_vars=count)
 
 
+def with_gaps(formula: Formula) -> Formula:
+    """The formula with each variable v renamed 2v - 1: every even id below
+    the largest is left out of the universe, yet has a node of the
+    incidence graph, an isolated one."""
+    clauses = Formula.from_ints(
+        [2 * lit - 1 if lit > 0 else 2 * lit + 1 for lit in c.literals] for c in formula.clauses
+    ).clauses
+    return Formula(clauses, frozenset(2 * v - 1 for v in formula.universe))
+
+
 def two_triangles() -> Formula:
     """Two variable-disjoint copies of the triangle; no single variable
     touches both, so every size-one detection must answer no."""
@@ -401,6 +411,15 @@ def ring_graph(length: int, pendant: int = 0, chord: int = 0) -> Graph:
         adjacency.setdefault(u, set()).add(v)
         adjacency.setdefault(v, set()).add(u)
     return Graph([tuple(sorted(adjacency[v])) for v in range(len(adjacency))])
+
+
+def theta_formula(length: int, step: int, starts: Iterable[int]) -> Formula:
+    """A ring of `length` variables, the clauses i ∨ i+1 closed by 1 ∨ length,
+    with a chord a ∨ a+step for each a in `starts`: long cycles sharing
+    long chains, on which the exact searches branch over many variables."""
+    clauses = [[i, i + 1] for i in range(1, length)] + [[1, length]]
+    clauses += [[a, a + step] for a in starts]
+    return Formula.from_ints(clauses, num_vars=length)
 
 
 def random_graph(seed: int, nodes: tuple[int, int], edges: tuple[int, int]) -> Graph:
@@ -783,11 +802,11 @@ def reference_strong_exact_search(formula: Formula, budget: int) -> BackdoorVerd
             return candidate, {}
         if len(candidate) == budget:
             return None
-        return Residual(inc, frozenset(), formula.universe - candidate)
+        return Residual(inc, frozenset())
 
     def moves(candidate: frozenset[int], residual: Residual, cycle: Cycle):
         cycle_vars = frozenset(cycle.variables)
-        outside = residual.universe - cycle_vars
+        outside = formula.universe - candidate - cycle_vars
         extenders = cycle_vars | {
             v for v in outside if opposite_sign_clauses(residual.inc, v, cycle) is not None
         }
@@ -812,7 +831,7 @@ def reference_weak_exact_search(formula: Formula, budget: int) -> BackdoorVerdic
         inc = incidence_graph(current)
         if is_acyclic(inc.graph):
             return (frozenset(), {}) if satisfying_assignment(current) is not None else None
-        return Residual(inc, frozenset(), current.universe) if remaining else None
+        return Residual(inc, frozenset()) if remaining else None
 
     def moves(state: tuple[Formula, int], residual: Residual, cycle: Cycle):
         current, remaining = state
@@ -908,7 +927,7 @@ def reference_detect_deletion(formula: Formula, budget: int) -> BackdoorVerdict:
         inc = incidence_graph(rest)
         if is_acyclic(inc.graph):
             return frozenset(), {}
-        return Residual(inc, frozenset(), rest.universe) if len(removed) < budget else None
+        return Residual(inc, frozenset()) if len(removed) < budget else None
 
     def moves(removed: frozenset[int], residual: Residual, cycle: Cycle):
         for variable in sorted(cycle.variables):

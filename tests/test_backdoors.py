@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from collections import Counter
 from typing import Optional
 
@@ -28,7 +29,7 @@ from forestbd import acyclic, backdoors, graphs
 from forestbd.backdoors import Conditioning, Residual, external_killers, first_leaf
 from forestbd.formula import emit_dimacs
 from forestbd.strong import count_with_backdoor, detect_deletion, strong_exact_search
-from forestbd.weak import weak_exact_search
+from forestbd.weak import detect_weak, weak_exact_search
 from instances import (
     direct_strong,
     direct_weak_witness,
@@ -40,6 +41,7 @@ from instances import (
     reference_completions,
     reference_count_with_backdoor,
     reference_cyclic_components,
+    theta_formula,
     triangle,
     two_triangles,
     unsatisfiable_forest,
@@ -511,6 +513,29 @@ class TestSearchStateGuard:
         code, out, err = run(["detect", kind, "--cnf", str(path), "-k", str(budget)])
         assert code == 3 and out == ""
         assert "states" in err
+
+
+class TestSearchStateMemory:
+    """A memoized weak state holds its removed nodes and no copy of the
+    variables, so the state cap bounds the search's memory as well."""
+
+    # A 1,000-variable ring with four chords 125 apart: no weak backdoor of
+    # 3 variables is found before the search memoizes 200 states.
+    THETA = (1000, 125, (1, 251, 501, 751))
+
+    @pytest.mark.parametrize("search", [weak_exact_search, detect_weak], ids=["exact", "detect"])
+    def test_the_cap_trips_in_little_memory(self, monkeypatch, search):
+        f = theta_formula(*self.THETA)
+        monkeypatch.setattr(backdoors, "MAX_SEARCH_STATES", 200)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="more than 200 states"):
+                search(f, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # A copy of the unassigned variables in every state would take 6.8 MiB.
+        assert peak < 2 * 2**20
 
 
 class TestKillRelations:

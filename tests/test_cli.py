@@ -85,6 +85,15 @@ class TestExitCodes:
         assert code == 1
         assert json.loads(out)["verdict"] == "no"
 
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+    def test_out_of_memory_is_a_resource_error(self, grid3, monkeypatch, json_flag):
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "detect_weak", exhausted)
+        argv = ["detect", "weak", "--cnf", grid3, "-k", "2", *json_flag]
+        assert run(argv) == (3, "", "error: out of memory\n")
+
     def test_width_violation_is_usage_error(self, tmp_path):
         wide = tmp_path / "wide.cnf"
         wide.write_text("p cnf 4 2\n1 2 3 4 0\n1 2 0\n", encoding="ascii")

@@ -175,7 +175,7 @@ class TestRestrictionView:
         rng = random.Random(seed)
         f = random_rcnf(rng.randint(3, 10), rng.randint(1, 15), 3, seed)
         tau = random_partial(rng, f)
-        inc, removed, _ = restricted(f, tau)
+        inc, removed = restricted(f, tau)
         kept = [i for i, c in enumerate(f.clauses) if not c.satisfied_by(tau)]
         g = inc.graph
         assert {g.clause_node(i) for i in range(f.num_clauses)} - removed == {
@@ -193,7 +193,7 @@ class TestRestrictionView:
         rng = random.Random(seed)
         f = random_rcnf(rng.randint(3, 12), rng.randint(1, 24), 3, seed)
         tau = random_partial(rng, f)
-        inc, removed, _ = restricted(f, tau)
+        inc, removed = restricted(f, tau)
         kept = [i for i, c in enumerate(f.clauses) if not c.satisfied_by(tau)]
 
         g = inc.graph

@@ -74,6 +74,7 @@ from instances import (
     three_islands,
     triangle,
     two_triangles,
+    with_gaps,
 )
 
 
@@ -375,7 +376,7 @@ class TestHopelessCycles:
         split = disjoint_cycles_or_feedback(residual.inc.graph, params.cycles)
         assert isinstance(split, CyclePacking)
         hopeless = [
-            c for c in split.cycles if not killers(residual.inc, c, residual.universe)
+            c for c in split.cycles if not killers(residual.inc, c, residual.unassigned())
         ]
         assert len(hopeless) == expected_hopeless
         pool = candidate_pool(rule, killers, residual, split.cycles, params)
@@ -972,6 +973,54 @@ class TestViewsAgainstRebuild:
             for cutset in candidate_sets(f, rng)[:-2]:
                 assert is_strong_backdoor(f, cutset) == direct_strong(f, cutset)
                 assert weak_backdoor_witness(f, cutset) == reference_weak_witness(f, cutset)
+
+
+# The two 6-cycles (1 2)(2 3)(-1 3) and (7 -8)(8 9)(7 9): the universe
+# {1, 2, 3, 7, 8, 9} leaves out 4 to 6.
+GAPPED_TRIANGLES = [[1, 2], [2, 3], [-1, 3], [7, -8], [8, 9], [7, 9]]
+GAP_FAMILIES = {
+    "triangles": lambda: [Formula.from_ints(GAPPED_TRIANGLES)],
+    **{
+        name: lambda build=build: list(map(with_gaps, build()))
+        for name, build in VIEW_FAMILIES.items()
+    },
+}
+
+
+class TestUniversesWithGaps:
+    """A view's unassigned variables are every id up to the largest that its
+    nodes keep, ids the universe leaves out among them. Those nodes are
+    isolated, so no cycle, killer test or rule selects them, and the
+    searches give what rebuilding every restriction or deletion gives."""
+
+    def test_unassigned_holds_every_id_up_to_the_largest(self):
+        f = Formula.from_ints(GAPPED_TRIANGLES)
+        assert f.universe == {1, 2, 3, 7, 8, 9}
+        root = Residual.of(f)
+        assert root.unassigned() == frozenset(range(1, 10))
+        assert root.assign(7, True).unassigned() == frozenset(range(1, 10)) - {7}
+        assert root.without([2, 5]).unassigned() == frozenset(range(1, 10)) - {2, 5}
+        graph = root.inc.graph
+        assert root.within(graph.var_node(v) for v in (1, 3)).unassigned() == {1, 3}
+        for g in GAP_FAMILIES["random-3cnf"]():
+            assert Residual.of(g).unassigned() == frozenset(range(1, max(g.universe) + 1))
+
+    @pytest.mark.parametrize("family", sorted(GAP_FAMILIES))
+    @pytest.mark.parametrize(
+        "search, reference, budgets",
+        [
+            (detect_weak, reference_detect_weak, range(3)),
+            (detect_strong, reference_detect_strong, range(3)),
+            (detect_deletion, reference_detect_deletion, range(4)),
+            (weak_exact_search, reference_weak_exact_search, range(3)),
+            (strong_exact_search, reference_strong_exact_search, range(3)),
+        ],
+        ids=["detect_weak", "detect_strong", "detect_deletion", "weak_exact", "strong_exact"],
+    )
+    def test_searches_match_the_references(self, family, search, reference, budgets):
+        for f in GAP_FAMILIES[family]():
+            for budget in budgets:
+                same_outcome(outcome(search, f, budget), outcome(reference, f, budget))
 
 
 def count_settles(monkeypatch, check=None) -> list[int]:
