@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain, repeat
-from operator import attrgetter, lt
+from operator import attrgetter
 from typing import Dict, Iterable, Mapping
 
 from .errors import ContractError, DimacsError, ResourceLimitError
@@ -80,18 +81,6 @@ class Clause:
         return "Clause(" + " ".join(str(v) for v in self.literals) + ")"
 
 
-def _strictly_increasing_within_clauses(values: list[int]) -> bool:
-    """Whether the variables of every clause in `values`, a literal list
-    with 0 ending each clause, strictly increase: then each clause is
-    canonical as written. Every pair of neighbours ending at a 0 fails
-    `<` on their variables, and every other pair must pass."""
-    if not values:
-        return True
-    variables = list(map(abs, values))
-    ends = values.count(0) - (values[:1] == [0])
-    return sum(map(lt, variables, variables[1:])) == len(variables) - 1 - ends
-
-
 @dataclass(frozen=True)
 class Formula:
     """A CNF formula: an ordered clause list over an explicit universe.
@@ -103,8 +92,6 @@ class Formula:
 
     clauses: tuple[Clause, ...]
     universe: frozenset[int]
-    # Variables with at least one occurrence, computed once here.
-    variables: frozenset[int] = field(init=False, repr=False, compare=False)
     # True when `parse_dimacs` built every clause exactly as its text wrote
     # it, variables strictly increasing; False for any other construction.
     as_written: bool = field(default=False, init=False, repr=False, compare=False)
@@ -115,13 +102,20 @@ class Formula:
             for v in universe:
                 if not isinstance(v, int) or v < 1:
                     raise ContractError(f"universe contains invalid variable id {v!r}")
-        occurring = frozenset(
-            map(abs, chain.from_iterable(map(attrgetter("literals"), self.clauses)))
-        )
+        occurring = self.variables
         if not occurring <= universe:
             missing = sorted(occurring - universe)
             raise ContractError(f"clauses mention variables outside universe: {missing}")
-        object.__setattr__(self, "variables", occurring)
+
+    @cached_property
+    def variables(self) -> frozenset[int]:
+        """The variables with at least one occurrence, computed on first
+        read: at construction for a formula built in Python, whose
+        `__post_init__` checks them against the universe, and only when
+        read for one `parse_dimacs` built."""
+        return frozenset(
+            map(abs, chain.from_iterable(map(attrgetter("literals"), self.clauses)))
+        )
 
     @classmethod
     def from_ints(
@@ -218,35 +212,48 @@ def parse_dimacs(text: str) -> Formula:
         tokens = body.split()
 
     values, token_error = _literal_values(tokens, n)
-    # Each clause is checked once: here when every clause is written in
-    # order, which then builds them without `Clause.__post_init__`, or else
-    # by `Clause.from_ints`.
-    canonical = _strictly_increasing_within_clauses(values)
+    # Split the values at each 0, noting whether every clause writes its
+    # variables strictly increasing: then each is canonical as written and
+    # is built without `Clause.__post_init__`; else `Clause.from_ints`
+    # checks each.
+    spans: list[tuple[int, ...]] = []
+    current: list[int] = []
+    canonical = True
+    last = 0
+    for value in values:
+        if value:
+            variable = abs(value)
+            if variable <= last:
+                canonical = False
+            last = variable
+            current.append(value)
+        else:
+            spans.append(tuple(current))
+            current = []
+            last = 0
     new, put = object.__new__, object.__setattr__
     clauses: list[Clause] = []
-    start = 0
-    while True:
-        try:
-            end = values.index(0, start)
-        except ValueError:
-            break
+    for literals in spans:
         if canonical:
             clause = new(Clause)
-            put(clause, "literals", tuple(values[start:end]))
+            put(clause, "literals", literals)
         else:
             try:
-                clause = Clause.from_ints(values[start:end])
+                clause = Clause.from_ints(literals)
             except ContractError as exc:
                 raise DimacsError(f"clause {len(clauses) + 1}: {exc}") from exc
         clauses.append(clause)
-        start = end + 1
     if token_error is not None:
         raise token_error
-    if start < len(values):
+    if current:
         raise DimacsError("unterminated clause at end of input")
     if len(clauses) != m:
         raise DimacsError(f"header declares {m} clauses, found {len(clauses)}")
-    formula = Formula(tuple(clauses), frozenset(range(1, n + 1)))
+    # `_literal_values` bounded every literal by n, so the universe covers
+    # the clauses and the formula is built without `Formula.__post_init__`.
+    formula = new(Formula)
+    put(formula, "clauses", tuple(clauses))
+    put(formula, "universe", frozenset(range(1, n + 1)))
     put(formula, "as_written", canonical)
     return formula
 

@@ -487,9 +487,12 @@ def incidence_graph(formula: Formula) -> IncidenceGraph:
     occurrences: list[list[int]] = [[] for _ in range(n)]
     adjacency: list[tuple[Node, ...]] = []
     for index, clause in enumerate(literals):
-        adjacency.append(tuple([offset + abs(lit) for lit in clause]))
+        nodes = []
         for lit in clause:
-            occurrences[abs(lit) - 1].append(index)
+            variable = abs(lit)
+            nodes.append(offset + variable)
+            occurrences[variable - 1].append(index)
+        adjacency.append(tuple(nodes))
     adjacency += map(tuple, occurrences)
     # Every edge joins a variable and a clause, so no cycle is shorter than 4.
     return IncidenceGraph(Graph(adjacency, girth_floor=4, clauses=m, bipartite=True), literals)

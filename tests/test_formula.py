@@ -22,7 +22,7 @@ from forestbd import (
 )
 from forestbd.formula import is_emitted
 from forestbd.report import base_stats, formula_digest
-from instances import reference_parse_dimacs
+from instances import reference_parse_dimacs, ring_formula
 
 
 class TestParse:
@@ -102,6 +102,19 @@ def parse_outcome(parse, text):
         return parse(text)
     except Exception as exc:  # compared, not swallowed
         return type(exc), str(exc)
+
+
+def check_parsed_clauses(mine, reference) -> None:
+    """When both parsers return a formula, the parsed one has the
+    reference's occurring variables, and each of its clauses, which
+    `parse_dimacs` may build without `Clause.__post_init__`, holds a tuple
+    that passes it."""
+    if not (isinstance(mine, Formula) and isinstance(reference, Formula)):
+        return
+    assert mine.variables == reference.variables
+    for clause in mine.clauses:
+        assert type(clause.literals) is tuple
+        assert Clause(clause.literals) == clause
 
 
 def random_dimacs_text(rng: random.Random) -> str:
@@ -189,19 +202,66 @@ class TestAgainstReferenceParse:
 
     @pytest.mark.parametrize("text", CORPUS)
     def test_corpus(self, text):
-        assert parse_outcome(parse_dimacs, text) == parse_outcome(reference_parse_dimacs, text)
+        mine = parse_outcome(parse_dimacs, text)
+        reference = parse_outcome(reference_parse_dimacs, text)
+        assert mine == reference
+        check_parsed_clauses(mine, reference)
 
     def test_random_texts(self):
         rng = random.Random(13)
         for _ in range(2000):
             text = random_dimacs_text(rng)
             mine = parse_outcome(parse_dimacs, text)
-            assert mine == parse_outcome(reference_parse_dimacs, text), text
+            reference = parse_outcome(reference_parse_dimacs, text)
+            assert mine == reference, text
+            check_parsed_clauses(mine, reference)
 
     def test_large_round_trip(self):
         f = random_rcnf(300, 400, 3, 2)
         text = emit_dimacs(f)
-        assert parse_dimacs(text) == reference_parse_dimacs(text) == f
+        mine, reference = parse_dimacs(text), reference_parse_dimacs(text)
+        assert mine == reference == f
+        check_parsed_clauses(mine, reference)
+
+
+class TestParseCost:
+    """A text written in order is parsed without either `__post_init__`,
+    and its formula computes `variables` only when they are read."""
+
+    def test_in_order_text_skips_post_init(self, monkeypatch):
+        ring = ring_formula(2000)
+        text = emit_dimacs(ring)
+
+        def refuse(self):
+            raise AssertionError("__post_init__ ran during parsing")
+
+        monkeypatch.setattr(Clause, "__post_init__", refuse)
+        monkeypatch.setattr(Formula, "__post_init__", refuse)
+        formula = parse_dimacs(text)
+        assert len(formula.clauses) == len(ring.clauses) == 2000
+        assert "variables" not in vars(formula)
+        assert formula.variables == ring.variables == frozenset(range(1, 2001))
+        assert "variables" in vars(formula)
+        assert formula.as_written
+
+    def test_out_of_order_text_checks_every_clause(self, monkeypatch):
+        built = []
+        from_ints = Clause.from_ints.__func__
+
+        def spy(cls, values):
+            built.append(tuple(values))
+            return from_ints(cls, values)
+
+        monkeypatch.setattr(Clause, "from_ints", classmethod(spy))
+        formula = parse_dimacs("p cnf 3 3\n1 2 0\n3 -1 0\n0\n")
+        assert built == [(1, 2), (3, -1), ()]
+        assert [c.literals for c in formula.clauses] == [(1, 2), (-1, 3), ()]
+        assert not formula.as_written
+        assert formula.variables == {1, 2, 3}
+
+    def test_formula_built_in_python_checks_its_variables(self):
+        formula = Formula.from_ints([[2, -3], []], num_vars=4)
+        assert vars(formula)["variables"] == {2, 3}
 
 
 class TestEmit:

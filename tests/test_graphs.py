@@ -17,9 +17,11 @@ from forestbd import (
     Formula,
     ResourceLimitError,
     disjoint_cycles_or_feedback,
+    emit_dimacs,
     grid_formula,
     incidence_graph,
     is_acyclic,
+    parse_dimacs,
     random_rcnf,
     restriction_is_acyclic,
     shortest_cycle,
@@ -45,6 +47,7 @@ from instances import (
     ring_graph,
     three_islands,
     triangle,
+    with_gaps,
 )
 
 # Graph families for the differential tests against the reference search:
@@ -110,7 +113,56 @@ def restricted(formula: Formula, tau: dict[int, bool]) -> Residual:
     return view
 
 
+def reference_adjacency(formula: Formula) -> list[tuple[int, ...]]:
+    """The incidence graph's adjacency from sorted per-variable clause
+    lists: clause i is node i and joins the nodes m + v - 1 of its
+    variables v; every id v up to the largest in the universe has a node,
+    joined to the clauses it occurs in."""
+    m = len(formula.clauses)
+    n = max(formula.universe, default=0)
+    holders: dict[int, list[int]] = {v: [] for v in range(1, n + 1)}
+    for index, clause in enumerate(formula.clauses):
+        for variable in {abs(lit) for lit in clause.literals}:
+            holders[variable].append(index)
+    rows = [tuple(sorted(m + abs(lit) - 1 for lit in c.literals)) for c in formula.clauses]
+    return rows + [tuple(sorted(holders[v])) for v in range(1, n + 1)]
+
+
+INCIDENCE_FORMULAS = {
+    "random-3cnf": lambda: [random_rcnf(30, 45, 3, seed) for seed in range(10)],
+    "random-mixed": lambda: [random_instance(seed) for seed in range(60)],
+    "grids": lambda: [grid_formula(size) for size in range(2, 8)],
+    "parsed": lambda: [
+        parse_dimacs(emit_dimacs(random_rcnf(20, 30, 4, seed))) for seed in range(5)
+    ],
+    "empty-clauses": lambda: [
+        Formula.from_ints([[], [1, -2], [], [-2, 3], []], num_vars=3),
+        Formula.from_ints([[]], num_vars=0),
+        Formula((), frozenset()),
+    ],
+    "non-occurring": lambda: [
+        Formula.from_ints([[2, -4]], num_vars=9),
+        Formula.from_ints([], num_vars=5),
+    ],
+    "gaps": lambda: [with_gaps(random_rcnf(12, 18, 3, seed)) for seed in range(5)]
+    + [Formula.from_ints([[-9, 2], [5]]), Formula((), frozenset({3, 7}))],
+}
+
+
 class TestIncidence:
+    @pytest.mark.parametrize("family", sorted(INCIDENCE_FORMULAS))
+    def test_matches_reference_adjacency(self, family):
+        for formula in INCIDENCE_FORMULAS[family]():
+            inc = incidence_graph(formula)
+            graph = inc.graph
+            assert graph.adjacency == reference_adjacency(formula)
+            assert graph.nodes == range(len(graph.adjacency))
+            assert graph.clauses == len(formula.clauses)
+            assert (graph.girth_floor, graph.bipartite) == (4, True)
+            assert len(inc.literals) == len(formula.clauses)
+            for index, clause in enumerate(formula.clauses):
+                assert inc.literals[index] is clause.literals
+
     def test_signs(self):
         f = Formula.from_ints([[1, -2]], num_vars=2)
         inc = incidence_graph(f)
