@@ -6,10 +6,10 @@ carries two counts, one for a parent occurrence that already satisfies
 the clause and one for a parent that does not (the latter subtracts the
 single child combination that leaves the clause falsified). Counts are
 Python ints, so they never overflow. The forest may be a view: a
-formula's incidence graph minus the nodes a restriction removes. On a
-view that is not a forest, `split_count` folds the trees and lists the
-cyclic components in the same traversal, for counting through a strong
-backdoor one component at a time.
+formula's incidence graph minus the nodes a restriction removes. The one
+traversal folds the trees and lists the cyclic components, which
+`split_count` hands to counting through a strong backdoor one component
+at a time and the entry points here refuse.
 """
 
 from __future__ import annotations
@@ -41,11 +41,11 @@ class _TreeTables:
     marks 1, folded in the traversal that orients it. The traversal marks
     the nodes it reaches 2, so the caller passes a mask it gives up.
 
-    A cycle raises CyclicInputError at once, unless `split` is set: then a
-    component with a cycle is traversed to its end and listed in `cyclic`
-    as its node list and its variable count, instead of being folded. The
-    roots are the unmarked variable nodes, or those in `scope` if it is
-    given: a component of the view, with `clauses` unmarked clause nodes.
+    A component with a cycle is traversed to its end and listed in
+    `cyclic` as its node list and its variable count, instead of being
+    folded. The roots are the unmarked variable nodes, or those in `scope`
+    if it is given: a component of the view, with `clauses` unmarked clause
+    nodes.
 
     Every table is a list indexed by node. The traversal reads each edge's
     sign off the clause's literal tuple, which lists the clause's variables
@@ -55,7 +55,6 @@ class _TreeTables:
         self,
         inc: IncidenceGraph,
         state: bytearray,
-        split: bool = False,
         scope: Optional[Iterable[Node]] = None,
         clauses: int = 0,
     ) -> None:
@@ -108,10 +107,8 @@ class _TreeTables:
                         elif mark == 2:
                             if child == up:
                                 positive[node] = literal > 0
-                            elif split:
-                                closed = True
                             else:
-                                raise CyclicInputError("incidence graph is not a forest")
+                                closed = True
                 else:
                     for child in adjacency[node]:
                         mark = state[child]
@@ -120,8 +117,6 @@ class _TreeTables:
                             parent[child] = node
                             stack.append(child)
                         elif mark == 2 and child != up:
-                            if not split:
-                                raise CyclicInputError("incidence graph is not a forest")
                             closed = True
             if closed:
                 nodes = order[first:]
@@ -192,18 +187,21 @@ def split_count(
     one traversal; with a `scope`, of that component of the view alone (see
     `_TreeTables`). `mask` is read, not changed, and the tables are not
     kept, so a caller that recurses holds none of them."""
-    tables = _TreeTables(inc, bytearray(mask), True, scope, clauses)
+    tables = _TreeTables(inc, bytearray(mask), scope, clauses)
     return tables.count(variables), tables.cyclic
 
 
-def residual_count(inc: IncidenceGraph, removed: AbstractSet[Node], universe_size: int) -> int:
-    """Models of the residual `inc` minus `removed` over `universe_size` variables."""
-    return _TreeTables(inc, inc.graph.mask(removed)).count(universe_size)
+def _forest_tables(inc: IncidenceGraph, removed: AbstractSet[Node] = frozenset()) -> _TreeTables:
+    """The DP tables of `inc` minus `removed`, which must be a forest."""
+    tables = _TreeTables(inc, inc.graph.mask(removed))
+    if tables.cyclic:
+        raise CyclicInputError("incidence graph is not a forest")
+    return tables
 
 
 def residual_satisfiable(inc: IncidenceGraph, removed: AbstractSet[Node]) -> bool:
-    """Whether the residual formula `inc` minus `removed` is satisfiable."""
-    return _TreeTables(inc, inc.graph.mask(removed)).satisfiable()
+    """Whether the residual formula `inc` minus `removed`, a forest, is satisfiable."""
+    return _forest_tables(inc, removed).satisfiable()
 
 
 def count_models(formula: Formula, universe: Iterable[int]) -> ModelCount:
@@ -218,7 +216,7 @@ def count_models(formula: Formula, universe: Iterable[int]) -> ModelCount:
         missing = sorted(formula.variables - target)
         raise ContractError(f"universe is missing occurring variables: {missing}")
     size = len(target)
-    return ModelCount(residual_count(incidence_graph(formula), frozenset(), size), size)
+    return ModelCount(_forest_tables(incidence_graph(formula)).count(size), size)
 
 
 def satisfying_assignment(formula: Formula) -> Assignment | None:
@@ -227,8 +225,7 @@ def satisfying_assignment(formula: Formula) -> Assignment | None:
     Free variables default to False. Raises CyclicInputError when the
     incidence graph has a cycle.
     """
-    inc = incidence_graph(formula)
-    tables = _TreeTables(inc, inc.graph.mask(frozenset()))
+    tables = _forest_tables(incidence_graph(formula))
     if not tables.satisfiable():
         return None
     assignment: Assignment = {}

@@ -47,7 +47,7 @@ from .graphs import (
     IncidenceGraph,
     Node,
     PackingOrFeedback,
-    cyclic_components_within,
+    cyclic_components,
     incidence_graph,
     shortest_cycle,
 )
@@ -262,7 +262,7 @@ def is_strong_backdoor(formula: Formula, variables: Iterable[int]) -> bool:
 def _strong_within(walk: Conditioning, scope: Optional[list[Node]]) -> bool:
     """Whether the walk's set is strong on every cyclic component of its
     view, or of the part `scope` lists."""
-    parts = cyclic_components_within(walk.inc.graph, walk.mask, scope)
+    parts = cyclic_components(walk.inc.graph, bytearray(walk.mask), scope)
     return all(_strong_on(walk, nodes) for nodes in parts)
 
 
@@ -291,7 +291,7 @@ def weak_backdoor_witness(
 
     def trees() -> _TreeTables:
         # One traversal folds the trees and lists the cyclic components.
-        return _TreeTables(walk.inc, bytearray(walk.mask), True)
+        return _TreeTables(walk.inc, bytearray(walk.mask))
 
     def hit(values: list[bool]) -> Optional[Assignment]:
         tables = trees()

@@ -58,12 +58,6 @@ class Graph:
         self.clauses = clauses
         self.bipartite = bipartite
 
-    def has_edge(self, u: Node, v: Node) -> bool:
-        return v in self.adjacency[u]
-
-    def neighbors(self, v: Node) -> tuple[Node, ...]:
-        return self.adjacency[v]
-
     def clause_node(self, index: int) -> Node:
         return index
 
@@ -170,40 +164,23 @@ def unmarked(state: bytearray, start: int = 0) -> Iterator[Node]:
 
 
 def cyclic_components(
-    graph: Graph, forbidden: AbstractSet[Node] = frozenset(), limit: int | None = None
-) -> list[list[Node]]:
-    """The node lists of the connected components of the graph minus
-    `forbidden` that hold a cycle, in the order of their least nodes; the
-    list stops growing once it is longer than `limit`, if one is given."""
-    state = graph.mask(forbidden)
-    return _cyclic_components(graph.adjacency, state, unmarked(state), limit)
-
-
-def cyclic_components_within(
-    graph: Graph, mask: bytearray, scope: Iterable[Node] | None = None
-) -> list[list[Node]]:
-    """The node lists of the cyclic components of the graph minus the nodes
-    `mask` marks, of every one or of those holding a node of `scope`;
-    `mask` is read, not changed."""
-    state = bytearray(mask)
-    return _cyclic_components(
-        graph.adjacency, state, unmarked(state) if scope is None else scope, None
-    )
-
-
-def _cyclic_components(
-    adjacency: list[tuple[Node, ...]],
+    graph: Graph,
     state: bytearray,
-    roots: Iterable[Node],
-    limit: int | None,
+    scope: Iterable[Node] | None = None,
+    limit: int | None = None,
 ) -> list[list[Node]]:
-    """The cyclic components reached from `roots` within the nodes `state`
-    leaves 0, in one BFS pass that marks the nodes it reaches 2.
+    """The node lists of the connected components that hold a cycle among
+    the nodes `state` leaves 0: of every one, in the order of their least
+    nodes, or of those holding a node of `scope`, in the order of their
+    first such node. The list stops growing once it is longer than
+    `limit`, if one is given. One BFS pass marks the nodes it reaches 2, so
+    the caller passes a mask it gives up.
 
     A component is cyclic when it has at least as many edges as nodes,
     that is, when its allowed degrees sum to twice its node count or more."""
+    adjacency = graph.adjacency
     found: list[list[Node]] = []
-    for root in roots:
+    for root in unmarked(state) if scope is None else scope:
         if state[root]:
             continue
         state[root] = 2

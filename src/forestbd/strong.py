@@ -314,7 +314,8 @@ def _components_within(
     iterative deepening of the exact `search` on the component's view
     alone. These can only answer no; a search that trips the state cap
     leaves the question to the caller's search."""
-    components = cyclic_components(root.inc.graph, root.removed, budget)
+    graph = root.inc.graph
+    components = cyclic_components(graph, graph.mask(root.removed), limit=budget)
     if len(components) > budget:
         return None
     if len(components) < 2:
@@ -371,7 +372,7 @@ def _detect_deletion(root: Residual, budget: int) -> BackdoorVerdict:
         if view.acyclic():
             return frozenset(), {}
         left = budget - len(removed)
-        if not left or len(cyclic_components(graph, view.removed, left)) > left:
+        if not left or len(cyclic_components(graph, graph.mask(view.removed), limit=left)) > left:
             return None
         return view
 

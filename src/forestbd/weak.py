@@ -294,7 +294,8 @@ def _weak_exact_search(root: Residual, budget: int) -> BackdoorVerdict:
         if not remaining:
             return None
         # Each cyclic component needs a variable of its own.
-        components = cyclic_components(residual.inc.graph, residual.removed, remaining)
+        graph = residual.inc.graph
+        components = cyclic_components(graph, graph.mask(residual.removed), limit=remaining)
         return residual if len(components) <= remaining else None
 
     def moves(state: tuple[Residual, int], residual: Residual, cycle: Cycle):

@@ -463,7 +463,7 @@ def enumerate_simple_cycles(graph: Graph) -> list[tuple]:
         while stack:
             path = stack.pop()
             node = path[-1]
-            for nb in graph.neighbors(node):
+            for nb in graph.adjacency[node]:
                 if nb == start and len(path) >= 3:
                     found.add(canonical_cycle(path).nodes)
                 elif nb > start and nb not in path:
@@ -538,7 +538,7 @@ def _reference_bfs_distances(graph: Graph, source: Node, allowed: set[Node]) -> 
     queue = deque([source])
     while queue:
         v = queue.popleft()
-        for u in graph.neighbors(v):
+        for u in graph.adjacency[v]:
             if u in allowed and u not in dist:
                 dist[u] = dist[v] + 1
                 queue.append(u)
@@ -555,7 +555,7 @@ def _reference_girth(graph: Graph, allowed: list[Node], allowed_set: set[Node]) 
             a = queue.popleft()
             if best is not None and 2 * dist[a] >= best:
                 break
-            for b in graph.neighbors(a):
+            for b in graph.adjacency[a]:
                 if b not in allowed_set:
                     continue
                 if b not in dist:
@@ -587,7 +587,7 @@ def reference_unpeeled_girth(
         for a in queue:
             if best is not None and 2 * dist[a] >= best[0]:
                 break
-            for b in graph.neighbors(a):
+            for b in graph.adjacency[a]:
                 if not remaining[b]:
                     continue
                 if dist[b] < 0:
@@ -613,7 +613,7 @@ def _reference_lexmin_shortest_path(
     while current != goal:
         current = next(
             u
-            for u in graph.neighbors(current)
+            for u in graph.adjacency[current]
             if u in allowed and dist_to_goal.get(u) == dist_to_goal[current] - 1
         )
         path.append(current)
@@ -633,7 +633,7 @@ def reference_shortest_cycle(
         return None
     for anchor in allowed:
         allowed_set.discard(anchor)
-        ring = [u for u in graph.neighbors(anchor) if u in allowed_set]
+        ring = [u for u in graph.adjacency[anchor] if u in allowed_set]
         if len(ring) < 2:
             continue
         dist_from = {b: _reference_bfs_distances(graph, b, allowed_set) for b in ring}

@@ -225,7 +225,7 @@ def test_criterion_6_dichotomy_validity():
                 ok = ok and not (cycle.node_set & seen)
                 ok = ok and len(ring) >= 3 and len(set(ring)) == len(ring)
                 ok = ok and all(
-                    g.has_edge(ring[j], ring[(j + 1) % len(ring)])
+                    ring[(j + 1) % len(ring)] in g.adjacency[ring[j]]
                     for j in range(len(ring))
                 )
                 if incidence_half:

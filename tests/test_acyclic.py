@@ -19,7 +19,7 @@ from forestbd import (
     random_rcnf,
     satisfying_assignment,
 )
-from instances import triangle
+from instances import disjoint_union, triangle
 
 
 def random_acyclic(seed: int) -> Formula:
@@ -30,6 +30,12 @@ def random_acyclic(seed: int) -> Formula:
         f = random_rcnf(n, rng.randint(1, 7), rng.randint(2, min(3, n)), rng.randint(0, 10**6))
         if is_acyclic(incidence_graph(f).graph):
             return f
+
+
+def forest_then_triangle() -> Formula:
+    """A tree on variables 1 to 3, then a triangle on 4 and 5: the tree DP
+    folds the tree before it meets the cycle."""
+    return disjoint_union(Formula.from_ints([[1, 2], [-2, 3]]), triangle())
 
 
 class TestCount:
@@ -66,6 +72,11 @@ class TestCount:
     def test_cyclic_input_with_empty_clause_rejected(self):
         with pytest.raises(CyclicInputError):
             count_models(Formula.from_ints([[1, 2], [1, 2], []]), {1, 2})
+
+    def test_cycle_after_a_folded_tree_rejected(self):
+        f = forest_then_triangle()
+        with pytest.raises(CyclicInputError, match="incidence graph is not a forest"):
+            count_models(f, f.universe)
 
     def test_component_multiplicativity(self):
         left = Formula.from_ints([[1, 2]], num_vars=2)
@@ -122,6 +133,10 @@ class TestSolve:
     def test_cyclic_input_with_empty_clause_rejected(self):
         with pytest.raises(CyclicInputError):
             satisfying_assignment(Formula.from_ints([[1, 2], [1, 2], []]))
+
+    def test_cycle_after_a_folded_tree_rejected(self):
+        with pytest.raises(CyclicInputError, match="incidence graph is not a forest"):
+            satisfying_assignment(forest_then_triangle())
 
     def test_last_viable_child_satisfies(self):
         # Children default to False; the last one able to satisfy the clause

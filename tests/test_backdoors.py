@@ -25,7 +25,7 @@ from forestbd import (
     shortest_cycle,
     weak_backdoor_witness,
 )
-from forestbd import acyclic, backdoors, graphs
+from forestbd import acyclic, backdoors, graphs, strong, weak
 from forestbd.backdoors import Conditioning, Residual, external_killers, first_leaf
 from forestbd.formula import emit_dimacs
 from forestbd.strong import count_with_backdoor, detect_deletion, strong_exact_search
@@ -194,18 +194,18 @@ class TestConditioned:
         dp_views: Counter = Counter()
         pass_views: Counter = Counter()
         tables = acyclic._TreeTables
-        components = backdoors.cyclic_components_within
+        components = backdoors.cyclic_components
 
-        def dp(inc, state, split=False, scope=None, clauses=0):
+        def dp(inc, state, scope=None, clauses=0):
             dp_views[live_nodes(state, scope)] += 1
-            return tables(inc, state, split, scope, clauses)
+            return tables(inc, state, scope, clauses)
 
-        def split(graph, mask, scope=None):
-            pass_views[live_nodes(mask, scope)] += 1
-            return components(graph, mask, scope)
+        def split(graph, state, scope=None, limit=None):
+            pass_views[live_nodes(state, scope)] += 1
+            return components(graph, state, scope, limit)
 
         monkeypatch.setattr(acyclic, "_TreeTables", dp)
-        monkeypatch.setattr(backdoors, "cyclic_components_within", split)
+        monkeypatch.setattr(backdoors, "cyclic_components", split)
         return dp_views, pass_views
 
     def test_walk_matches_the_reference_component_walk(self, monkeypatch):
@@ -274,7 +274,8 @@ class TestConditioned:
             raise AssertionError("counting ran a separate graph search")
 
         monkeypatch.setattr(graphs, "_forest", no_search)
-        monkeypatch.setattr(graphs, "_cyclic_components", no_search)
+        for module in (graphs, backdoors, strong, weak):
+            monkeypatch.setattr(module, "cyclic_components", no_search)
         for f, cutset, models, expected in cases:
             dp_views.clear()
             assert count_with_backdoor(f, cutset, f.universe).count == models

@@ -26,6 +26,7 @@ from forestbd import (
     restriction_is_acyclic,
     shortest_cycle,
 )
+from forestbd.acyclic import split_count
 from forestbd.backdoors import Residual
 from forestbd.graphs import (
     Cycle,
@@ -50,31 +51,35 @@ from instances import (
     with_gaps,
 )
 
+# The formulas whose incidence graphs the graph families below hold.
+FORMULA_FAMILIES = {
+    "random-3cnf": lambda: [random_instance(seed + 40_000) for seed in range(100)],
+    "larger-3cnf": lambda: [random_rcnf(40, 60, 3, seed) for seed in range(8)],
+    "grids": lambda: [grid_formula(size) for size in range(2, 9)],
+    "triangles": lambda: [disjoint_triangles(count) for count in (1, 2, 5, 12)],
+    # Rings, rings with pendant trees and theta graphs.
+    "rings": lambda: [ring_formula(*shape) for shape in RING_SHAPES],
+}
+
+
+def incidence_graphs(family: str) -> list[Graph]:
+    return [incidence_graph(formula).graph for formula in FORMULA_FAMILIES[family]()]
+
+
 # Graph families for the differential tests against the reference search:
 # criterion 6's two halves (random graphs, which are not bipartite, and
 # incidence graphs of small random 3-CNF), then larger 3-CNF, grids and
-# disjoint triangles.
+# disjoint triangles, and the rings as incidence graphs and as plain graphs
+# with odd cycles.
 FAMILIES = {
     "random-graphs": lambda: [
         random_graph(seed, nodes=(4, 16), edges=(3, 30)) for seed in range(100)
     ],
-    "random-3cnf": lambda: [
-        incidence_graph(random_instance(seed + 40_000)).graph for seed in range(100)
-    ],
-    "larger-3cnf": lambda: [
-        incidence_graph(random_rcnf(40, 60, 3, seed)).graph for seed in range(8)
-    ],
-    "grids": lambda: [incidence_graph(grid_formula(size)).graph for size in range(2, 9)],
-    "triangles": lambda: [
-        incidence_graph(disjoint_triangles(count)).graph for count in (1, 2, 5, 12)
-    ],
-    # Rings, rings with pendant trees and theta graphs, as incidence graphs
-    # and as plain graphs with odd cycles.
-    "rings": lambda: [
-        make(length, pendant, chord)
-        for make in (lambda *shape: incidence_graph(ring_formula(*shape)).graph, ring_graph)
-        for length, pendant, chord in RING_SHAPES
-    ],
+    "random-3cnf": lambda: incidence_graphs("random-3cnf"),
+    "larger-3cnf": lambda: incidence_graphs("larger-3cnf"),
+    "grids": lambda: incidence_graphs("grids"),
+    "triangles": lambda: incidence_graphs("triangles"),
+    "rings": lambda: incidence_graphs("rings") + [ring_graph(*shape) for shape in RING_SHAPES],
 }
 # (ring length, pendant path length, theta chord length) of the ring family.
 RING_SHAPES = [
@@ -87,7 +92,7 @@ MAXIMAL = 10**6
 
 
 def edge_count(graph: Graph) -> int:
-    return sum(len(graph.neighbors(v)) for v in graph.nodes) // 2
+    return sum(len(graph.adjacency[v]) for v in graph.nodes) // 2
 
 
 def random_partial(rng: random.Random, formula: Formula) -> dict[int, bool]:
@@ -169,7 +174,7 @@ class TestIncidence:
         assert inc.sign(1, 0) is True
         assert inc.sign(2, 0) is False
         assert inc.sign(1, 1) is None
-        assert inc.graph.has_edge(inc.graph.var_node(1), inc.graph.clause_node(0))
+        assert inc.graph.clause_node(0) in inc.graph.adjacency[inc.graph.var_node(1)]
 
     def test_empty_formula(self):
         inc = incidence_graph(Formula((), frozenset()))
@@ -180,13 +185,13 @@ class TestIncidence:
         inc = incidence_graph(f)
         assert len(inc.graph.nodes) == 5 + 4
         assert edge_count(inc.graph) == 12
-        assert len(inc.graph.neighbors(inc.graph.var_node(5))) == 4
+        assert len(inc.graph.adjacency[inc.graph.var_node(5)]) == 4
 
     def test_includes_non_occurring_universe_variables(self):
         f = Formula.from_ints([[1]], num_vars=3)
         inc = incidence_graph(f)
         assert inc.graph.var_node(3) in inc.graph.nodes
-        assert inc.graph.neighbors(inc.graph.var_node(3)) == ()
+        assert inc.graph.adjacency[inc.graph.var_node(3)] == ()
 
     def test_variable_ids_are_capped(self):
         # One node per id up to the largest: a sparse huge id is refused
@@ -199,7 +204,7 @@ class TestIncidence:
         g = incidence_graph(random_rcnf(12, 20, 3, 7)).graph
         assert g.nodes == range(len(g.adjacency)) and list(g.nodes) == sorted(g.nodes)
         for v in g.nodes:
-            around = g.neighbors(v)
+            around = g.adjacency[v]
             assert isinstance(around, tuple) and list(around) == sorted(around)
 
 
@@ -287,9 +292,6 @@ class TupleGraph:
                 adjacency[("var", abs(lit))].append(("clause", index))
         self.adjacency = {v: tuple(sorted(around)) for v, around in adjacency.items()}
         self.nodes = tuple(sorted(adjacency))
-
-    def neighbors(self, v: tuple) -> tuple:
-        return self.adjacency[v]
 
 
 class TestEncoding:
@@ -522,7 +524,7 @@ class TestDichotomy:
                 seen |= cycle.node_set
                 ring = cycle.nodes
                 for i, node in enumerate(ring):
-                    assert g.has_edge(node, ring[(i + 1) % len(ring)])
+                    assert ring[(i + 1) % len(ring)] in g.adjacency[node]
         else:
             assert is_acyclic(g, forbidden=out.nodes)
 
@@ -556,22 +558,34 @@ class TestRestrictionAcyclicity:
         assert restriction_is_acyclic(f, tau) == direct
 
 
+def components(graph: Graph, forbidden=frozenset(), scope=None, limit=None) -> list:
+    """`cyclic_components` of the graph minus `forbidden`, on a fresh mask."""
+    return cyclic_components(graph, graph.mask(forbidden), scope, limit)
+
+
 class TestCyclicComponents:
     def test_disjoint_unions(self):
-        assert cyclic_components(incidence_graph(triangle()).graph) == [[0, 3, 4, 1, 2]]
+        assert components(incidence_graph(triangle()).graph) == [[0, 3, 4, 1, 2]]
         graph = incidence_graph(disjoint_triangles(5)).graph
-        assert len(cyclic_components(graph)) == 5
-        assert len(cyclic_components(graph, limit=2)) == 3
-        assert cyclic_components(incidence_graph(Formula.from_ints([[1, 2]])).graph) == []
+        assert len(components(graph)) == 5
+        assert len(components(graph, limit=2)) == 3
+        assert components(incidence_graph(Formula.from_ints([[1, 2]])).graph) == []
 
     def test_a_cut_can_split_one_component_in_two(self):
         inc = incidence_graph(grid_formula(4)).graph
-        assert len(cyclic_components(inc)) == 1
+        assert len(components(inc)) == 1
         # Without the hub variable 17, these four cut the faces in two.
         removed = {inc.var_node(v) for v in (1, 6, 11, 12, 17)}
-        found = cyclic_components(inc, removed)
+        found = components(inc, removed)
         assert len(found) == 2
         assert [sorted(c) for c in found] == reference_cyclic_components(inc, removed)
+
+    def test_marks_what_it_reaches(self):
+        graph = incidence_graph(Formula.from_ints([[1, 2], [-1, -2], [3, 4]])).graph
+        state = graph.mask({graph.var_node(4)})
+        assert cyclic_components(graph, state) == [[0, 3, 4, 1]]
+        # The removed node keeps its 1; every other node was reached.
+        assert state == bytearray([2, 2, 2, 2, 2, 2, 1])
 
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_against_reference(self, family):
@@ -581,7 +595,44 @@ class TestCyclicComponents:
             for _ in range(3):
                 forbidden = frozenset(rng.sample(nodes, rng.randint(0, len(nodes) // 3)))
                 expected = reference_cyclic_components(graph, forbidden)
-                found = cyclic_components(graph, forbidden)
+                found = components(graph, forbidden)
                 assert [sorted(c) for c in found] == expected
                 limit = rng.randint(0, 3)
-                assert found[: limit + 1] == cyclic_components(graph, forbidden, limit)
+                assert found[: limit + 1] == components(graph, forbidden, limit=limit)
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_scoped_against_reference(self, family):
+        """With a scope, the components that meet it, by their first node in it."""
+        rng = random.Random(f"scoped-{family}")
+        for graph in FAMILIES[family]():
+            nodes = list(graph.nodes)
+            for _ in range(3):
+                forbidden = frozenset(rng.sample(nodes, rng.randint(0, len(nodes) // 3)))
+                scope = rng.sample(nodes, rng.randint(0, len(nodes)))
+                reference = reference_cyclic_components(graph, forbidden)
+                expected = sorted(
+                    (c for c in reference if not set(scope).isdisjoint(c)),
+                    key=lambda c: min(scope.index(v) for v in c if v in scope),
+                )
+                found = components(graph, forbidden, scope)
+                assert [sorted(c) for c in found] == expected
+
+    @pytest.mark.parametrize("family", sorted(FORMULA_FAMILIES))
+    def test_tree_dp_lists_the_reference_components(self, family):
+        """`split_count` lists the cyclic components, by their least variable
+        node, with their variable counts."""
+        rng = random.Random(f"dp-{family}")
+        for formula in FORMULA_FAMILIES[family]():
+            inc = incidence_graph(formula)
+            graph, m = inc.graph, inc.graph.clauses
+            nodes = list(graph.nodes)
+            for _ in range(3):
+                forbidden = frozenset(rng.sample(nodes, rng.randint(0, len(nodes) // 3)))
+                expected = sorted(
+                    reference_cyclic_components(graph, forbidden),
+                    key=lambda c: min(v for v in c if v >= m),
+                )
+                _, cyclic = split_count(inc, graph.mask(forbidden), len(nodes) - m)
+                assert [(sorted(c), size) for c, size in cyclic] == [
+                    (c, sum(v >= m for v in c)) for c in expected
+                ]

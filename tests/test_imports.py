@@ -1,17 +1,24 @@
 """Every name a package module imports is used in it, or re-exported
-through its `__all__`, and every module-level private name is read
-somewhere in the package; no linter runs on the package, so these tests
-do its unused-name checks."""
+through its `__all__`, every module-level private name is read somewhere
+in the package, and every public function and class is read, exported or
+traced; no linter runs on the package, so these tests do its unused-name
+checks."""
 
 from __future__ import annotations
 
 import ast
 from pathlib import Path
-from typing import Mapping
+from typing import Callable, Mapping
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "forestbd"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "forestbd"
+TRACER = ROOT / "bench" / "tracer.py"
+# Public names the package itself never reads: the tests' reference cycle
+# search builds its canonical cycles with `canonical_cycle`, and the report
+# schema check runs `validate_report`.
+UNREAD_PUBLIC = ["graphs.canonical_cycle", "report.validate_report"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -64,16 +71,18 @@ def defined_names(statement: ast.stmt) -> list[str]:
     return [node.id for node in names if isinstance(node, ast.Name)]
 
 
-def unread_private_names(sources: Mapping[str, str]) -> list[str]:
-    """The module-level private functions, classes and constants of the
-    modules in `sources` (by name) that no other module-level statement of
-    any of them reads, by name or as an attribute; a definition reading
-    itself does not count."""
+def unread_names(
+    sources: Mapping[str, str], defines: Callable[[ast.stmt], list[str]]
+) -> list[tuple[str, str, int]]:
+    """The (module, name, line) of each name that `defines` finds in a
+    module-level statement of the modules in `sources` (by name) and that
+    no other module-level statement of any of them reads, by name or as an
+    attribute; a definition reading itself does not count."""
     defined: dict[tuple[str, str], tuple[int, int]] = {}
     reads: dict[str, set[tuple[str, int]]] = {}
     for module, source in sources.items():
         for index, statement in enumerate(ast.parse(source).body):
-            for name in filter(private, defined_names(statement)):
+            for name in defines(statement):
                 defined[module, name] = (index, statement.lineno)
             for node in ast.walk(statement):
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
@@ -81,10 +90,17 @@ def unread_private_names(sources: Mapping[str, str]) -> list[str]:
                 elif isinstance(node, ast.Attribute):
                     reads.setdefault(node.attr, set()).add((module, index))
     return [
-        f"{module}: {name} (line {line})"
+        (module, name, line)
         for (module, name), (index, line) in defined.items()
         if not reads.get(name, set()) - {(module, index)}
     ]
+
+
+def unread_private_names(sources: Mapping[str, str]) -> list[str]:
+    """The module-level private functions, classes and constants that no
+    other module-level statement reads."""
+    unread = unread_names(sources, lambda statement: list(filter(private, defined_names(statement))))
+    return [f"{module}: {name} (line {line})" for module, name, line in unread]
 
 
 def test_every_private_name_is_read():
@@ -102,3 +118,55 @@ def test_the_check_sees_an_unread_private_name():
         "a.py: _walk (line 3)",
         "b.py: _Unused (line 2)",
     ]
+
+
+def public_definitions(statement: ast.stmt) -> list[str]:
+    """The public function or class a module-level statement defines."""
+    if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [] if statement.name.startswith("_") else [statement.name]
+    return []
+
+
+def literal(source: str, name: str):
+    """The value of the module-level literal assigned to `name` in `source`."""
+    for statement in ast.parse(source).body:
+        if isinstance(statement, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == name for target in statement.targets
+        ):
+            return ast.literal_eval(statement.value)
+    raise LookupError(name)
+
+
+def dead_api(sources: Mapping[str, str], tracer: str) -> list[str]:
+    """The public module-level functions and classes, as `module.name`, that
+    no other module-level statement reads, that `__init__.py`'s `__all__`
+    does not export and that the tracer source does not name in `SPANNED`
+    (a qualified name names each of its parts) or `RULE_FUNCTIONS`."""
+    kept = set(literal(sources["__init__.py"], "__all__"))
+    for qualified in (name for names in literal(tracer, "SPANNED").values() for name in names):
+        kept.update(qualified.split("."))
+    kept.update(literal(tracer, "RULE_FUNCTIONS").values())
+    return [
+        f"{module.removesuffix('.py')}.{name}"
+        for module, name, _ in unread_names(sources, public_definitions)
+        if name not in kept
+    ]
+
+
+def test_every_public_name_is_read_exported_or_traced():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
+    assert sorted(dead_api(sources, TRACER.read_text(encoding="utf-8"))) == UNREAD_PUBLIC
+
+
+def test_the_check_sees_dead_api():
+    sources = {
+        "__init__.py": "from a import exported\n__all__ = ['exported']\n",
+        "a.py": (
+            "def exported(): pass\ndef traced(): pass\ndef rule(): pass\n"
+            "class Owner:\n    def method(self): pass\n"
+            "def used(): pass\ndef caller(): return used()\n"
+            "def _hidden(): pass\ndef dead(n): return dead(n - 1)\nclass Dead: pass\n"
+        ),
+    }
+    tracer = "SPANNED = {'a': ('traced', 'Owner.method')}\nRULE_FUNCTIONS = {'a': 'rule'}\n"
+    assert dead_api(sources, tracer) == ["a.caller", "a.dead", "a.Dead"]

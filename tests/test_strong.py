@@ -726,18 +726,18 @@ class TestConditionedCounting:
         assert len(cutset) == backdoors.MAX_VERIFY_VARIABLES
         calls, passes = [], []
         dp = strong.split_count
-        split = backdoors.cyclic_components_within
+        split = backdoors.cyclic_components
 
         def counted(inc, mask, variables, scope=None, clauses=0):
             calls.append(mask.count(1))
             return dp(inc, mask, variables, scope, clauses)
 
-        def counted_pass(graph, mask, scope=None):
-            passes.append(mask.count(1))
-            return split(graph, mask, scope)
+        def counted_pass(graph, state, scope=None, limit=None):
+            passes.append(state.count(1))
+            return split(graph, state, scope, limit)
 
         monkeypatch.setattr(strong, "split_count", counted)
-        monkeypatch.setattr(backdoors, "cyclic_components_within", counted_pass)
+        monkeypatch.setattr(backdoors, "cyclic_components", counted_pass)
         total = count_with_backdoor(f, cutset, f.universe)
         assert 0 < len(calls) <= 4
         assert total == count_with_backdoor(f, {37}, f.universe)
