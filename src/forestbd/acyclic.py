@@ -14,26 +14,33 @@ at a time and the entry points here refuse.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import attrgetter
 from typing import AbstractSet, Iterable, Optional
 
 from .errors import ContractError, CyclicInputError
-from .formula import Assignment, Formula
+from .formula import Assignment, Formula, _Frozen
 from .graphs import IncidenceGraph, Node, incidence_graph, unmarked
 
 
-@dataclass(frozen=True)
-class ModelCount:
-    """An exact model count over an explicit universe."""
+class ModelCount(_Frozen):
+    """An exact model count over an explicit universe; counts compare and
+    hash by both fields."""
 
     count: int
     universe_size: int
+    _compared = attrgetter("count", "universe_size")
 
-    def __post_init__(self) -> None:
-        if self.count < 0 or self.count > 2**self.universe_size:
+    def __init__(self, count: int, universe_size: int) -> None:
+        if count < 0 or count > 2**universe_size:
             raise ContractError(
-                f"count {self.count} out of range for universe size {self.universe_size}"
+                f"count {count} out of range for universe size {universe_size}"
             )
+        fields = self.__dict__
+        fields["count"] = count
+        fields["universe_size"] = universe_size
+
+    def __repr__(self) -> str:
+        return f"ModelCount({self.count!r}, {self.universe_size!r})"
 
 
 class _TreeTables:

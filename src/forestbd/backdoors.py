@@ -25,7 +25,7 @@ forest. Each such call caches its answer per component node set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import (
     AbstractSet,
     Callable,
@@ -41,12 +41,13 @@ from typing import (
 
 from .acyclic import _TreeTables
 from .errors import ContractError, ResourceLimitError
-from .formula import Assignment, Formula
+from .formula import Assignment, Formula, _Frozen
 from .graphs import (
     Cycle,
     IncidenceGraph,
     Node,
     PackingOrFeedback,
+    _forest,
     cyclic_components,
     incidence_graph,
     shortest_cycle,
@@ -194,21 +195,43 @@ def first_leaf(
     return descend()
 
 
-@dataclass(frozen=True)
-class BackdoorVerdict:
+class BackdoorVerdict(_Frozen):
     """Outcome of a detection run.
 
     `found` with a variable set (and, for weak detection, the witness
     assignment over it), or a certificate that no backdoor of size at most
-    `budget` exists under the detector's stated guarantee.
+    `budget` exists under the detector's stated guarantee. Verdicts compare
+    and hash by `found`, `variables` and `budget` alone.
     """
 
     found: bool
     variables: frozenset[int]
     budget: int
-    witness: Optional[Assignment] = field(default=None, compare=False)
+    witness: Optional[Assignment]
     # The packing-or-feedback split the detector routed on, if it made one.
-    split: Optional[PackingOrFeedback] = field(default=None, compare=False)
+    split: Optional[PackingOrFeedback]
+    _compared = attrgetter("found", "variables", "budget")
+
+    def __init__(
+        self,
+        found: bool,
+        variables: frozenset[int],
+        budget: int,
+        witness: Optional[Assignment] = None,
+        split: Optional[PackingOrFeedback] = None,
+    ) -> None:
+        fields = self.__dict__
+        fields["found"] = found
+        fields["variables"] = variables
+        fields["budget"] = budget
+        fields["witness"] = witness
+        fields["split"] = split
+
+    def __repr__(self) -> str:
+        return (
+            f"BackdoorVerdict({self.found!r}, {self.variables!r}, {self.budget!r}, "
+            f"witness={self.witness!r})"
+        )
 
     @classmethod
     def yes(
@@ -299,14 +322,34 @@ def weak_backdoor_witness(
             return None
         return dict(zip(ordered, values))
 
+    adjacency = walk.inc.graph.adjacency
+    # The core keeps only the variables outside the set, and a cycle of the
+    # bipartite incidence graph passes through two variable nodes at least.
+    cores = len(formula.universe) - len(candidate) >= 2
+
     def dead(values: list[bool]) -> bool:
         # Assigning more only removes nodes: unsatisfiable trees stay so, and
         # a cyclic component holding no variable left stays cyclic.
         tables = trees()
         if not tables.satisfiable():
             return True
-        left = set(walk.nodes[len(values):])
-        return any(left.isdisjoint(nodes) for nodes, _ in tables.cyclic)
+        if not tables.cyclic:
+            return False
+        left = walk.nodes[len(values):]
+        held = set(left)
+        if any(held.isdisjoint(nodes) for nodes, _ in tables.cyclic):
+            return True
+        if not cores:
+            return False
+        # The core: the view minus each variable left and every clause next
+        # to one. An extension removes only nodes of those, so a cycle of the
+        # core survives every leaf below.
+        core = bytearray(walk.mask)
+        for node in left:
+            core[node] = 1
+            for clause in adjacency[node]:
+                core[clause] = 1
+        return not _forest(adjacency, core)
 
     return first_leaf(walk, hit, dead)
 

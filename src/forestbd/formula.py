@@ -12,7 +12,6 @@ index.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, repeat
 from operator import attrgetter
@@ -27,8 +26,31 @@ Assignment = Dict[int, bool]
 MAX_DIMACS_VARIABLES = 1_000_000
 
 
-@dataclass(frozen=True, slots=True)
-class Clause:
+class _Frozen:
+    """Base of the package's immutable value types: assigning or deleting
+    an attribute raises AttributeError, so a constructor sets its fields on
+    the instance `__dict__` or through `object.__setattr__`. Values of one
+    type compare and hash by the tuple `_compared` reads off them."""
+
+    __slots__ = ()
+    _compared: attrgetter
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._compared(self) == self._compared(other)
+
+    def __hash__(self) -> int:
+        return hash(self._compared(self))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Clause(_Frozen):
     """A disjunction of DIMACS literals over pairwise distinct variables.
 
     `literals` holds nonzero ints strictly increasing by variable: the sign
@@ -36,11 +58,13 @@ class Clause:
     complementary pair, and equal clauses have equal tuples.
     """
 
+    __slots__ = ("literals",)
     literals: tuple[int, ...]
+    _compared = attrgetter("literals")
 
-    def __post_init__(self) -> None:
+    def __init__(self, literals: tuple[int, ...]) -> None:
         previous = 0
-        for lit in self.literals:
+        for lit in literals:
             if not isinstance(lit, int) or lit == 0:
                 raise ContractError(f"{lit!r} is not a literal")
             if abs(lit) <= abs(previous):
@@ -49,9 +73,16 @@ class Clause:
                         f"clause contains variable {abs(lit)} with both polarities"
                     )
                 raise ContractError(
-                    f"literals {self.literals!r} do not strictly increase by variable"
+                    f"literals {literals!r} do not strictly increase by variable"
                 )
             previous = lit
+        object.__setattr__(self, "literals", literals)
+
+    def __hash__(self) -> int:
+        return hash((self.literals,))
+
+    def __reduce__(self) -> tuple:
+        return Clause, (self.literals,)
 
     @classmethod
     def from_ints(cls, values: Iterable[int]) -> Clause:
@@ -81,23 +112,25 @@ class Clause:
         return "Clause(" + " ".join(str(v) for v in self.literals) + ")"
 
 
-@dataclass(frozen=True)
-class Formula:
+class Formula(_Frozen):
     """A CNF formula: an ordered clause list over an explicit universe.
 
     The universe may be a strict superset of the occurring variables;
     counting operations take it as the set of variables an assignment
-    ranges over.
+    ranges over. Formulas compare and hash by clauses and universe.
     """
 
     clauses: tuple[Clause, ...]
     universe: frozenset[int]
     # True when `parse_dimacs` built every clause exactly as its text wrote
     # it, variables strictly increasing; False for any other construction.
-    as_written: bool = field(default=False, init=False, repr=False, compare=False)
+    as_written: bool = False
+    _compared = attrgetter("clauses", "universe")
 
-    def __post_init__(self) -> None:
-        universe = self.universe
+    def __init__(self, clauses: tuple[Clause, ...], universe: frozenset[int]) -> None:
+        fields = self.__dict__
+        fields["clauses"] = clauses
+        fields["universe"] = universe
         if not all(map(isinstance, universe, repeat(int))) or min(universe, default=1) < 1:
             for v in universe:
                 if not isinstance(v, int) or v < 1:
@@ -111,7 +144,7 @@ class Formula:
     def variables(self) -> frozenset[int]:
         """The variables with at least one occurrence, computed on first
         read: at construction for a formula built in Python, whose
-        `__post_init__` checks them against the universe, and only when
+        constructor checks them against the universe, and only when
         read for one `parse_dimacs` built."""
         return frozenset(
             map(abs, chain.from_iterable(map(attrgetter("literals"), self.clauses)))
@@ -214,8 +247,8 @@ def parse_dimacs(text: str) -> Formula:
     values, token_error = _literal_values(tokens, n)
     # Split the values at each 0, noting whether every clause writes its
     # variables strictly increasing: then each is canonical as written and
-    # is built without `Clause.__post_init__`; else `Clause.from_ints`
-    # checks each.
+    # is built without the check in `Clause.__init__`; else
+    # `Clause.from_ints` checks each.
     spans: list[tuple[int, ...]] = []
     current: list[int] = []
     canonical = True
@@ -250,7 +283,8 @@ def parse_dimacs(text: str) -> Formula:
     if len(clauses) != m:
         raise DimacsError(f"header declares {m} clauses, found {len(clauses)}")
     # `_literal_values` bounded every literal by n, so the universe covers
-    # the clauses and the formula is built without `Formula.__post_init__`.
+    # the clauses and the formula is built without the check in
+    # `Formula.__init__`.
     formula = new(Formula)
     put(formula, "clauses", tuple(clauses))
     put(formula, "universe", frozenset(range(1, n + 1)))

@@ -16,13 +16,13 @@ the successor chain is smallest) is lexicographically least.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
-from typing import AbstractSet, Iterable, Iterator, Mapping, Sequence, Union
+from operator import attrgetter
+from typing import AbstractSet, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 from .errors import ContractError, ResourceLimitError
-from .formula import MAX_DIMACS_VARIABLES, Formula
+from .formula import MAX_DIMACS_VARIABLES, Formula, _Frozen
 
 # A node is a dense int id. On an incidence graph the clause nodes come
 # first: clause i is node i and variable v is node m + v - 1, where m is the
@@ -72,14 +72,23 @@ class Graph:
         return mask
 
 
-@dataclass(frozen=True)
-class Cycle:
+class Cycle(_Frozen):
     """A simple cycle, stored as its canonical node sequence without the
     closing repetition, with its graph's `clauses` count, by which its
-    nodes map back to clause indices and variables."""
+    nodes map back to clause indices and variables. Cycles compare and
+    hash by both."""
 
     nodes: tuple[Node, ...]
-    clauses: int = 0
+    clauses: int
+    _compared = attrgetter("nodes", "clauses")
+
+    def __init__(self, nodes: tuple[Node, ...], clauses: int = 0) -> None:
+        fields = self.__dict__
+        fields["nodes"] = nodes
+        fields["clauses"] = clauses
+
+    def __repr__(self) -> str:
+        return f"Cycle({self.nodes!r}, {self.clauses!r})"
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -361,15 +370,13 @@ def shortest_cycle(
     return Cycle(min(candidates), graph.clauses)
 
 
-@dataclass(frozen=True)
-class CyclePacking:
+class CyclePacking(NamedTuple):
     """At least the requested number of pairwise vertex-disjoint cycles."""
 
     cycles: tuple[Cycle, ...]
 
 
-@dataclass(frozen=True)
-class FeedbackSet:
+class FeedbackSet(NamedTuple):
     """A node set whose removal leaves the graph acyclic."""
 
     nodes: frozenset

@@ -8,8 +8,7 @@ rather than letting an enumeration run away.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .backdoors import (
     is_deletion_backdoor,
@@ -26,8 +25,7 @@ MAX_SEARCH_BUDGET = 4
 KINDS = ("weak", "strong", "deletion")
 
 
-@dataclass(frozen=True)
-class OracleReport:
+class OracleReport(NamedTuple):
     """Result of a brute-force search."""
 
     kind: str

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
-from importlib import resources
 from typing import Any, Optional
 
 from .formula import Assignment, Formula, emit_dimacs
@@ -30,18 +28,41 @@ def canonical_digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-@dataclass
 class RunReport:
-    command: str
-    digest: str
-    parameters: dict[str, Any]
-    path: Optional[str] = None
-    verdict: Optional[str] = None
-    backdoor: Optional[list[int]] = None
-    witness: Optional[Assignment] = None
-    count: Optional[int] = None
-    stats: dict[str, Any] = field(default_factory=dict)
-    wall_ms: float = 0.0
+    """One command's outcome, filled in by the command line and written by
+    `to_json`. Reports are mutable, compare by every field and are not
+    hashable; each one built without `stats` gets a dict of its own."""
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(
+        self,
+        command: str,
+        digest: str,
+        parameters: dict[str, Any],
+        path: Optional[str] = None,
+        verdict: Optional[str] = None,
+        backdoor: Optional[list[int]] = None,
+        witness: Optional[Assignment] = None,
+        count: Optional[int] = None,
+        stats: Optional[dict[str, Any]] = None,
+        wall_ms: float = 0.0,
+    ) -> None:
+        self.command = command
+        self.digest = digest
+        self.parameters = parameters
+        self.path = path
+        self.verdict = verdict
+        self.backdoor = backdoor
+        self.witness = witness
+        self.count = count
+        self.stats = {} if stats is None else stats
+        self.wall_ms = wall_ms
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
 
     def to_dict(self) -> dict[str, Any]:
         witness = None
@@ -75,6 +96,10 @@ def base_stats(formula: Formula) -> dict[str, Any]:
 
 
 def report_schema() -> dict[str, Any]:
+    # Only the schema check reads the schema, so the loader is imported on
+    # use: `importlib.resources` pulls in `pathlib`, `zipfile` and `tempfile`.
+    from importlib import resources
+
     text = resources.files(__package__).joinpath(_SCHEMA_FILE).read_text("utf-8")
     return json.loads(text)
 

@@ -27,8 +27,7 @@ the same incidence graph it then counts on.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
-from typing import AbstractSet, Callable, Optional, Sequence
+from typing import AbstractSet, Callable, NamedTuple, Optional, Sequence
 
 from .acyclic import ModelCount, split_count
 from .backdoors import (
@@ -57,8 +56,7 @@ from .workers import first_hit, ordered_map
 MAX_STRONG_BUDGET = 6
 
 
-@dataclass(frozen=True)
-class StrongParameters:
+class StrongParameters(NamedTuple):
     """Derived packing size for a budget."""
 
     budget: int
@@ -71,8 +69,7 @@ class StrongParameters:
         return cls(budget, budget**2 * 2 ** (budget - 1) + budget + 1)
 
 
-@dataclass(frozen=True)
-class ApexCycle:
+class ApexCycle(NamedTuple):
     """The cycle formed by an outside killer (`apex`) together with a
     minimal `arc` of a packed cycle between an opposite-sign clause pair.
 
@@ -224,7 +221,8 @@ def _detect_strong(residual: Residual, budget: int) -> BackdoorVerdict:
     params = StrongParameters.derive(budget)
     split = disjoint_cycles_or_feedback(residual.inc.graph, params.cycles, residual.removed)
     if isinstance(split, FeedbackSet):
-        return replace(_strong_exact_search(residual, budget), split=split)
+        exact = _strong_exact_search(residual, budget)
+        return BackdoorVerdict(exact.found, exact.variables, budget, exact.witness, split)
     pool = candidate_pool(
         strong_rule_outcome, opposite_sign_killers, residual, split.cycles, params
     )

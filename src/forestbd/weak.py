@@ -39,8 +39,16 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, AbstractSet, Callable, Iterable, Iterator, Optional, Sequence
+from typing import (
+    TYPE_CHECKING,
+    AbstractSet,
+    Callable,
+    Iterable,
+    Iterator,
+    NamedTuple,
+    Optional,
+    Sequence,
+)
 
 from .acyclic import residual_satisfiable
 from .backdoors import BackdoorVerdict, Residual, branch_on_cycles, external_killers
@@ -62,8 +70,7 @@ if TYPE_CHECKING:
 MAX_DESIGNATIONS = 100_000
 
 
-@dataclass(frozen=True)
-class WeakParameters:
+class WeakParameters(NamedTuple):
     """Derived branching thresholds for a budget and clause width."""
 
     budget: int
@@ -86,8 +93,7 @@ class WeakParameters:
         return cls(k, r, cycles, multi, support, overlap)
 
 
-@dataclass(frozen=True)
-class KillChoice:
+class KillChoice(NamedTuple):
     """One way of designating which packed cycles a backdoor may touch
     directly; all others must be removed from outside, so their variables
     are barred from the pool."""
@@ -97,8 +103,7 @@ class KillChoice:
     pool: frozenset[int]
 
 
-@dataclass(frozen=True)
-class RuleOutcome:
+class RuleOutcome(NamedTuple):
     rule: str
     selected: frozenset[int]
 
@@ -249,7 +254,8 @@ def _detect_weak(residual: Residual, budget: int, width: int) -> BackdoorVerdict
     params = WeakParameters.derive(budget, width)
     split = disjoint_cycles_or_feedback(residual.inc.graph, params.cycles, residual.removed)
     if isinstance(split, FeedbackSet):
-        return replace(_weak_exact_search(residual, budget), split=split)
+        exact = _weak_exact_search(residual, budget)
+        return BackdoorVerdict(exact.found, exact.variables, budget, exact.witness, split)
     pool = candidate_pool(weak_rule_outcome, external_killers, residual, split.cycles, params)
     branches = [(s, value) for s in sorted(pool) for value in (False, True)]
 

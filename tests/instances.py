@@ -21,7 +21,6 @@ from __future__ import annotations
 import itertools
 import random
 from collections import deque
-from dataclasses import replace
 from typing import Iterable, Iterator, Mapping
 
 from forestbd import (
@@ -876,7 +875,8 @@ def _reference_detect_weak(formula: Formula, budget: int, width: int) -> Backdoo
     params = WeakParameters.derive(budget, width)
     split = disjoint_cycles_or_feedback(whole.inc.graph, params.cycles)
     if isinstance(split, FeedbackSet):
-        return replace(reference_weak_exact_search(formula, budget), split=split)
+        exact = reference_weak_exact_search(formula, budget)
+        return BackdoorVerdict(exact.found, exact.variables, budget, exact.witness, split)
     pool = reference_candidate_pool(weak_rule_outcome, whole, split.cycles, params)
     for candidate in sorted(pool):
         for value in (False, True):
@@ -903,7 +903,8 @@ def reference_detect_strong(formula: Formula, budget: int) -> BackdoorVerdict:
     params = StrongParameters.derive(budget)
     split = disjoint_cycles_or_feedback(whole.inc.graph, params.cycles)
     if isinstance(split, FeedbackSet):
-        return replace(reference_strong_exact_search(formula, budget), split=split)
+        exact = reference_strong_exact_search(formula, budget)
+        return BackdoorVerdict(exact.found, exact.variables, budget, exact.witness, split)
     pool = reference_candidate_pool(strong_rule_outcome, whole, split.cycles, params)
     for candidate in sorted(pool):
         high = reference_detect_strong(formula.restrict({candidate: True}), budget - 1)

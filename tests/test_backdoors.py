@@ -41,6 +41,8 @@ from instances import (
     reference_completions,
     reference_count_with_backdoor,
     reference_cyclic_components,
+    reference_weak_witness,
+    ring_formula,
     theta_formula,
     triangle,
     two_triangles,
@@ -454,6 +456,84 @@ class TestWeak:
         )
         assert code == 1
         assert "verdict: invalid" in out
+
+    @pytest.mark.parametrize(
+        "build, candidate",
+        [
+            (lambda: grid_formula(7), range(1, 31)),
+            (lambda: grid_formula(7), range(20, 50)),
+            (lambda: random_rcnf(40, 160, 3, 1), range(1, 31)),
+        ],
+        ids=["grid-7-cells-1-30", "grid-7-cells-20-49", "random-40-1-30"],
+    )
+    def test_core_test_prunes_connected_formulas(self, monkeypatch, tmp_path, build, candidate):
+        """On a connected formula the one cyclic component always holds a
+        variable left, and a cycle survives once the variables left and
+        their clauses are gone: the walk reaches the first leaf, then prunes
+        every True branch with one tree DP traversal and at most one
+        `_forest` pass each, instead of visiting 2^30 leaves."""
+        from test_cli import run
+
+        f = build()
+        candidate = list(candidate)
+        traversals, passes = [], []
+        tables, forest = backdoors._TreeTables, backdoors._forest
+
+        def counted_tables(*args):
+            traversals.append(args)
+            return tables(*args)
+
+        def counted_forest(*args):
+            passes.append(args)
+            return forest(*args)
+
+        monkeypatch.setattr(backdoors, "_TreeTables", counted_tables)
+        monkeypatch.setattr(backdoors, "_forest", counted_forest)
+        assert weak_backdoor_witness(f, candidate) is None
+        assert len(traversals) <= len(candidate) + 1
+        assert 0 < len(passes) < len(candidate)
+        path = tmp_path / "input.cnf"
+        path.write_text(emit_dimacs(f), encoding="ascii")
+        code, out, _ = run(
+            ["verify", "--cnf", str(path), "--kind", "weak", "--set", ",".join(map(str, candidate))]
+        )
+        assert code == 1
+        assert "verdict: invalid" in out
+
+    def test_no_core_test_with_every_variable_in_the_set(self, monkeypatch):
+        """With fewer than two variables outside the set the core holds no
+        cycle, so an unsatisfiable formula walked over all its variables
+        pays no `_forest` pass for it."""
+        f = random_rcnf(9, 60, 3, 0)
+        passes = []
+        forest = backdoors._forest
+
+        def counted(*args):
+            passes.append(args)
+            return forest(*args)
+
+        monkeypatch.setattr(backdoors, "_forest", counted)
+        assert weak_backdoor_witness(f, f.universe) is None
+        assert reference_weak_witness(f, f.universe) is None
+        assert passes == []
+
+    @given(st.integers(0, 50_000))
+    @settings(max_examples=80, deadline=None)
+    def test_pruned_witness_matches_the_reference(self, seed):
+        """On connected random 2- to 4-CNF, grids and rings with pendants and
+        chords, with sets of up to 9 variables, where the core test prunes,
+        the witness is still the reference's lexicographically first one."""
+        rng = random.Random(seed)
+        family = rng.randrange(3)
+        if family == 0:
+            n = rng.randint(6, 16)
+            f = random_rcnf(n, rng.randint(n, 3 * n), rng.randint(2, 4), seed)
+        elif family == 1:
+            f = grid_formula(rng.randint(2, 5))
+        else:
+            f = ring_formula(rng.randint(3, 12), rng.randint(0, 2), rng.randint(0, 3))
+        candidate = rng.sample(sorted(f.universe), min(len(f.universe), rng.randint(2, 9)))
+        assert weak_backdoor_witness(f, candidate) == reference_weak_witness(f, candidate)
 
     def test_strong_of_satisfiable_extends_to_weak(self):
         f = grid_formula(3)

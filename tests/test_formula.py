@@ -107,8 +107,8 @@ def parse_outcome(parse, text):
 def check_parsed_clauses(mine, reference) -> None:
     """When both parsers return a formula, the parsed one has the
     reference's occurring variables, and each of its clauses, which
-    `parse_dimacs` may build without `Clause.__post_init__`, holds a tuple
-    that passes it."""
+    `parse_dimacs` may build without `Clause.__init__`, holds a tuple
+    that passes its check."""
     if not (isinstance(mine, Formula) and isinstance(reference, Formula)):
         return
     assert mine.variables == reference.variables
@@ -225,18 +225,19 @@ class TestAgainstReferenceParse:
 
 
 class TestParseCost:
-    """A text written in order is parsed without either `__post_init__`,
-    and its formula computes `variables` only when they are read."""
+    """A text written in order is parsed without either checking
+    constructor, and its formula computes `variables` only when they are
+    read."""
 
     def test_in_order_text_skips_post_init(self, monkeypatch):
         ring = ring_formula(2000)
         text = emit_dimacs(ring)
 
-        def refuse(self):
-            raise AssertionError("__post_init__ ran during parsing")
+        def refuse(self, *fields):
+            raise AssertionError("a checking constructor ran during parsing")
 
-        monkeypatch.setattr(Clause, "__post_init__", refuse)
-        monkeypatch.setattr(Formula, "__post_init__", refuse)
+        monkeypatch.setattr(Clause, "__init__", refuse)
+        monkeypatch.setattr(Formula, "__init__", refuse)
         formula = parse_dimacs(text)
         assert len(formula.clauses) == len(ring.clauses) == 2000
         assert "variables" not in vars(formula)

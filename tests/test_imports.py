@@ -2,11 +2,16 @@
 through its `__all__`, every module-level private name is read somewhere
 in the package, and every public function and class is read, exported or
 traced; no linter runs on the package, so these tests do its unused-name
-checks."""
+checks. Importing the command line leaves `dataclasses` and what it pulls
+in unloaded, since every command pays for its imports."""
 
 from __future__ import annotations
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 from typing import Callable, Mapping
 
@@ -46,6 +51,45 @@ def unused_imports(source: str) -> list[str]:
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
 def test_no_unused_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def imported_modules(source: str) -> set[str]:
+    """The modules `source` imports at any level, by their full dotted
+    name; a relative import counts by the name after its dots."""
+    modules: set[str] = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            modules.add(node.module)
+    return modules
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_no_module_imports_dataclasses(path):
+    assert "dataclasses" not in imported_modules(path.read_text(encoding="utf-8"))
+
+
+def test_the_import_check_sees_dataclasses():
+    source = "def f():\n    from dataclasses import replace\nimport os.path\n"
+    assert imported_modules(source) == {"dataclasses", "os.path"}
+
+
+def test_the_command_line_loads_no_dataclasses():
+    """A fresh interpreter's `import forestbd.cli` adds neither `dataclasses`
+    nor `inspect` to what the interpreter had loaded at start-up."""
+    code = (
+        "import json, sys; before = set(sys.modules); import forestbd.cli; "
+        "print(json.dumps(sorted(set(sys.modules) - before)))"
+    )
+    path = [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60
+    )
+    loaded = set(json.loads(done.stdout))
+    assert "forestbd.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect"}
 
 
 def test_the_check_sees_an_unused_import():
