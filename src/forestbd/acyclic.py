@@ -219,7 +219,7 @@ def count_models(formula: Formula, universe: Iterable[int]) -> ModelCount:
     assignment. The universe must cover every occurring variable.
     """
     target = frozenset(universe)
-    if not formula.variables <= target:
+    if not formula.occurs_within(target):
         missing = sorted(formula.variables - target)
         raise ContractError(f"universe is missing occurring variables: {missing}")
     size = len(target)

@@ -192,7 +192,10 @@ def first_leaf(
             values.pop()
         return None
 
-    return descend()
+    try:
+        return descend()
+    finally:
+        del descend  # a recursive closure is a reference cycle
 
 
 class BackdoorVerdict(_Frozen):
@@ -424,4 +427,9 @@ def branch_on_cycles(
                 return variables | {variable}, witness
         return None
 
-    return search(root)
+    try:
+        return search(root)
+    finally:
+        # Unbound, the two closures and the memo go with the call instead
+        # of waiting in a reference cycle for the collector.
+        del search, expand

@@ -7,7 +7,9 @@ collector, then `_run` times the command: it reads the `--cnf` input, calls
 the subcommand's handler, which returns its outcome, and prints its text
 lines or, under `--json`, writes one versioned RunReport to standard output.
 The argument parser is built once per process, on the first `main` call,
-and every later call in the same process parses with that one parser.
+and every later call in the same process parses with that one parser. An
+argv that starts with a command's name goes to that command's parser
+alone (see `parse_command`).
 Exit codes: 0 found/valid/success, 1 no/invalid, 2 usage or input error,
 3 resource guard tripped.
 """
@@ -63,11 +65,32 @@ def resolve_threads(threads: int | None = None) -> int:
     return threads
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The `forestbd` argument parser, built on the first call and returned
     as the same object on every later one: a build makes a help formatter
     for every option, and parsing never changes the parser."""
+    return _parsers()[0]
+
+
+def parse_command(argv: list[str]) -> argparse.Namespace:
+    """`build_parser().parse_args(argv)`, in one argparse pass when argv
+    starts with a command's name: the top-level parser would hand every
+    word after that name to the command's parser anyway. That parser's
+    errors and help are the same either way; only when it leaves words
+    unrecognised, or argv names no command, does the top-level parser run
+    and report them itself."""
+    command = _parsers()[1].get(argv[0]) if argv else None
+    if command is not None:
+        args, extras = command.parse_known_args(argv[1:])
+        if not extras:
+            args.command = argv[0]
+            return args
+    return build_parser().parse_args(argv)
+
+
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each command's parser by name."""
     parser = argparse.ArgumentParser(
         prog="forestbd",
         description="Backdoor sets to acyclic CNF and model counting through them.",
@@ -147,12 +170,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("-o", "--output", default=None, metavar="FILE")
         add_report(p)
 
-    return parser
+    return parser, sub.choices
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = parse_command(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
@@ -319,8 +342,10 @@ def _cmd_count(args: argparse.Namespace, formula: Formula) -> Outcome:
     else:
         found, result = count_through_search(formula)
         backdoor, count = sorted(found), result.count
-    with _long_ints():
-        lines = [f"count: {count}"]
+    lines = []
+    if not args.json:  # a long count takes milliseconds to write in decimal
+        with _long_ints():
+            lines.append(f"count: {count}")
     fields = {"command": "count", "parameters": {"backdoor": backdoor}, "count": count}
     return 0, lines, fields
 

@@ -150,6 +150,12 @@ class Formula(_Frozen):
             map(abs, chain.from_iterable(map(attrgetter("literals"), self.clauses)))
         )
 
+    def occurs_within(self, target: frozenset[int]) -> bool:
+        """Whether `target` holds every occurring variable. A target that
+        holds the universe does, so `variables` is built only for one that
+        does not."""
+        return target is self.universe or self.universe <= target or self.variables <= target
+
     @classmethod
     def from_ints(
         cls, clauses: Iterable[Iterable[int]], num_vars: int | None = None
@@ -165,8 +171,15 @@ class Formula(_Frozen):
     def num_clauses(self) -> int:
         return len(self.clauses)
 
+    @cached_property
+    def length_and_width(self) -> tuple[int, int]:
+        """The literal occurrences and the widest clause's width, computed
+        on first read."""
+        widths = [len(c.literals) for c in self.clauses]
+        return sum(widths), max(widths, default=0)
+
     def max_clause_width(self) -> int:
-        return max((len(c) for c in self.clauses), default=0)
+        return self.length_and_width[1]
 
     def restrict(self, assignment: Mapping[int, bool]) -> Formula:
         """Apply a partial assignment: drop satisfied clauses, strip false

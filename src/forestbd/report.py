@@ -3,13 +3,17 @@
 The JSON layout is versioned and validated against the schema shipped in
 this package; scripts may rely on it. Serialization sorts keys and every
 variable list, so identical runs produce byte-identical reports.
+`RunReport.to_json` writes `json.dumps(..., sort_keys=True, indent=2)`'s
+bytes itself: for any `indent` CPython's `json` runs its pure-Python
+encoder, which builds a set of closures per call.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Optional
+from json.encoder import encode_basestring_ascii
+from typing import Any, Callable, Optional
 
 from .formula import Assignment, Formula, emit_dimacs
 
@@ -82,16 +86,85 @@ class RunReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        """`json.dumps(self.to_dict(), sort_keys=True, indent=2)` and a
+        newline, byte for byte."""
+        chunks: list[str] = []
+        _write(self.to_dict(), "\n", chunks.append)
+        chunks.append("\n")
+        return "".join(chunks)
+
+
+_INFINITY = float("inf")
+
+
+def _float(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value == _INFINITY:
+        return "Infinity"
+    if value == -_INFINITY:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+# The text of each scalar type, as `json` writes it with ASCII output.
+_SCALARS: dict[type, Callable[[Any], str]] = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: ("false", "true").__getitem__,
+    type(None): lambda _: "null",
+    float: _float,
+}
+
+
+def _write(value: Any, pad: str, out: Callable[[str], Any]) -> None:
+    """Append the JSON text of `value` to `out`: a dict with string keys, a
+    list or a tuple, of scalars and such containers; any other type raises
+    TypeError, as `json` does. `pad` is the newline and indent of the line
+    the value starts on."""
+    inner = pad + "  "
+    comma = "," + inner
+    if type(value) is dict:
+        if not value:
+            out("{}")
+            return
+        separator = "{" + inner
+        for key, item in sorted(value.items()):
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            scalar = _SCALARS.get(type(item))
+            if scalar is None:
+                out(separator + encode_basestring_ascii(key) + ": ")
+                _write(item, inner, out)
+            else:
+                out(separator + encode_basestring_ascii(key) + ": " + scalar(item))
+            separator = comma
+        out(pad + "}")
+    elif type(value) is list or type(value) is tuple:
+        if not value:
+            out("[]")
+            return
+        separator = "[" + inner
+        for item in value:
+            scalar = _SCALARS.get(type(item))
+            if scalar is None:
+                out(separator)
+                _write(item, inner, out)
+            else:
+                out(separator + scalar(item))
+            separator = comma
+        out(pad + "]")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def base_stats(formula: Formula) -> dict[str, Any]:
-    widths = [len(c.literals) for c in formula.clauses]
+    length, width = formula.length_and_width
     return {
         "variables": len(formula.universe),
         "clauses": formula.num_clauses,
-        "length": sum(widths),
-        "width": max(widths, default=0),
+        "length": length,
+        "width": width,
     }
 
 

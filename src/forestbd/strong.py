@@ -419,7 +419,7 @@ def _counting_sets(
     target = frozenset(universe)
     if not cutset <= target:
         raise ContractError("backdoor must be a subset of the counting universe")
-    if not formula.variables <= target:
+    if not formula.occurs_within(target):
         raise ContractError("universe must cover every occurring variable")
     if not cutset <= formula.universe:
         raise ContractError("backdoor must be a subset of the formula universe")

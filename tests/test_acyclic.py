@@ -16,6 +16,7 @@ from forestbd import (
     brute_count,
     incidence_graph,
     is_acyclic,
+    parse_dimacs,
     random_rcnf,
     satisfying_assignment,
 )
@@ -64,6 +65,16 @@ class TestCount:
         f = Formula.from_ints([[1, 2]], num_vars=2)
         with pytest.raises(ContractError):
             count_models(f, {1})
+
+    def test_universe_check_reads_occurrences_only_when_needed(self):
+        # A parsed formula builds `variables` only when it is read.
+        f = parse_dimacs("p cnf 5 2\n1 2 0\n-2 3 0\n")
+        assert count_models(f, f.universe).count == 4 * 4
+        assert count_models(f, {1, 2, 3, 4, 5, 6}).count == 4 * 8
+        assert "variables" not in vars(f)
+        assert count_models(f, {1, 2, 3}).count == 4
+        with pytest.raises(ContractError, match=r"missing occurring variables: \[3\]"):
+            count_models(f, {1, 2, 4})
 
     def test_cyclic_input_rejected(self):
         with pytest.raises(CyclicInputError):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import argparse
+import functools
 import gc
 import hashlib
 import io
@@ -409,6 +411,24 @@ class TestReports:
         assert {entry["kind"] for entry in cycle} == {"var", "clause"}
 
 
+def test_detect_weak_reads_clause_widths_once(grid3, monkeypatch):
+    widths = Formula.__dict__["length_and_width"]
+    reads = []
+
+    def counted(formula):
+        reads.append(formula)
+        return widths.func(formula)
+
+    spied = functools.cached_property(counted)
+    spied.__set_name__(Formula, "length_and_width")
+    monkeypatch.setattr(Formula, "length_and_width", spied)
+    code, out, _ = run(["detect", "weak", "--cnf", grid3, "-k", "1", "--json", "--no-timing"])
+    assert code == 0
+    report = json.loads(out)
+    assert report["parameters"]["r"] == max(3, report["stats"]["width"])
+    assert len(reads) == 1
+
+
 class TestWallTime:
     def test_wall_ms_covers_loading(self, grid3, monkeypatch):
         parse = cli.parse_dimacs
@@ -473,6 +493,12 @@ class TestHumanOutput:
             assert text_out == f"count: {expected}\n"
         finally:
             sys.set_int_max_str_digits(limit)
+
+    def test_count_is_written_in_decimal_only_for_text(self, triangle_file):
+        formula = parse_dimacs(Path(triangle_file).read_text(encoding="ascii"))
+        for flags, lines in (([], ["count: 1"]), (["--json"], [])):
+            args = cli.parse_command(["count", "--cnf", triangle_file, *flags])
+            assert cli._cmd_count(args, formula)[1] == lines
 
     def test_count_line(self, triangle_file):
         _, out, _ = run(["count", "--cnf", triangle_file, "--backdoor", "1"])
@@ -606,6 +632,66 @@ class TestParserReuse:
         assert all("usage: forestbd" in err for _, _, err in first[8:13])
         assert "thread count" in first[13][2]
         assert cli.build_parser() is cli.build_parser()
+
+    def parity_corpus(self, grid3, triangle_file, tmp_path):
+        return [
+            *self.corpus(grid3, triangle_file, tmp_path),
+            ["stats", "--cnf", grid3, "--json", "-h"],
+            ["count", "--cnf", triangle_file, "--js", "--no-t"],
+            ["count", "--h"],
+            ["stats", "--cnf", grid3, "--json", "--bogus"],
+            ["stats", "--cnf", grid3, "extra"],
+            ["stats", "--cnf", grid3, "--", "extra"],
+            ["detect", "--cnf", grid3, "-k", "1"],
+            ["gen", "random", "-n", "5", "-m", "4", "-r", "3", "--seed", "1"],
+            ["gen", "grid", "--size", "2", "extra"],
+            ["gen", "cube", "--size", "2"],
+            ["frobnicate", "--cnf", grid3],
+            ["--json", "stats", "--cnf", grid3],
+            [],
+        ]
+
+    @staticmethod
+    def full_parse(argv):
+        return cli.build_parser().parse_args(argv)
+
+    def test_one_pass_matches_the_full_parser(self, grid3, triangle_file, tmp_path, monkeypatch):
+        corpus = self.parity_corpus(grid3, triangle_file, tmp_path)
+        direct = [run(argv) for argv in corpus]
+        monkeypatch.setattr(cli, "parse_command", self.full_parse)
+        assert [run(argv) for argv in corpus] == direct
+        assert [code for code, _, _ in direct[-13:]] == [0, 0, 0, 2, 2, 2, 2, 0, 2, 2, 2, 2, 2]
+
+    def test_one_pass_gives_the_full_parsers_namespace(self, grid3, triangle_file, tmp_path):
+        parsed = 0
+        for argv in self.parity_corpus(grid3, triangle_file, tmp_path):
+            try:
+                with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                    expected = self.full_parse(argv)
+            except SystemExit:
+                continue
+            assert cli.parse_command(argv) == expected, argv
+            parsed += 1
+        assert parsed == 10
+
+    def test_a_well_formed_command_parses_once(self, grid3, triangle_file, tmp_path, monkeypatch):
+        seen = []
+        parse = argparse.ArgumentParser.parse_known_args
+
+        def spied(self, *args, **kwargs):
+            seen.append(self.prog)
+            return parse(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", spied)
+        cases = [
+            (["count", "--cnf", triangle_file, "--json", "--no-timing"], ["forestbd count"]),
+            (["detect", "weak", "--cnf", grid3, "-k", "1"], ["forestbd detect"]),
+            (["gen", "grid", "--size", "2", "-o", str(tmp_path / "g.cnf")], ["forestbd gen", "forestbd gen grid"]),
+        ]
+        for argv, parsers in cases:
+            seen.clear()
+            assert run(argv)[0] == 0, argv
+            assert seen == parsers, argv
 
     def test_built_on_first_main_call_only(self):
         src = Path(cli.__file__).resolve().parents[1]
@@ -813,6 +899,36 @@ class TestCollectorState:
         finally:
             gc.enable() if saved else gc.disable()
         assert walks == []
+
+    def test_json_commands_leave_no_cyclic_garbage(self, tmp_path):
+        # The `json` module's indented encoder left its closures in
+        # reference cycles, and so did the recursive searches.
+        path = tmp_path / "grid4.cnf"
+        path.write_text(emit_dimacs(grid_formula(4)), encoding="ascii")
+        commands = [
+            ["count"],
+            ["count", "--backdoor", "17"],
+            ["detect", "weak", "-k", "1"],
+            ["detect", "strong", "-k", "2"],
+            ["detect", "deletion", "-k", "2"],
+            ["verify", "--kind", "weak", "--set", "1,17"],
+            ["verify", "--kind", "strong", "--set", "17"],
+            ["verify", "--kind", "deletion", "--set", "17"],
+            ["stats"],
+        ]
+        saved = gc.isenabled()
+        left = []
+        try:
+            for argv in commands:
+                argv = [*argv, "--cnf", str(path), "--json"]
+                assert run(argv)[0] in (0, 1), argv
+                gc.collect()
+                gc.disable()
+                run(argv)
+                left.append(gc.collect())
+        finally:
+            gc.enable() if saved else gc.disable()
+        assert left == [0] * len(commands)
 
     def test_paused_during_the_command(self, triangle_file, monkeypatch):
         seen = []

@@ -28,6 +28,7 @@ from forestbd import (
     incidence_graph,
     is_deletion_backdoor,
     is_strong_backdoor,
+    parse_dimacs,
     random_rcnf,
     shortest_cycle,
     strong_exact_search,
@@ -646,6 +647,16 @@ class TestCounting:
     def test_larger_universe_doubles(self):
         f = triangle()
         assert count_with_backdoor(f, {1}, {1, 2, 7, 8}).count == 4
+
+    def test_universe_must_cover_occurrences(self):
+        with pytest.raises(ContractError, match="cover every occurring variable"):
+            count_with_backdoor(triangle(), {1}, {1})
+
+    def test_formula_universe_needs_no_occurrence_set(self):
+        # A parsed formula builds `variables` only when it is read.
+        f = parse_dimacs("p cnf 4 3\n1 2 0\n-1 2 0\n1 -2 0\n")
+        assert count_with_backdoor(f, {1}, f.universe).count == 4
+        assert "variables" not in vars(f)
 
     @given(st.integers(0, 100_000))
     @settings(max_examples=30, deadline=None)

@@ -3,9 +3,13 @@ compared fields, immutability, and the mutable run report."""
 
 from __future__ import annotations
 
+import json
 import pickle
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from forestbd import (
     BackdoorVerdict,
@@ -137,3 +141,59 @@ def test_run_reports_are_mutable_with_their_own_stats():
         hash(first)
     shared = {"clauses": 1}
     assert RunReport("stats", "00", {}, stats=shared).stats is shared
+
+
+# Text with what JSON escapes: quotes, backslashes, control characters and
+# non-ASCII characters, inside and outside the Basic Multilingual Plane.
+TEXT = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\n\t\x7f\xe9\u20ac\U0001f600'), st.characters()))
+SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers().map(lambda n: n * 10**4300 + 1),
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 1e-7, 1e16, float("inf"), -float("inf")]),
+    TEXT,
+)
+VALUES = st.recursive(
+    SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(st.dictionaries(TEXT, inner, max_size=3), max_size=3)
+    | st.dictionaries(TEXT, inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    parameters=st.dictionaries(TEXT, VALUES, max_size=4),
+    stats=st.dictionaries(TEXT, VALUES, max_size=4),
+    count=st.none() | st.integers() | st.integers().map(lambda n: n * 10**4300 - 1),
+    wall_ms=st.floats(),
+    path=st.none() | TEXT,
+)
+def test_report_json_is_the_json_module_layout(parameters, stats, count, wall_ms, path):
+    report = RunReport(
+        "stats", "00", parameters, path=path, backdoor=[3, 1], witness={2: True, 1: False},
+        count=count, stats=stats, wall_ms=wall_ms,
+    )
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert report.to_json() == json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("value", [{1, 2}, b"bytes", object(), {"nested": [frozenset()]}], ids=repr)
+def test_report_json_rejects_what_json_rejects(value):
+    report = RunReport("stats", "00", {"value": value})
+    with pytest.raises(TypeError):
+        json.dumps(report.to_dict())
+    with pytest.raises(TypeError):
+        report.to_json()
+
+
+def test_report_json_takes_string_keys_only():
+    with pytest.raises(TypeError):
+        RunReport("stats", "00", {1: "one"}).to_json()
