@@ -8,10 +8,10 @@ rules shrink branching to at most two variables per designation.
 
 A variable reaches only its own connected component of the incidence
 graph, so every cyclic component needs backdoor variables of its own.
-The exact strong and deletion searches prune every state whose untouched
-cyclic components outnumber the budget left, and at the root they answer
-no when the components' least backdoors, each searched alone, sum past
-the budget.
+The exact strong and deletion searches bound the components at the root
+only: they answer no when the cyclic components outnumber the budget, or
+when their least backdoors, each searched alone, sum past it. In their
+search states the bound prunes too rarely to pay for its pass.
 
 A strong backdoor acts as an implied cycle cutset: summing the acyclic
 counts of all its restrictions yields the exact model count. Counting
@@ -257,21 +257,11 @@ def strong_exact_search(formula: Formula, budget: int) -> BackdoorVerdict:
 
 
 def _strong_exact_search(root: Residual, budget: int) -> BackdoorVerdict:
-    components = _components_within(root, budget, _strong_exact_search)
-    if components is None:
+    if _components_exceed(root, budget, _strong_exact_search):
         return BackdoorVerdict.no(budget)
-    # Each variable node of a cyclic component, as a variable, to its index.
-    m = root.inc.graph.clauses
-    owner = {n - m + 1: index for index, nodes in enumerate(components) for n in nodes if n >= m}
-
     adjacency = root.inc.graph.adjacency
 
     def settle(candidate: frozenset[int]):
-        # A cyclic component of the root holding no candidate variable keeps
-        # its cycles under every completion, so each needs one more variable.
-        untouched = len(components) - len({owner[v] for v in candidate if v in owner})
-        if untouched > budget - len(candidate):
-            return None
         walk = Conditioning(root, sorted(candidate))
         mask = walk.mask
 
@@ -301,23 +291,23 @@ def _strong_exact_search(root: Residual, budget: int) -> BackdoorVerdict:
     return BackdoorVerdict.yes(result[0], budget)
 
 
-def _components_within(
+def _components_exceed(
     root: Residual, budget: int, search: Callable[[Residual, int], BackdoorVerdict]
-) -> Optional[list[list[Node]]]:
-    """The cyclic components of the root's view, or None when they show that
-    no backdoor within `budget` exists. A variable reaches only its own
-    component, so each cyclic one needs variables of its own: None when
+) -> bool:
+    """Whether the cyclic components of the root's view show that no
+    backdoor within `budget` exists. A variable reaches only its own
+    component, so each cyclic one needs variables of its own: yes when
     there are more of them than the budget, or, given two or more, when
     their least backdoors sum past it. Each least backdoor is found by
     iterative deepening of the exact `search` on the component's view
-    alone. These can only answer no; a search that trips the state cap
-    leaves the question to the caller's search."""
+    alone. A search that trips the state cap leaves the question to the
+    caller's search."""
     graph = root.inc.graph
     components = cyclic_components(graph, graph.mask(root.removed), limit=budget)
     if len(components) > budget:
-        return None
+        return True
     if len(components) < 2:
-        return components
+        return False
     # Every component needs one variable at least.
     total = len(components)
     try:
@@ -328,10 +318,10 @@ def _components_within(
                 size += 1
                 total += 1
                 if total > budget:
-                    return None
+                    return True
     except ResourceLimitError:
         pass
-    return components
+    return False
 
 
 def detect_deletion(formula: Formula, budget: int) -> BackdoorVerdict:
@@ -341,11 +331,16 @@ def detect_deletion(formula: Formula, budget: int) -> BackdoorVerdict:
     Deleting a variable off a cycle leaves the cycle intact, so a deletion
     backdoor must contain one of the cycle's variables. Vertex-disjoint
     cycles share no variable, so from budget 2 a packing of budget + 1 of
-    them answers no before any branching; at budget 1 the search is one
-    cycle and a deletion test per variable on it, less than the packing's
-    second girth pass. An acyclic formula needs neither: the empty set is
-    found before either runs. Each cyclic component needs deleted variables
-    of its own, at the root and in every state of the search.
+    them answers no before any branching. At budget 1 the search is one
+    cycle and a deletion test per variable on it, which on short cycles
+    costs less than the packing's second girth pass: on `grid_formula(16)`'s
+    graph that pass takes about 1 ms, six times the first, since the grid
+    minus its extra variable has girth 8, above the floor of 4. Each test
+    is a whole-graph pass, though, so long cycles reverse it: on a
+    20,000-variable ring with four chords the budget-1 search makes 2,501
+    of them (16 to 18 s on a 2-core VM). An acyclic formula needs neither:
+    the empty set is found before either runs. Each cyclic component needs
+    deleted variables of its own; the search bounds them at the root only.
     """
     if budget < 0:
         raise ContractError(f"budget must be >= 0, got {budget}")
@@ -355,24 +350,19 @@ def detect_deletion(formula: Formula, budget: int) -> BackdoorVerdict:
 def _detect_deletion(root: Residual, budget: int) -> BackdoorVerdict:
     if root.acyclic():
         return BackdoorVerdict.yes((), budget)
-    graph = root.inc.graph
-    packing = budget >= 2 and disjoint_cycles_or_feedback(graph, budget + 1, root.removed)
+    packing = budget >= 2 and disjoint_cycles_or_feedback(root.inc.graph, budget + 1, root.removed)
     if isinstance(packing, CyclePacking):
         return BackdoorVerdict.no(budget)
-    if _components_within(root, budget, _detect_deletion) is None:
+    if _components_exceed(root, budget, _detect_deletion):
         return BackdoorVerdict.no(budget)
 
     def settle(removed: frozenset[int]):
         if not removed:
-            # Known to be cyclic, with no more cyclic components than the budget.
-            return root
+            return root  # known to be cyclic
         view = root.without(removed)
         if view.acyclic():
             return frozenset(), {}
-        left = budget - len(removed)
-        if not left or len(cyclic_components(graph, graph.mask(view.removed), limit=left)) > left:
-            return None
-        return view
+        return view if len(removed) < budget else None
 
     def moves(removed: frozenset[int], survivor: Residual, cycle: Cycle):
         for variable in sorted(cycle.variables):
@@ -405,8 +395,8 @@ def count_through_search(formula: Formula) -> tuple[frozenset[int], ModelCount]:
     for budget in range(MAX_STRONG_BUDGET + 1):
         verdict = _detect_strong(root, budget)
         if verdict.found:
-            cutset, target = _counting_sets(formula, verdict.variables, formula.universe)
-            return verdict.variables, _count_with_backdoor(root, cutset, target)
+            _guard_size(verdict.variables)
+            return verdict.variables, _count_with_backdoor(root, verdict.variables, formula.universe)
     raise ResourceLimitError(f"no strong backdoor found within budget {MAX_STRONG_BUDGET}")
 
 

@@ -293,16 +293,15 @@ def _weak_exact_search(root: Residual, budget: int) -> BackdoorVerdict:
 
     def settle(state: tuple[Residual, int]):
         residual, remaining = state
-        if residual.acyclic():
-            if not residual_satisfiable(residual.inc, residual.removed):
-                return None
-            return frozenset(), {}
-        if not remaining:
+        if remaining:
+            # Each cyclic component needs a variable of its own.
+            graph = residual.inc.graph
+            components = cyclic_components(graph, graph.mask(residual.removed), limit=remaining)
+            if components:
+                return residual if len(components) <= remaining else None
+        elif not residual.acyclic():
             return None
-        # Each cyclic component needs a variable of its own.
-        graph = residual.inc.graph
-        components = cyclic_components(graph, graph.mask(residual.removed), limit=remaining)
-        return residual if len(components) <= remaining else None
+        return (frozenset(), {}) if residual_satisfiable(residual.inc, residual.removed) else None
 
     def moves(state: tuple[Residual, int], residual: Residual, cycle: Cycle):
         candidates = external_killers(residual.inc, cycle, residual.unassigned()).union(

@@ -658,6 +658,12 @@ class TestCounting:
         assert count_with_backdoor(f, {1}, f.universe).count == 4
         assert "variables" not in vars(f)
 
+    def test_search_guards_the_found_set(self, monkeypatch):
+        # Three disjoint triangles need three variables, one over this cap.
+        monkeypatch.setattr(backdoors, "MAX_VERIFY_VARIABLES", 2)
+        with pytest.raises(ResourceLimitError, match="limit 2 variables"):
+            strong.count_through_search(disjoint_triangles(3))
+
     @given(st.integers(0, 100_000))
     @settings(max_examples=30, deadline=None)
     def test_matches_brute_force(self, seed):
@@ -1161,9 +1167,10 @@ def component_unions() -> list[Formula]:
 
 
 class TestCyclicComponentBound:
-    """Each cyclic component needs a backdoor variable of its own: the exact
-    searches prune on it, and strong and deletion detection also sum the
-    components' least backdoors at the root."""
+    """Each cyclic component needs a backdoor variable of its own. The weak
+    exact search prunes every state on it; the strong exact search and
+    deletion detection bound the components at the root only, where they
+    also sum the components' least backdoors."""
 
     # (search, gadget copies, budget): one below the least backdoor, as each
     # gadget needs one variable under weak and two under strong and deletion.
@@ -1216,3 +1223,51 @@ class TestCyclicComponentBound:
         for search, verdict in expected.items():
             assert verdict.found and len(verdict.variables) == 5
             assert search(f, 5) == verdict
+
+    def test_deletion_bounds_components_at_the_root_only(self, monkeypatch):
+        passes = []
+        split = strong.cyclic_components
+
+        def counted(graph, state, scope=None, limit=None):
+            passes.append(state.count(1))
+            return split(graph, state, scope, limit)
+
+        monkeypatch.setattr(strong, "cyclic_components", counted)
+        monkeypatch.setattr(backdoors, "MAX_SEARCH_STATES", 50)
+        with pytest.raises(ResourceLimitError):
+            detect_deletion(grid_formula(7), 10)
+        # One pass, on the root's view, which removes nothing.
+        assert passes == [0]
+
+    def test_weak_states_make_one_structural_pass(self, monkeypatch):
+        passes, made = [], []
+
+        def spy(name, original):
+            def counted(*args, **kwargs):
+                passes.append(name)
+                return original(*args, **kwargs)
+
+            return counted
+
+        monkeypatch.setattr(graphs, "_forest", spy("forest", graphs._forest))
+        monkeypatch.setattr(weak, "cyclic_components", spy("components", weak.cyclic_components))
+        branch = backdoors.branch_on_cycles
+
+        def counted_branch(root, settle, moves):
+            def counted(state):
+                passes.clear()
+                try:
+                    return settle(state)
+                finally:
+                    made.append(list(passes))
+
+            return branch(root, counted, moves)
+
+        monkeypatch.setattr(weak, "branch_on_cycles", counted_branch)
+        for f in (grid_formula(3), k33_gadgets(2), disjoint_triangles(3)):
+            for budget in (1, 2, 3):
+                same_outcome(weak_exact_search(f, budget), reference_weak_exact_search(f, budget))
+        # A state with budget left makes one component pass, and one without
+        # makes one acyclicity pass; an acyclic state then runs the tree DP.
+        assert all(len(state) == 1 for state in made)
+        assert {"forest", "components"} == {state[0] for state in made}
