@@ -185,7 +185,11 @@ def test_report_json_is_the_json_module_layout(parameters, stats, count, wall_ms
         sys.set_int_max_str_digits(limit)
 
 
-@pytest.mark.parametrize("value", [{1, 2}, b"bytes", object(), {"nested": [frozenset()]}], ids=repr)
+@pytest.mark.parametrize(
+    "value",
+    [{1, 2}, b"bytes", pytest.param(object(), id="object()"), {"nested": [frozenset()]}],
+    ids=repr,
+)
 def test_report_json_rejects_what_json_rejects(value):
     report = RunReport("stats", "00", {"value": value})
     with pytest.raises(TypeError):
