@@ -47,7 +47,6 @@ from .graphs import (
     IncidenceGraph,
     Node,
     PackingOrFeedback,
-    _forest,
     cyclic_components,
     incidence_graph,
     shortest_cycle,
@@ -352,7 +351,7 @@ def weak_backdoor_witness(
             core[node] = 1
             for clause in adjacency[node]:
                 core[clause] = 1
-        return not _forest(adjacency, core)
+        return bool(cyclic_components(walk.inc.graph, core, limit=0))
 
     return first_leaf(walk, hit, dead)
 

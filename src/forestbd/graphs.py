@@ -8,6 +8,10 @@ clause nodes tau satisfies; deletion removes variable nodes alone.
 `restrict` keeps the surviving clauses in order and clause nodes sort
 first, so a view's canonical cycles are the rebuilt graph's.
 
+One BFS pass, `cyclic_components`, answers both questions asked of a
+view: whether it holds a cycle (at `limit=0`), and which components hold
+one, each needing a backdoor variable of its own.
+
 Cycle queries are canonical so that every downstream verdict is
 reproducible: `shortest_cycle` returns, among all minimum-length cycles,
 the one whose node sequence (started at its smallest node, oriented so
@@ -132,34 +136,7 @@ def canonical_cycle(nodes: Sequence[Node], clauses: int = 0) -> Cycle:
 
 def is_acyclic(graph: Graph, forbidden: AbstractSet[Node] = frozenset()) -> bool:
     """Whether the graph minus `forbidden` is a forest."""
-    return _forest(graph.adjacency, graph.mask(forbidden))
-
-
-def _forest(adjacency: list[tuple[Node, ...]], state: bytearray) -> bool:
-    """Whether the nodes `state` leaves 0 induce a forest; it marks the nodes
-    it reaches 2, so the caller passes a mask it gives up.
-
-    Each node is reached once, from its parent. In a forest a node, when
-    its turn comes, has no reached neighbour but its parent: any other
-    would join two paths from the root, and a non-tree edge is met so from
-    whichever of its ends comes first."""
-    root = state.find(0)
-    while root >= 0:
-        state[root] = 2
-        queue = [root]
-        for v in queue:
-            reached = 0
-            for u in adjacency[v]:
-                mark = state[u]
-                if not mark:
-                    state[u] = 2
-                    queue.append(u)
-                elif mark == 2:
-                    reached += 1
-            if reached > 1:
-                return False
-        root = state.find(0, root + 1)
-    return True
+    return not cyclic_components(graph, graph.mask(forbidden), limit=0)
 
 
 def unmarked(state: bytearray, start: int = 0) -> Iterator[Node]:
@@ -181,12 +158,19 @@ def cyclic_components(
     """The node lists of the connected components that hold a cycle among
     the nodes `state` leaves 0: of every one, in the order of their least
     nodes, or of those holding a node of `scope`, in the order of their
-    first such node. The list stops growing once it is longer than
-    `limit`, if one is given. One BFS pass marks the nodes it reaches 2, so
-    the caller passes a mask it gives up.
+    first such node. One BFS pass marks the nodes it reaches 2, so the
+    caller passes a mask it gives up.
 
-    A component is cyclic when it has at least as many edges as nodes,
-    that is, when its allowed degrees sum to twice its node count or more."""
+    Given a `limit`, the pass returns at the first cycle of the component
+    that would be listed after `limit` others, and lists that component's
+    BFS queue so far, a prefix of its node list: `limit=0` is a bare
+    acyclicity test.
+
+    Each node is reached once, from its parent. In a forest a node, when
+    its turn comes, has no reached neighbour but its parent: any other
+    would join two paths from the root, and a non-tree edge is met so from
+    whichever of its ends comes first. So a component is cyclic exactly
+    when some node of it has more than one reached neighbour then."""
     adjacency = graph.adjacency
     found: list[list[Node]] = []
     for root in unmarked(state) if scope is None else scope:
@@ -194,19 +178,23 @@ def cyclic_components(
             continue
         state[root] = 2
         queue = [root]
-        ends = 0
+        cyclic = False
         for v in queue:
+            reached = 0
             for u in adjacency[v]:
                 mark = state[u]
-                if mark != 1:
-                    ends += 1
-                    if not mark:
-                        state[u] = 2
-                        queue.append(u)
-        if ends >= 2 * len(queue):
+                if not mark:
+                    state[u] = 2
+                    queue.append(u)
+                elif mark == 2:
+                    reached += 1
+            if reached > 1 and not cyclic:
+                if len(found) == limit:
+                    found.append(queue)
+                    return found
+                cyclic = True
+        if cyclic:
             found.append(queue)
-            if limit is not None and len(found) > limit:
-                break
     return found
 
 

@@ -46,7 +46,6 @@ from .graphs import (
     FeedbackSet,
     IncidenceGraph,
     Node,
-    _forest,
     cyclic_components,
     disjoint_cycles_or_feedback,
 )
@@ -259,19 +258,22 @@ def strong_exact_search(formula: Formula, budget: int) -> BackdoorVerdict:
 def _strong_exact_search(root: Residual, budget: int) -> BackdoorVerdict:
     if _components_exceed(root, budget, _strong_exact_search):
         return BackdoorVerdict.no(budget)
-    adjacency = root.inc.graph.adjacency
+    graph = root.inc.graph
 
     def settle(candidate: frozenset[int]):
         walk = Conditioning(root, sorted(candidate))
         mask = walk.mask
 
+        def acyclic(values: list[bool]) -> bool:
+            return not cyclic_components(graph, bytearray(mask), limit=0)
+
         def cyclic(values: list[bool]) -> Optional[frozenset[Node]]:
-            if _forest(adjacency, bytearray(mask)):
+            if acyclic(values):
                 return None
             return frozenset(itertools.compress(range(len(mask)), mask))
 
         # An acyclic prefix holds no cyclic completion.
-        removed = first_leaf(walk, cyclic, lambda values: _forest(adjacency, bytearray(mask)))
+        removed = first_leaf(walk, cyclic, acyclic)
         if removed is None:
             return candidate, {}
         if len(candidate) == budget:

@@ -12,7 +12,9 @@ fixed-parameter sized. Every branch assigns a variable on a
 `backdoors.Residual`, a view of the formula's one incidence graph that
 holds only the nodes it removes, so a memoized state stays small. The
 exact branch prunes a residual whose cyclic components outnumber the
-budget left: a variable reaches only its own component.
+budget left: a variable reaches only its own component. Each of its
+states makes one component pass, which stops at the first cycle past
+that budget.
 
 Hopeless cycles are settled once per packing. A packed cycle that no
 unassigned outside variable can kill under the rule's own killer test
@@ -290,17 +292,14 @@ def _weak_exact_search(root: Residual, budget: int) -> BackdoorVerdict:
     # Restriction never removes an empty clause, so no witness can satisfy it.
     if root.has_empty_clause():
         return BackdoorVerdict.no(budget)
+    graph = root.inc.graph
 
     def settle(state: tuple[Residual, int]):
         residual, remaining = state
-        if remaining:
-            # Each cyclic component needs a variable of its own.
-            graph = residual.inc.graph
-            components = cyclic_components(graph, graph.mask(residual.removed), limit=remaining)
-            if components:
-                return residual if len(components) <= remaining else None
-        elif not residual.acyclic():
-            return None
+        # Each cyclic component needs a variable of its own.
+        components = cyclic_components(graph, graph.mask(residual.removed), limit=remaining)
+        if components:
+            return residual if len(components) <= remaining else None
         return (frozenset(), {}) if residual_satisfiable(residual.inc, residual.removed) else None
 
     def moves(state: tuple[Residual, int], residual: Residual, cycle: Cycle):

@@ -56,7 +56,6 @@ from forestbd.graphs import (
     PackingOrFeedback,
     canonical_cycle,
     incidence_graph,
-    is_acyclic,
 )
 from forestbd.strong import (
     MAX_STRONG_BUDGET,
@@ -434,10 +433,33 @@ def random_graph(seed: int, nodes: tuple[int, int], edges: tuple[int, int]) -> G
     return Graph([tuple(sorted(adjacency[v])) for v in range(len(adjacency))])
 
 
+def reference_is_acyclic(graph: Graph, forbidden=frozenset()) -> bool:
+    """Whether the graph minus `forbidden` is a forest, by counting: a
+    component is a tree exactly when its edges number its nodes minus one,
+    so the whole is a forest exactly when its edges number its nodes minus
+    its components."""
+    allowed = set(graph.nodes) - set(forbidden)
+    edges = sum(u in allowed for v in allowed for u in graph.adjacency[v]) // 2
+    components, seen = 0, set()
+    for root in allowed:
+        if root in seen:
+            continue
+        components += 1
+        seen.add(root)
+        stack = [root]
+        while stack:
+            for u in graph.adjacency[stack.pop()]:
+                if u in allowed and u not in seen:
+                    seen.add(u)
+                    stack.append(u)
+    return edges == len(allowed) - components
+
+
 def reference_cyclic_components(graph: Graph, forbidden=frozenset()) -> list[list[Node]]:
     """The sorted node lists of the components of the graph minus
     `forbidden` that are not forests, by their least nodes, each found by
-    a depth-first search and tested with `is_acyclic` on its own."""
+    a depth-first search and tested with `reference_is_acyclic` on its
+    own."""
     allowed = set(graph.nodes) - set(forbidden)
     components: list[list[Node]] = []
     for root in sorted(allowed):
@@ -450,7 +472,7 @@ def reference_cyclic_components(graph: Graph, forbidden=frozenset()) -> list[lis
                     seen.add(u)
                     stack.append(u)
         components.append(sorted(seen))
-    return [c for c in components if not is_acyclic(graph, set(graph.nodes) - set(c))]
+    return [c for c in components if not reference_is_acyclic(graph, set(graph.nodes) - set(c))]
 
 
 def enumerate_simple_cycles(graph: Graph) -> list[tuple]:
@@ -490,14 +512,14 @@ def direct_weak_witness(formula: Formula, candidate) -> Assignment | None:
     """Weak check that rebuilds every restriction outright."""
     for tau in assignments_over(frozenset(candidate)):
         rest = formula.restrict(tau)
-        if is_acyclic(incidence_graph(rest).graph) and truth_table_satisfiable(rest):
+        if reference_is_acyclic(incidence_graph(rest).graph) and truth_table_satisfiable(rest):
             return tau
     return None
 
 
 def direct_strong(formula: Formula, candidate) -> bool:
     return all(
-        is_acyclic(incidence_graph(formula.restrict(tau)).graph)
+        reference_is_acyclic(incidence_graph(formula.restrict(tau)).graph)
         for tau in assignments_over(frozenset(candidate))
     )
 
@@ -762,7 +784,7 @@ def reference_weak_witness(formula: Formula, candidate) -> Assignment | None:
     solved by the tree DP; unlike `direct_weak_witness`, fit for grids."""
     for tau in assignments_over(frozenset(candidate)):
         rest = formula.restrict(tau)
-        if is_acyclic(incidence_graph(rest).graph) and satisfying_assignment(rest) is not None:
+        if reference_is_acyclic(incidence_graph(rest).graph) and satisfying_assignment(rest) is not None:
             return tau
     return None
 
@@ -795,7 +817,7 @@ def reference_strong_exact_search(formula: Formula, budget: int) -> BackdoorVerd
     def settle(candidate: frozenset[int]):
         for tau in assignments_over(candidate):
             inc = incidence_graph(formula.restrict(tau))
-            if not is_acyclic(inc.graph):
+            if not reference_is_acyclic(inc.graph):
                 break
         else:
             return candidate, {}
@@ -828,7 +850,7 @@ def reference_weak_exact_search(formula: Formula, budget: int) -> BackdoorVerdic
         if any(len(c) == 0 for c in current.clauses):
             return None
         inc = incidence_graph(current)
-        if is_acyclic(inc.graph):
+        if reference_is_acyclic(inc.graph):
             return (frozenset(), {}) if satisfying_assignment(current) is not None else None
         return Residual(inc, frozenset()) if remaining else None
 
@@ -865,7 +887,7 @@ def reference_detect_weak(
 
 def _reference_detect_weak(formula: Formula, budget: int, width: int) -> BackdoorVerdict:
     whole = Residual.of(formula)
-    if is_acyclic(whole.inc.graph):
+    if reference_is_acyclic(whole.inc.graph):
         split = FeedbackSet(frozenset()) if budget else None
         if satisfying_assignment(formula) is not None:
             return BackdoorVerdict.yes((), budget, {}, split)
@@ -895,7 +917,7 @@ def reference_detect_strong(formula: Formula, budget: int) -> BackdoorVerdict:
     if budget > MAX_STRONG_BUDGET:
         raise ResourceLimitError(f"strong detection is limited to budget {MAX_STRONG_BUDGET}")
     whole = Residual.of(formula)
-    if is_acyclic(whole.inc.graph):
+    if reference_is_acyclic(whole.inc.graph):
         split = FeedbackSet(frozenset()) if budget else None
         return BackdoorVerdict.yes((), budget, split=split)
     if budget == 0:
@@ -926,7 +948,7 @@ def reference_detect_deletion(formula: Formula, budget: int) -> BackdoorVerdict:
     def settle(removed: frozenset[int]):
         rest = formula.without_variables(removed)
         inc = incidence_graph(rest)
-        if is_acyclic(inc.graph):
+        if reference_is_acyclic(inc.graph):
             return frozenset(), {}
         return Residual(inc, frozenset()) if len(removed) < budget else None
 

@@ -275,7 +275,6 @@ class TestConditioned:
         def no_search(*args):
             raise AssertionError("counting ran a separate graph search")
 
-        monkeypatch.setattr(graphs, "_forest", no_search)
         for module in (graphs, backdoors, strong, weak):
             monkeypatch.setattr(module, "cyclic_components", no_search)
         for f, cutset, models, expected in cases:
@@ -471,24 +470,24 @@ class TestWeak:
         variable left, and a cycle survives once the variables left and
         their clauses are gone: the walk reaches the first leaf, then prunes
         every True branch with one tree DP traversal and at most one
-        `_forest` pass each, instead of visiting 2^30 leaves."""
+        core test each, instead of visiting 2^30 leaves."""
         from test_cli import run
 
         f = build()
         candidate = list(candidate)
         traversals, passes = [], []
-        tables, forest = backdoors._TreeTables, backdoors._forest
+        tables, split = backdoors._TreeTables, backdoors.cyclic_components
 
         def counted_tables(*args):
             traversals.append(args)
             return tables(*args)
 
-        def counted_forest(*args):
+        def counted_pass(*args, **kwargs):
             passes.append(args)
-            return forest(*args)
+            return split(*args, **kwargs)
 
         monkeypatch.setattr(backdoors, "_TreeTables", counted_tables)
-        monkeypatch.setattr(backdoors, "_forest", counted_forest)
+        monkeypatch.setattr(backdoors, "cyclic_components", counted_pass)
         assert weak_backdoor_witness(f, candidate) is None
         assert len(traversals) <= len(candidate) + 1
         assert 0 < len(passes) < len(candidate)
@@ -503,16 +502,16 @@ class TestWeak:
     def test_no_core_test_with_every_variable_in_the_set(self, monkeypatch):
         """With fewer than two variables outside the set the core holds no
         cycle, so an unsatisfiable formula walked over all its variables
-        pays no `_forest` pass for it."""
+        pays no core test for it."""
         f = random_rcnf(9, 60, 3, 0)
         passes = []
-        forest = backdoors._forest
+        split = backdoors.cyclic_components
 
-        def counted(*args):
+        def counted(*args, **kwargs):
             passes.append(args)
-            return forest(*args)
+            return split(*args, **kwargs)
 
-        monkeypatch.setattr(backdoors, "_forest", counted)
+        monkeypatch.setattr(backdoors, "cyclic_components", counted)
         assert weak_backdoor_witness(f, f.universe) is None
         assert reference_weak_witness(f, f.universe) is None
         assert passes == []

@@ -41,6 +41,7 @@ from instances import (
     random_graph,
     random_instance,
     reference_cyclic_components,
+    reference_is_acyclic,
     reference_packing,
     reference_shortest_cycle,
     reference_unpeeled_girth,
@@ -348,6 +349,22 @@ class TestAcyclicity:
         g = incidence_graph(f).graph
         assert is_acyclic(g, forbidden={g.var_node(1)})
 
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_against_reference(self, family):
+        """`is_acyclic` and the component pass at limit 0 agree with the
+        edge count on random node removals."""
+        rng = random.Random(f"acyclic-{family}")
+        seen = set()
+        for graph in FAMILIES[family]():
+            nodes = list(graph.nodes)
+            for _ in range(3):
+                forbidden = frozenset(rng.sample(nodes, rng.randint(0, len(nodes))))
+                expected = reference_is_acyclic(graph, forbidden)
+                assert is_acyclic(graph, forbidden) == expected
+                assert (components(graph, forbidden, limit=0) == []) == expected
+                seen.add(expected)
+        assert seen == {True, False}
+
 
 class TestShortestCycle:
     def test_four_cycle(self):
@@ -554,7 +571,7 @@ class TestRestrictionAcyclicity:
         rng = random.Random(seed)
         f = random_rcnf(rng.randint(3, 10), rng.randint(1, 15), 3, seed)
         tau = random_partial(rng, f)
-        direct = is_acyclic(incidence_graph(f.restrict(tau)).graph)
+        direct = reference_is_acyclic(incidence_graph(f.restrict(tau)).graph)
         assert restriction_is_acyclic(f, tau) == direct
 
 
@@ -598,7 +615,38 @@ class TestCyclicComponents:
                 found = components(graph, forbidden)
                 assert [sorted(c) for c in found] == expected
                 limit = rng.randint(0, 3)
-                assert found[: limit + 1] == components(graph, forbidden, limit=limit)
+                limited = components(graph, forbidden, limit=limit)
+                assert limited[:limit] == found[:limit]
+                assert len(limited) == min(len(found), limit + 1)
+                if len(limited) > limit:
+                    # Cut short at its first cycle: a prefix of the full list.
+                    last = limited[limit]
+                    assert last == found[limit][: len(last)]
+
+    def test_limit_zero_stops_at_the_first_cycle(self):
+        # A triangle on nodes 0 to 2, with a 10,000-node path hanging from 2.
+        size = 10_003
+        edges = [(0, 1), (0, 2), (1, 2)] + [(v, v + 1) for v in range(2, size - 1)]
+        adjacency: list[list[int]] = [[] for _ in range(size)]
+        for u, v in edges:
+            adjacency[u].append(v)
+            adjacency[v].append(u)
+        graph = Graph([tuple(sorted(a)) for a in adjacency])
+        assert components(graph) == [list(range(size))]
+        state = graph.mask(())
+        # Node 1's turn closes the triangle, before node 2 reaches the path.
+        assert cyclic_components(graph, state, limit=0) == [[0, 1, 2]]
+        assert state[3:] == bytes(size - 3)
+
+    def test_limit_stops_in_the_component_past_it(self):
+        graph = incidence_graph(disjoint_triangles(5)).graph
+        found = components(graph)
+        state = graph.mask(())
+        limited = cyclic_components(graph, state, limit=2)
+        assert len(limited) == 3 and limited[:2] == found[:2]
+        assert limited[2] == found[2][: len(limited[2])]
+        # The fourth and fifth triangles are never reached.
+        assert [state[v] for v in found[3] + found[4]] == [0] * 10
 
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_scoped_against_reference(self, family):

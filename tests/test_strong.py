@@ -1242,15 +1242,18 @@ class TestCyclicComponentBound:
     def test_weak_states_make_one_structural_pass(self, monkeypatch):
         passes, made = [], []
 
-        def spy(name, original):
-            def counted(*args, **kwargs):
-                passes.append(name)
-                return original(*args, **kwargs)
+        def spy(module):
+            split = module.cyclic_components
 
-            return counted
+            def counted(graph, state, scope=None, limit=None):
+                passes.append((module.__name__, limit))
+                return split(graph, state, scope, limit)
 
-        monkeypatch.setattr(graphs, "_forest", spy("forest", graphs._forest))
-        monkeypatch.setattr(weak, "cyclic_components", spy("components", weak.cyclic_components))
+            monkeypatch.setattr(module, "cyclic_components", counted)
+
+        # The graphs module's name is the one `is_acyclic` calls.
+        spy(weak)
+        spy(graphs)
         branch = backdoors.branch_on_cycles
 
         def counted_branch(root, settle, moves):
@@ -1259,7 +1262,7 @@ class TestCyclicComponentBound:
                 try:
                     return settle(state)
                 finally:
-                    made.append(list(passes))
+                    made.append((state[1], list(passes)))
 
             return branch(root, counted, moves)
 
@@ -1267,7 +1270,7 @@ class TestCyclicComponentBound:
         for f in (grid_formula(3), k33_gadgets(2), disjoint_triangles(3)):
             for budget in (1, 2, 3):
                 same_outcome(weak_exact_search(f, budget), reference_weak_exact_search(f, budget))
-        # A state with budget left makes one component pass, and one without
-        # makes one acyclicity pass; an acyclic state then runs the tree DP.
-        assert all(len(state) == 1 for state in made)
-        assert {"forest", "components"} == {state[0] for state in made}
+        # Every state makes one component pass, limited to its budget left,
+        # at budget 0 too; an acyclic state then runs the tree DP.
+        assert all(limits == [("forestbd.weak", remaining)] for remaining, limits in made)
+        assert {0, 1, 2, 3} == {remaining for remaining, _ in made}
