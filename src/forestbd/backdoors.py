@@ -14,9 +14,9 @@ witness, the strong exact search's first cyclic assignment) take the
 variables ascending and walk the leaves with `first_leaf`,
 lexicographic with False first; a caller's `dead` test skips a True
 branch below which no leaf can hit. Strong verification and counting
-through a strong backdoor recurse over connected components instead, in
-degree order (`by_degree`): a variable reaches only its own component,
-so each cyclic component branches on its own first variable, and
+through a strong backdoor recurse over connected components instead: a
+variable reaches only its own component, so each cyclic component
+branches on its own best-connected variable of the set (`first`), and
 independent components add their branches instead of multiplying them.
 An acyclic component settles every assignment of the variables left in
 it, since assigning only removes nodes and a forest minus nodes is a
@@ -34,7 +34,6 @@ from typing import (
     Mapping,
     NamedTuple,
     Optional,
-    Sequence,
     TypeVar,
     Union,
 )
@@ -88,11 +87,6 @@ class Residual(NamedTuple):
         ids = range(1, len(self.inc.graph.nodes) - m + 1)
         return frozenset(ids).difference([n - m + 1 for n in self.removed if n >= m])
 
-    def by_degree(self, variables: Iterable[int]) -> list[int]:
-        """The variables, most incidence-graph neighbours first, ties by id."""
-        graph = self.inc.graph
-        return sorted(variables, key=lambda v: (-len(graph.adjacency[graph.var_node(v)]), v))
-
     def within(self, nodes: Iterable[Node]) -> Residual:
         """The view keeping only `nodes`: every other node goes."""
         return Residual(self.inc, frozenset(self.inc.graph.nodes).difference(nodes))
@@ -113,8 +107,7 @@ class Residual(NamedTuple):
 
 
 class Conditioning:
-    """The assignments of a variable set, in the caller's order, on one
-    removal mask.
+    """The assignments of a variable set, ascending, on one removal mask.
 
     `branches(place)` assigns the variable at that place False, then True.
     An assignment marks the variable's node and those clause nodes it
@@ -122,19 +115,20 @@ class Conditioning:
     so a step builds no view. `first_leaf` walks the places in order.
     Counting and strong verification recurse over connected components
     instead: a caller splits a view into its components, prices or
-    accepts an acyclic one at once and branches on the first variable of
-    the order in a cyclic one (`first`), recursing into that component
+    accepts an acyclic one at once and branches on its best-connected
+    variable in a cyclic one (`first`), recursing into that component
     alone. A variable reaches only its own component, so the components of
     a view are independent. A walk serves one call: `cache` keeps the
     caller's answer per cyclic component met, by its node set, which fixes
     the component's view.
     """
 
-    def __init__(self, residual: Residual, ordered: Sequence[int]) -> None:
+    def __init__(self, residual: Residual, variables: Iterable[int]) -> None:
         self.inc = inc = residual.inc
         graph = inc.graph
         self.mask = graph.mask(residual.removed)
         self.cache: dict[frozenset[Node], object] = {}
+        ordered = sorted(variables)
         self.nodes = [graph.var_node(v) for v in ordered]
         # Per variable in order: the nodes each value removes, False first.
         self.gone = [
@@ -143,9 +137,24 @@ class Conditioning:
         ]
 
     def first(self, component: AbstractSet[Node]) -> Optional[int]:
-        """The place in the order of the first variable whose node is in
-        `component`, or None when none is."""
-        return next((place for place, node in enumerate(self.nodes) if node in component), None)
+        """The place of the set's variable in `component` with the most
+        non-pendant live clause neighbours, ties to the smallest id, or None
+        when none is in it. A pendant clause keeps no other live variable."""
+        places = [place for place, node in enumerate(self.nodes) if node in component]
+        if len(places) < 2:
+            return places[0] if places else None
+        mask, adjacency, best = self.mask, self.inc.graph.adjacency, -1
+        for place in places:  # ascending, so ties keep the smallest id
+            node, joins = self.nodes[place], 0
+            for clause in adjacency[node]:
+                if not mask[clause]:
+                    for other in adjacency[clause]:
+                        if not mask[other] and other != node:
+                            joins += 1
+                            break
+            if joins > best:
+                chosen, best = place, joins
+        return chosen
 
     def branches(self, place: int) -> Iterator[int]:
         """Assign the variable at `place` False, then True. While each value's
@@ -281,7 +290,7 @@ def is_strong_backdoor(formula: Formula, variables: Iterable[int]) -> bool:
     _check_candidate(formula, candidate)
     _guard_size(candidate)
     root = Residual.of(formula)
-    return _strong_within(Conditioning(root, root.by_degree(candidate)), None)
+    return _strong_within(Conditioning(root, candidate), None)
 
 
 def _strong_within(walk: Conditioning, scope: Optional[list[Node]]) -> bool:
@@ -292,8 +301,8 @@ def _strong_within(walk: Conditioning, scope: Optional[list[Node]]) -> bool:
 
 
 def _strong_on(walk: Conditioning, nodes: list[Node]) -> bool:
-    """Whether both values of the component's first variable leave its rest
-    strong, from the walk's cache when the component was met before."""
+    """Whether both values of the component's `first` variable leave its
+    rest strong, from the walk's cache when the component was met before."""
     key = frozenset(nodes)
     if key not in walk.cache:
         place = walk.first(key)

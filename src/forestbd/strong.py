@@ -17,11 +17,11 @@ A strong backdoor acts as an implied cycle cutset: summing the acyclic
 counts of all its restrictions yields the exact model count. Counting
 conditions on the cutset one connected component at a time: one tree DP
 traversal folds a view's trees and lists its cyclic components, each of
-which branches on its first cutset variable in degree order. Component
+which branches on its best-connected cutset variable (`first`). Component
 counts multiply and the counts of a variable's two values add, so
 independent cyclic parts add their branches instead of multiplying them.
-`count_through_search` finds the cutset with `detect_strong` first, on
-the same incidence graph it then counts on.
+`count_through_search` counts a forest in one traversal, and finds any
+other cutset with `detect_strong` first, on the graph it then counts on.
 """
 
 from __future__ import annotations
@@ -261,7 +261,7 @@ def _strong_exact_search(root: Residual, budget: int) -> BackdoorVerdict:
     graph = root.inc.graph
 
     def settle(candidate: frozenset[int]):
-        walk = Conditioning(root, sorted(candidate))
+        walk = Conditioning(root, candidate)
         mask = walk.mask
 
         def acyclic(values: list[bool]) -> bool:
@@ -385,20 +385,28 @@ def count_with_backdoor(
     connected component of each restriction's view at a time; a set under
     which some full restriction leaves a cycle is not one."""
     cutset, target = _counting_sets(formula, backdoor, universe)
-    return _count_with_backdoor(Residual.of(formula), cutset, target)
+    walk = Conditioning(Residual.of(formula), cutset)
+    split = split_count(walk.inc, walk.mask, len(target))
+    return ModelCount(_count_within(walk, split), len(target))
 
 
 def count_through_search(formula: Formula) -> tuple[frozenset[int], ModelCount]:
     """The first strong backdoor `detect_strong` finds at budgets 0 to
     MAX_STRONG_BUDGET, and the model count over the formula's universe
-    through it; the search and the count share one incidence graph.
+    through it. The search and the count share one incidence graph, and one
+    tree DP traversal of it both answers budget 0 and starts the count.
     Raises ResourceLimitError when no budget finds one."""
     root = Residual.of(formula)
-    for budget in range(MAX_STRONG_BUDGET + 1):
+    size = len(formula.universe)
+    split = split_count(root.inc, root.inc.graph.mask(root.removed), size)
+    if not split[1]:
+        return frozenset(), ModelCount(split[0], size)
+    for budget in range(1, MAX_STRONG_BUDGET + 1):
         verdict = _detect_strong(root, budget)
         if verdict.found:
             _guard_size(verdict.variables)
-            return verdict.variables, _count_with_backdoor(root, verdict.variables, formula.universe)
+            count = _count_within(Conditioning(root, verdict.variables), split)
+            return verdict.variables, ModelCount(count, size)
     raise ResourceLimitError(f"no strong backdoor found within budget {MAX_STRONG_BUDGET}")
 
 
@@ -419,21 +427,11 @@ def _counting_sets(
     return cutset, target
 
 
-def _count_with_backdoor(
-    root: Residual, cutset: frozenset[int], target: frozenset[int]
-) -> ModelCount:
-    walk = Conditioning(root, root.by_degree(cutset))
-    return ModelCount(_count_within(walk, None, len(target), 0), len(target))
-
-
-def _count_within(
-    walk: Conditioning, scope: Optional[list[Node]], variables: int, clauses: int
-) -> int:
-    """Models of the walk's view over `variables` variables, or of the part
-    `scope` lists, over its own `variables` and with `clauses` clauses."""
-    # One traversal folds the trees and lists the cyclic components. Every
-    # component is counted, also after a zero, so that each is checked.
-    total, cyclic = split_count(walk.inc, walk.mask, variables, scope, clauses)
+def _count_within(walk: Conditioning, split: tuple[int, list[tuple[list[Node], int]]]) -> int:
+    """Models of a view of the walk, from its `split_count`: the trees'
+    count times each cyclic component's. Every component is counted, also
+    after a zero, so that each is checked."""
+    total, cyclic = split
     for nodes, size in cyclic:
         total *= _count_on(walk, nodes, size)
     return total
@@ -441,7 +439,7 @@ def _count_within(
 
 def _count_on(walk: Conditioning, nodes: list[Node], size: int) -> int:
     """Models of a cyclic component over its `size` variables: the sum over
-    both values of its first variable, from the walk's cache when the
+    both values of its `first` variable, from the walk's cache when the
     component was met before."""
     key = frozenset(nodes)
     if key not in walk.cache:
@@ -451,7 +449,9 @@ def _count_on(walk: Conditioning, nodes: list[Node], size: int) -> int:
         clauses = len(nodes) - size
         walk.cache[key] = sum(
             ordered_map(
-                lambda removed: _count_within(walk, nodes, size - 1, clauses - removed),
+                lambda removed: _count_within(
+                    walk, split_count(walk.inc, walk.mask, size - 1, nodes, clauses - removed)
+                ),
                 walk.branches(place),
             )
         )

@@ -157,15 +157,33 @@ class TestConditioned:
     strong verification."""
 
     @staticmethod
+    def branch_variable(graph, cutset, component: frozenset) -> Optional[int]:
+        """The cutset variable the walk branches on in a cyclic component,
+        given as its live node set: the one with the most clause neighbours
+        in the component that hold another variable of it, ties to the
+        smallest id. None when no cutset variable is in the component."""
+        adjacency = graph.adjacency
+
+        def score(v: int) -> int:
+            node = graph.var_node(v)
+            return sum(
+                1
+                for c in adjacency[node]
+                if c in component and any(u in component for u in adjacency[c] if u != node)
+            )
+
+        inside = [v for v in cutset if graph.var_node(v) in component]
+        return min(inside, key=lambda v: (-score(v), v), default=None)
+
+    @classmethod
     def expected_views(
-        root: Residual, ordered: list[int], cached: bool = True
+        cls, root: Residual, cutset: list[int], cached: bool = True
     ) -> Optional[Counter]:
         """The live node sets of the views the component walk splits, as a
         multiset, built from `Residual` views: the root's, then for each
         distinct cyclic component met (each one met, if not `cached`), the
-        component less what each value of its first variable in `ordered`
-        removes. None when some cyclic component holds no variable of
-        `ordered`."""
+        component less what each value of its `branch_variable` removes.
+        None when some cyclic component holds no variable of `cutset`."""
         graph = root.inc.graph
         every = frozenset(graph.nodes)
         views: Counter = Counter()
@@ -179,7 +197,7 @@ class TestConditioned:
                 if cached and key in met:
                     continue
                 met.add(key)
-                first = next((v for v in ordered if graph.var_node(v) in key), None)
+                first = cls.branch_variable(graph, cutset, key)
                 if first is None:
                     return False
                 for value in (False, True):
@@ -228,7 +246,7 @@ class TestConditioned:
                 size = min(8, max(0, len(universe) - rng.randint(0, 3)))
             cutset = rng.sample(universe, size)
             root = Residual.of(f)
-            expected = self.expected_views(root, root.by_degree(cutset))
+            expected = self.expected_views(root, cutset)
             strong = direct_strong(f, cutset)
             reference = outcome(reference_count_with_backdoor, f, cutset, f.universe)
             assert (expected is not None) == strong
@@ -267,7 +285,7 @@ class TestConditioned:
             (disjoint_triangles(3), [1, 3, 5]),
         ]:
             root = Residual.of(f)
-            expected = self.expected_views(root, root.by_degree(cutset))
+            expected = self.expected_views(root, cutset)
             assert sum(expected.values()) > 1
             cases.append((f, cutset, brute_count(f, f.universe), expected))
         dp_views, _ = self.spy_views(monkeypatch)
@@ -284,7 +302,7 @@ class TestConditioned:
 
     def test_a_walk_leaves_no_trace_on_the_next(self):
         root = Residual.of(grid_formula(3))
-        ordered = root.by_degree([10, 1, 2, 4, 5])
+        ordered = [1, 2, 4, 5, 10]
         walk = Conditioning(root, ordered)
         assert walk.nodes == [root.inc.graph.var_node(v) for v in ordered]
         clean = bytes(walk.mask)
@@ -325,13 +343,14 @@ class TestConditioned:
     def test_component_met_twice_is_walked_once(self, monkeypatch):
         """A cyclic component met again within one call is answered from that
         call's cache and not walked again."""
-        f = grid_formula(3)
+        # Branching on the best-connected variable, grid 3 through its cells
+        # meets no component twice; this formula through all its variables
+        # meets some more than once.
+        f = random_rcnf(9, 14, 3, 14)
         cutset = list(range(1, 10))
         root = Residual.of(f)
-        ordered = root.by_degree(cutset)
-        expected = self.expected_views(root, ordered)
-        # Grid 3's cells meet some components more than once.
-        uncached = self.expected_views(root, ordered, cached=False)
+        expected = self.expected_views(root, cutset)
+        uncached = self.expected_views(root, cutset, cached=False)
         assert sum(expected.values()) < sum(uncached.values())
         models = brute_count(f, f.universe)
         dp_views, pass_views = self.spy_views(monkeypatch)
@@ -339,11 +358,36 @@ class TestConditioned:
         assert is_strong_backdoor(f, cutset)
         assert dp_views == pass_views == expected
 
-    def test_by_degree(self):
+    def test_first_takes_the_best_connected_variable(self):
+        """`first` scores each cutset variable in the component by its live
+        clause neighbours that keep another live variable."""
+        root = Residual.of(grid_formula(4))
+        graph = root.inc.graph
+
+        def first(cutset: list[int], removed=()) -> Optional[int]:
+            walk = Conditioning(root, cutset)
+            for v in removed:
+                walk.mask[graph.var_node(v)] = 1
+            live = frozenset(n for n in graph.nodes if not walk.mask[n])
+            place = walk.first(live)
+            expected = self.branch_variable(graph, cutset, live)
+            assert place == (None if expected is None else cutset.index(expected))
+            return place
+
         # Grid 4's extra variable is in all 24 clauses; the four centre
         # cells in four, the other edge cells in three, the corners in two.
-        order = Residual.of(grid_formula(4)).by_degree(range(1, 18))
-        assert order == [17, 6, 7, 10, 11, 2, 3, 5, 8, 9, 12, 14, 15, 1, 4, 13, 16]
+        assert first(list(range(1, 18))) == 16
+        assert first(list(range(1, 17)), removed=[17]) == 5  # cell 6
+        assert first([1, 2, 3, 4, 13, 16]) == 1  # cell 2, ahead of cell 3
+        assert first([4, 13, 16]) == 0  # corners tie: the smallest id
+        assert first([16]) == 0
+        assert first([]) is None
+        # Without 17, edge cells 2 and 5 tie at three clauses each.
+        assert first([2, 5], removed=[17]) == 0
+        # Without 3 and 6 too, both keep three live clauses, but two of
+        # cell 2's, with 3 and with 6, are pendant: only cell 5's clauses
+        # with 1 and 9 and cell 2's with 1 count.
+        assert first([2, 5], removed=[17, 3, 6]) == 1
 
 
 class TestStrong:

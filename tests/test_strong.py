@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import random
 import time
 
@@ -36,7 +37,7 @@ from forestbd import (
     weak_exact_search,
 )
 from forestbd import acyclic, backdoors, graphs, strong, weak
-from forestbd.backdoors import Residual, external_killers
+from forestbd.backdoors import Conditioning, Residual, external_killers
 from forestbd.strong import (
     StrongParameters,
     apex_cycle_killers,
@@ -75,6 +76,7 @@ from instances import (
     three_islands,
     triangle,
     two_triangles,
+    unsatisfiable_forest,
     with_gaps,
 )
 
@@ -664,6 +666,49 @@ class TestCounting:
         with pytest.raises(ResourceLimitError, match="limit 2 variables"):
             strong.count_through_search(disjoint_triangles(3))
 
+    def test_forest_is_one_traversal(self, monkeypatch, tmp_path):
+        """Counting a forest without a given backdoor is one tree DP
+        traversal, which finds the empty set and the count together; no
+        acyclicity or component pass runs."""
+        from test_cli import run
+
+        forests = [
+            Formula.from_ints([[1, 2], [-2, 3], [3, -4, 5]], num_vars=6),
+            unsatisfiable_forest(4),
+            with_gaps(Formula.from_ints([[1, 2], [2, -3]], num_vars=4)),
+            Formula.from_ints([], num_vars=3),
+        ]
+        models = [brute_count(f, f.universe) for f in forests]
+        traversals = []
+        tables = acyclic._TreeTables
+
+        def dp(*args):
+            traversals.append(args)
+            return tables(*args)
+
+        def no_pass(*args, **kwargs):
+            raise AssertionError("counting a forest ran a component pass")
+
+        monkeypatch.setattr(acyclic, "_TreeTables", dp)
+        for module in (graphs, backdoors, strong, weak):
+            monkeypatch.setattr(module, "cyclic_components", no_pass)
+        for f, expected in zip(forests, models):
+            traversals.clear()
+            found, result = strong.count_through_search(f)
+            assert (found, result.count, result.universe_size) == (
+                frozenset(),
+                expected,
+                len(f.universe),
+            )
+            assert len(traversals) == 1
+        path = tmp_path / "forest.cnf"
+        path.write_text(emit_dimacs(forests[0]), encoding="ascii")
+        traversals.clear()
+        code, out, _ = run(["count", "--cnf", str(path), "--json", "--no-timing"])
+        report = json.loads(out)
+        assert (code, report["parameters"], report["count"]) == (0, {"backdoor": []}, models[0])
+        assert len(traversals) == 1
+
     @given(st.integers(0, 100_000))
     @settings(max_examples=30, deadline=None)
     def test_matches_brute_force(self, seed):
@@ -718,18 +763,58 @@ class TestConditionedCounting:
 
     @pytest.mark.parametrize("size", [3, 4, 5])
     def test_cycle_only_in_the_last_restrictions(self, size):
-        # The gadget's cycle survives only x = False, y = True; x and y have
-        # one clause each, so the degree order assigns them last.
+        # The gadget's cycle survives only x = False, y = True. x and y are
+        # its only cutset variables and tie at one non-pendant clause each,
+        # so the walk branches on x and then, with x False, on y.
         f = disjoint_union(grid_formula(size), deep_cycle_gadget())
         extra = size * size + 1
         a, x, y = extra + 1, extra + 3, extra + 4
         cutset = [extra, 1, size + 2, x, y]
-        assert Residual.of(f).by_degree(cutset)[-2:] == [x, y]
+        walk = Conditioning(Residual.of(f), sorted(cutset))
+        graph = walk.inc.graph
+        gadget = {graph.var_node(v) for v in range(a, y + 1)}
+        gadget.update(graph.adjacency[graph.var_node(a)])
+        assert walk.nodes[walk.first(gadget)] == graph.var_node(x)
+        walk.mask[graph.var_node(x)] = 1
+        assert walk.nodes[walk.first(gadget - {graph.var_node(x)})] == graph.var_node(y)
         assert not is_strong_backdoor(f, cutset)
         with pytest.raises(ContractError, match="not a strong backdoor"):
             count_with_backdoor(f, cutset, f.universe)
         self.agree(f, cutset)
         self.agree(f, [extra, a])
+
+    @pytest.mark.parametrize(
+        "n, m, seed, last, models, before",
+        [(16, 28, 12, 14, 1408, 709), (18, 31, 13, 16, 4626, 1325)],
+    )
+    def test_branching_on_the_best_connected_variable(
+        self, monkeypatch, n, m, seed, last, models, before
+    ):
+        """Branching each component on its best-connected cutset variable
+        takes under half the DP traversals, and verification under half the
+        component passes, that branching in a fixed most-neighbours-first
+        order took (`before`) on random 3-CNF through most variables."""
+        f = random_rcnf(n, m, 3, seed)
+        cutset = list(range(1, last + 1))
+        assert brute_count(f, f.universe) == models
+        traversals, passes = [], []
+        dp = acyclic._TreeTables
+        split = backdoors.cyclic_components
+
+        def counted(*args):
+            traversals.append(args)
+            return dp(*args)
+
+        def counted_pass(*args):
+            passes.append(args)
+            return split(*args)
+
+        monkeypatch.setattr(acyclic, "_TreeTables", counted)
+        monkeypatch.setattr(backdoors, "cyclic_components", counted_pass)
+        assert count_with_backdoor(f, cutset, f.universe).count == models
+        assert 0 < len(traversals) <= before // 2
+        assert is_strong_backdoor(f, cutset)
+        assert 0 < len(passes) <= before // 2
 
     def test_grid_six_at_the_guard(self, monkeypatch, tmp_path):
         """Grid 6's extra variable plus cells 1-29 is 30 variables, the most
