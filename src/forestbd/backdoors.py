@@ -258,9 +258,6 @@ class BackdoorVerdict(_Frozen):
     def no(cls, budget: int, split: Optional[PackingOrFeedback] = None) -> BackdoorVerdict:
         return cls(False, frozenset(), budget, None, split)
 
-    def sorted_variables(self) -> tuple[int, ...]:
-        return tuple(sorted(self.variables))
-
 
 def _check_candidate(formula: Formula, variables: frozenset[int]) -> None:
     extra = variables - formula.universe
@@ -371,11 +368,10 @@ def restriction_is_acyclic(formula: Formula, assignment: Mapping[int, bool]) -> 
     extra = sorted(v for v in assignment if v not in formula.universe)
     if extra:
         raise ContractError(f"assignment mentions variables outside universe: {extra}")
-    inc = incidence_graph(formula)
-    removed = {inc.graph.var_node(v) for v in assignment}
+    residual = Residual.of(formula)
     for variable, value in assignment.items():
-        removed.update(inc.satisfied(variable, value))
-    return inc.residual_acyclic(removed)
+        residual = residual.assign(variable, value)
+    return residual.acyclic()
 
 
 def external_killers(

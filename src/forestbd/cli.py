@@ -313,9 +313,10 @@ def _cmd_detect(args: argparse.Namespace, formula: Formula) -> Outcome:
             args.width if args.width is not None else max(3, formula.max_clause_width())
         )
     split = verdict.split
+    backdoor = sorted(verdict.variables)
     lines = [f"verdict: {'found' if verdict.found else 'no'}"]
     if verdict.found:
-        lines.append("backdoor: " + (" ".join(map(str, verdict.sorted_variables())) or "(empty)"))
+        lines.append("backdoor: " + (" ".join(map(str, backdoor)) or "(empty)"))
         if args.kind == "weak" and verdict.witness is not None:
             lines.append(
                 "witness: "
@@ -325,7 +326,7 @@ def _cmd_detect(args: argparse.Namespace, formula: Formula) -> Outcome:
         "command": f"detect-{args.kind}",
         "parameters": parameters,
         "verdict": "found" if verdict.found else "no",
-        "backdoor": sorted(verdict.variables) if verdict.found else None,
+        "backdoor": backdoor if verdict.found else None,
         "witness": verdict.witness if (verdict.found and args.kind == "weak") else None,
         "stats": {
             **base_stats(formula),

@@ -2,9 +2,10 @@
 
 Strong detection is a budgeted approximation: a positive answer carries a
 verified strong backdoor of size below 2^budget, while a negative answer
-is exact. The detector routes on the cycle packing dichotomy; with few
-disjoint cycles an exact memoized search runs, with many the designation
-rules shrink branching to at most two variables per designation.
+is exact. The detector is `weak.packing_route` with strong inputs; with
+few disjoint cycles an exact memoized search runs, with many the strong
+designation rules shrink branching to at most two variables per
+designation, and both values of a branch variable must find a backdoor.
 
 A variable reaches only its own connected component of the incidence
 graph, so every cyclic component needs backdoor variables of its own.
@@ -43,14 +44,13 @@ from .formula import Formula
 from .graphs import (
     Cycle,
     CyclePacking,
-    FeedbackSet,
     IncidenceGraph,
     Node,
     cyclic_components,
     disjoint_cycles_or_feedback,
 )
-from .weak import KillChoice, RuleOutcome, candidate_pool
-from .workers import first_hit, ordered_map
+from .weak import KillChoice, Route, RuleOutcome, packing_route
+from .workers import ordered_map
 
 MAX_STRONG_BUDGET = 6
 
@@ -211,34 +211,15 @@ def detect_strong(formula: Formula, budget: int) -> BackdoorVerdict:
 
 
 def _detect_strong(residual: Residual, budget: int) -> BackdoorVerdict:
-    if residual.acyclic():
-        # On a forest the dichotomy returns the empty feedback set.
-        split = FeedbackSet(frozenset()) if budget else None
-        return BackdoorVerdict.yes((), budget, split=split)
-    if budget == 0:
-        return BackdoorVerdict.no(0)
-    params = StrongParameters.derive(budget)
-    split = disjoint_cycles_or_feedback(residual.inc.graph, params.cycles, residual.removed)
-    if isinstance(split, FeedbackSet):
-        exact = _strong_exact_search(residual, budget)
-        return BackdoorVerdict(exact.found, exact.variables, budget, exact.witness, split)
-    pool = candidate_pool(
-        strong_rule_outcome, opposite_sign_killers, residual, split.cycles, params
+    route = Route(
+        lambda view: (True, None),
+        StrongParameters.derive,
+        _strong_exact_search,
+        strong_rule_outcome,  # read per call, so that bench/tracer.py's patch counts it
+        opposite_sign_killers,
+        ((True, False),),
     )
-
-    def explore(candidate: int) -> Optional[BackdoorVerdict]:
-        high = _detect_strong(residual.assign(candidate, True), budget - 1)
-        if not high.found:
-            return None
-        low = _detect_strong(residual.assign(candidate, False), budget - 1)
-        if not low.found:
-            return None
-        return BackdoorVerdict.yes(
-            high.variables | low.variables | {candidate}, budget, split=split
-        )
-
-    hit = first_hit(explore, sorted(pool))
-    return hit if hit is not None else BackdoorVerdict.no(budget, split)
+    return packing_route(route, residual, budget)
 
 
 def strong_exact_search(formula: Formula, budget: int) -> BackdoorVerdict:
@@ -384,7 +365,15 @@ def count_with_backdoor(
     """Exact model count over `universe` through a strong backdoor, one
     connected component of each restriction's view at a time; a set under
     which some full restriction leaves a cycle is not one."""
-    cutset, target = _counting_sets(formula, backdoor, universe)
+    cutset = frozenset(backdoor)
+    target = frozenset(universe)
+    if not cutset <= target:
+        raise ContractError("backdoor must be a subset of the counting universe")
+    if not formula.occurs_within(target):
+        raise ContractError("universe must cover every occurring variable")
+    if not cutset <= formula.universe:
+        raise ContractError("backdoor must be a subset of the formula universe")
+    _guard_size(cutset)
     walk = Conditioning(Residual.of(formula), cutset)
     split = split_count(walk.inc, walk.mask, len(target))
     return ModelCount(_count_within(walk, split), len(target))
@@ -408,23 +397,6 @@ def count_through_search(formula: Formula) -> tuple[frozenset[int], ModelCount]:
             count = _count_within(Conditioning(root, verdict.variables), split)
             return verdict.variables, ModelCount(count, size)
     raise ResourceLimitError(f"no strong backdoor found within budget {MAX_STRONG_BUDGET}")
-
-
-def _counting_sets(
-    formula: Formula,
-    backdoor: Sequence[int] | frozenset[int],
-    universe: Sequence[int] | frozenset[int],
-) -> tuple[frozenset[int], frozenset[int]]:
-    cutset = frozenset(backdoor)
-    target = frozenset(universe)
-    if not cutset <= target:
-        raise ContractError("backdoor must be a subset of the counting universe")
-    if not formula.occurs_within(target):
-        raise ContractError("universe must cover every occurring variable")
-    if not cutset <= formula.universe:
-        raise ContractError("backdoor must be a subset of the formula universe")
-    _guard_size(cutset)
-    return cutset, target
 
 
 def _count_within(walk: Conditioning, split: tuple[int, list[tuple[list[Node], int]]]) -> int:

@@ -5,16 +5,17 @@ graph holds few disjoint cycles, an exact memoized branch over cycle
 variables and adjacent outside variables decides the question outright.
 When it holds many, every way of designating which packed cycles a
 backdoor may touch directly is examined; the remaining cycles must be
-removed from outside, and selection rules either produce a small variable
-set that every conforming backdoor intersects or certify that none
-exists. Branching on that set with a reduced budget keeps the search
-fixed-parameter sized. Every branch assigns a variable on a
-`backdoors.Residual`, a view of the formula's one incidence graph that
-holds only the nodes it removes, so a memoized state stays small. The
-exact branch prunes a residual whose cyclic components outnumber the
-budget left: a variable reaches only its own component. Each of its
-states makes one component pass, which stops at the first cycle past
-that budget.
+removed from outside, and selection rules either produce a small
+variable set that every conforming backdoor intersects or certify that
+none exists. Branching on that set with a reduced budget keeps the
+search fixed-parameter sized. `packing_route` runs this route for weak
+and strong detection alike, given a notion's inputs as a `Route`. Every
+branch assigns a variable on a `backdoors.Residual`, a view of the
+formula's one incidence graph that holds only the nodes it removes, so a
+memoized state stays small. The exact branch prunes a residual whose
+cyclic components outnumber the budget left: a variable reaches only its
+own component. Each of its states makes one component pass, which stops
+at the first cycle past that budget.
 
 Hopeless cycles are settled once per packing. A packed cycle that no
 unassigned outside variable can kill under the rule's own killer test
@@ -55,7 +56,7 @@ from typing import (
 from .acyclic import residual_satisfiable
 from .backdoors import BackdoorVerdict, Residual, branch_on_cycles, external_killers
 from .errors import ContractError, ResourceLimitError
-from .formula import Formula
+from .formula import Assignment, Formula
 from .graphs import (
     Cycle,
     FeedbackSet,
@@ -221,6 +222,55 @@ def candidate_pool(
     return frozenset(pool)
 
 
+class Route(NamedTuple):
+    """One backdoor notion's inputs to `packing_route`. `forest` tells
+    whether a forest view has a backdoor, with its witness if the notion
+    has one. A branch on a pool variable finds when each value of its
+    group in `values` finds: a group per value, or both values in one."""
+
+    forest: Callable[[Residual], tuple[bool, Optional[Assignment]]]
+    derive: Callable[[int], WeakParameters | StrongParameters]
+    exact: Callable[[Residual, int], BackdoorVerdict]
+    rule: Callable[..., RuleOutcome]
+    killers: Callable[[IncidenceGraph, Cycle, AbstractSet[int]], frozenset[int]]
+    values: tuple[tuple[bool, ...], ...]
+
+
+def packing_route(route: Route, residual: Residual, budget: int) -> BackdoorVerdict:
+    """Weak or strong detection on a residual view: a forest check, budget
+    0, then the packing-or-feedback dichotomy, with the exact search on a
+    feedback set and a branch on the rules' candidate pool on a packing.
+    Each verdict carries the split it routed on."""
+    if residual.acyclic():
+        # On a forest the dichotomy returns the empty feedback set.
+        split = FeedbackSet(frozenset()) if budget else None
+        found, witness = route.forest(residual)
+        return BackdoorVerdict(found, frozenset(), budget, witness, split)
+    if budget == 0:
+        return BackdoorVerdict.no(0)
+    params = route.derive(budget)
+    split = disjoint_cycles_or_feedback(residual.inc.graph, params.cycles, residual.removed)
+    if isinstance(split, FeedbackSet):
+        exact = route.exact(residual, budget)
+        return BackdoorVerdict(exact.found, exact.variables, budget, exact.witness, split)
+    pool = candidate_pool(route.rule, route.killers, residual, split.cycles, params)
+
+    def explore(branch: tuple[int, tuple[bool, ...]]) -> Optional[BackdoorVerdict]:
+        candidate, values = branch
+        variables, witness = frozenset({candidate}), None
+        for value in values:
+            sub = packing_route(route, residual.assign(candidate, value), budget - 1)
+            if not sub.found:
+                return None
+            variables |= sub.variables
+            # A weak branch's one value joins its witness; strong verdicts have none.
+            witness = None if sub.witness is None else {**sub.witness, candidate: value}
+        return BackdoorVerdict.yes(variables, budget, witness, split)
+
+    hit = first_hit(explore, [(s, values) for s in sorted(pool) for values in route.values])
+    return hit if hit is not None else BackdoorVerdict.no(budget, split)
+
+
 def detect_weak(
     formula: Formula,
     budget: int,
@@ -241,37 +291,15 @@ def detect_weak(
         raise ContractError(
             f"clause width {actual} exceeds declared bound {width}"
         )
-    return _detect_weak(Residual.of(formula), budget, max(3, width))
-
-
-def _detect_weak(residual: Residual, budget: int, width: int) -> BackdoorVerdict:
-    if residual.acyclic():
-        # On a forest the dichotomy returns the empty feedback set.
-        split = FeedbackSet(frozenset()) if budget else None
-        if residual_satisfiable(residual.inc, residual.removed):
-            return BackdoorVerdict.yes((), budget, {}, split)
-        return BackdoorVerdict.no(budget, split)
-    if budget == 0:
-        return BackdoorVerdict.no(0)
-    params = WeakParameters.derive(budget, width)
-    split = disjoint_cycles_or_feedback(residual.inc.graph, params.cycles, residual.removed)
-    if isinstance(split, FeedbackSet):
-        exact = _weak_exact_search(residual, budget)
-        return BackdoorVerdict(exact.found, exact.variables, budget, exact.witness, split)
-    pool = candidate_pool(weak_rule_outcome, external_killers, residual, split.cycles, params)
-    branches = [(s, value) for s in sorted(pool) for value in (False, True)]
-
-    def explore(branch: tuple[int, bool]) -> Optional[BackdoorVerdict]:
-        candidate, value = branch
-        sub = _detect_weak(residual.assign(candidate, value), budget - 1, width)
-        if not sub.found:
-            return None
-        witness = dict(sub.witness or {})
-        witness[candidate] = value
-        return BackdoorVerdict.yes(sub.variables | {candidate}, budget, witness, split)
-
-    hit = first_hit(explore, branches)
-    return hit if hit is not None else BackdoorVerdict.no(budget, split)
+    route = Route(
+        lambda view: (True, {}) if residual_satisfiable(view.inc, view.removed) else (False, None),
+        lambda size: WeakParameters.derive(size, width),
+        _weak_exact_search,
+        weak_rule_outcome,  # read per call, so that bench/tracer.py's patch counts it
+        external_killers,
+        ((False,), (True,)),
+    )
+    return packing_route(route, Residual.of(formula), budget)
 
 
 def weak_exact_search(formula: Formula, budget: int) -> BackdoorVerdict:

@@ -32,6 +32,9 @@ def test_traced_commands_reach_every_layer(tmp_path):
     grid = tmp_path / "grid4.cnf"
     grid.write_text(emit_dimacs(grid_formula(4)), encoding="ascii")
     commands = [
+        # Grid 4 packs three disjoint cycles, so weak and strong detection
+        # at budget 1 both take the packing route and run their rules.
+        ["detect", "weak", "--cnf", str(grid), "-k", "1", "--json"],
         ["detect", "strong", "--cnf", str(grid), "-k", "1", "--json"],
         ["detect", "deletion", "--cnf", str(grid), "-k", "1", "--json"],
         ["count", "--cnf", str(grid), "--backdoor", "17", "--json"],
@@ -46,10 +49,13 @@ def test_traced_commands_reach_every_layer(tmp_path):
     finally:
         tracer.uninstall()
     assert modules["graphs"].shortest_cycle is original
-    assert codes == [0, 1, 0, 0, 1]
+    assert codes == [0, 0, 1, 0, 0, 1]
 
     spans, counts = tracer.take()
-    assert counts["strong.designations"] > 0
+    for notion, rules in tracing.RULE_IDS.items():
+        designations = counts[f"{notion}.designations"]
+        assert designations > 0
+        assert sum(counts[f"{notion}.rule.{rule}"] for rule in rules) == designations
     assert counts["workers.evaluated"] > 0
 
     def function(span):
