@@ -78,8 +78,7 @@ class Residual(NamedTuple):
 
     def assign(self, variable: int, value: bool) -> Residual:
         """The view with `variable` set: its node and the clauses the value satisfies go."""
-        gone = (self.inc.graph.var_node(variable), *self.inc.satisfied(variable, value))
-        return Residual(self.inc, self.removed.union(gone))
+        return Residual(self.inc, self.removed.union(self.inc.removed_by(variable, value)))
 
     def unassigned(self) -> frozenset[int]:
         """Every variable id up to the largest whose node the view keeps."""
@@ -131,10 +130,7 @@ class Conditioning:
         ordered = sorted(variables)
         self.nodes = [graph.var_node(v) for v in ordered]
         # Per variable in order: the nodes each value removes, False first.
-        self.gone = [
-            [(graph.var_node(v), *inc.satisfied(v, value)) for value in (False, True)]
-            for v in ordered
-        ]
+        self.gone = [[inc.removed_by(v, value) for value in (False, True)] for v in ordered]
 
     def first(self, component: AbstractSet[Node]) -> Optional[int]:
         """The place of the set's variable in `component` with the most
@@ -368,10 +364,9 @@ def restriction_is_acyclic(formula: Formula, assignment: Mapping[int, bool]) -> 
     extra = sorted(v for v in assignment if v not in formula.universe)
     if extra:
         raise ContractError(f"assignment mentions variables outside universe: {extra}")
-    residual = Residual.of(formula)
-    for variable, value in assignment.items():
-        residual = residual.assign(variable, value)
-    return residual.acyclic()
+    inc = incidence_graph(formula)
+    removed = [node for v, value in assignment.items() for node in inc.removed_by(v, value)]
+    return Residual(inc, frozenset(removed)).acyclic()
 
 
 def external_killers(

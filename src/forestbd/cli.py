@@ -33,7 +33,7 @@ from .backdoors import is_deletion_backdoor, is_strong_backdoor, weak_backdoor_w
 from .oracle import KINDS, brute_count, brute_min_backdoor
 from .report import RunReport, base_stats, canonical_digest, formula_digest
 from .strong import count_through_search, count_with_backdoor, detect_deletion, detect_strong
-from .weak import detect_weak
+from .weak import detect_weak, width_bound
 
 THREADS_ENV = "FB_THREADS"
 
@@ -309,9 +309,7 @@ def _cmd_detect(args: argparse.Namespace, formula: Formula) -> Outcome:
 
     parameters: dict[str, Any] = {"k": args.budget}
     if args.kind == "weak":
-        parameters["r"] = (
-            args.width if args.width is not None else max(3, formula.max_clause_width())
-        )
+        parameters["r"] = width_bound(formula, args.width)
     split = verdict.split
     backdoor = sorted(verdict.variables)
     lines = [f"verdict: {'found' if verdict.found else 'no'}"]

@@ -428,11 +428,11 @@ class IncidenceGraph:
             return False
         return None
 
-    def satisfied(self, variable: int, value: bool) -> list[Node]:
-        """The clause nodes that `variable` set to `value` satisfies."""
+    def removed_by(self, variable: int, value: bool) -> list[Node]:
+        """The nodes `variable` set to `value` removes: its own and the clauses it satisfies."""
         literal, literals = (variable if value else -variable), self.literals
-        clauses = self.graph.adjacency[self.graph.var_node(variable)]
-        return [c for c in clauses if literal in literals[c]]
+        node = self.graph.var_node(variable)
+        return [node] + [c for c in self.graph.adjacency[node] if literal in literals[c]]
 
     def variables_adjacent_to(self, clause_index: int) -> Iterator[int]:
         return map(abs, self.literals[clause_index])

@@ -7,12 +7,14 @@ few disjoint cycles an exact memoized search runs, with many the strong
 designation rules shrink branching to at most two variables per
 designation, and both values of a branch variable must find a backdoor.
 
-A variable reaches only its own connected component of the incidence
-graph, so every cyclic component needs backdoor variables of its own.
-The exact strong and deletion searches bound the components at the root
+The exact strong and deletion searches are one set search (`_set_search`)
+that grows a set while `survivor(set)`, a view it leaves cyclic, is not
+None, by each of the `extenders` of that view's canonical shortest cycle.
+A backdoor needs variables in every cyclic component of the incidence
+graph, as a variable reaches only its own. Both bound them at the root
 only: they answer no when the cyclic components outnumber the budget, or
-when their least backdoors, each searched alone, sum past it. In their
-search states the bound prunes too rarely to pay for its pass.
+when their least backdoors, each searched alone, sum past it. In search
+states the bound prunes too rarely to pay for its pass.
 
 A strong backdoor acts as an implied cycle cutset: summing the acyclic
 counts of all its restrictions yields the exact model count. Counting
@@ -239,33 +241,37 @@ def strong_exact_search(formula: Formula, budget: int) -> BackdoorVerdict:
 def _strong_exact_search(root: Residual, budget: int) -> BackdoorVerdict:
     if _components_exceed(root, budget, _strong_exact_search):
         return BackdoorVerdict.no(budget)
-    graph = root.inc.graph
 
-    def settle(candidate: frozenset[int]):
+    def survivor(candidate: frozenset[int]) -> Optional[Residual]:
         walk = Conditioning(root, candidate)
         mask = walk.mask
 
         def acyclic(values: list[bool]) -> bool:
-            return not cyclic_components(graph, bytearray(mask), limit=0)
+            return not cyclic_components(root.inc.graph, bytearray(mask), limit=0)
 
-        def cyclic(values: list[bool]) -> Optional[frozenset[Node]]:
+        def cyclic(values: list[bool]) -> Optional[Residual]:
             if acyclic(values):
                 return None
-            return frozenset(itertools.compress(range(len(mask)), mask))
+            return Residual(root.inc, frozenset(itertools.compress(range(len(mask)), mask)))
 
         # An acyclic prefix holds no cyclic completion.
-        removed = first_leaf(walk, cyclic, acyclic)
-        if removed is None:
-            return candidate, {}
-        if len(candidate) == budget:
-            return None
-        return Residual(root.inc, removed)
+        return first_leaf(walk, cyclic, acyclic)
 
-    def moves(candidate: frozenset[int], survivor: Residual, cycle: Cycle):
-        extenders = opposite_sign_killers(survivor.inc, cycle, survivor.unassigned()).union(
-            cycle.variables
-        )
-        for variable in sorted(extenders):
+    def extenders(view: Residual, cycle: Cycle) -> frozenset[int]:
+        return opposite_sign_killers(view.inc, cycle, view.unassigned()).union(cycle.variables)
+
+    return _set_search(budget, survivor, extenders)
+
+
+def _set_search(budget: int, survivor: Callable, extenders: Callable) -> BackdoorVerdict:
+    def settle(candidate: frozenset[int]):
+        view = survivor(candidate)
+        if view is None:
+            return candidate, {}
+        return view if len(candidate) < budget else None
+
+    def moves(candidate: frozenset[int], view: Residual, cycle: Cycle):
+        for variable in sorted(extenders(view, cycle)):
             yield candidate | {variable}, variable, None
 
     result = branch_on_cycles(frozenset(), settle, moves)
@@ -308,8 +314,8 @@ def _components_exceed(
 
 
 def detect_deletion(formula: Formula, budget: int) -> BackdoorVerdict:
-    """Exact deletion backdoor detection by shortest-cycle branching,
-    memoized on the removed set.
+    """Exact deletion backdoor detection: the strong exact search's set
+    search, on the one view each removed set leaves.
 
     Deleting a variable off a cycle leaves the cycle intact, so a deletion
     backdoor must contain one of the cycle's variables. Vertex-disjoint
@@ -339,22 +345,15 @@ def _detect_deletion(root: Residual, budget: int) -> BackdoorVerdict:
     if _components_exceed(root, budget, _detect_deletion):
         return BackdoorVerdict.no(budget)
 
-    def settle(removed: frozenset[int]):
+    def survivor(removed: frozenset[int]) -> Optional[Residual]:
         if not removed:
             return root  # known to be cyclic
         view = root.without(removed)
         if view.acyclic():
-            return frozenset(), {}
-        return view if len(removed) < budget else None
+            return None
+        return view
 
-    def moves(removed: frozenset[int], survivor: Residual, cycle: Cycle):
-        for variable in sorted(cycle.variables):
-            yield removed | {variable}, variable, None
-
-    result = branch_on_cycles(frozenset(), settle, moves)
-    if result is None:
-        return BackdoorVerdict.no(budget)
-    return BackdoorVerdict.yes(result[0], budget)
+    return _set_search(budget, survivor, lambda view, cycle: cycle.variables)
 
 
 def count_with_backdoor(

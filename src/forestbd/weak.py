@@ -271,6 +271,11 @@ def packing_route(route: Route, residual: Residual, budget: int) -> BackdoorVerd
     return hit if hit is not None else BackdoorVerdict.no(budget, split)
 
 
+def width_bound(formula: Formula, width: int | None) -> int:
+    """Weak detection's clause width bound: `width`, else the widest clause and 3 at least."""
+    return max(3, formula.max_clause_width()) if width is None else width
+
+
 def detect_weak(
     formula: Formula,
     budget: int,
@@ -285,8 +290,7 @@ def detect_weak(
     if budget < 0:
         raise ContractError(f"budget must be >= 0, got {budget}")
     actual = formula.max_clause_width()
-    if width is None:
-        width = max(3, actual)
+    width = width_bound(formula, width)
     if actual > width:
         raise ContractError(
             f"clause width {actual} exceeds declared bound {width}"

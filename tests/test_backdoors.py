@@ -309,7 +309,8 @@ class TestConditioned:
         # A branch stopped while an inner one is open, as when verification
         # meets a component that fails.
         outer = walk.branches(0)
-        assert next(outer) == len(root.inc.satisfied(ordered[0], False))
+        # The clause nodes its False removes: all but its own node.
+        assert next(outer) == len(root.inc.removed_by(ordered[0], False)) - 1
         inner = walk.branches(1)
         next(inner)
         next(inner)

@@ -565,6 +565,21 @@ class TestRestrictionAcyclicity:
         with pytest.raises(ContractError, match=re.escape(message)):
             restriction_is_acyclic(triangle(), {9: True, 1: False, 7: True})
 
+    def test_builds_one_view(self, monkeypatch):
+        # The removed set is built once, not copied per assigned variable.
+        views = []
+        build = Residual.__new__
+
+        def counted(cls, *args):
+            views.append(args)
+            return build(cls, *args)
+
+        monkeypatch.setattr(Residual, "__new__", counted)
+        f = grid_formula(6)
+        assert restriction_is_acyclic(f, {v: True for v in f.universe})
+        assert not restriction_is_acyclic(f, {})
+        assert len(views) == 2
+
     @given(st.integers(0, 100_000))
     @settings(max_examples=200, deadline=None)
     def test_equivalent_to_direct_restriction(self, seed):

@@ -619,6 +619,64 @@ class TestDeletion:
                 assert is_deletion_backdoor(f, verdict.variables)
 
 
+class TestSetSearchWork:
+    """The exact strong search and deletion detection run one set search.
+    Its memo states are pinned, so that the state cap trips at the same
+    counts."""
+
+    @staticmethod
+    def settled(monkeypatch) -> list:
+        states = []
+        branch = strong.branch_on_cycles
+
+        def counted_branch(root, settle, moves):
+            def counted(state):
+                states.append(state)
+                return settle(state)
+
+            return branch(root, counted, moves)
+
+        monkeypatch.setattr(strong, "branch_on_cycles", counted_branch)
+        return states
+
+    @pytest.mark.parametrize(
+        "args, counts", [((40, 25, 3, 1), (3, 7, 19)), ((20, 30, 3, 2), (3, 7, 15))]
+    )
+    def test_strong_states(self, monkeypatch, args, counts):
+        states = self.settled(monkeypatch)
+        f = random_rcnf(*args)
+        for budget, count in zip((1, 2, 3), counts):
+            states.clear()
+            verdict = strong_exact_search(f, budget)
+            assert len(states) == count
+            assert verdict == reference_strong_exact_search(f, budget)
+
+    def test_deletion_states_and_acyclicity_tests(self, monkeypatch):
+        states = self.settled(monkeypatch)
+        tests = []
+        acyclic = Residual.acyclic
+
+        def counted(view):
+            tests.append(len(view.removed))
+            return acyclic(view)
+
+        monkeypatch.setattr(Residual, "acyclic", counted)
+        assert detect_deletion(grid_formula(7), 1) == BackdoorVerdict.no(1)
+        assert len(states) == 3
+        # The root check, then one per state but the empty set, whose view
+        # is the root.
+        assert tests == [0, 1, 1]
+
+    def test_found_sets_through_the_component_bound(self, monkeypatch):
+        # The root bound searches each component alone before the whole.
+        states = self.settled(monkeypatch)
+        f = disjoint_union(random_rcnf(7, 10, 3, 1), triangle())
+        for search, count in ((strong_exact_search, 42), (detect_deletion, 30)):
+            states.clear()
+            assert search(f, 5) == BackdoorVerdict.yes({1, 2, 3, 4, 8}, 5)
+            assert len(states) == count
+
+
 class TestCounting:
     def test_triangle(self):
         f = triangle()
