@@ -7,14 +7,12 @@ few disjoint cycles an exact memoized search runs, with many the strong
 designation rules shrink branching to at most two variables per
 designation, and both values of a branch variable must find a backdoor.
 
-The exact strong and deletion searches are one set search (`_set_search`)
-that grows a set while `survivor(set)`, a view it leaves cyclic, is not
-None, by each of the `extenders` of that view's canonical shortest cycle.
-A backdoor needs variables in every cyclic component of the incidence
-graph, as a variable reaches only its own. Both bound them at the root
-only: they answer no when the cyclic components outnumber the budget, or
-when their least backdoors, each searched alone, sum past it. In search
-states the bound prunes too rarely to pay for its pass.
+The exact strong and deletion searches are one set search, `_set_search`:
+while a notion's `Survivor` finds a view that the set leaves cyclic, or
+None, it grows the set by each of the notion's `Extenders` on that view's
+canonical shortest cycle. Both bound the cyclic components at the root
+only (`_components_exceed`): in search states the bound prunes too rarely
+to pay for its pass.
 
 A strong backdoor acts as an implied cycle cutset: summing the acyclic
 counts of all its restrictions yields the exact model count. Counting
@@ -55,6 +53,8 @@ from .weak import KillChoice, Route, RuleOutcome, packing_route
 from .workers import ordered_map
 
 MAX_STRONG_BUDGET = 6
+Survivor = Callable[[frozenset[int]], Optional[Residual]]
+Extenders = Callable[[Residual, Cycle], AbstractSet[int]]
 
 
 class StrongParameters(NamedTuple):
@@ -263,7 +263,7 @@ def _strong_exact_search(root: Residual, budget: int) -> BackdoorVerdict:
     return _set_search(budget, survivor, extenders)
 
 
-def _set_search(budget: int, survivor: Callable, extenders: Callable) -> BackdoorVerdict:
+def _set_search(budget: int, survivor: Survivor, extenders: Extenders) -> BackdoorVerdict:
     def settle(candidate: frozenset[int]):
         view = survivor(candidate)
         if view is None:

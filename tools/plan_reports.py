@@ -2,13 +2,14 @@
 
 One JSON line per run, so that two checkouts' outputs compare with `diff`:
 
-    python3 tools/plan_reports.py [--seeds 1 11] [--workloads detect count bulk] [--dir DIR]
+    python3 tools/plan_reports.py
 
-Each workload's plan is prepared with `bench/workloads.py` in
-DIR/<workload>-<seed>; DIR defaults to a fixed directory under the
-system's temporary directory. Every command of the plan then runs in this
-process through `forestbd.cli.main` with `--no-timing`, once as planned
-(variant `json`) and once without `--json` (variant `text`). A line holds
+The seed-1 and seed-11 plans of each workload are prepared with
+`bench/workloads.py` in DIR/<workload>-<seed>, where DIR is a fixed
+directory under the system's temporary directory. Every command of a
+plan then runs in this process through `forestbd.cli.main` with
+`--no-timing`, once as planned (variant `json`) and once without
+`--json` (variant `text`). A line holds
 the workload, seed, label, variant, exit code, stdout and stderr, with the
 plan directory written as `<plan>`. The script reads `bench/` and changes
 nothing under it; `forestbd` is imported from this checkout's `src/`.
@@ -16,7 +17,6 @@ nothing under it; `forestbd` is imported from this checkout's `src/`.
 
 from __future__ import annotations
 
-import argparse
 import io
 import json
 import sys
@@ -32,6 +32,8 @@ import workloads  # noqa: E402  (bench/workloads.py)
 from forestbd import cli  # noqa: E402
 
 PLACEHOLDER = "<plan>"
+SEEDS = (1, 11)
+DIR = Path(tempfile.gettempdir()) / "forestbd-plan-reports"
 
 
 def run(argv: list[str]) -> tuple[int, str, str]:
@@ -61,21 +63,9 @@ def reports(workload: str, seed: int, out: Path) -> Iterator[dict]:
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 11])
-    parser.add_argument(
-        "--workloads",
-        nargs="+",
-        choices=sorted(workloads.WORKLOADS),
-        default=list(workloads.WORKLOADS),
-    )
-    parser.add_argument(
-        "--dir", type=Path, default=Path(tempfile.gettempdir()) / "forestbd-plan-reports"
-    )
-    args = parser.parse_args()
-    for seed in args.seeds:
-        for workload in args.workloads:
-            for line in reports(workload, seed, args.dir / f"{workload}-{seed}"):
+    for seed in SEEDS:
+        for workload in workloads.WORKLOADS:
+            for line in reports(workload, seed, DIR / f"{workload}-{seed}"):
                 print(json.dumps(line), flush=True)
 
 
