@@ -369,18 +369,36 @@ def restriction_is_acyclic(formula: Formula, assignment: Mapping[int, bool]) -> 
     return Residual(inc, frozenset(removed)).acyclic()
 
 
-def external_killers(
-    inc: IncidenceGraph, cycle: Cycle, pool: AbstractSet[int]
-) -> frozenset[int]:
-    """Pool variables outside the cycle adjacent to at least one of its
-    clauses; satisfying such a clause can remove the cycle."""
-    on_cycle = cycle.variable_set
+# A notion's kill relation: the pool variables some backdoor use of which removes the
+# cycle, on it (internal) or off it (external). Every backdoor holds a killer of each cycle.
+Killers = Callable[[IncidenceGraph, Cycle, AbstractSet[int]], frozenset[int]]
+
+
+def weak_killers(inc: IncidenceGraph, cycle: Cycle, pool: AbstractSet[int]) -> frozenset[int]:
+    """Pool variables in one of the cycle's clauses: a value satisfying
+    that clause removes the cycle. The cycle's own variables are among
+    them, since each lies between two of its clauses."""
     return frozenset(
         variable
         for index in cycle.clause_indices
-        for variable in inc.variables_adjacent_to(index)
-        if variable in pool and variable not in on_cycle
+        for variable in map(abs, inc.literals[index])
+        if variable in pool
     )
+
+
+def strong_killers(inc: IncidenceGraph, cycle: Cycle, pool: AbstractSet[int]) -> frozenset[int]:
+    """Pool variables on the cycle, or with opposite signs in two of its
+    clauses: either value of such a variable satisfies (and removes) one of
+    the two, so no restriction of it keeps the whole cycle."""
+    literals = {lit for index in cycle.clause_indices for lit in inc.literals[index]}
+    # No clause holds both signs of a variable, so the two come from two clauses.
+    external = (lit for lit in literals if lit > 0 and -lit in literals)
+    return cycle.variable_set.union(external).intersection(pool)
+
+
+def deletion_killers(inc: IncidenceGraph, cycle: Cycle, pool: AbstractSet[int]) -> frozenset[int]:
+    """Pool variables on the cycle: deleting any other keeps the cycle whole."""
+    return cycle.variable_set.intersection(pool)
 
 
 def branch_on_cycles(

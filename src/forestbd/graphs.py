@@ -434,9 +434,6 @@ class IncidenceGraph:
         node = self.graph.var_node(variable)
         return [node] + [c for c in self.graph.adjacency[node] if literal in literals[c]]
 
-    def variables_adjacent_to(self, clause_index: int) -> Iterator[int]:
-        return map(abs, self.literals[clause_index])
-
     def residual_acyclic(self, removed: AbstractSet[Node]) -> bool:
         """Whether the view of this graph minus `removed` is acyclic."""
         return is_acyclic(self.graph, forbidden=removed)

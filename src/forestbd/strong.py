@@ -9,10 +9,10 @@ designation, and both values of a branch variable must find a backdoor.
 
 The exact strong and deletion searches are one set search, `_set_search`:
 while a notion's `Survivor` finds a view that the set leaves cyclic, or
-None, it grows the set by each of the notion's `Extenders` on that view's
-canonical shortest cycle. Both bound the cyclic components at the root
-only (`_components_exceed`): in search states the bound prunes too rarely
-to pay for its pass.
+None, it grows the set by each unassigned killer (`backdoors.Killers`)
+of that view's canonical shortest cycle. Both bound the cyclic
+components at the root only (`_components_exceed`): in search states
+the bound prunes too rarely to pay for its pass.
 
 A strong backdoor acts as an implied cycle cutset: summing the acyclic
 counts of all its restrictions yields the exact model count. Counting
@@ -34,10 +34,13 @@ from .acyclic import ModelCount, split_count
 from .backdoors import (
     BackdoorVerdict,
     Conditioning,
+    Killers,
     Residual,
     _guard_size,
     branch_on_cycles,
+    deletion_killers,
     first_leaf,
+    strong_killers,
 )
 from .errors import ContractError, ResourceLimitError
 from .formula import Formula
@@ -54,7 +57,6 @@ from .workers import ordered_map
 
 MAX_STRONG_BUDGET = 6
 Survivor = Callable[[frozenset[int]], Optional[Residual]]
-Extenders = Callable[[Residual, Cycle], AbstractSet[int]]
 
 
 class StrongParameters(NamedTuple):
@@ -95,31 +97,15 @@ def _arcs_between(cycle: Cycle, start: Node, end: Node) -> tuple[tuple, tuple]:
     return forward, backward
 
 
-def opposite_sign_killers(
-    inc: IncidenceGraph, cycle: Cycle, pool: AbstractSet[int]
-) -> frozenset[int]:
-    """Pool variables outside the cycle occurring with opposite signs in two
-    of its clauses, read off those clauses' literals. Either value of such a
-    variable satisfies (and removes) one of the two clauses, so no
-    restriction of it keeps the whole cycle."""
-    literals = {lit for index in cycle.clause_indices for lit in inc.literals[index]}
-    on_cycle = cycle.variable_set
-    # No clause holds both signs of a variable, so the two come from two clauses.
-    return frozenset(
-        lit
-        for lit in literals
-        if lit > 0 and -lit in literals and lit in pool and lit not in on_cycle
-    )
-
-
 def build_apex_cycle(
     inc: IncidenceGraph, cycle: Cycle, pool: AbstractSet[int]
 ) -> Optional[ApexCycle]:
-    """The minimum-length killing arc over all pool killers of the cycle,
-    ties by (positive clause, negative clause, killer, arc nodes); None when
-    no pool variable holds opposite signs in two of the cycle's clauses."""
+    """The minimum-length killing arc over all outside pool killers of the
+    cycle, ties by (positive clause, negative clause, killer, arc nodes);
+    None when no pool variable off the cycle holds opposite signs in two of
+    its clauses."""
     best: Optional[tuple] = None
-    for variable in sorted(opposite_sign_killers(inc, cycle, pool)):
+    for variable in sorted(strong_killers(inc, cycle, pool) - cycle.variable_set):
         positive = [i for i in cycle.clause_indices if inc.sign(variable, i) is True]
         negative = [i for i in cycle.clause_indices if inc.sign(variable, i) is False]
         for u in positive:
@@ -218,7 +204,7 @@ def _detect_strong(residual: Residual, budget: int) -> BackdoorVerdict:
         StrongParameters.derive,
         _strong_exact_search,
         strong_rule_outcome,  # read per call, so that bench/tracer.py's patch counts it
-        opposite_sign_killers,
+        strong_killers,
         ((True, False),),
     )
     return packing_route(route, residual, budget)
@@ -230,8 +216,8 @@ def strong_exact_search(formula: Formula, budget: int) -> BackdoorVerdict:
     A candidate set is grown until no assignment of it leaves a cycle.
     When some assignment does, the surviving cycle pins the next branch:
     a strong backdoor extending the candidate set must assign one of the
-    cycle's variables or an unassigned one with opposite signs in two of its
-    clauses, because any other set admits an assignment keeping the cycle.
+    cycle's unassigned killers (`backdoors.strong_killers`), because any
+    other set admits an assignment keeping the cycle.
     """
     if budget < 0:
         raise ContractError(f"budget must be >= 0, got {budget}")
@@ -257,13 +243,10 @@ def _strong_exact_search(root: Residual, budget: int) -> BackdoorVerdict:
         # An acyclic prefix holds no cyclic completion.
         return first_leaf(walk, cyclic, acyclic)
 
-    def extenders(view: Residual, cycle: Cycle) -> frozenset[int]:
-        return opposite_sign_killers(view.inc, cycle, view.unassigned()).union(cycle.variables)
-
-    return _set_search(budget, survivor, extenders)
+    return _set_search(budget, survivor, strong_killers)
 
 
-def _set_search(budget: int, survivor: Survivor, extenders: Extenders) -> BackdoorVerdict:
+def _set_search(budget: int, survivor: Survivor, killers: Killers) -> BackdoorVerdict:
     def settle(candidate: frozenset[int]):
         view = survivor(candidate)
         if view is None:
@@ -271,7 +254,7 @@ def _set_search(budget: int, survivor: Survivor, extenders: Extenders) -> Backdo
         return view if len(candidate) < budget else None
 
     def moves(candidate: frozenset[int], view: Residual, cycle: Cycle):
-        for variable in sorted(extenders(view, cycle)):
+        for variable in sorted(killers(view.inc, cycle, view.unassigned())):
             yield candidate | {variable}, variable, None
 
     result = branch_on_cycles(frozenset(), settle, moves)
@@ -353,7 +336,7 @@ def _detect_deletion(root: Residual, budget: int) -> BackdoorVerdict:
             return None
         return view
 
-    return _set_search(budget, survivor, lambda view, cycle: cycle.variables)
+    return _set_search(budget, survivor, deletion_killers)
 
 
 def count_with_backdoor(

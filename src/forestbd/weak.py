@@ -17,11 +17,11 @@ cyclic components outnumber the budget left: a variable reaches only its
 own component. Each of its states makes one component pass, which stops
 at the first cycle past that budget.
 
-Hopeless cycles are settled once per packing. A packed cycle that no
-unassigned outside variable can kill under the rule's own killer test
-can be killed by no designation's pool either, so every designation
-leaving it external selects nothing; `candidate_pool` enumerates only the
-designations that hold every hopeless cycle internal.
+Hopeless cycles are settled once per packing. A packed cycle whose
+unassigned killers (`backdoors.weak_killers` or `strong_killers`) all
+lie on it can be killed from no designation's pool when left external,
+so every designation leaving it external selects nothing; `candidate_pool`
+enumerates only the designations that hold every hopeless cycle internal.
 
 Rule identifiers (in application order):
   unkillable-cycle       some designated-external cycle has no pool
@@ -44,7 +44,6 @@ import itertools
 import math
 from typing import (
     TYPE_CHECKING,
-    AbstractSet,
     Callable,
     Iterable,
     Iterator,
@@ -54,7 +53,7 @@ from typing import (
 )
 
 from .acyclic import residual_satisfiable
-from .backdoors import BackdoorVerdict, Residual, branch_on_cycles, external_killers
+from .backdoors import BackdoorVerdict, Killers, Residual, branch_on_cycles, weak_killers
 from .errors import ContractError, ResourceLimitError
 from .formula import Assignment, Formula
 from .graphs import (
@@ -99,7 +98,9 @@ class WeakParameters(NamedTuple):
 class KillChoice(NamedTuple):
     """One way of designating which packed cycles a backdoor may touch
     directly; all others must be removed from outside, so their variables
-    are barred from the pool."""
+    are barred from the pool. The packed cycles are disjoint, so an
+    external cycle's killers within the pool are its outside killers
+    alone, which the selection rules read."""
 
     internal: tuple[Cycle, ...]
     external: tuple[Cycle, ...]
@@ -119,7 +120,7 @@ def weak_rule_outcome(
     The outcome's set intersects every weak backdoor within the pool of
     size at most the budget; an empty set certifies that none exists.
     """
-    killer_sets = [external_killers(inc, c, choice.pool) for c in choice.external]
+    killer_sets = [weak_killers(inc, c, choice.pool) for c in choice.external]
     if any(not ks for ks in killer_sets):
         return RuleOutcome("unkillable-cycle", frozenset())
 
@@ -199,7 +200,7 @@ def designations(
 
 def candidate_pool(
     rule: Callable[..., RuleOutcome],
-    killers: Callable[[IncidenceGraph, Cycle, AbstractSet[int]], frozenset[int]],
+    killers: Killers,
     residual: Residual,
     packing: Sequence[Cycle],
     params: WeakParameters | StrongParameters,
@@ -207,15 +208,15 @@ def candidate_pool(
     """Union of rule selections over every designation; every backdoor
     within budget intersects it, and an empty union certifies none exists.
 
-    `killers` is the rule's own first test: the rule selects nothing when
-    an external cycle has no killers in the pool. A packed cycle with none
-    among all unassigned variables is hopeless: every designation's pool
-    lies within those, so a designation leaving it external adds nothing,
-    and only the designations holding every hopeless cycle internal run
-    (none when more than the budget are hopeless)."""
+    `killers` is the notion's kill relation: the rule selects nothing when
+    an external cycle has no killers in the pool. A packed cycle whose
+    unassigned killers all lie on it is hopeless: a designation leaving it
+    external bars those from its pool, so it adds nothing, and only the
+    designations holding every hopeless cycle internal run (none when
+    more than the budget are hopeless)."""
     inc, unassigned = residual.inc, residual.unassigned()
     cycles = packing[: params.cycles]
-    hopeless = [i for i, cycle in enumerate(cycles) if not killers(inc, cycle, unassigned)]
+    hopeless = [i for i, c in enumerate(cycles) if killers(inc, c, unassigned) <= c.variable_set]
     pool: set[int] = set()
     for _, outcome in designations(rule, residual, packing, params, hopeless):
         pool |= outcome.selected
@@ -232,7 +233,7 @@ class Route(NamedTuple):
     derive: Callable[[int], WeakParameters | StrongParameters]
     exact: Callable[[Residual, int], BackdoorVerdict]
     rule: Callable[..., RuleOutcome]
-    killers: Callable[[IncidenceGraph, Cycle, AbstractSet[int]], frozenset[int]]
+    killers: Killers
     values: tuple[tuple[bool, ...], ...]
 
 
@@ -300,7 +301,7 @@ def detect_weak(
         lambda size: WeakParameters.derive(size, width),
         _weak_exact_search,
         weak_rule_outcome,  # read per call, so that bench/tracer.py's patch counts it
-        external_killers,
+        weak_killers,
         ((False,), (True,)),
     )
     return packing_route(route, Residual.of(formula), budget)
@@ -310,10 +311,10 @@ def weak_exact_search(formula: Formula, budget: int) -> BackdoorVerdict:
     """Exact weak backdoor search by cycle branching, memoized on the
     residual view of the formula's one incidence graph.
 
-    Any weak backdoor must remove the chosen cycle: either it assigns one
-    of the cycle's variables, or it satisfies one of the cycle's clauses
-    through an adjacent outside variable. Sound and complete for every
-    budget and width.
+    Any weak backdoor must remove the chosen cycle, so it assigns one of
+    the cycle's killers (`backdoors.weak_killers`): a variable of the
+    cycle, or an outside one satisfying one of its clauses. Sound and
+    complete for every budget and width.
     """
     if budget < 0:
         raise ContractError(f"budget must be >= 0, got {budget}")
@@ -335,10 +336,7 @@ def _weak_exact_search(root: Residual, budget: int) -> BackdoorVerdict:
         return (frozenset(), {}) if residual_satisfiable(residual.inc, residual.removed) else None
 
     def moves(state: tuple[Residual, int], residual: Residual, cycle: Cycle):
-        candidates = external_killers(residual.inc, cycle, residual.unassigned()).union(
-            cycle.variables
-        )
-        for candidate in sorted(candidates):
+        for candidate in sorted(weak_killers(residual.inc, cycle, residual.unassigned())):
             for value in (False, True):
                 child = residual.assign(candidate, value)
                 if not child.has_empty_clause(candidate):  # only its clauses can empty

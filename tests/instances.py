@@ -8,9 +8,12 @@ taking a removed-node view of the formula's one graph, and the reference
 cycle search and packing run every BFS to the end, with no girth bound,
 the reference girth pass keeps the older, later cut and peels nothing,
 and the reference weak rule walks the heavy cycles and the killer pairs
-twice each. The reference detectors take the union of the rule over every
-designation, with no hopeless-cycle pruning, and the reference apex-cycle
-killers scan the whole pool. The reference completions assign each
+twice each. The reference kill relations decide from the formula's
+clauses by what each value satisfies, never from the incidence graph's
+literals, and the reference weak rule and weak search read them. The
+reference detectors take the union of the rule over every designation,
+with no hopeless-cycle pruning, and the reference apex-cycle killers
+scan the whole pool. The reference completions assign each
 leaf's view whole from the root. The reference parser reads DIMACS one line
 and one token at a time, checking each line for what `int` reads beyond
 plain decimals.
@@ -43,7 +46,6 @@ from forestbd.backdoors import (
     Residual,
     _guard_size,
     branch_on_cycles,
-    external_killers,
 )
 from forestbd.formula import MAX_DIMACS_VARIABLES, Assignment
 from forestbd.graphs import (
@@ -689,21 +691,50 @@ def reference_packing(graph: Graph, count: int) -> PackingOrFeedback:
             return CyclePacking(tuple(packed))
 
 
-# --- reference weak selection rule --------------------------------------------
+# --- reference kill relations and weak selection rule -------------------------
+
+def reference_killers(formula: Formula, kind: str, cycle: Cycle, pool) -> frozenset[int]:
+    """The pool variables that kill `cycle`, a cycle of the formula's
+    incidence graph, as `backdoors.weak_killers`, `strong_killers` and
+    `deletion_killers` (`kind` "weak", "strong" or "deletion") define
+    them: a variable on the cycle, or, for weak, one with some value
+    satisfying a clause of the cycle, or, for strong, one each of whose
+    values satisfies a clause of the cycle. Decided from the formula's
+    clauses alone."""
+    clauses = [formula.clauses[index] for index in cycle.clause_indices]
+    on_cycle = set(cycle.variables)
+    found = set()
+    for variable in pool:
+        satisfying = [
+            any(clause.satisfied_by({variable: value}) for clause in clauses)
+            for value in (False, True)
+        ]
+        if (
+            variable in on_cycle
+            or (kind == "weak" and any(satisfying))
+            or (kind == "strong" and all(satisfying))
+        ):
+            found.add(variable)
+    return frozenset(found)
+
 
 def reference_weak_rule_outcome(
-    inc: IncidenceGraph, choice: KillChoice, params: WeakParameters
+    formula: Formula, choice: KillChoice, params: WeakParameters
 ) -> RuleOutcome:
-    """`weak.weak_rule_outcome` in two passes: every killer weight and
-    champion first, then the heavy cycles once for concentrated-killers and
-    again for dominant-killer, then the killer pairs once for the overlap
-    certificate and again for the shared killers."""
-    killer_sets = [external_killers(inc, c, choice.pool) for c in choice.external]
+    """`weak.weak_rule_outcome` on the formula's incidence graph, in two
+    passes: every killer weight and champion first, then the heavy cycles
+    once for concentrated-killers and again for dominant-killer, then the
+    killer pairs once for the overlap certificate and again for the shared
+    killers. Killers and weights are read off the formula's clauses."""
+    killer_sets = [reference_killers(formula, "weak", c, choice.pool) for c in choice.external]
     if any(not ks for ks in killer_sets):
         return RuleOutcome("unkillable-cycle", frozenset())
 
     weights = [
-        {v: sum(inc.sign(v, i) is not None for i in cycle.clause_indices) for v in ks}
+        {
+            v: sum(formula.clauses[i].polarity(v) is not None for i in cycle.clause_indices)
+            for v in ks
+        }
         for cycle, ks in zip(choice.external, killer_sets)
     ]
     champions: list[tuple[int, int]] = []
@@ -794,7 +825,8 @@ def opposite_sign_clauses(
 ) -> tuple[int, int] | None:
     """The least clause pair of the cycle holding the variable positively in
     the first and negatively in the second, or None: the per-variable form
-    of `strong.opposite_sign_killers` that the reference strong search uses.
+    of `backdoors.strong_killers` off the cycle, which the reference strong
+    search uses.
 
     Either value of the variable satisfies (and removes) one of the two
     clauses, so no restriction of the variable keeps the whole cycle.
@@ -828,10 +860,10 @@ def reference_strong_exact_search(formula: Formula, budget: int) -> BackdoorVerd
     def moves(candidate: frozenset[int], residual: Residual, cycle: Cycle):
         cycle_vars = frozenset(cycle.variables)
         outside = formula.universe - candidate - cycle_vars
-        extenders = cycle_vars | {
+        killers = cycle_vars | {
             v for v in outside if opposite_sign_clauses(residual.inc, v, cycle) is not None
         }
-        for variable in sorted(extenders):
+        for variable in sorted(killers):
             yield candidate | {variable}, variable, None
 
     result = branch_on_cycles(frozenset(), settle, moves)
@@ -856,11 +888,7 @@ def reference_weak_exact_search(formula: Formula, budget: int) -> BackdoorVerdic
 
     def moves(state: tuple[Formula, int], residual: Residual, cycle: Cycle):
         current, remaining = state
-        cycle_vars = frozenset(cycle.variables)
-        candidates = cycle_vars | external_killers(
-            residual.inc, cycle, current.universe - cycle_vars
-        )
-        for candidate in sorted(candidates):
+        for candidate in sorted(reference_killers(current, "weak", cycle, current.universe)):
             for value in (False, True):
                 yield (current.restrict({candidate: value}), remaining - 1), candidate, value
 

@@ -26,7 +26,14 @@ from forestbd import (
     weak_backdoor_witness,
 )
 from forestbd import acyclic, backdoors, graphs, strong, weak
-from forestbd.backdoors import Conditioning, Residual, external_killers, first_leaf
+from forestbd.backdoors import (
+    Conditioning,
+    Residual,
+    deletion_killers,
+    first_leaf,
+    strong_killers,
+    weak_killers,
+)
 from forestbd.formula import emit_dimacs
 from forestbd.strong import count_with_backdoor, detect_deletion, strong_exact_search
 from forestbd.weak import detect_weak, weak_exact_search
@@ -38,9 +45,11 @@ from instances import (
     disjoint_union,
     k33_gadgets,
     opposite_sign_clauses,
+    random_hitting_formula,
     reference_completions,
     reference_count_with_backdoor,
     reference_cyclic_components,
+    reference_killers,
     reference_weak_witness,
     ring_formula,
     theta_formula,
@@ -668,19 +677,58 @@ class TestKillRelations:
         f = Formula.from_ints([[1, 2, 5], [1, 2]], num_vars=5)
         inc = incidence_graph(f)
         cycle = shortest_cycle(inc.graph)
-        assert external_killers(inc, cycle, f.universe - {1, 2}) == frozenset({5})
+        assert weak_killers(inc, cycle, f.universe - {1, 2}) == frozenset({5})
 
     def test_self_contained_cycle_has_none(self):
         f = Formula.from_ints([[1, 2], [1, 2]], num_vars=3)
         inc = incidence_graph(f)
         cycle = shortest_cycle(inc.graph)
-        assert external_killers(inc, cycle, f.universe - {1, 2}) == frozenset()
+        assert weak_killers(inc, cycle, f.universe - {1, 2}) == frozenset()
 
     def test_grid_face_killed_by_extra_variable(self):
         f = grid_formula(2)
         inc = incidence_graph(f)
         cycle = shortest_cycle(inc.graph, forbidden={inc.graph.var_node(5)})
-        assert 5 in external_killers(inc, cycle, frozenset({5}))
+        assert 5 in weak_killers(inc, cycle, frozenset({5}))
+
+    RELATIONS = {"weak": weak_killers, "strong": strong_killers, "deletion": deletion_killers}
+    # Each family's formulas, and the relations meeting killers off the cycle.
+    FAMILIES = {
+        "grid": (lambda: [grid_formula(size) for size in range(2, 7)], {"weak"}),
+        "rcnf": (
+            lambda: [random_rcnf(12, 8 + 2 * seed, 3, seed) for seed in range(20)],
+            {"weak", "strong"},
+        ),
+        "hitting": (lambda: [random_hitting_formula(seed) for seed in range(30)], {"weak"}),
+        "k33": (lambda: [k33_gadgets(count) for count in (1, 2, 3)], {"weak", "strong"}),
+    }
+
+    @pytest.mark.parametrize("family", list(FAMILIES))
+    def test_relations_match_reference_on_restriction_views(self, family):
+        # The canonical cycle of random restriction views, with the universe,
+        # the unassigned variables, and those minus the cycle's own as pools.
+        build, external = self.FAMILIES[family]
+        rng = random.Random(f"killers-{family}")
+        seen = Counter()
+        for formula in build():
+            root = Residual.of(formula)
+            universe = sorted(formula.universe)
+            for _ in range(6):
+                view = root
+                for variable in rng.sample(universe, rng.randint(0, min(3, len(universe)))):
+                    view = view.assign(variable, rng.random() < 0.5)
+                cycle = shortest_cycle(view.inc.graph, forbidden=view.removed)
+                if cycle is None:
+                    continue
+                unassigned = view.unassigned()
+                for pool in (formula.universe, unassigned, unassigned - cycle.variable_set):
+                    for kind, killers in self.RELATIONS.items():
+                        found = killers(view.inc, cycle, pool)
+                        assert found == reference_killers(formula, kind, cycle, pool)
+                        seen[kind, "on", bool(found & cycle.variable_set)] += 1
+                        seen[kind, "off", bool(found - cycle.variable_set)] += 1
+        assert all(seen[kind, "on", True] for kind in self.RELATIONS)
+        assert {kind for kind in self.RELATIONS if seen[kind, "off", True]} == external
 
     def test_opposite_sign_pair(self):
         f = Formula.from_ints([[1, 2, 5], [1, 2, -5], [1, 2]], num_vars=5)

@@ -229,6 +229,17 @@ class TestExitCodes:
         assert code == 3
         assert "designations" in err
 
+    def test_weak_designation_guard(self, tmp_path):
+        # Weak detection at k packs 2k + 1 cycles: 21 triangles at k=10 have
+        # C(21, 10) designations, while k=9 has C(19, 9) = 92,378, in range.
+        path = tmp_path / "triangles.cnf"
+        path.write_text(emit_dimacs(disjoint_triangles(21)), encoding="ascii")
+        code, out, err = run(["detect", "weak", "--cnf", str(path), "-k", "10"])
+        assert (code, out) == (3, "")
+        assert "refusing to enumerate 352716 designations (limit 100000)" in err
+        code, out, _ = run(["detect", "weak", "--cnf", str(path), "-k", "9"])
+        assert (code, out) == (1, "verdict: no\n")
+
     def test_count_rejects_non_backdoor(self, triangle_file):
         code, _, err = run(["count", "--cnf", triangle_file, "--backdoor", ""])
         assert code == 2

@@ -37,12 +37,11 @@ from forestbd import (
     weak_exact_search,
 )
 from forestbd import acyclic, backdoors, graphs, strong, weak
-from forestbd.backdoors import Conditioning, Residual, external_killers
+from forestbd.backdoors import Conditioning, Residual, strong_killers, weak_killers
 from forestbd.strong import (
     StrongParameters,
     apex_cycle_killers,
     build_apex_cycle,
-    opposite_sign_killers,
     strong_rule_outcome,
 )
 from forestbd.weak import WeakParameters, candidate_pool, designations, weak_rule_outcome
@@ -129,6 +128,26 @@ class TestApexCycle:
         inc = incidence_graph(f)
         cycle = shortest_cycle(inc.graph, forbidden={inc.graph.var_node(3)})
         assert build_apex_cycle(inc, cycle, frozenset({3})) is None
+
+    def test_apex_lies_off_the_cycle_for_any_pool(self):
+        # Variables of a triangle's cycle hold opposite signs in two of its
+        # clauses, so they kill it, but only from the inside: no apex.
+        f = triangle()
+        inc = incidence_graph(f)
+        assert build_apex_cycle(inc, shortest_cycle(inc.graph), f.universe) is None
+        apexes = 0
+        for seed in range(40):
+            f = random_instance(seed)
+            inc = incidence_graph(f)
+            cycle = shortest_cycle(inc.graph)
+            if cycle is None:
+                continue
+            apex = build_apex_cycle(inc, cycle, f.universe)
+            assert apex == build_apex_cycle(inc, cycle, f.universe - cycle.variable_set)
+            if apex is not None:
+                assert apex.apex not in cycle.variable_set
+                apexes += 1
+        assert apexes >= 5
 
     def test_inner_pair_wins_minimality(self):
         # Ring of six clauses; w kills at the distant pair (0, 3), z at the
@@ -360,9 +379,9 @@ class TestHopelessCycles:
         "strong-triangles11-k2": ("strong", 2, lambda: disjoint_triangles(11), 11),
     }
     RULES = {
-        "weak": (weak_rule_outcome, external_killers, detect_weak, reference_detect_weak),
+        "weak": (weak_rule_outcome, weak_killers, detect_weak, reference_detect_weak),
         "strong": (
-            strong_rule_outcome, opposite_sign_killers, detect_strong, reference_detect_strong
+            strong_rule_outcome, strong_killers, detect_strong, reference_detect_strong
         ),
     }
 
@@ -379,7 +398,9 @@ class TestHopelessCycles:
         split = disjoint_cycles_or_feedback(residual.inc.graph, params.cycles)
         assert isinstance(split, CyclePacking)
         hopeless = [
-            c for c in split.cycles if not killers(residual.inc, c, residual.unassigned())
+            c
+            for c in split.cycles
+            if killers(residual.inc, c, residual.unassigned()) <= c.variable_set
         ]
         assert len(hopeless) == expected_hopeless
         pool = candidate_pool(rule, killers, residual, split.cycles, params)
@@ -416,7 +437,7 @@ class TestHopelessCycles:
         assert isinstance(split, CyclePacking)
         with pytest.raises(ResourceLimitError):
             candidate_pool(
-                strong_rule_outcome, opposite_sign_killers, residual, split.cycles, params
+                strong_rule_outcome, strong_killers, residual, split.cycles, params
             )
         with pytest.raises(ResourceLimitError):
             next(designations(strong_rule_outcome, residual, split.cycles, params, range(5)))
@@ -430,7 +451,7 @@ class TestCandidatePool:
         assert isinstance(split, CyclePacking)
         params = StrongParameters.derive(1)
         pool = candidate_pool(
-            strong_rule_outcome, opposite_sign_killers, residual, split.cycles, params
+            strong_rule_outcome, strong_killers, residual, split.cycles, params
         )
         assert 17 in pool
 
@@ -440,7 +461,7 @@ class TestCandidatePool:
         split = disjoint_cycles_or_feedback(residual.inc.graph, 3)
         params = StrongParameters.derive(1)
         pool = candidate_pool(
-            strong_rule_outcome, opposite_sign_killers, residual, split.cycles, params
+            strong_rule_outcome, strong_killers, residual, split.cycles, params
         )
         assert pool == frozenset()
 
@@ -625,9 +646,9 @@ class TestSetSearchWork:
     counts."""
 
     @staticmethod
-    def settled(monkeypatch) -> list:
+    def settled(monkeypatch, module=strong) -> list:
         states = []
-        branch = strong.branch_on_cycles
+        branch = module.branch_on_cycles
 
         def counted_branch(root, settle, moves):
             def counted(state):
@@ -636,7 +657,7 @@ class TestSetSearchWork:
 
             return branch(root, counted, moves)
 
-        monkeypatch.setattr(strong, "branch_on_cycles", counted_branch)
+        monkeypatch.setattr(module, "branch_on_cycles", counted_branch)
         return states
 
     @pytest.mark.parametrize(
@@ -675,6 +696,25 @@ class TestSetSearchWork:
             states.clear()
             assert search(f, 5) == BackdoorVerdict.yes({1, 2, 3, 4, 8}, 5)
             assert len(states) == count
+
+
+class TestWeakSearchWork:
+    """The weak exact search's memo states are pinned as the set search's
+    are, so that its state cap trips at the same counts."""
+
+    @pytest.mark.parametrize(
+        "args, counts, found",
+        [((40, 25, 3, 1), (9, 68, 78), {7, 26, 33}), ((20, 30, 3, 2), (9, 64, 463), set())],
+    )
+    def test_weak_states(self, monkeypatch, args, counts, found):
+        states = TestSetSearchWork.settled(monkeypatch, weak)
+        f = random_rcnf(*args)
+        for budget, count in zip((1, 2, 3), counts):
+            states.clear()
+            verdict = weak_exact_search(f, budget)
+            assert len(states) == count
+            assert verdict == reference_weak_exact_search(f, budget)
+        assert verdict.variables == found
 
 
 class TestCounting:

@@ -23,7 +23,7 @@ from forestbd import (
     weak_backdoor_witness,
     weak_exact_search,
 )
-from forestbd.backdoors import Residual, external_killers
+from forestbd.backdoors import Residual, weak_killers
 from forestbd.strong import StrongParameters, strong_rule_outcome
 from forestbd.weak import (
     RuleOutcome,
@@ -155,7 +155,7 @@ class TestOnePassRule:
                 for choice, outcome in designations(
                     weak_rule_outcome, residual, split.cycles, params
                 ):
-                    assert outcome == reference_weak_rule_outcome(residual.inc, choice, params)
+                    assert outcome == reference_weak_rule_outcome(formula, choice, params)
                     compared += 1
         assert compared >= 100
 
@@ -168,7 +168,7 @@ class TestOnePassRule:
             for budget, width in itertools.product((1, 2), (3, 4, 5)):
                 params = WeakParameters.derive(budget, width)
                 outcome = weak_rule_outcome(inc, choice, params)
-                assert outcome == reference_weak_rule_outcome(inc, choice, params)
+                assert outcome == reference_weak_rule_outcome(f, choice, params)
                 fired.add(outcome.rule)
         assert fired >= {"concentrated-killers", "dominant-killer", "killer-overlap-excess"}
 
@@ -179,7 +179,7 @@ class TestCandidatePool:
         residual = Residual.of(f)
         split = disjoint_cycles_or_feedback(residual.inc.graph, 3)
         params = WeakParameters.derive(1, 3)
-        pool = candidate_pool(weak_rule_outcome, external_killers, residual, split.cycles, params)
+        pool = candidate_pool(weak_rule_outcome, weak_killers, residual, split.cycles, params)
         assert pool == frozenset()
         assert brute_min_backdoor(f, "weak", 1).optimum is None
 
@@ -189,7 +189,7 @@ class TestCandidatePool:
         split = disjoint_cycles_or_feedback(residual.inc.graph, 3)
         assert isinstance(split, CyclePacking)
         params = WeakParameters.derive(1, 3)
-        pool = candidate_pool(weak_rule_outcome, external_killers, residual, split.cycles, params)
+        pool = candidate_pool(weak_rule_outcome, weak_killers, residual, split.cycles, params)
         assert 17 in pool
 
     def test_every_outcome_is_sound(self):
@@ -206,7 +206,7 @@ class TestCandidatePool:
         residual = Residual.of(f)
         params = WeakParameters.derive(1, 3)
         with pytest.raises(ContractError):
-            candidate_pool(weak_rule_outcome, external_killers, residual, (), params)
+            candidate_pool(weak_rule_outcome, weak_killers, residual, (), params)
 
 
 class TestDesignations:
