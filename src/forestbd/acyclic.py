@@ -8,8 +8,10 @@ single child combination that leaves the clause falsified). Counts are
 Python ints, so they never overflow. The forest may be a view: a
 formula's incidence graph minus the nodes a restriction removes. The one
 traversal folds the trees and lists the cyclic components, which
-`split_count` hands to counting through a strong backdoor one component
-at a time and the entry points here refuse.
+`split_count` hands to the component walk that counts through a strong
+backdoor (`backdoors.Conditioning.product`) and the entry points here
+refuse. On one component of a view, the traversal reads the live clauses
+and the variables it prices from the component's node list itself.
 """
 
 from __future__ import annotations
@@ -20,6 +22,10 @@ from typing import AbstractSet, Iterable, Optional
 from .errors import ContractError, CyclicInputError
 from .formula import Assignment, Formula, _Frozen
 from .graphs import IncidenceGraph, Node, incidence_graph, unmarked
+
+# A split view: a factor for the view's trees, and the node lists of its
+# cyclic components, which the factor leaves out.
+Split = tuple[int, list[list[Node]]]
 
 
 class ModelCount(_Frozen):
@@ -49,10 +55,11 @@ class _TreeTables:
     the nodes it reaches 2, so the caller passes a mask it gives up.
 
     A component with a cycle is traversed to its end and listed in
-    `cyclic` as its node list and its variable count, instead of being
-    folded. The roots are the unmarked variable nodes, or those in `scope`
-    if it is given: a component of the view, with `clauses` unmarked clause
-    nodes.
+    `cyclic` as its node list, instead of being folded. The roots are the
+    unmarked variable nodes, or those in `scope` if it is given: the node
+    list of a component of a view that has since lost nodes. The tables
+    then read the live clauses and the variables they price (`free`) off
+    the scope alone.
 
     Every table is a list indexed by node. The traversal reads each edge's
     sign off the clause's literal tuple, which lists the clause's variables
@@ -63,7 +70,6 @@ class _TreeTables:
         inc: IncidenceGraph,
         state: bytearray,
         scope: Optional[Iterable[Node]] = None,
-        clauses: int = 0,
     ) -> None:
         graph = inc.graph
         adjacency, literals, m = graph.adjacency, inc.literals, graph.clauses
@@ -73,7 +79,10 @@ class _TreeTables:
         # 0 unreached, 1 removed, 2 reached
         if scope is None:
             clauses = state.count(0, 0, m)
-            scope = unmarked(state, m)
+            roots = unmarked(state, m)
+        else:
+            # A scope's live clauses are counted as its roots are read.
+            clauses, roots = 0, scope
         self.parent = parent = [-1] * size
         # The sign of the literal on the edge to the parent: a variable's in
         # its parent clause, or a clause's parent variable's in the clause.
@@ -86,16 +95,19 @@ class _TreeTables:
         all_ways = [1] * size
         falsifying = [1] * size
         self.roots: list[Node] = []
-        self.cyclic: list[tuple[list[Node], int]] = []
+        self.cyclic: list[list[Node]] = []
         # Nodes of the trees with a clause, each after its parent.
         order: list[Node] = []
         # Clause nodes reached, and nodes in the cyclic components.
-        reached = apart = 0
-        for root in scope:
-            if root < m or state[root]:
+        reached = apart = free = 0
+        for root in roots:
+            if root < m:
+                clauses += state[root] != 1
+                continue
+            if state[root]:
                 continue
             state[root] = 2
-            first, before = len(order), reached
+            first = len(order)
             closed = False
             stack = [root]
             while stack:
@@ -129,15 +141,19 @@ class _TreeTables:
                 nodes = order[first:]
                 del order[first:]
                 apart += len(nodes)
-                self.cyclic.append((nodes, len(nodes) - reached + before))
+                self.cyclic.append(nodes)
             elif len(order) - first == 1:
                 # A variable without clauses is priced by the free factor.
                 order.pop()
+                free += 1
             else:
                 self.roots.append(root)
         # The variable nodes of the trees and the cyclic components.
         self.variables = len(order) + apart - reached
-        # A residual clause no traversal reached has lost every variable.
+        # A scope is its own universe: its variables in no component with a
+        # clause are free.
+        self.free = None if scope is None else free
+        # A live clause no traversal reached has lost every variable.
         self.dead = reached < clauses
         # Every node comes after its parent in `order`.
         for node in reversed(order):
@@ -170,12 +186,13 @@ class _TreeTables:
         )
 
     def count(self, universe_size: int) -> int:
-        """Models of the trees over `universe_size` variables, less those of
-        the cyclic components, which the caller counts."""
+        """Models of the trees over `universe_size` variables, or over the
+        scope's own if the tables have a scope, less those of the cyclic
+        components, which the caller counts."""
         if self.dead:
             return 0
         # The variables in no component with a clause are free.
-        count = 2 ** (universe_size - self.variables)
+        count = 2 ** (universe_size - self.variables if self.free is None else self.free)
         for root in self.roots:
             count *= self.false_ways[root] + self.true_ways[root]
         return count
@@ -186,15 +203,14 @@ def split_count(
     mask: bytearray,
     variables: int,
     scope: Optional[Iterable[Node]] = None,
-    clauses: int = 0,
-) -> tuple[int, list[tuple[list[Node], int]]]:
+) -> Split:
     """Models of the trees of `inc` minus the nodes `mask` marks over
     `variables` variables, less the variables of its cyclic components,
-    and those components as node lists with their variable counts, from
-    one traversal; with a `scope`, of that component of the view alone (see
-    `_TreeTables`). `mask` is read, not changed, and the tables are not
-    kept, so a caller that recurses holds none of them."""
-    tables = _TreeTables(inc, bytearray(mask), scope, clauses)
+    and the node lists of those components, from one traversal; with a
+    `scope`, of that component of the view alone, over its own variables
+    (see `_TreeTables`). `mask` is read, not changed, and the tables are
+    not kept, so a caller that recurses holds none of them."""
+    tables = _TreeTables(inc, bytearray(mask), scope)
     return tables.count(variables), tables.cyclic
 
 

@@ -14,13 +14,15 @@ witness, the strong exact search's first cyclic assignment) take the
 variables ascending and walk the leaves with `first_leaf`,
 lexicographic with False first; a caller's `dead` test skips a True
 branch below which no leaf can hit. Strong verification and counting
-through a strong backdoor recurse over connected components instead: a
-variable reaches only its own component, so each cyclic component
-branches on its own best-connected variable of the set (`first`), and
-independent components add their branches instead of multiplying them.
-An acyclic component settles every assignment of the variables left in
-it, since assigning only removes nodes and a forest minus nodes is a
-forest. Each such call caches its answer per component node set.
+through a strong backdoor are one component walk instead
+(`Conditioning.product`), read two ways: a variable reaches only its own
+component, so each cyclic component branches on its own best-connected
+variable of the set (`first`), and independent components add their
+branches instead of multiplying them. An acyclic component settles every
+assignment of the variables left in it, since assigning only removes
+nodes and a forest minus nodes is a forest. The walk caches each cyclic
+component's sum by its node set, and fails at one that holds no variable
+of the set: verification splits with factor 1, counting prices the trees.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from typing import (
     Union,
 )
 
-from .acyclic import _TreeTables
+from .acyclic import Split, _TreeTables
 from .errors import ContractError, ResourceLimitError
 from .formula import Assignment, Formula, _Frozen
 from .graphs import (
@@ -50,7 +52,7 @@ from .graphs import (
     incidence_graph,
     shortest_cycle,
 )
-from .workers import all_true
+from .workers import ordered_map
 
 MAX_VERIFY_VARIABLES = 30
 # States one exact search may memoize; over the seed-1 and seed-11 benchmark
@@ -111,22 +113,18 @@ class Conditioning:
     `branches(place)` assigns the variable at that place False, then True.
     An assignment marks the variable's node and those clause nodes it
     satisfies that were not marked yet, and undoing it clears just those,
-    so a step builds no view. `first_leaf` walks the places in order.
-    Counting and strong verification recurse over connected components
-    instead: a caller splits a view into its components, prices or
-    accepts an acyclic one at once and branches on its best-connected
-    variable in a cyclic one (`first`), recursing into that component
-    alone. A variable reaches only its own component, so the components of
-    a view are independent. A walk serves one call: `cache` keeps the
-    caller's answer per cyclic component met, by its node set, which fixes
-    the component's view.
+    so a step builds no view. `first_leaf` walks the places in order;
+    `product` walks the connected components. A variable reaches only its
+    own component, so the components of a view are independent. A walk
+    serves one call: `cache` keeps the sum of each cyclic component met, by
+    its node set, which fixes the component's view.
     """
 
     def __init__(self, residual: Residual, variables: Iterable[int]) -> None:
         self.inc = inc = residual.inc
         graph = inc.graph
         self.mask = graph.mask(residual.removed)
-        self.cache: dict[frozenset[Node], object] = {}
+        self.cache: dict[frozenset[Node], Optional[int]] = {}
         ordered = sorted(variables)
         self.nodes = [graph.var_node(v) for v in ordered]
         # Per variable in order: the nodes each value removes, False first.
@@ -152,19 +150,51 @@ class Conditioning:
                 chosen, best = place, joins
         return chosen
 
-    def branches(self, place: int) -> Iterator[int]:
-        """Assign the variable at `place` False, then True. While each value's
-        nodes stay marked, yield how many clause nodes it removed."""
+    def branches(self, place: int) -> Iterator[bool]:
+        """Assign the variable at `place` False, then True, and yield each
+        value while its nodes stay marked."""
         mask = self.mask
-        for nodes in self.gone[place]:
+        for value, nodes in zip((False, True), self.gone[place]):
             marked = [node for node in nodes if not mask[node]]
             for node in marked:
                 mask[node] = 1
             try:
-                yield len(marked) - 1
+                yield value
             finally:
                 for node in marked:
                     mask[node] = 0
+
+    def product(
+        self, view: Split, split: Callable[[Optional[list[Node]]], Split]
+    ) -> Optional[int]:
+        """The factor of a split view times, per cyclic component, the sum
+        over both values of the component's `first` variable of the product
+        of `split(nodes)`, its node list split again under that value. None
+        once a cyclic component holds no variable of the set: a failure
+        ends the walk at once, a zero does not, so every component is
+        checked. Each component's sum is cached by its node set."""
+        factor, cyclic = view
+        cache = self.cache
+        for nodes in cyclic:
+            key = frozenset(nodes)
+            if key not in cache:
+                place = self.first(key)
+                total: Optional[int] = None
+                if place is not None:
+                    total = 0
+                    for part in ordered_map(
+                        lambda value: self.product(split(nodes), split), self.branches(place)
+                    ):
+                        if part is None:
+                            total = None
+                            break
+                        total += part
+                cache[key] = total
+            total = cache[key]
+            if total is None:
+                return None
+            factor *= total
+        return factor
 
 
 def first_leaf(
@@ -187,8 +217,8 @@ def first_leaf(
         place = len(values)
         if place == last:
             return hit(values)
-        for value, _ in enumerate(walk.branches(place)):
-            values.append(bool(value))
+        for value in walk.branches(place):
+            values.append(value)
             if not (value and place + 1 < last and dead(values)):
                 found = descend()
                 if found is not None:
@@ -282,27 +312,12 @@ def is_strong_backdoor(formula: Formula, variables: Iterable[int]) -> bool:
     candidate = frozenset(variables)
     _check_candidate(formula, candidate)
     _guard_size(candidate)
-    root = Residual.of(formula)
-    return _strong_within(Conditioning(root, candidate), None)
+    walk = Conditioning(Residual.of(formula), candidate)
 
+    def split(scope: Optional[list[Node]]) -> Split:
+        return 1, cyclic_components(walk.inc.graph, bytearray(walk.mask), scope)
 
-def _strong_within(walk: Conditioning, scope: Optional[list[Node]]) -> bool:
-    """Whether the walk's set is strong on every cyclic component of its
-    view, or of the part `scope` lists."""
-    parts = cyclic_components(walk.inc.graph, bytearray(walk.mask), scope)
-    return all(_strong_on(walk, nodes) for nodes in parts)
-
-
-def _strong_on(walk: Conditioning, nodes: list[Node]) -> bool:
-    """Whether both values of the component's `first` variable leave its
-    rest strong, from the walk's cache when the component was met before."""
-    key = frozenset(nodes)
-    if key not in walk.cache:
-        place = walk.first(key)
-        walk.cache[key] = place is not None and all_true(
-            lambda removed: _strong_within(walk, nodes), walk.branches(place)
-        )
-    return walk.cache[key]
+    return walk.product(split(None), split) is not None
 
 
 def weak_backdoor_witness(
@@ -341,7 +356,7 @@ def weak_backdoor_witness(
             return False
         left = walk.nodes[len(values):]
         held = set(left)
-        if any(held.isdisjoint(nodes) for nodes, _ in tables.cyclic):
+        if any(held.isdisjoint(nodes) for nodes in tables.cyclic):
             return True
         if not cores:
             return False

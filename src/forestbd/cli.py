@@ -315,7 +315,8 @@ def _cmd_detect(args: argparse.Namespace, formula: Formula) -> Outcome:
     lines = [f"verdict: {'found' if verdict.found else 'no'}"]
     if verdict.found:
         lines.append("backdoor: " + (" ".join(map(str, backdoor)) or "(empty)"))
-        if args.kind == "weak" and verdict.witness is not None:
+        # Only weak verdicts carry a witness.
+        if verdict.witness is not None:
             lines.append(
                 "witness: "
                 + (" ".join(f"{v}={int(verdict.witness[v])}" for v in sorted(verdict.witness)) or "(empty)")
@@ -325,7 +326,7 @@ def _cmd_detect(args: argparse.Namespace, formula: Formula) -> Outcome:
         "parameters": parameters,
         "verdict": "found" if verdict.found else "no",
         "backdoor": backdoor if verdict.found else None,
-        "witness": verdict.witness if (verdict.found and args.kind == "weak") else None,
+        "witness": verdict.witness if verdict.found else None,
         "stats": {
             **base_stats(formula),
             "packing_size": len(split.cycles) if isinstance(split, CyclePacking) else None,

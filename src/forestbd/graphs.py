@@ -23,7 +23,7 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import compress
 from operator import attrgetter
-from typing import AbstractSet, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
+from typing import AbstractSet, Iterable, Iterator, Mapping, NamedTuple, Union
 
 from .errors import ContractError, ResourceLimitError
 from .formula import MAX_DIMACS_VARIABLES, Formula, _Frozen
@@ -120,18 +120,6 @@ class Cycle(_Frozen):
             {"kind": "clause", "id": n} if n < m else {"kind": "var", "id": n - m + 1}
             for n in self.nodes
         ]
-
-
-def canonical_cycle(nodes: Sequence[Node], clauses: int = 0) -> Cycle:
-    """Normalize a cyclic node sequence: rotate its smallest node to the
-    front, then keep the lexicographically smaller of the two directions."""
-    seq = tuple(nodes)
-    if len(seq) < 3 or len(set(seq)) != len(seq):
-        raise ContractError(f"not a simple cycle: {seq!r}")
-    pivot = seq.index(min(seq))
-    forward = seq[pivot:] + seq[:pivot]
-    backward = (forward[0],) + tuple(reversed(forward[1:]))
-    return Cycle(min(forward, backward), clauses)
 
 
 def is_acyclic(graph: Graph, forbidden: AbstractSet[Node] = frozenset()) -> bool:

@@ -1,8 +1,9 @@
 """Structured run reports emitted by the command line.
 
-The JSON layout is versioned and validated against the schema shipped in
-this package; scripts may rely on it. Serialization sorts keys and every
-variable list, so identical runs produce byte-identical reports.
+The JSON layout is versioned, and the tests validate it against the
+schema shipped in this package; scripts may rely on it. Serialization
+sorts keys and every variable list, so identical runs produce
+byte-identical reports.
 `RunReport.to_json` writes `json.dumps(..., sort_keys=True, indent=2)`'s
 bytes itself: for any `indent` CPython's `json` runs its pure-Python
 encoder, which builds a set of closures per call.
@@ -11,14 +12,12 @@ encoder, which builds a set of closures per call.
 from __future__ import annotations
 
 import hashlib
-import json
 from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Optional
 
 from .formula import Assignment, Formula, emit_dimacs
 
 SCHEMA_VERSION = 1
-_SCHEMA_FILE = "run_report_schema.json"
 
 
 def formula_digest(formula: Formula) -> str:
@@ -166,20 +165,3 @@ def base_stats(formula: Formula) -> dict[str, Any]:
         "length": length,
         "width": width,
     }
-
-
-def report_schema() -> dict[str, Any]:
-    # Only the schema check reads the schema, so the loader is imported on
-    # use: `importlib.resources` pulls in `pathlib`, `zipfile` and `tempfile`.
-    from importlib import resources
-
-    text = resources.files(__package__).joinpath(_SCHEMA_FILE).read_text("utf-8")
-    return json.loads(text)
-
-
-def validate_report(payload: dict[str, Any]) -> None:
-    """Raises jsonschema.ValidationError when the payload deviates."""
-    # jsonschema is a test dependency only, so it is imported on use.
-    import jsonschema
-
-    jsonschema.validate(payload, report_schema())

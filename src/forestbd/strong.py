@@ -15,14 +15,15 @@ components at the root only (`_components_exceed`): in search states
 the bound prunes too rarely to pay for its pass.
 
 A strong backdoor acts as an implied cycle cutset: summing the acyclic
-counts of all its restrictions yields the exact model count. Counting
-conditions on the cutset one connected component at a time: one tree DP
-traversal folds a view's trees and lists its cyclic components, each of
-which branches on its best-connected cutset variable (`first`). Component
-counts multiply and the counts of a variable's two values add, so
-independent cyclic parts add their branches instead of multiplying them.
-`count_through_search` counts a forest in one traversal, and finds any
-other cutset with `detect_strong` first, on the graph it then counts on.
+counts of all its restrictions yields the exact model count. Counting is
+strong verification's component walk (`backdoors.Conditioning.product`)
+with `split_count` splits: one tree DP traversal prices a view's trees
+and lists its cyclic components, each of which branches on its
+best-connected cutset variable. Component counts multiply and the counts
+of a variable's two values add, so independent cyclic parts add their
+branches instead of multiplying them. `count_through_search` counts a
+forest in one traversal, and finds any other cutset with `detect_strong`
+first, on the graph it then counts on.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from __future__ import annotations
 import itertools
 from typing import AbstractSet, Callable, NamedTuple, Optional, Sequence
 
-from .acyclic import ModelCount, split_count
+from .acyclic import ModelCount, Split, split_count
 from .backdoors import (
     BackdoorVerdict,
     Conditioning,
@@ -53,7 +54,6 @@ from .graphs import (
     disjoint_cycles_or_feedback,
 )
 from .weak import KillChoice, Route, RuleOutcome, packing_route
-from .workers import ordered_map
 
 MAX_STRONG_BUDGET = 6
 Survivor = Callable[[frozenset[int]], Optional[Residual]]
@@ -356,9 +356,8 @@ def count_with_backdoor(
     if not cutset <= formula.universe:
         raise ContractError("backdoor must be a subset of the formula universe")
     _guard_size(cutset)
-    walk = Conditioning(Residual.of(formula), cutset)
-    split = split_count(walk.inc, walk.mask, len(target))
-    return ModelCount(_count_within(walk, split), len(target))
+    size = len(target)
+    return ModelCount(_count(Conditioning(Residual.of(formula), cutset), size), size)
 
 
 def count_through_search(formula: Formula) -> tuple[frozenset[int], ModelCount]:
@@ -369,44 +368,26 @@ def count_through_search(formula: Formula) -> tuple[frozenset[int], ModelCount]:
     Raises ResourceLimitError when no budget finds one."""
     root = Residual.of(formula)
     size = len(formula.universe)
-    split = split_count(root.inc, root.inc.graph.mask(root.removed), size)
-    if not split[1]:
-        return frozenset(), ModelCount(split[0], size)
+    view = split_count(root.inc, root.inc.graph.mask(root.removed), size)
+    if not view[1]:
+        return frozenset(), ModelCount(view[0], size)
     for budget in range(1, MAX_STRONG_BUDGET + 1):
         verdict = _detect_strong(root, budget)
         if verdict.found:
             _guard_size(verdict.variables)
-            count = _count_within(Conditioning(root, verdict.variables), split)
+            count = _count(Conditioning(root, verdict.variables), size, view)
             return verdict.variables, ModelCount(count, size)
     raise ResourceLimitError(f"no strong backdoor found within budget {MAX_STRONG_BUDGET}")
 
 
-def _count_within(walk: Conditioning, split: tuple[int, list[tuple[list[Node], int]]]) -> int:
-    """Models of a view of the walk, from its `split_count`: the trees'
-    count times each cyclic component's. Every component is counted, also
-    after a zero, so that each is checked."""
-    total, cyclic = split
-    for nodes, size in cyclic:
-        total *= _count_on(walk, nodes, size)
-    return total
+def _count(walk: Conditioning, size: int, view: Optional[Split] = None) -> int:
+    """Models over `size` variables of the walk's view, split as `view` if
+    given, through the component walk with `split_count` splits."""
 
+    def split(scope: Optional[list[Node]]) -> Split:
+        return split_count(walk.inc, walk.mask, size, scope)
 
-def _count_on(walk: Conditioning, nodes: list[Node], size: int) -> int:
-    """Models of a cyclic component over its `size` variables: the sum over
-    both values of its `first` variable, from the walk's cache when the
-    component was met before."""
-    key = frozenset(nodes)
-    if key not in walk.cache:
-        place = walk.first(key)
-        if place is None:
-            raise ContractError("the given set is not a strong backdoor")
-        clauses = len(nodes) - size
-        walk.cache[key] = sum(
-            ordered_map(
-                lambda removed: _count_within(
-                    walk, split_count(walk.inc, walk.mask, size - 1, nodes, clauses - removed)
-                ),
-                walk.branches(place),
-            )
-        )
-    return walk.cache[key]
+    count = walk.product(split(None) if view is None else view, split)
+    if count is None:
+        raise ContractError("the given set is not a strong backdoor")
+    return count

@@ -185,14 +185,12 @@ def designations(
     # Sets of one size holding `needed` sort as their other members do.
     others = [i for i in range(params.cycles) if i not in needed]
     for chosen in itertools.combinations(others, params.budget - len(needed)):
-        indices = sorted(needed.union(chosen))
+        inside = needed.union(chosen)
+        indices = sorted(inside)
         internal = tuple(base[i] for i in indices)
-        # The runs between internal cycles: the external ones in packing
-        # order, which the rules' first-match tie-breaks read.
-        bounds = (-1, *indices, params.cycles)
-        external: tuple[Cycle, ...] = ()
-        for before, after in zip(bounds, bounds[1:]):
-            external += base[before + 1 : after]
+        # The external cycles in packing order, which the rules'
+        # first-match tie-breaks read.
+        external = tuple(cycle for i, cycle in enumerate(base) if i not in inside)
         pool = free.union(*[cycle_variables[i] for i in indices])
         choice = KillChoice(internal, external, pool)
         yield choice, rule(residual.inc, choice, params)

@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 import random
 from collections import deque
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from forestbd import (
     Clause,
@@ -56,7 +56,6 @@ from forestbd.graphs import (
     IncidenceGraph,
     Node,
     PackingOrFeedback,
-    canonical_cycle,
     incidence_graph,
 )
 from forestbd.strong import (
@@ -326,6 +325,19 @@ def criterion_8_strong_targets() -> list[tuple[Formula, int]]:
 
 
 # --- helpers ------------------------------------------------------------------
+
+def canonical_cycle(nodes: Sequence[Node], clauses: int = 0) -> Cycle:
+    """Normalize a cyclic node sequence: rotate its smallest node to the
+    front, then keep the lexicographically smaller of the two directions.
+    The reference cycle search builds its canonical cycles with it."""
+    seq = tuple(nodes)
+    if len(seq) < 3 or len(set(seq)) != len(seq):
+        raise ContractError(f"not a simple cycle: {seq!r}")
+    pivot = seq.index(min(seq))
+    forward = seq[pivot:] + seq[:pivot]
+    backward = (forward[0],) + tuple(reversed(forward[1:]))
+    return Cycle(min(forward, backward), clauses)
+
 
 def ring_cycle(graph: Graph, variables: list[int], clause_indices: list[int]) -> Cycle:
     """Cycle object for a ring of `graph` where clause_indices[i] joins
@@ -825,8 +837,8 @@ def opposite_sign_clauses(
 ) -> tuple[int, int] | None:
     """The least clause pair of the cycle holding the variable positively in
     the first and negatively in the second, or None: the per-variable form
-    of `backdoors.strong_killers` off the cycle, which the reference strong
-    search uses.
+    of `backdoors.strong_killers` off the cycle, read off the incidence
+    graph's signs.
 
     Either value of the variable satisfies (and removes) one of the two
     clauses, so no restriction of the variable keeps the whole cycle.
@@ -842,28 +854,28 @@ def opposite_sign_clauses(
 
 def reference_strong_exact_search(formula: Formula, budget: int) -> BackdoorVerdict:
     """`strong.strong_exact_search` with each state's failing restriction
-    and its incidence graph rebuilt."""
+    and its incidence graph rebuilt, branching on the killers that
+    `reference_killers` reads off that restriction's clauses."""
     if budget < 0:
         raise ContractError(f"budget must be >= 0, got {budget}")
+    failing: dict[frozenset[int], Formula] = {}
 
     def settle(candidate: frozenset[int]):
         for tau in assignments_over(candidate):
-            inc = incidence_graph(formula.restrict(tau))
+            rest = formula.restrict(tau)
+            inc = incidence_graph(rest)
             if not reference_is_acyclic(inc.graph):
                 break
         else:
             return candidate, {}
         if len(candidate) == budget:
             return None
+        failing[candidate] = rest
         return Residual(inc, frozenset())
 
     def moves(candidate: frozenset[int], residual: Residual, cycle: Cycle):
-        cycle_vars = frozenset(cycle.variables)
-        outside = formula.universe - candidate - cycle_vars
-        killers = cycle_vars | {
-            v for v in outside if opposite_sign_clauses(residual.inc, v, cycle) is not None
-        }
-        for variable in sorted(killers):
+        rest = failing[candidate]
+        for variable in sorted(reference_killers(rest, "strong", cycle, rest.universe)):
             yield candidate | {variable}, variable, None
 
     result = branch_on_cycles(frozenset(), settle, moves)

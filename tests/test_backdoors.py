@@ -225,9 +225,9 @@ class TestConditioned:
         tables = acyclic._TreeTables
         components = backdoors.cyclic_components
 
-        def dp(inc, state, scope=None, clauses=0):
+        def dp(inc, state, scope=None):
             dp_views[live_nodes(state, scope)] += 1
-            return tables(inc, state, scope, clauses)
+            return tables(inc, state, scope)
 
         def split(graph, state, scope=None, limit=None):
             pass_views[live_nodes(state, scope)] += 1
@@ -318,8 +318,9 @@ class TestConditioned:
         # A branch stopped while an inner one is open, as when verification
         # meets a component that fails.
         outer = walk.branches(0)
-        # The clause nodes its False removes: all but its own node.
-        assert next(outer) == len(root.inc.removed_by(ordered[0], False)) - 1
+        # The nodes its False removes stay marked while it is yielded.
+        assert next(outer) is False
+        assert walk.mask.count(1) == len(root.inc.removed_by(ordered[0], False))
         inner = walk.branches(1)
         next(inner)
         next(inner)

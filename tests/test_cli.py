@@ -34,7 +34,6 @@ from forestbd import (
 from forestbd import cli, report
 from forestbd.cli import main
 from forestbd.formula import is_emitted
-from forestbd.report import validate_report
 from forestbd.strong import StrongParameters
 from forestbd.weak import WeakParameters
 from instances import disjoint_triangles, ring_formula
@@ -57,6 +56,16 @@ def run(argv, env=None):
             else:
                 os.environ[key] = value
     return code, stdout.getvalue(), stderr.getvalue()
+
+
+def validate_report(payload: dict) -> None:
+    """Raises jsonschema.ValidationError when the payload deviates from the
+    report schema shipped in the package."""
+    import jsonschema
+    from importlib import resources
+
+    text = resources.files("forestbd").joinpath("run_report_schema.json").read_text("utf-8")
+    jsonschema.validate(payload, json.loads(text))
 
 
 @pytest.fixture()

@@ -928,9 +928,9 @@ class TestConditionedCounting:
         dp = strong.split_count
         split = backdoors.cyclic_components
 
-        def counted(inc, mask, variables, scope=None, clauses=0):
+        def counted(inc, mask, variables, scope=None):
             calls.append(mask.count(1))
-            return dp(inc, mask, variables, scope, clauses)
+            return dp(inc, mask, variables, scope)
 
         def counted_pass(graph, state, scope=None, limit=None):
             passes.append(state.count(1))

@@ -1,4 +1,5 @@
-"""Check that the tier-1 tests kill each mutant of the kill relations.
+"""Check that the tier-1 tests kill each mutant of the pruning predicates,
+the component walk and its tree DP.
 
 One JSON line per run, the unmutated copy first:
 
@@ -30,7 +31,9 @@ from typing import Callable, NamedTuple, Optional, Union
 
 ROOT = Path(__file__).resolve().parent.parent
 COPIED = ("src", "tests", "bench", "pyproject.toml")
+ACYCLIC = "src/forestbd/acyclic.py"
 BACKDOORS = "src/forestbd/backdoors.py"
+STRONG = "src/forestbd/strong.py"
 TIER1 = ["-m", "pytest", "-q", "-x", "-rfE", "-p", "no:cacheprovider"]
 TIER1 += ["--continue-on-collection-errors"]
 FAILURE = re.compile(r"^(?:FAILED|ERROR) (\S+)", re.MULTILINE)
@@ -97,6 +100,31 @@ MUTANTS = (
         "cyclic_components' cycle test reached > 1 made reached > 2",
         "src/forestbd/graphs.py",
         Replace("if reached > 1 and not cyclic:", "if reached > 2 and not cyclic:"),
+    ),
+    Mutant(
+        "the component walk counting a component without a set variable as 0",
+        BACKDOORS,
+        Replace("total: Optional[int] = None", "total: Optional[int] = 0"),
+    ),
+    Mutant(
+        "the scoped tree DP counting only unreached clause nodes as live",
+        ACYCLIC,
+        Replace("clauses += state[root] != 1", "clauses += state[root] == 0"),
+    ),
+    Mutant(
+        "the scoped tree DP not pricing free variables",
+        ACYCLIC,
+        Replace("self.free = None if scope is None else free", "self.free = None if scope is None else 0"),
+    ),
+    Mutant(
+        "_components_exceed's len(components) > budget made >=",
+        STRONG,
+        Replace("if len(components) > budget:", "if len(components) >= budget:"),
+    ),
+    Mutant(
+        "_components_exceed's total > budget made >=",
+        STRONG,
+        Replace("if total > budget:", "if total >= budget:"),
     ),
 )
 
