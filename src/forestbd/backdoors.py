@@ -401,14 +401,19 @@ def weak_killers(inc: IncidenceGraph, cycle: Cycle, pool: AbstractSet[int]) -> f
     )
 
 
+def opposite_signs(inc: IncidenceGraph, clauses: Iterable[int]) -> frozenset[int]:
+    """The variables with opposite signs in two of the given clauses:
+    either value of such a variable satisfies (and removes) one of the two."""
+    literals = {lit for index in clauses for lit in inc.literals[index]}
+    # No clause holds both signs of a variable, so the two come from two clauses.
+    return frozenset(lit for lit in literals if lit > 0 and -lit in literals)
+
+
 def strong_killers(inc: IncidenceGraph, cycle: Cycle, pool: AbstractSet[int]) -> frozenset[int]:
     """Pool variables on the cycle, or with opposite signs in two of its
-    clauses: either value of such a variable satisfies (and removes) one of
-    the two, so no restriction of it keeps the whole cycle."""
-    literals = {lit for index in cycle.clause_indices for lit in inc.literals[index]}
-    # No clause holds both signs of a variable, so the two come from two clauses.
-    external = (lit for lit in literals if lit > 0 and -lit in literals)
-    return cycle.variable_set.union(external).intersection(pool)
+    clauses (`opposite_signs`): no restriction of such a variable keeps
+    the whole cycle."""
+    return cycle.variable_set.union(opposite_signs(inc, cycle.clause_indices)).intersection(pool)
 
 
 def deletion_killers(inc: IncidenceGraph, cycle: Cycle, pool: AbstractSet[int]) -> frozenset[int]:

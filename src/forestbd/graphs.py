@@ -62,9 +62,6 @@ class Graph:
         self.clauses = clauses
         self.bipartite = bipartite
 
-    def clause_node(self, index: int) -> Node:
-        return index
-
     def var_node(self, variable: int) -> Node:
         return self.clauses + variable - 1
 
@@ -403,18 +400,6 @@ class IncidenceGraph:
     def __init__(self, graph: Graph, literals: tuple[tuple[int, ...], ...]) -> None:
         self.graph = graph
         self.literals = literals
-
-    def sign(self, variable: int, clause_index: int) -> bool | None:
-        """True for a positive occurrence, False for negative, None if the
-        variable is not in the clause or there is no such clause."""
-        if not 0 <= clause_index < len(self.literals):
-            return None
-        literals = self.literals[clause_index]
-        if variable in literals:
-            return True
-        if -variable in literals:
-            return False
-        return None
 
     def removed_by(self, variable: int, value: bool) -> list[Node]:
         """The nodes `variable` set to `value` removes: its own and the clauses it satisfies."""

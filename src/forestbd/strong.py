@@ -41,6 +41,7 @@ from .backdoors import (
     branch_on_cycles,
     deletion_killers,
     first_leaf,
+    opposite_signs,
     strong_killers,
 )
 from .errors import ContractError, ResourceLimitError
@@ -74,7 +75,9 @@ class StrongParameters(NamedTuple):
 
 class ApexCycle(NamedTuple):
     """The cycle formed by an outside killer (`apex`) together with a
-    minimal `arc` of a packed cycle between an opposite-sign clause pair.
+    minimal `arc` of a packed cycle between an opposite-sign clause pair:
+    the arc runs from the clause holding the apex positively to the one
+    holding it negatively.
 
     Minimality: no pool variable kills the base cycle at a clause pair
     lying on the arc other than the arc's own endpoints, so every killer
@@ -82,8 +85,6 @@ class ApexCycle(NamedTuple):
     """
 
     apex: int
-    pos_clause: int
-    neg_clause: int
     arc: tuple[Node, ...]
 
 
@@ -106,33 +107,29 @@ def build_apex_cycle(
     its clauses."""
     best: Optional[tuple] = None
     for variable in sorted(strong_killers(inc, cycle, pool) - cycle.variable_set):
-        positive = [i for i in cycle.clause_indices if inc.sign(variable, i) is True]
-        negative = [i for i in cycle.clause_indices if inc.sign(variable, i) is False]
+        positive = [i for i in cycle.clause_indices if variable in inc.literals[i]]
+        negative = [i for i in cycle.clause_indices if -variable in inc.literals[i]]
         for u in positive:
             for v in negative:
-                for arc in _arcs_between(cycle, inc.graph.clause_node(u), inc.graph.clause_node(v)):
+                for arc in _arcs_between(cycle, u, v):
                     candidate = (len(arc), u, v, variable, arc)
                     if best is None or candidate < best:
                         best = candidate
     if best is None:
         return None
-    _, u, v, variable, arc = best
-    return ApexCycle(variable, u, v, arc)
+    _, _, _, variable, arc = best
+    return ApexCycle(variable, arc)
 
 
 def apex_cycle_killers(
     inc: IncidenceGraph, apex_cycle: ApexCycle, pool: AbstractSet[int]
 ) -> frozenset[int]:
-    """Pool variables, other than the apex, occurring with opposite signs in
-    the arc's two endpoint clauses; by arc minimality these are exactly the
-    outside killers of the apex cycle, and each also kills the base cycle."""
-    first = inc.literals[apex_cycle.pos_clause]
-    second = inc.literals[apex_cycle.neg_clause]
-    return frozenset(
-        abs(lit)
-        for lit in first
-        if -lit in second and abs(lit) != apex_cycle.apex and abs(lit) in pool
-    )
+    """Pool variables, other than the apex, with opposite signs in the
+    arc's two end clauses (`backdoors.opposite_signs`); by arc minimality
+    these are exactly the outside killers of the apex cycle, and each also
+    kills the base cycle."""
+    arc = apex_cycle.arc
+    return opposite_signs(inc, (arc[0], arc[-1])).intersection(pool) - {apex_cycle.apex}
 
 
 def strong_rule_outcome(

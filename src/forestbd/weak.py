@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -128,7 +129,8 @@ def weak_rule_outcome(
     dominant: Optional[int] = None
     for cycle, ks in zip(choice.external, killer_sets):
         # A killer's weight: the number of the cycle's clauses it occurs in.
-        w = {v: sum(inc.sign(v, i) is not None for i in cycle.clause_indices) for v in ks}
+        occurrences = Counter(abs(lit) for i in cycle.clause_indices for lit in inc.literals[i])
+        w = {v: occurrences[v] for v in ks}
         champion = max(w, key=lambda v: (w[v], -v))
         if w[champion] < params.multi:
             continue

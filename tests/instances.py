@@ -53,7 +53,6 @@ from forestbd.graphs import (
     CyclePacking,
     FeedbackSet,
     Graph,
-    IncidenceGraph,
     Node,
     PackingOrFeedback,
     incidence_graph,
@@ -310,6 +309,23 @@ def strong_saturated() -> Formula:
     )
 
 
+def strong_ubiquitous() -> Formula:
+    """Variable 7 kills two cycles, each with a second killer of its own
+    (8 and 9), plus an unkillable filler; at budget 1 no two killers share
+    two apex cycles, so the ubiquitous-killer rule selects 7."""
+    return Formula.from_ints(
+        [
+            [1, 2, 7, 8],
+            [1, 2, -7, -8],
+            [3, 4, 7, 9],
+            [3, 4, -7, -9],
+            [5, 6],
+            [5, 6],
+        ],
+        num_vars=9,
+    )
+
+
 def criterion_8_strong_targets() -> list[tuple[Formula, int]]:
     """The (formula, budget) pairs whose every strong designation the
     criterion-8 rule-soundness audit checks."""
@@ -345,7 +361,7 @@ def ring_cycle(graph: Graph, variables: list[int], clause_indices: list[int]) ->
     nodes = []
     for v, c in zip(variables, clause_indices):
         nodes.append(graph.var_node(v))
-        nodes.append(graph.clause_node(c))
+        nodes.append(c)
     return canonical_cycle(tuple(nodes), graph.clauses)
 
 
@@ -788,17 +804,17 @@ def reference_candidate_pool(rule, residual: Residual, packing, params) -> froze
 
 
 def reference_apex_cycle_killers(
-    inc: IncidenceGraph, apex_cycle: ApexCycle, pool
+    formula: Formula, apex_cycle: ApexCycle, pool
 ) -> frozenset[int]:
     """`strong.apex_cycle_killers` by scanning the whole pool for opposite
-    signs in the two endpoint clauses."""
-    u, v = apex_cycle.pos_clause, apex_cycle.neg_clause
+    signs in the formula's two clauses at the arc's ends."""
+    first, second = (formula.clauses[apex_cycle.arc[end]] for end in (0, -1))
     found: set[int] = set()
     for variable in pool:
         if variable == apex_cycle.apex:
             continue
-        su = inc.sign(variable, u)
-        sv = inc.sign(variable, v)
+        su = first.polarity(variable)
+        sv = second.polarity(variable)
         if su is None or sv is None or su == sv:
             continue
         found.add(variable)
@@ -829,26 +845,6 @@ def reference_weak_witness(formula: Formula, candidate) -> Assignment | None:
         rest = formula.restrict(tau)
         if reference_is_acyclic(incidence_graph(rest).graph) and satisfying_assignment(rest) is not None:
             return tau
-    return None
-
-
-def opposite_sign_clauses(
-    inc: IncidenceGraph, variable: int, cycle: Cycle
-) -> tuple[int, int] | None:
-    """The least clause pair of the cycle holding the variable positively in
-    the first and negatively in the second, or None: the per-variable form
-    of `backdoors.strong_killers` off the cycle, read off the incidence
-    graph's signs.
-
-    Either value of the variable satisfies (and removes) one of the two
-    clauses, so no restriction of the variable keeps the whole cycle.
-    """
-    if variable in cycle.variables:
-        raise ContractError(f"variable {variable} lies on the cycle")
-    positive = [i for i in cycle.clause_indices if inc.sign(variable, i) is True]
-    negative = [i for i in cycle.clause_indices if inc.sign(variable, i) is False]
-    if positive and negative:
-        return (min(positive), min(negative))
     return None
 
 

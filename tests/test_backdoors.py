@@ -31,6 +31,7 @@ from forestbd.backdoors import (
     Residual,
     deletion_killers,
     first_leaf,
+    opposite_signs,
     strong_killers,
     weak_killers,
 )
@@ -44,7 +45,6 @@ from instances import (
     disjoint_triangles,
     disjoint_union,
     k33_gadgets,
-    opposite_sign_clauses,
     random_hitting_formula,
     reference_completions,
     reference_count_with_backdoor,
@@ -735,34 +735,30 @@ class TestKillRelations:
         f = Formula.from_ints([[1, 2, 5], [1, 2, -5], [1, 2]], num_vars=5)
         inc = incidence_graph(f)
         cycle = shortest_cycle(inc.graph, forbidden={inc.graph.var_node(5)})
-        pair = opposite_sign_clauses(inc, 5, cycle)
-        assert pair == (0, 1)
+        assert cycle.clause_indices == (0, 1)
+        assert opposite_signs(inc, cycle.clause_indices) == {5}
+        assert opposite_signs(inc, (0, 2)) == frozenset()
 
     def test_same_sign_is_not_a_strong_kill(self):
         f = Formula.from_ints([[1, 2, 5], [1, 2, 5], [1, 2]], num_vars=5)
         inc = incidence_graph(f)
         cycle = shortest_cycle(inc.graph, forbidden={inc.graph.var_node(5)})
-        assert opposite_sign_clauses(inc, 5, cycle) is None
-
-    def test_on_cycle_variable_rejected(self):
-        f = Formula.from_ints([[1, 2], [1, 2]], num_vars=2)
-        inc = incidence_graph(f)
-        cycle = shortest_cycle(inc.graph)
-        with pytest.raises(ContractError):
-            opposite_sign_clauses(inc, 1, cycle)
+        assert opposite_signs(inc, cycle.clause_indices) == frozenset()
 
     def test_opposite_pair_removes_cycle_under_both_values(self):
         f = Formula.from_ints([[1, 2, 5], [1, 2, -5], [1, 2]], num_vars=5)
         inc = incidence_graph(f)
         cycle = shortest_cycle(inc.graph, forbidden={inc.graph.var_node(5)})
-        pair = opposite_sign_clauses(inc, 5, cycle)
-        assert pair is not None
-        # Either value of the variable satisfies one of the pair, so a clause
-        # node of the cycle vanishes from the restricted incidence graph.
-        for value in (False, True):
-            survivors = {
-                index
-                for index, clause in enumerate(f.clauses)
-                if not clause.satisfied_by({5: value})
-            }
-            assert not set(cycle.clause_indices) <= survivors
+        found = opposite_signs(inc, cycle.clause_indices)
+        assert found
+        # Either value of such a variable satisfies one of its two clauses,
+        # so a clause node of the cycle vanishes from the restricted
+        # incidence graph.
+        for variable in found:
+            for value in (False, True):
+                survivors = {
+                    index
+                    for index, clause in enumerate(f.clauses)
+                    if not clause.satisfied_by({variable: value})
+                }
+                assert not set(cycle.clause_indices) <= survivors

@@ -36,7 +36,7 @@ from forestbd.cli import main
 from forestbd.formula import is_emitted
 from forestbd.strong import StrongParameters
 from forestbd.weak import WeakParameters
-from instances import disjoint_triangles, ring_formula
+from instances import disjoint_squares, disjoint_triangles, ring_formula
 
 
 def run(argv, env=None):
@@ -191,9 +191,18 @@ class TestExitCodes:
         assert code == 0
         assert out.startswith("p cnf 4 3\n")
 
-    def test_resource_guard(self, triangle_file):
+    def test_resource_guard(self, triangle_file, tmp_path):
         code, _, err = run(["detect", "strong", "--cnf", triangle_file, "-k", "9"])
         assert code == 3
+        # Seven disjoint squares need a cutset of seven variables, one more
+        # than `count`'s search budget; six squares still print their count.
+        path = tmp_path / "squares.cnf"
+        path.write_text(emit_dimacs(disjoint_squares(7)), encoding="ascii")
+        code, out, err = run(["count", "--cnf", str(path)])
+        assert (code, out) == (3, "")
+        assert "error: no strong backdoor found within budget 6" in err
+        path.write_text(emit_dimacs(disjoint_squares(6)), encoding="ascii")
+        assert run(["count", "--cnf", str(path)])[:2] == (0, "count: 64\n")
 
     def test_oracle_negative_budget_is_usage_error(self, triangle_file):
         code, out, err = run(["oracle", "weak", "--cnf", triangle_file, "--k-max", "-1"])
@@ -262,6 +271,9 @@ class TestExitCodes:
         assert run(["verify", "--cnf", grid3, "--kind", "strong", "--set", "10"])[0] == 0
         assert run(["verify", "--cnf", grid3, "--kind", "strong", "--set", "1"])[0] == 1
         assert run(["verify", "--cnf", grid3, "--kind", "weak", "--set", ""])[0] == 1
+        code, out, err = run(["verify", "--cnf", grid3, "--kind", "strong", "--set", "-1"])
+        assert (code, out) == (2, "")
+        assert "variable ids must be positive" in err
 
     def test_oracle_exit_codes(self, grid3, triangle_file):
         assert run(["oracle", "strong", "--cnf", grid3, "--k-max", "1"])[0] == 0

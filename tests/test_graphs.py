@@ -106,7 +106,7 @@ def mapped_back(graph: Graph, clauses: int, kept: list[int], nodes) -> tuple:
     the nodes of the unrestricted `graph`: clause i of the restriction is
     clause kept[i], and a variable keeps its id."""
     return tuple(
-        graph.clause_node(kept[n]) if n < clauses else graph.var_node(n - clauses + 1)
+        kept[n] if n < clauses else graph.var_node(n - clauses + 1)
         for n in nodes
     )
 
@@ -172,10 +172,8 @@ class TestIncidence:
     def test_signs(self):
         f = Formula.from_ints([[1, -2]], num_vars=2)
         inc = incidence_graph(f)
-        assert inc.sign(1, 0) is True
-        assert inc.sign(2, 0) is False
-        assert inc.sign(1, 1) is None
-        assert inc.graph.clause_node(0) in inc.graph.adjacency[inc.graph.var_node(1)]
+        assert inc.literals[0] == (1, -2)
+        assert 0 in inc.graph.adjacency[inc.graph.var_node(1)]
 
     def test_empty_formula(self):
         inc = incidence_graph(Formula((), frozenset()))
@@ -213,12 +211,12 @@ class TestRestrictionView:
     def test_true_value_removes_satisfied_clause(self):
         f = Formula.from_ints([[1, 2], [-1, 2]], num_vars=2)
         g = incidence_graph(f).graph
-        assert Residual.of(f).assign(1, True).removed == {g.var_node(1), g.clause_node(0)}
+        assert Residual.of(f).assign(1, True).removed == {g.var_node(1), 0}
 
     def test_false_value_removes_the_other_clause(self):
         f = Formula.from_ints([[1, 2], [-1, 2]], num_vars=2)
         g = incidence_graph(f).graph
-        assert Residual.of(f).assign(1, False).removed == {g.var_node(1), g.clause_node(1)}
+        assert Residual.of(f).assign(1, False).removed == {g.var_node(1), 1}
 
     def test_unused_variable_removes_only_itself(self):
         root = Residual.of(Formula((), frozenset({1})))
@@ -236,9 +234,7 @@ class TestRestrictionView:
         inc, removed = restricted(f, tau)
         kept = [i for i, c in enumerate(f.clauses) if not c.satisfied_by(tau)]
         g = inc.graph
-        assert {g.clause_node(i) for i in range(f.num_clauses)} - removed == {
-            g.clause_node(i) for i in kept
-        }
+        assert set(range(f.num_clauses)) - removed == set(kept)
         assert {g.var_node(v) for v in tau} <= removed
         rebuilt = shortest_cycle(incidence_graph(f.restrict(tau)).graph)
         if rebuilt is not None:
@@ -371,7 +367,7 @@ class TestShortestCycle:
         f = Formula.from_ints([[1, 2], [1, 2]], num_vars=2)
         g = incidence_graph(f).graph
         cycle = shortest_cycle(g)
-        assert cycle.nodes == (g.clause_node(0), g.var_node(1), g.clause_node(1), g.var_node(2))
+        assert cycle.nodes == (0, g.var_node(1), 1, g.var_node(2))
 
     def test_forbidden_kills_it(self):
         f = Formula.from_ints([[1, 2], [1, 2]], num_vars=2)
@@ -380,15 +376,15 @@ class TestShortestCycle:
 
     def test_canonical_cycle_normalization(self):
         g = incidence_graph(Formula.from_ints([[1, 2], [1, 2]], num_vars=2)).graph
-        c1 = canonical_cycle((g.var_node(2), g.clause_node(0), g.var_node(1), g.clause_node(1)))
-        c2 = canonical_cycle((g.clause_node(1), g.var_node(1), g.clause_node(0), g.var_node(2)))
+        c1 = canonical_cycle((g.var_node(2), 0, g.var_node(1), 1))
+        c2 = canonical_cycle((1, g.var_node(1), 0, g.var_node(2)))
         assert c1 == c2
-        assert c1.nodes[0] == g.clause_node(0)
+        assert c1.nodes[0] == 0
 
     def test_canonical_rejects_non_cycles(self):
         g = incidence_graph(Formula.from_ints([[1]], num_vars=1)).graph
         with pytest.raises(ContractError):
-            canonical_cycle((g.var_node(1), g.clause_node(0)))
+            canonical_cycle((g.var_node(1), 0))
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=120, deadline=None)

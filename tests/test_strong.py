@@ -72,6 +72,7 @@ from instances import (
     strong_lone_killer,
     strong_pair,
     strong_saturated,
+    strong_ubiquitous,
     three_islands,
     triangle,
     two_triangles,
@@ -99,12 +100,13 @@ class TestParameters:
 
 def arc_killing_pairs(formula, inc, apex_cycle, pool):
     """All clause pairs on the arc at which some pool variable holds
-    opposite signs; used to check arc minimality directly."""
+    opposite signs in the formula's clauses; used to check arc minimality
+    directly."""
     arc_clauses = [n for n in apex_cycle.arc if n < inc.graph.clauses]
     pairs = set()
     for variable in pool:
         for u, v in itertools.combinations(arc_clauses, 2):
-            su, sv = inc.sign(variable, u), inc.sign(variable, v)
+            su, sv = formula.clauses[u].polarity(variable), formula.clauses[v].polarity(variable)
             if su is not None and sv is not None and su != sv:
                 pairs.add(frozenset({u, v}))
     return pairs
@@ -118,10 +120,9 @@ class TestApexCycle:
         apex = build_apex_cycle(inc, cycle, frozenset({3}))
         assert apex is not None
         assert apex.apex == 3
-        assert (apex.pos_clause, apex.neg_clause) == (0, 1)
-        # Two length-three arcs tie; the one through the smaller variable wins.
-        g = inc.graph
-        assert apex.arc == (g.clause_node(0), g.var_node(1), g.clause_node(1))
+        # Two length-three arcs from clause 0 to clause 1 tie; the one
+        # through the smaller variable wins.
+        assert apex.arc == (0, inc.graph.var_node(1), 1)
 
     def test_no_opposite_pair_means_none(self):
         f = Formula.from_ints([[1, 2, 3], [1, 2, 3]], num_vars=3)
@@ -170,7 +171,7 @@ class TestApexCycle:
         base = ring_cycle(inc.graph, [2, 3, 4, 5, 6, 1], [1, 2, 3, 4, 5, 0])
         apex = build_apex_cycle(inc, base, frozenset({7, 8}))
         assert apex.apex == 8
-        assert (apex.pos_clause, apex.neg_clause) == (1, 2)
+        assert (apex.arc[0], apex.arc[-1]) == (1, 2)
         assert arc_killing_pairs(f, inc, apex, frozenset({7, 8})) == {
             frozenset({1, 2})
         }
@@ -196,7 +197,7 @@ class TestApexCycle:
             pool = frozenset(range(ring + 1, ring + extras + 1))
             apex = build_apex_cycle(inc, base, pool)
             assert apex is not None
-            endpoint_pair = frozenset({apex.pos_clause, apex.neg_clause})
+            endpoint_pair = frozenset({apex.arc[0], apex.arc[-1]})
             assert arc_killing_pairs(f, inc, apex, pool) <= {endpoint_pair}
 
 
@@ -208,7 +209,7 @@ class TestApexKillers:
         inc = incidence_graph(f)
         cycle = shortest_cycle(
             inc.graph,
-            forbidden={inc.graph.var_node(v) for v in (3, 4, 5, 6, 7)} | {inc.graph.clause_node(2)},
+            forbidden={inc.graph.var_node(v) for v in (3, 4, 5, 6, 7)} | {2},
         )
         apex = build_apex_cycle(inc, cycle, frozenset({3, 4, 5, 6, 7}))
         return f, inc, apex
@@ -246,7 +247,7 @@ class TestApexKillers:
                 if apex is None:
                     continue
                 killers = apex_cycle_killers(inc, apex, pool)
-                assert killers == reference_apex_cycle_killers(inc, apex, pool)
+                assert killers == reference_apex_cycle_killers(f, apex, pool)
                 compared += 1
                 nonempty += bool(killers)
         assert compared >= 40 and nonempty >= 10
@@ -285,6 +286,25 @@ class TestRules:
         for choice, outcome in pair_hits:
             assert outcome.selected == frozenset({9, 10})
             assert rule_selection_sound(f, choice, outcome.selected, 1, "strong")
+
+    def test_ubiquitous_killer(self):
+        f = strong_ubiquitous()
+        residual = Residual.of(f)
+        split = disjoint_cycles_or_feedback(residual.inc.graph, 3)
+        outcomes = list(
+            designations(strong_rule_outcome, residual, split.cycles, StrongParameters.derive(1))
+        )
+        hits = [
+            (choice, outcome)
+            for choice, outcome in outcomes
+            if outcome.rule == "ubiquitous-killer"
+        ]
+        assert len(hits) == 1
+        choice, outcome = hits[0]
+        assert outcome.selected == frozenset({7})
+        assert rule_selection_sound(f, choice, outcome.selected, 1, "strong")
+        assert not detect_strong(f, 1).found
+        assert not strong_exact_search(f, 1).found
 
     def test_saturated(self):
         f = strong_saturated()

@@ -42,7 +42,7 @@ def frozen_values() -> list:
         (StrongParameters.derive(2), "cycles"),
         (KillChoice((CYCLE,), (), frozenset({2})), "pool"),
         (RuleOutcome("shared-killers", frozenset({1})), "selected"),
-        (ApexCycle(5, 0, 1, (0, 3, 1)), "apex"),
+        (ApexCycle(5, (0, 3, 1)), "apex"),
         (CyclePacking((CYCLE,)), "cycles"),
         (FeedbackSet(frozenset({3})), "nodes"),
         (OracleReport("weak", 1, (frozenset({1}),)), "optimum"),

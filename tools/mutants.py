@@ -34,6 +34,7 @@ COPIED = ("src", "tests", "bench", "pyproject.toml")
 ACYCLIC = "src/forestbd/acyclic.py"
 BACKDOORS = "src/forestbd/backdoors.py"
 STRONG = "src/forestbd/strong.py"
+WEAK = "src/forestbd/weak.py"
 TIER1 = ["-m", "pytest", "-q", "-x", "-rfE", "-p", "no:cacheprovider"]
 TIER1 += ["--continue-on-collection-errors"]
 FAILURE = re.compile(r"^(?:FAILED|ERROR) (\S+)", re.MULTILINE)
@@ -79,7 +80,7 @@ MUTANTS = (
         Rewrite("weak_killers", return_cycle_variables),
     ),
     Mutant(
-        "strong_killers without the -lit in literals test",
+        "opposite_signs (strong_killers and the apex rule) without the -lit in literals test",
         BACKDOORS,
         Replace("lit > 0 and -lit in literals", "lit > 0"),
     ),
@@ -87,8 +88,8 @@ MUTANTS = (
         "strong_killers without its on-cycle part",
         BACKDOORS,
         Replace(
-            "return cycle.variable_set.union(external).intersection(pool)",
-            "return frozenset(external).intersection(pool)",
+            "return cycle.variable_set.union(opposite_signs(inc, cycle.clause_indices))",
+            "return frozenset(opposite_signs(inc, cycle.clause_indices))",
         ),
     ),
     Mutant(
@@ -125,6 +126,26 @@ MUTANTS = (
         "_components_exceed's total > budget made >=",
         STRONG,
         Replace("if total > budget:", "if total >= budget:"),
+    ),
+    Mutant(
+        "apex_cycle_killers reading the arc's first end clause twice",
+        STRONG,
+        Replace("(arc[0], arc[-1])", "(arc[0], arc[0])"),
+    ),
+    Mutant(
+        "the killer-pair rule's >= pair_threshold made >",
+        STRONG,
+        Replace(">= pair_threshold:", "> pair_threshold:"),
+    ),
+    Mutant(
+        "the ubiquitous-killer rule's >= many_threshold made >",
+        STRONG,
+        Replace(">= many_threshold:", "> many_threshold:"),
+    ),
+    Mutant(
+        "the weak rules weighing every killer 1",
+        WEAK,
+        Replace("w = {v: occurrences[v] for v in ks}", "w = {v: 1 for v in ks}"),
     ),
 )
 
