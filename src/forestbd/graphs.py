@@ -23,7 +23,7 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import compress
 from operator import attrgetter
-from typing import AbstractSet, Iterable, Iterator, Mapping, NamedTuple, Union
+from typing import AbstractSet, Iterable, Iterator, NamedTuple, Union
 
 from .errors import ContractError, ResourceLimitError
 from .formula import MAX_DIMACS_VARIABLES, Formula, _Frozen
@@ -290,22 +290,6 @@ def _girth(graph: Graph, allowed: bytearray, floor: int) -> tuple[int, Node] | N
     return best
 
 
-def _lexmin_shortest_path(
-    graph: Graph, start: Node, goal: Node, dist_to_goal: Mapping[Node, int], allowed: bytearray
-) -> tuple:
-    path = [start]
-    current = start
-    while current != goal:
-        # Neighbours are sorted, so the first match is the least.
-        current = next(
-            u
-            for u in graph.adjacency[current]
-            if allowed[u] and dist_to_goal.get(u) == dist_to_goal[current] - 1
-        )
-        path.append(current)
-    return tuple(path)
-
-
 def shortest_cycle(
     graph: Graph, forbidden: AbstractSet[Node] = frozenset(), girth_floor: int = 0
 ) -> Cycle | None:
@@ -315,8 +299,12 @@ def shortest_cycle(
     smallest canonical node sequence. `girth_floor` may raise the graph's
     own `girth_floor` when the caller knows that no cycle avoiding
     `forbidden` is shorter; the search stops at the first cycle that long.
-    The girth pass names the anchor, the least node on any shortest cycle,
-    and the canonical cycle is built from that one anchor's ring.
+    The girth pass names the anchor, the least node on any shortest cycle.
+    Node i of a shortest cycle through it lies min(i, girth - i) from it,
+    or a shorter cycle would close (Itai & Rodeh 1978). So one BFS from the
+    anchor to depth girth // 2 gives the layers, and the first walk in
+    neighbour order that keeps to them and never steps straight back is
+    the canonical cycle.
     """
     later = bytearray(b"\x01") * len(graph.adjacency)
     for v in forbidden:
@@ -327,20 +315,26 @@ def shortest_cycle(
     girth, anchor = found
     # The canonical sequence starts at the anchor, so only later nodes join it.
     later[: anchor + 1] = bytes(anchor + 1)
-    ring = [u for u in graph.adjacency[anchor] if later[u]]
-    # Two ring nodes close a girth-length cycle through the anchor only at
-    # distance girth - 2, so no BFS needs to look further.
-    dist_from = {b: _bfs_distances(graph, b, later, girth - 2) for b in ring}
-    # The anchor lies on a shortest cycle, so some second node closes one.
-    for second in ring:
-        candidates = [
-            (anchor,) + _lexmin_shortest_path(graph, second, last, dist_from[last], later)
-            for last in ring
-            if last != second and dist_from[last].get(second) == girth - 2
-        ]
-        if candidates:
-            break
-    return Cycle(min(candidates), graph.clauses)
+    dist = _bfs_distances(graph, anchor, later, girth // 2)
+    adjacency = graph.adjacency
+    # An explicit stack of neighbour iterators: cycles run to tens of
+    # thousands of nodes, beyond Python's recursion limit.
+    path = [anchor]
+    stack = [iter(adjacency[anchor])]
+    while len(path) < girth:
+        step = len(path)
+        layer = min(step, girth - step)
+        # At step 1 this is the anchor, which lies in no layer above 0.
+        back = path[step - 2]
+        for u in stack[-1]:
+            if dist.get(u) == layer and u != back:
+                path.append(u)
+                stack.append(iter(adjacency[u]))
+                break
+        else:
+            path.pop()
+            stack.pop()
+    return Cycle(tuple(path), graph.clauses)
 
 
 class CyclePacking(NamedTuple):

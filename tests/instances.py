@@ -238,10 +238,10 @@ def heavy_sparse_cycles() -> tuple[Cycle, Cycle]:
     )
 
 
-def heavy_dense_ring() -> Formula:
-    """A 16-ring with a four-occurrence champion and six two-occurrence
-    near-peers, plus a separately killable cycle; trips dominant-killer."""
-    pairs = [(1, 2), (3, 5), (6, 7), (9, 10), (11, 13), (14, 15)]
+def _killer_ring(pairs: Sequence[tuple[int, int]]) -> Formula:
+    """A 16-ring on variables 1..16 whose killer 17 sits on clauses 0, 4, 8
+    and 12 and whose j-th clause pair shares killer 18 + j, plus a
+    separately killable cycle on the next two variables."""
     clauses = []
     for i in range(16):
         a, a_next = 1 + i, 1 + (i + 1) % 16
@@ -249,20 +249,46 @@ def heavy_dense_ring() -> Formula:
         if i in (0, 4, 8, 12):
             body.append(17)
         else:
-            for j, (first, second) in enumerate(pairs):
-                if i in (first, second):
+            for j, pair in enumerate(pairs):
+                if i in pair:
                     body.append(18 + j)
         clauses.append(body)
-    clauses.append([24, 25, 26])
-    clauses.append([24, 25])
-    return Formula.from_ints(clauses, num_vars=26)
+    small = 18 + len(pairs)
+    clauses.append([small, small + 1, small + 2])
+    clauses.append([small, small + 1])
+    return Formula.from_ints(clauses, num_vars=small + 2)
+
+
+def _killer_ring_cycles(pairs: Sequence[tuple[int, int]]) -> tuple[Cycle, Cycle]:
+    graph = incidence_graph(_killer_ring(pairs)).graph
+    small = 18 + len(pairs)
+    return ring_cycle(graph, list(range(1, 17)), list(range(0, 16))), ring_cycle(
+        graph, [small, small + 1], [16, 17]
+    )
+
+
+_DENSE_PAIRS = ((1, 2), (3, 5), (6, 7), (9, 10), (11, 13), (14, 15))
+
+
+def heavy_dense_ring() -> Formula:
+    """A 16-ring with a four-occurrence champion and six two-occurrence
+    near-peers, plus a separately killable cycle; trips dominant-killer."""
+    return _killer_ring(_DENSE_PAIRS)
 
 
 def heavy_dense_cycles() -> tuple[Cycle, Cycle]:
-    graph = incidence_graph(heavy_dense_ring()).graph
-    return ring_cycle(graph, list(range(1, 17)), list(range(0, 16))), ring_cycle(
-        graph, [24, 25], [16, 17]
-    )
+    return _killer_ring_cycles(_DENSE_PAIRS)
+
+
+def heavy_boundary_ring() -> Formula:
+    """The dense ring with four near-peers only: at budget 1 and width 3
+    exactly `support` = 5 killers are heavy, so concentrated-killers fires
+    at its boundary."""
+    return _killer_ring(_DENSE_PAIRS[:4])
+
+
+def heavy_boundary_cycles() -> tuple[Cycle, Cycle]:
+    return _killer_ring_cycles(_DENSE_PAIRS[:4])
 
 
 # --- crafted strong-rule instances ------------------------------------------
@@ -674,9 +700,12 @@ def _reference_lexmin_shortest_path(
 def reference_shortest_cycle(
     graph: Graph, forbidden: frozenset | set = frozenset()
 ) -> Cycle | None:
-    """`graphs.shortest_cycle` without a girth floor: the girth search runs
-    from every root over every allowed node, and each ring-neighbour BFS
-    walks the whole allowed graph."""
+    """`graphs.shortest_cycle` without a girth floor, by an independent
+    construction: the ring-BFS one the code used before its layered walk.
+    The girth search runs from every root over every allowed node; then,
+    for the first anchor that closes a cycle, each ring neighbour's BFS
+    walks the whole allowed graph, and the least lexicographic shortest
+    path between two ring neighbours closes the cycle."""
     allowed = [v for v in graph.nodes if v not in forbidden]
     allowed_set = set(allowed)
     girth = _reference_girth(graph, allowed, allowed_set)

@@ -1027,7 +1027,13 @@ class TestLongRing:
     def test_stats(self, ring):
         code, out, _ = self.timed(["stats", "--cnf", ring, "--json", "--no-timing"])
         assert code == 0
-        assert len(json.loads(out)["stats"]["shortest_cycle"]) == 2 * self.LENGTH
+        # From clause 0 (1 ∨ 2) toward its smaller neighbour, variable 1, then
+        # down the ring: clause j (j+1 ∨ j+2, or 1 ∨ 20000 at the top) and
+        # variable j + 1.
+        expected = [{"kind": "clause", "id": 0}, {"kind": "var", "id": 1}]
+        for j in range(self.LENGTH - 1, 0, -1):
+            expected += [{"kind": "clause", "id": j}, {"kind": "var", "id": j + 1}]
+        assert json.loads(out)["stats"]["shortest_cycle"] == expected
 
     @pytest.mark.parametrize("kind, k", [("deletion", 1), ("weak", 1), ("strong", 3)])
     def test_detect(self, ring, kind, k):

@@ -75,6 +75,11 @@ class TestHittingSet:
         with pytest.raises(ContractError):
             hitting_set_formula([[1], []])
 
+    @pytest.mark.parametrize("family", [[[0]], [[2, -1]], [[1.5]]])
+    def test_bad_element_rejected(self, family):
+        with pytest.raises(ContractError):
+            hitting_set_formula(family)
+
 
 class TestRandom:
     def test_deterministic_in_seed(self):

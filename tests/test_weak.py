@@ -35,6 +35,8 @@ from forestbd.weak import (
 from instances import (
     contradiction_path,
     disjoint_triangles,
+    heavy_boundary_cycles,
+    heavy_boundary_ring,
     heavy_dense_cycles,
     heavy_dense_ring,
     heavy_sparse_cycles,
@@ -92,12 +94,21 @@ class TestRules:
         assert outcome.selected == frozenset()
         assert rule_selection_sound(f, choice, outcome.selected, 1, "weak")
 
-    def test_concentrated_killers(self):
-        f = heavy_sparse_ring()
-        choice = manufactured_choice(f, heavy_sparse_cycles())
+    @pytest.mark.parametrize(
+        "ring, cycles, selected",
+        [
+            (heavy_sparse_ring, heavy_sparse_cycles, {9}),
+            # Exactly `support` = 5 heavy killers: still concentrated.
+            (heavy_boundary_ring, heavy_boundary_cycles, {17, 18, 19, 20, 21}),
+        ],
+        ids=["sparse", "boundary"],
+    )
+    def test_concentrated_killers(self, ring, cycles, selected):
+        f = ring()
+        choice = manufactured_choice(f, cycles())
         outcome = weak_rule_outcome(incidence_graph(f), choice, self.params())
         assert outcome.rule == "concentrated-killers"
-        assert outcome.selected == frozenset({9})
+        assert outcome.selected == frozenset(selected)
         assert rule_selection_sound(f, choice, outcome.selected, 1, "weak")
 
     def test_dominant_killer(self):
@@ -132,6 +143,7 @@ class TestOnePassRule:
     FIXTURES = (
         (heavy_sparse_ring, heavy_sparse_cycles),
         (heavy_dense_ring, heavy_dense_cycles),
+        (heavy_boundary_ring, heavy_boundary_cycles),
         (overlap_rings, overlap_ring_cycles),
         (shared_killer_square, shared_killer_cycles),
     )

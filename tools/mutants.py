@@ -1,5 +1,6 @@
 """Check that the tier-1 tests kill each mutant of the pruning predicates,
-the component walk and its tree DP.
+the rule thresholds, the component walk and its tree DP, and the canonical
+cycle's layered walk.
 
 One JSON line per run, the unmutated copy first:
 
@@ -33,6 +34,7 @@ ROOT = Path(__file__).resolve().parent.parent
 COPIED = ("src", "tests", "bench", "pyproject.toml")
 ACYCLIC = "src/forestbd/acyclic.py"
 BACKDOORS = "src/forestbd/backdoors.py"
+GRAPHS = "src/forestbd/graphs.py"
 STRONG = "src/forestbd/strong.py"
 WEAK = "src/forestbd/weak.py"
 TIER1 = ["-m", "pytest", "-q", "-x", "-rfE", "-p", "no:cacheprovider"]
@@ -99,7 +101,7 @@ MUTANTS = (
     ),
     Mutant(
         "cyclic_components' cycle test reached > 1 made reached > 2",
-        "src/forestbd/graphs.py",
+        GRAPHS,
         Replace("if reached > 1 and not cyclic:", "if reached > 2 and not cyclic:"),
     ),
     Mutant(
@@ -146,6 +148,51 @@ MUTANTS = (
         "the weak rules weighing every killer 1",
         WEAK,
         Replace("w = {v: occurrences[v] for v in ks}", "w = {v: 1 for v in ks}"),
+    ),
+    Mutant(
+        "the canonical cycle walk without its step-back exclusion",
+        GRAPHS,
+        Replace("if dist.get(u) == layer and u != back:", "if dist.get(u) == layer:"),
+    ),
+    Mutant(
+        "the canonical cycle walk's layer min(step, girth - step) made step",
+        GRAPHS,
+        Replace("layer = min(step, girth - step)", "layer = step"),
+    ),
+    Mutant(
+        "the canonical cycle's BFS depth girth // 2 made one short",
+        GRAPHS,
+        Replace("later, girth // 2)", "later, girth // 2 - 1)"),
+    ),
+    Mutant(
+        "the weak rules' w[champion] < params.multi made <=",
+        WEAK,
+        Replace("if w[champion] < params.multi:", "if w[champion] <= params.multi:"),
+    ),
+    Mutant(
+        "concentrated-killers' len(heavy) <= params.support made <",
+        WEAK,
+        Replace("if len(heavy) <= params.support:", "if len(heavy) < params.support:"),
+    ),
+    Mutant(
+        "killer-overlap-excess's len(common) >= params.overlap made >",
+        WEAK,
+        Replace("if len(common) >= params.overlap:", "if len(common) > params.overlap:"),
+    ),
+    Mutant(
+        "the heavy-killer test 2 * k * c >= w[champion] made >",
+        WEAK,
+        Replace("2 * k * c >= w[champion]", "2 * k * c > w[champion]"),
+    ),
+    Mutant(
+        "WeakParameters.derive's cycles = 2 * k + 1 made 2 * k",
+        WEAK,
+        Replace("cycles = 2 * k + 1", "cycles = 2 * k"),
+    ),
+    Mutant(
+        "StrongParameters.derive's cycle count + budget + 1 made + budget",
+        STRONG,
+        Replace("+ budget + 1)", "+ budget)"),
     ),
 )
 
