@@ -6,7 +6,8 @@ immutable; every transformation returns a new formula. Clause positions
 act as stable identifiers: restriction and variable deletion keep
 surviving clauses in their original relative order, and variable deletion
 keeps even emptied clauses, so downstream graph code can name clauses by
-index.
+index. A parsed formula keeps each clause as its plain literal tuple and
+builds `Clause` objects only when they are read.
 """
 
 from __future__ import annotations
@@ -118,9 +119,11 @@ class Formula(_Frozen):
     The universe may be a strict superset of the occurring variables;
     counting operations take it as the set of variables an assignment
     ranges over. Formulas compare and hash by clauses and universe.
+    `literals` holds each clause's literal tuple. `parse_dimacs` keeps only
+    those, and builds the `Clause` objects on first read of `clauses`; a
+    formula built in Python keeps its clauses and derives `literals`.
     """
 
-    clauses: tuple[Clause, ...]
     universe: frozenset[int]
     # True when `parse_dimacs` built every clause exactly as its text wrote
     # it, variables strictly increasing; False for any other construction.
@@ -141,14 +144,31 @@ class Formula(_Frozen):
             raise ContractError(f"clauses mention variables outside universe: {missing}")
 
     @cached_property
+    def clauses(self) -> tuple[Clause, ...]:
+        """The clauses of a formula `parse_dimacs` built, from its literal
+        tuples on first read, without the check in `Clause.__init__`: the
+        parse checked or canonicalized every tuple."""
+        new, put = object.__new__, object.__setattr__
+        clauses = []
+        for literals in self.literals:
+            clause = new(Clause)
+            put(clause, "literals", literals)
+            clauses.append(clause)
+        return tuple(clauses)
+
+    @cached_property
+    def literals(self) -> tuple[tuple[int, ...], ...]:
+        """Each clause's literal tuple, in clause order: what the graph
+        build, the statistics and `emit_dimacs` read."""
+        return tuple(map(attrgetter("literals"), self.clauses))
+
+    @cached_property
     def variables(self) -> frozenset[int]:
         """The variables with at least one occurrence, computed on first
         read: at construction for a formula built in Python, whose
         constructor checks them against the universe, and only when
         read for one `parse_dimacs` built."""
-        return frozenset(
-            map(abs, chain.from_iterable(map(attrgetter("literals"), self.clauses)))
-        )
+        return frozenset(map(abs, chain.from_iterable(self.literals)))
 
     def occurs_within(self, target: frozenset[int]) -> bool:
         """Whether `target` holds every occurring variable. A target that
@@ -169,13 +189,13 @@ class Formula(_Frozen):
 
     @property
     def num_clauses(self) -> int:
-        return len(self.clauses)
+        return len(self.literals)
 
     @cached_property
     def length_and_width(self) -> tuple[int, int]:
         """The literal occurrences and the widest clause's width, computed
         on first read."""
-        widths = [len(c.literals) for c in self.clauses]
+        widths = list(map(len, self.literals))
         return sum(widths), max(widths, default=0)
 
     def max_clause_width(self) -> int:
@@ -190,9 +210,9 @@ class Formula(_Frozen):
                 f"assignment mentions variables outside universe: {sorted(extra)}"
             )
         kept: list[Clause] = []
-        for clause in self.clauses:
+        for literals in self.literals:
             remaining: list[int] = []
-            for lit in clause.literals:
+            for lit in literals:
                 variable = abs(lit)
                 if variable not in assignment:
                     remaining.append(lit)
@@ -212,8 +232,8 @@ class Formula(_Frozen):
                 f"deletion set outside universe: {sorted(extra)}"
             )
         stripped = tuple(
-            Clause(tuple(l for l in c.literals if abs(l) not in removed))
-            for c in self.clauses
+            Clause(tuple(l for l in literals if abs(l) not in removed))
+            for literals in self.literals
         )
         return Formula(stripped, self.universe - removed)
 
@@ -256,12 +276,12 @@ def parse_dimacs(text: str) -> Formula:
         tokens = _body_tokens(lines, line_no, suspect)
     else:
         tokens = body.split()
-
+    del lines, body
     values, token_error = _literal_values(tokens, n)
+    del tokens
     # Split the values at each 0, noting whether every clause writes its
     # variables strictly increasing: then each is canonical as written and
-    # is built without the check in `Clause.__init__`; else
-    # `Clause.from_ints` checks each.
+    # is kept as it is; else `Clause.from_ints` checks each.
     spans: list[tuple[int, ...]] = []
     current: list[int] = []
     canonical = True
@@ -277,29 +297,23 @@ def parse_dimacs(text: str) -> Formula:
             spans.append(tuple(current))
             current = []
             last = 0
-    new, put = object.__new__, object.__setattr__
-    clauses: list[Clause] = []
-    for literals in spans:
-        if canonical:
-            clause = new(Clause)
-            put(clause, "literals", literals)
-        else:
+    if not canonical:
+        for index, literals in enumerate(spans):
             try:
-                clause = Clause.from_ints(literals)
+                spans[index] = Clause.from_ints(literals).literals
             except ContractError as exc:
-                raise DimacsError(f"clause {len(clauses) + 1}: {exc}") from exc
-        clauses.append(clause)
+                raise DimacsError(f"clause {index + 1}: {exc}") from exc
     if token_error is not None:
         raise token_error
     if current:
         raise DimacsError("unterminated clause at end of input")
-    if len(clauses) != m:
-        raise DimacsError(f"header declares {m} clauses, found {len(clauses)}")
+    if len(spans) != m:
+        raise DimacsError(f"header declares {m} clauses, found {len(spans)}")
     # `_literal_values` bounded every literal by n, so the universe covers
     # the clauses and the formula is built without the check in
-    # `Formula.__init__`.
-    formula = new(Formula)
-    put(formula, "clauses", tuple(clauses))
+    # `Formula.__init__`. It keeps the literal tuples only.
+    formula, put = object.__new__(Formula), object.__setattr__
+    put(formula, "literals", tuple(spans))
     put(formula, "universe", frozenset(range(1, n + 1)))
     put(formula, "as_written", canonical)
     return formula
@@ -374,7 +388,7 @@ def emit_dimacs(formula: Formula) -> str:
     """
     n = max(formula.universe, default=0)
     lines = [f"p cnf {n} {formula.num_clauses}"]
-    lines += [" ".join(map(str, (*clause.literals, 0))) for clause in formula.clauses]
+    lines += [" ".join(map(str, (*literals, 0))) for literals in formula.literals]
     return "\n".join(lines) + "\n"
 
 

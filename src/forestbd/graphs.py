@@ -417,7 +417,7 @@ def incidence_graph(formula: Formula) -> IncidenceGraph:
         raise ResourceLimitError(
             f"refusing a graph over variable ids up to {n} (limit {MAX_DIMACS_VARIABLES})"
         )
-    literals = tuple(clause.literals for clause in formula.clauses)
+    literals = formula.literals
     m = len(literals)
     offset = m - 1
     occurrences: list[list[int]] = [[] for _ in range(n)]
@@ -429,7 +429,10 @@ def incidence_graph(formula: Formula) -> IncidenceGraph:
             nodes.append(offset + variable)
             occurrences[variable - 1].append(index)
         adjacency.append(tuple(nodes))
-    adjacency += map(tuple, occurrences)
+    # In place, so the lists and their tuples are never all alive together.
+    for variable, clauses in enumerate(occurrences):
+        occurrences[variable] = tuple(clauses)
+    adjacency += occurrences
     # Every edge joins a variable and a clause, so no cycle is shorter than 4.
     return IncidenceGraph(Graph(adjacency, girth_floor=4, clauses=m, bipartite=True), literals)
 

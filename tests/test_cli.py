@@ -777,6 +777,59 @@ def test_count_without_backdoor_builds_one_graph(tmp_path, monkeypatch):
     assert len(builds) == 1
 
 
+class TestNoClauseObjects:
+    """No command of the benchmark plans reads `Formula.clauses`, so none
+    builds `Clause` objects for the formula it parsed."""
+
+    # (a DIMACS text maker, a variable set on it); the grid's text is
+    # written in emitted form by `gen -o`, the other out of order.
+    INPUTS = {
+        "gen": (lambda path: run(["gen", "grid", "--size", "3", "-o", str(path)]), "1,5,10"),
+        "out-of-order": (
+            lambda path: path.write_text("p cnf 3 2\n3 -1 0\n2 1 0\n", encoding="ascii"),
+            "1",
+        ),
+    }
+    KINDS = ("weak", "strong", "deletion")
+
+    @pytest.mark.parametrize("source", sorted(INPUTS))
+    def test_commands_build_no_clauses(self, tmp_path, monkeypatch, source):
+        make, variables = self.INPUTS[source]
+        path = tmp_path / "input.cnf"
+        make(path)
+        commands = [
+            ["stats"],
+            ["count", "--backdoor", variables],
+            *(["verify", "--kind", kind, "--set", variables] for kind in self.KINDS),
+            *(["detect", kind, "-k", "3"] for kind in self.KINDS),
+        ]
+        runs = [[*argv, "--cnf", str(path), "--json", "--no-timing"] for argv in commands]
+        expected = [run(argv) for argv in runs]
+        assert [code for code, _, _ in expected] == [0] * len(runs)
+        build = Formula.__dict__["clauses"]
+        builds = []
+
+        class Counted:
+            def __get__(self, formula, owner=None):
+                if formula is not None:
+                    builds.append(formula)
+                return build.__get__(formula, owner)
+
+        monkeypatch.setattr(Formula, "clauses", Counted())
+        assert [run(argv) for argv in runs] == expected
+        assert builds == []
+        assert len(parse_dimacs(path.read_text(encoding="ascii")).clauses) > 0
+        assert len(builds) == 1
+
+
+def path_forest_text(count: int) -> str:
+    """`emit_dimacs` of a path of `count` two-literal clauses: a forest."""
+    formula = Formula.from_ints(
+        [[-v if v % 3 else v, v + 1] for v in range(1, count + 1)], num_vars=count + 1
+    )
+    return emit_dimacs(formula)
+
+
 # (text, whether it is exactly `emit_dimacs` of its parse)
 DIGEST_CORPUS = {
     "canonical": ("p cnf 3 2\n1 -2 0\n-2 3 0\n", True),
@@ -854,12 +907,8 @@ class TestInputDigest:
         # A path of 20,000 two-literal clauses: an acyclic forest. The check
         # matches one line at a time; one nested pattern over the whole body
         # would peak at about 38 times the text size.
-        count = 20_000
-        formula = Formula.from_ints(
-            [[-v if v % 3 else v, v + 1] for v in range(1, count + 1)], num_vars=count + 1
-        )
         path = tmp_path / "forest.cnf"
-        text = emit_dimacs(formula)
+        text = path_forest_text(20_000)
         path.write_text(text, encoding="ascii")
         parse = cli.parse_dimacs
         loaded = []
@@ -881,6 +930,26 @@ class TestInputDigest:
             tracemalloc.stop()
         assert digest == hashlib.sha256(text.encode("ascii")).hexdigest()
         assert peak - loaded[0] < 8 * len(text)
+
+    def test_parse_and_graph_memory(self):
+        # On the same path, parsing peaks at about 23 times the text, and
+        # the graph build at about 19 times above the parsed formula. A
+        # parse that built `Clause` objects and kept the split lines and
+        # tokens alive to its end would peak at about 42 times, and a build
+        # holding every occurrence list and its tuple at once at about 24.
+        text = path_forest_text(20_000)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            formula = parse_dimacs(text)
+            parsed, parse_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            incidence_graph(formula)
+            graph_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert parse_peak - start < 30 * len(text)
+        assert graph_peak - parsed < 21 * len(text)
 
 
 class TestCollectorState:

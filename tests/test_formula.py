@@ -106,12 +106,13 @@ def parse_outcome(parse, text):
 
 def check_parsed_clauses(mine, reference) -> None:
     """When both parsers return a formula, the parsed one has the
-    reference's occurring variables, and each of its clauses, which
-    `parse_dimacs` may build without `Clause.__init__`, holds a tuple
-    that passes its check."""
+    reference's occurring variables, its literal tuples are its clauses',
+    and each of its clauses, which `parse_dimacs` may build without
+    `Clause.__init__`, holds a tuple that passes its check."""
     if not (isinstance(mine, Formula) and isinstance(reference, Formula)):
         return
     assert mine.variables == reference.variables
+    assert mine.literals == tuple(c.literals for c in mine.clauses)
     for clause in mine.clauses:
         assert type(clause.literals) is tuple
         assert Clause(clause.literals) == clause
@@ -226,8 +227,8 @@ class TestAgainstReferenceParse:
 
 class TestParseCost:
     """A text written in order is parsed without either checking
-    constructor, and its formula computes `variables` only when they are
-    read."""
+    constructor, and its formula keeps literal tuples: it builds its
+    `Clause` objects and computes `variables` only when they are read."""
 
     def test_in_order_text_skips_post_init(self, monkeypatch):
         ring = ring_formula(2000)
@@ -239,6 +240,8 @@ class TestParseCost:
         monkeypatch.setattr(Clause, "__init__", refuse)
         monkeypatch.setattr(Formula, "__init__", refuse)
         formula = parse_dimacs(text)
+        assert formula.literals == tuple(c.literals for c in ring.clauses)
+        assert "clauses" not in vars(formula)
         assert len(formula.clauses) == len(ring.clauses) == 2000
         assert "variables" not in vars(formula)
         assert formula.variables == ring.variables == frozenset(range(1, 2001))
@@ -256,6 +259,7 @@ class TestParseCost:
         monkeypatch.setattr(Clause, "from_ints", classmethod(spy))
         formula = parse_dimacs("p cnf 3 3\n1 2 0\n3 -1 0\n0\n")
         assert built == [(1, 2), (3, -1), ()]
+        assert formula.literals == ((1, 2), (-1, 3), ())
         assert [c.literals for c in formula.clauses] == [(1, 2), (-1, 3), ()]
         assert not formula.as_written
         assert formula.variables == {1, 2, 3}
@@ -263,6 +267,17 @@ class TestParseCost:
     def test_formula_built_in_python_checks_its_variables(self):
         formula = Formula.from_ints([[2, -3], []], num_vars=4)
         assert vars(formula)["variables"] == {2, 3}
+
+    def test_formula_built_in_python_derives_its_literals(self):
+        # Its constructor reads them first, through `variables`; a formula
+        # holding only clauses derives them on its first read.
+        formula = Formula.from_ints([[2, -3], []], num_vars=4)
+        assert vars(formula)["literals"] == ((2, -3), ())
+        bare = object.__new__(Formula)
+        vars(bare)["clauses"] = formula.clauses
+        assert "literals" not in vars(bare)
+        assert bare.literals == ((2, -3), ())
+        assert bare.literals[0] is formula.clauses[0].literals
 
 
 class TestEmit:

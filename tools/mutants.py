@@ -1,6 +1,7 @@
 """Check that the tier-1 tests kill each mutant of the pruning predicates,
-the rule thresholds, the component walk and its tree DP, and the canonical
-cycle's layered walk.
+the rule thresholds, the component walk and its tree DP, the canonical
+cycle's layered walk, and the DIMACS parse's test for clauses written in
+canonical order.
 
 One JSON line per run, the unmutated copy first:
 
@@ -34,6 +35,7 @@ ROOT = Path(__file__).resolve().parent.parent
 COPIED = ("src", "tests", "bench", "pyproject.toml")
 ACYCLIC = "src/forestbd/acyclic.py"
 BACKDOORS = "src/forestbd/backdoors.py"
+FORMULA = "src/forestbd/formula.py"
 GRAPHS = "src/forestbd/graphs.py"
 STRONG = "src/forestbd/strong.py"
 WEAK = "src/forestbd/weak.py"
@@ -193,6 +195,16 @@ MUTANTS = (
         "StrongParameters.derive's cycle count + budget + 1 made + budget",
         STRONG,
         Replace("+ budget + 1)", "+ budget)"),
+    ),
+    Mutant(
+        "parse_dimacs's canonical test variable <= last made <",
+        FORMULA,
+        Replace("if variable <= last:", "if variable < last:"),
+    ),
+    Mutant(
+        "parse_dimacs marking every parsed formula as written",
+        FORMULA,
+        Replace('put(formula, "as_written", canonical)', 'put(formula, "as_written", True)'),
     ),
 )
 
